@@ -196,11 +196,11 @@ def _fresh_names(source: LogAmbient, count: int) -> list[str]:
 def _assemble(
     ambient: LogAmbient,
     ideal: MonomialIdeal,
+    fan: NormalFan,
     weights: list[int],
     root: int | None,
 ) -> MultiWeightedBlowup:
     n = ambient.n
-    fan = normal_fan(newton(ideal))
     rays = fan.rays
     exc = fan.exceptional()
 
@@ -294,7 +294,7 @@ def build_blowup(
             if int(b) < 1:
                 raise MwbError(f"weight {b} on {direction} must be positive")
             w[bydir[direction]] = int(b)
-    return _assemble(ambient, ideal, w, None)
+    return _assemble(ambient, ideal, fan, w, None)
 
 
 def rees_weights(fan: NormalFan, root: int) -> list[int]:
@@ -311,7 +311,9 @@ def rees_blowup(frac: FractionalIdeal, ambient: LogAmbient) -> MultiWeightedBlow
     if frac.base.dim != ambient.n:
         raise MwbError("ideal arity does not match the ambient")
     fan = normal_fan(newton(frac.base))
-    return _assemble(ambient, frac.base, rees_weights(fan, frac.root), frac.root)
+    return _assemble(
+        ambient, frac.base, fan, rees_weights(fan, frac.root), frac.root
+    )
 
 
 def center_to_blowup(c: CenterIdeal, ambient: LogAmbient) -> MultiWeightedBlowup:

@@ -117,8 +117,10 @@ class _Parser:
     def factor(self) -> Polynomial:
         kind, val = self.take()
         if kind == "frac":
-            num, den = val.split("/")
-            return self._const(Fraction(int(num), int(den)))
+            num, den = (int(x) for x in val.split("/"))
+            if not den:
+                raise MwbError(f"coefficient {val} has a zero denominator")
+            return self._const(Fraction(num, den))
         if kind == "int":
             return self._const(Fraction(int(val)))
         if kind == "name":
@@ -214,7 +216,10 @@ def parse_point(value: str, ambient: LogAmbient) -> tuple:
         raise MwbError(
             f"point has {len(parts)} coordinates, the ambient has {ambient.n}"
         )
-    return tuple(Fraction(v) for v in parts)
+    try:
+        return tuple(Fraction(v) for v in parts)
+    except (ValueError, ZeroDivisionError):
+        raise MwbError(f"point {value!r} is not a list of rationals") from None
 
 
 def parse_weights(value: str | None) -> dict | None:
@@ -229,8 +234,13 @@ def parse_weights(value: str | None) -> dict | None:
         if "=" not in part:
             raise MwbError(f"weight {part!r} is not direction=weight")
         dirs, w = part.rsplit("=", 1)
-        direction = tuple(int(x) for x in dirs.split(","))
-        out[direction] = int(w)
+        try:
+            direction = tuple(int(x) for x in dirs.split(","))
+            out[direction] = int(w)
+        except ValueError:
+            raise MwbError(
+                f"weight {part!r} needs integer entries on both sides"
+            ) from None
     return out
 
 

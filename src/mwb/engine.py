@@ -71,10 +71,15 @@ from .polyhedra import dot, faces, newton_polyhedron
 
 
 def depth_limit() -> int:
+    """MWB_DEPTH_LIMIT as a nonnegative integer, 16 when unset."""
+    value = os.environ.get("MWB_DEPTH_LIMIT", "16")
     try:
-        return int(os.environ.get("MWB_DEPTH_LIMIT", "16"))
+        limit = int(value)
+        if limit >= 0:
+            return limit
     except ValueError:
-        return 16
+        pass
+    raise MwbError(f"MWB_DEPTH_LIMIT={value!r} is not a nonnegative integer")
 
 
 def chart_origin(ambient: LogAmbient) -> tuple:

@@ -13,14 +13,15 @@ normal fan subdivides the nonnegative orthant; its maximal cones biject with
 vertices of P and a ray rho lies in the cone of a vertex v exactly when the
 facet inequality of rho is tight at v.
 
-All arithmetic is exact (integers and Fractions); nothing here is numeric.
+All arithmetic is in exact integers, with no floats and no Fractions.
+Determinants and ranks use Bareiss fraction-free elimination, whose
+intermediate entries are integer minors and whose divisions are exact.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .errors import EmptyIdeal, ZeroVector
@@ -47,44 +48,53 @@ def _unit(i: int, n: int) -> Vec:
 
 
 def _rank(rows: list[Vec]) -> int:
-    # plain Gaussian elimination over Q; sizes here are tiny
-    mat = [[Fraction(x) for x in r] for r in rows if any(r)]
-    rank = 0
+    # Bareiss fraction-free elimination to echelon form: after each pivot
+    # every remaining entry is a minor of the input, so the division by the
+    # previous pivot is exact; a column with no pivot is skipped
+    mat = [list(r) for r in rows if any(r)]
     cols = len(rows[0]) if rows else 0
-    col = 0
-    while mat and col < cols:
-        piv = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
+    rank = 0
+    prev = 1
+    for col in range(cols):
+        if rank == len(mat):
+            break
+        piv = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
         if piv is None:
-            col += 1
             continue
         mat[rank], mat[piv] = mat[piv], mat[rank]
         prow = mat[rank]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col] != 0:
-                f = mat[i][col] / prow[col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], prow)]
+        p = prow[col]
+        for row in mat[rank + 1 :]:
+            a = row[col]
+            for j in range(col + 1, cols):
+                row[j] = (p * row[j] - a * prow[j]) // prev
+        prev = p
         rank += 1
-        col += 1
     return rank
 
 
 def _det(rows: list[tuple[int, ...]]) -> int:
-    mat = [[Fraction(x) for x in r] for r in rows]
+    # Bareiss elimination: the last pivot is the determinant, up to the sign
+    # of the row swaps
+    mat = [list(r) for r in rows]
     n = len(mat)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if mat[i][col] != 0), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            det = -det
-        det *= mat[col][col]
-        for i in range(col + 1, n):
-            f = mat[i][col] / mat[col][col]
-            mat[i] = [a - f * b for a, b in zip(mat[i], mat[col])]
-    assert det.denominator == 1
-    return int(det)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if not mat[k][k]:
+            piv = next((i for i in range(k + 1, n) if mat[i][k]), None)
+            if piv is None:
+                return 0
+            mat[k], mat[piv] = mat[piv], mat[k]
+            sign = -sign
+        prow = mat[k]
+        p = prow[k]
+        for row in mat[k + 1 :]:
+            a = row[k]
+            for j in range(k + 1, n):
+                row[j] = (p * row[j] - a * prow[j]) // prev
+        prev = p
+    return sign * mat[-1][-1] if n else 1
 
 
 def _cross(vecs: list[Vec], n: int) -> Vec:

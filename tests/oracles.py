@@ -153,3 +153,41 @@ def threshold_minimal_tuples(b):
         if sum(w * x for w, x in zip(weights, c)) >= target
     ]
     return dominance_minimal(hits)
+
+
+def det(rows):
+    """Determinant by Gaussian elimination over Q."""
+    mat = [[Fraction(x) for x in r] for r in rows]
+    n = len(mat)
+    out = Fraction(1)
+    for col in range(n):
+        piv = next((i for i in range(col, n) if mat[i][col] != 0), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            mat[col], mat[piv] = mat[piv], mat[col]
+            out = -out
+        out *= mat[col][col]
+        for i in range(col + 1, n):
+            f = mat[i][col] / mat[col][col]
+            mat[i] = [a - f * b for a, b in zip(mat[i], mat[col])]
+    assert out.denominator == 1
+    return int(out)
+
+
+def rank(rows):
+    """Rank by Gaussian elimination over Q."""
+    mat = [[Fraction(x) for x in r] for r in rows]
+    cols = len(mat[0]) if mat else 0
+    out = 0
+    for col in range(cols):
+        piv = next((i for i in range(out, len(mat)) if mat[i][col] != 0), None)
+        if piv is None:
+            continue
+        mat[out], mat[piv] = mat[piv], mat[out]
+        for i in range(len(mat)):
+            if i != out and mat[i][col] != 0:
+                f = mat[i][col] / mat[out][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[out])]
+        out += 1
+    return out

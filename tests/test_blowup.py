@@ -357,6 +357,22 @@ def test_weight_overrides():
         build_blowup(a, A3, weights={(3, 2, 2): 0})
 
 
+def test_one_newton_polyhedron_per_blowup(monkeypatch):
+    calls = []
+
+    def counting(i):
+        calls.append(i)
+        return newton(i)
+
+    monkeypatch.setattr("mwb.blowup.newton", counting)
+    a = mono3((2, 0, 0), (0, 2, 1), (0, 0, 3))
+    build_blowup(a, A3)
+    assert calls == [a]
+    calls.clear()
+    rees_blowup(FractionalIdeal(a, 6), A3)
+    assert calls == [a]
+
+
 def test_build_errors():
     with pytest.raises(ZeroIdeal):
         build_blowup(monomial_ideal([], 3), A3)

@@ -320,8 +320,20 @@ class TestExitCodes:
              "--rees", "2", "--weights", "1,1=1"],
             ["resolve", "--ordinary", "x,y", "--ideal", "x^2 + y^3", "--mark", "1"],
             ["nondegenerate", "--ordinary", "x,y", "--ideal", "x, y"],
+            ["invariant", "--ordinary", "x,y", "--ideal", "1/0 x^2 + y^3"],
+            ["resolve", "--ordinary", "x,y", "--ideal", "x^2 + y^3", "--mark", "1/0,0"],
+            ["invariant", "--ordinary", "x,y", "--ideal", "x^2", "--point", "0,1/0"],
+            ["resolve", "--ordinary", "x,y", "--ideal", "x^2 + y^3", "--mark", "a,0"],
+            ["invariant", "--ordinary", "x,y", "--ideal", "x^2", "--point", "abc,0"],
+            ["blowup", "--ordinary", "x,y", "--ideal-monomial", "x", "--weights", "a=1"],
+            ["blowup", "--ordinary", "x,y", "--ideal-monomial", "x", "--weights", "1,0=w"],
         ],
-        ids="no-vars point-arity non-monomial weight-syntax rees-and-weights mark-arity two-gens".split(),
+        ids=(
+            "no-vars point-arity non-monomial weight-syntax rees-and-weights mark-arity"
+            " two-gens zero-denominator mark-zero-denominator point-zero-denominator"
+            " mark-not-numeric point-not-numeric weight-direction-not-numeric"
+            " weight-not-numeric"
+        ).split(),
     )
     def test_malformed_input_is_one(self, argv):
         code, out, err = run_cli(argv)
@@ -335,6 +347,14 @@ class TestFlags:
         code, _, err = run_cli(["resolve", "--ordinary", "x,y", "--ideal", "x^2 + y^3"])
         assert code == 1
         assert "no termination within 0 blow-ups" in err
+
+    @pytest.mark.parametrize("value", ["abc", "-3"])
+    def test_bad_depth_limit_env_is_an_error(self, monkeypatch, value):
+        monkeypatch.setenv("MWB_DEPTH_LIMIT", value)
+        code, out, err = run_cli(["resolve", "--ordinary", "x,y", "--ideal", "x^2 + y^3"])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+        assert f"MWB_DEPTH_LIMIT={value!r}" in err
 
     def test_mark_moves_the_worst_point(self):
         code, out, _ = run_cli(

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 import oracles
 from mwb import newton_polyhedron, normal_fan
 from mwb.errors import EmptyIdeal, ZeroVector
-from mwb.polyhedra import contains, dot, faces, facet_level, primitive
+from mwb.polyhedra import _det, _rank, contains, dot, faces, facet_level, primitive
 
 EXPONENT = st.integers(min_value=0, max_value=6)
 
@@ -29,6 +29,32 @@ def random_cases(seed, count):
                 gens.append(e)
         if gens:
             yield n, gens
+
+
+def random_matrices(seed, count):
+    # mostly zero entries: pivot swaps and rank-deficient matrices are common
+    rng = random.Random(seed)
+    for _ in range(count):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        zero = rng.uniform(0.4, 0.9)
+        yield [
+            tuple(0 if rng.random() < zero else rng.randint(-7, 7) for _ in range(cols))
+            for _ in range(rows)
+        ]
+
+
+def test_integer_elimination_matches_rational_oracle():
+    swaps = singular = 0
+    for mat in random_matrices(1011, 3000):
+        assert _rank(mat) == oracles.rank(mat)
+        k = min(len(mat), len(mat[0]))
+        square = [row[:k] for row in mat[:k]]
+        det = _det(square)
+        assert det == oracles.det(square)
+        swaps += bool(det) and square[0][0] == 0
+        singular += not det
+    # the seed really does reach the branches the zeros are there for
+    assert swaps > 50 and singular > 300
 
 
 def test_oracle_simplex_sanity():
@@ -76,6 +102,35 @@ def test_vertices_match_hull_oracle():
     for n, gens in random_cases(1001, 200):
         p = newton_polyhedron(gens, n)
         assert set(p.vertices) == oracles.hull_vertices(gens)
+
+
+def test_four_variable_hull_matches_oracle():
+    # four variables make _cross expand 3x3 minors; random_cases stops at 3
+    rng = random.Random(1008)
+    for _ in range(40):
+        gens = [
+            tuple(rng.randint(0, 5) for _ in range(4))
+            for _ in range(rng.randint(2, 5))
+        ]
+        gens = [g for g in gens if any(g)]
+        if not gens:
+            continue
+        p = newton_polyhedron(gens, 4)
+        assert set(p.vertices) == oracles.hull_vertices(gens)
+        for facet in p.facets:
+            u = facet.normal
+            assert facet.level == oracles.support_min(u, gens)
+            # a facet, not a smaller face: tight vertices and free directions
+            # span a hyperplane
+            on = [v for v in p.vertices if dot(u, v) == facet.level]
+            span = [tuple(a - b for a, b in zip(v, on[0])) for v in on[1:]]
+            span += [tuple(int(j == i) for j in range(4)) for i in range(4) if not u[i]]
+            assert oracles.rank(span) == 3
+        u = tuple(rng.randint(0, 4) for _ in range(4))
+        if any(u):
+            assert facet_level(p, u) == oracles.support_min(u, gens)
+        probe = tuple(rng.randint(0, 6) for _ in range(4))
+        assert contains(p, probe) == oracles.in_hull(probe, gens)
 
 
 def test_contains_matches_hull_oracle():
