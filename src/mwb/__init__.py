@@ -73,7 +73,6 @@ from .invariant import (
     maximal_contact,
     reduced_center,
 )
-from .kernel import COMPILED
 from .monomials import MonomialIdeal, integral_closure, monomial_ideal
 from .poly import (
     EXCEPTIONAL,

@@ -222,9 +222,16 @@ def parse_point(value: str, ambient: LogAmbient) -> tuple:
         raise MwbError(f"point {value!r} is not a list of rationals") from None
 
 
+def point_or_origin(value: str | None, ambient: LogAmbient) -> tuple:
+    """--point when it is given (an empty one is an error), else the origin."""
+    if value is None:
+        return engine.chart_origin(ambient)
+    return parse_point(value, ambient)
+
+
 def parse_weights(value: str | None) -> dict | None:
     """direction=weight pairs: '3,2,2=1;1,0,2=2'."""
-    if not value:
+    if value is None:
         return None
     out = {}
     for part in value.split(";"):
@@ -236,11 +243,16 @@ def parse_weights(value: str | None) -> dict | None:
         dirs, w = part.rsplit("=", 1)
         try:
             direction = tuple(int(x) for x in dirs.split(","))
-            out[direction] = int(w)
+            weight = int(w)
         except ValueError:
             raise MwbError(
                 f"weight {part!r} needs integer entries on both sides"
             ) from None
+        if direction in out:
+            raise MwbError(f"direction {dirs.strip()} is given two weights")
+        out[direction] = weight
+    if not out:
+        raise MwbError(f"--weights {value!r} names no direction")
     return out
 
 
@@ -431,11 +443,7 @@ def cmd_transform(args) -> None:
 def _invariant_data(args):
     ambient = build_ambient(args, args.ideal)
     ideal = parse_ideal(args.ideal, ambient)
-    point = (
-        parse_point(args.point, ambient)
-        if args.point
-        else engine.chart_origin(ambient)
-    )
+    point = point_or_origin(args.point, ambient)
     inv, center = inv_mod.invariant_at(ideal, point)
     return ambient, ideal, point, inv, center
 
@@ -636,11 +644,7 @@ def cmd_one_step(args) -> None:
 def cmd_reembed(args) -> None:
     ambient = build_ambient(args, args.ideal)
     ideal = parse_ideal(args.ideal, ambient)
-    point = (
-        parse_point(args.point, ambient)
-        if args.point
-        else engine.chart_origin(ambient)
-    )
+    point = point_or_origin(args.point, ambient)
     report = engine.reembed_check(ideal, point)
     lines = [
         f"variable: {report['variable']}",

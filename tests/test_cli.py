@@ -327,12 +327,21 @@ class TestExitCodes:
             ["invariant", "--ordinary", "x,y", "--ideal", "x^2", "--point", "abc,0"],
             ["blowup", "--ordinary", "x,y", "--ideal-monomial", "x", "--weights", "a=1"],
             ["blowup", "--ordinary", "x,y", "--ideal-monomial", "x", "--weights", "1,0=w"],
+            ["invariant", "--ordinary", "x,y", "--ideal", "x^2", "--point", ""],
+            ["center", "--ordinary", "x,y", "--ideal", "x^2", "--point", ""],
+            ["reembed-check", "--ordinary", "x,y", "--ideal", "x^2 + y^3", "--point", ""],
+            ["blowup", "--ordinary", "x,y", "--ideal-monomial", "x", "--weights", ""],
+            ["blowup", "--ordinary", "x,y", "--ideal-monomial", "x", "--weights", ";"],
+            ["blowup", "--ordinary", "x,y", "--ideal-monomial", "x^2, y^3",
+             "--weights", "3,2=1;3,2=2"],
         ],
         ids=(
             "no-vars point-arity non-monomial weight-syntax rees-and-weights mark-arity"
             " two-gens zero-denominator mark-zero-denominator point-zero-denominator"
             " mark-not-numeric point-not-numeric weight-direction-not-numeric"
-            " weight-not-numeric"
+            " weight-not-numeric invariant-empty-point center-empty-point"
+            " reembed-empty-point empty-weights weights-no-direction"
+            " weight-direction-repeated"
         ).split(),
     )
     def test_malformed_input_is_one(self, argv):
