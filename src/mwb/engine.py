@@ -178,18 +178,18 @@ def _expand(node: ResolutionNode, mode: str, limit: int, parent_inv):
 
     # chart-scope certificates first: point-free when they hold
     if mode == "principalize":
-        if groebner.is_unit_ideal(groebner.saturate_at_variables(ideal, inverted)):
+        if groebner.saturates_to_unit(ideal, inverted):
             node.status, node.scope = "principal", "chart"
             return
     else:
         if ideal.is_zero():
             node.status, node.scope = "smooth", "chart"
             return
-        if len(ideal.generators) == 1:
-            dl = groebner.saturate_at_variables(d_leq(ideal, 1), inverted)
-            if groebner.is_unit_ideal(dl):
-                node.status, node.scope = "smooth", "chart"
-                return
+        if len(ideal.generators) == 1 and groebner.saturates_to_unit(
+            d_leq(ideal, 1), inverted
+        ):
+            node.status, node.scope = "smooth", "chart"
+            return
 
     pts = [(p,) + invariant_at(ideal, p) for p in node.marked]
     worst_p, worst_inv, worst_center = max(
@@ -443,8 +443,7 @@ def newton_nondegenerate(f: Polynomial):
         jac = PolyIdeal(
             amb, [ftau] + [derivative(ftau, n) for n in amb.names()]
         )
-        sat = groebner.saturate_at_variables(jac, list(amb.names()))
-        if not groebner.is_unit_ideal(sat):
+        if not groebner.saturates_to_unit(jac, amb.names()):
             label = ", ".join(format_monomial(amb, v) for v in face.vertices)
             return False, f"face spanned by {label}"
     return True, None
@@ -487,8 +486,9 @@ def one_step_check(f: Polynomial) -> dict:
     dl = d_leq(weak, 1)
     charts = {}
     for chart in b.charts:
-        sat = groebner.saturate_at_variables(dl, list(chart.inverted))
-        charts["".join(chart.inverted)] = groebner.is_unit_ideal(sat)
+        charts["".join(chart.inverted)] = groebner.saturates_to_unit(
+            dl, chart.inverted
+        )
     report["charts"] = charts
 
     poly = newton(term_ideal)

@@ -7,7 +7,18 @@ given order and the determinism of every downstream consumer rests on the
 sorted pair selection here.
 
 Saturation (I : f^inf) uses the usual trick: adjoin w, add w*f - 1, and
-eliminate w with a block order.  Products are saturated factor by factor.
+eliminate w with a block order.  Products are saturated factor by factor,
+because one elimination of w*x_1...x_k - 1 measured mixed on the drop
+corpus (resolving x^2+y^4+z^4 took about 40% longer, 109-115 -> 158-161 ms
+in two runs, while x^2+y^2z^2 moved within noise).
+
+Whether I : (x_1...x_k)^inf is the unit ideal needs no elimination and no
+saturated ideal: 1 lies in it exactly when x_1...x_k lies in the radical of
+I, that is when I + (w*x_1...x_k - 1) is the unit ideal in k[w, x]
+(saturates_to_unit, one grevlex basis).  Buchberger stops at the first
+constant remainder, since the reduced basis of the unit ideal is [1] under
+every order.
+
 Dimension of R/I is read off the leading-term ideal by maximal independent
 variable sets, which is exact for a degree-compatible order like grevlex.
 """
@@ -86,6 +97,8 @@ def groebner_basis(ideal: PolyIdeal, block: int = 0) -> list[Polynomial]:
         )
         if not r.is_zero():
             r = monic(r, block)
+            if r.is_constant():
+                return [r]
             G.append(r)
             lms.append(leading_term(r, block)[0])
             k = len(G) - 1
@@ -161,6 +174,21 @@ def saturate(ideal: PolyIdeal, f: Polynomial) -> PolyIdeal:
     for g in kept:
         back.append(Polynomial(amb, {e[1:]: c for e, c in g.terms.items()}))
     return PolyIdeal(amb, back)
+
+
+def saturates_to_unit(ideal: PolyIdeal, names) -> bool:
+    """Whether I : (prod names)^inf is the unit ideal, by the Rabinowitsch
+    trick on the whole product and without computing the saturation."""
+    amb = ideal.ambient
+    w = _fresh_name(amb.names())
+    scratch = LogAmbient(((w, ORDINARY),) + amb.variables)
+    lifted = [rename(g, {}, scratch) for g in ideal.generators]
+    prod = variable(scratch, w)
+    for n in names:
+        prod = prod * variable(scratch, n)
+    one = Polynomial(scratch, {(0,) * scratch.n: Fraction(1)})
+    lifted.append(prod - one)
+    return is_unit_ideal(PolyIdeal(scratch, lifted))
 
 
 def saturate_at_variables(ideal: PolyIdeal, names) -> PolyIdeal:

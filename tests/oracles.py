@@ -3,8 +3,9 @@
 Everything here recomputes answers from first principles with exact
 rational arithmetic: polyhedron membership by phase-one simplex
 feasibility, vertex sets by the convex-combination characterization,
-valuations by direct minimization over terms.  The implementations are
-deliberately naive; their job is to disagree loudly, not to be fast.
+valuations by direct minimization over terms, unit saturations by building
+the saturated ideal.  The implementations are deliberately naive; their job
+is to disagree loudly, not to be fast.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+
+from mwb.groebner import is_unit_ideal, saturate_at_variables
 
 
 def feasible(A, b):
@@ -191,3 +194,9 @@ def rank(rows):
                 mat[i] = [a - f * b for a, b in zip(mat[i], mat[out])]
         out += 1
     return out
+
+
+def unit_after_saturation(ideal, names):
+    """Is I : (prod names)^inf the unit ideal?  Saturates one variable at a
+    time by elimination, then looks for 1 in a basis of the result."""
+    return is_unit_ideal(saturate_at_variables(ideal, names))

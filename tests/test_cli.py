@@ -155,9 +155,12 @@ class TestTranscripts:
     def test_reports_are_stable_across_hash_seeds(self):
         command = TRANSCRIPTS["reports_json.txt"][0]
         argv = shlex.split(command)[1:]
+        # the child imports the same mwb as this process, installed or not
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         outs = []
         for seed in ("0", "1"):
-            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
             r = subprocess.run(
                 [sys.executable, "-m", "mwb.cli", *argv],
                 capture_output=True,

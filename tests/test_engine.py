@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import F_TEXT, ambient, drop_corpus, ideal, nondegenerate_samples, poly
+from mwb import groebner
 from mwb.engine import (
     blowup_equal,
     chart_origin,
@@ -18,6 +19,7 @@ from mwb.engine import (
 from mwb.errors import DepthExceeded, MwbError
 from mwb.invariant import compare, invariant_at
 from mwb.poly import Polynomial, format_polynomial, substitute
+from mwb.polyhedra import faces, newton_polyhedron
 
 
 def fmt_ideal(i):
@@ -218,6 +220,29 @@ class TestOneStep:
             one_step_check(poly(a22, "x + 1"))
         with pytest.raises(MwbError):
             one_step_check(poly(ambient(ordinary="x,y"), "x + y^2"))
+
+    def test_certificates_saturate_nothing(self, a33, monkeypatch):
+        calls = {"saturate": 0, "saturates_to_unit": 0}
+
+        def count(name):
+            original = getattr(groebner, name)
+
+            def counting(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(f"mwb.groebner.{name}", counting)
+
+        for name in calls:
+            count(name)
+        f = poly(a33, F_TEXT)
+        report = one_step_check(f)
+        assert report["resolved"]
+        n_faces = len(faces(newton_polyhedron(list(f.terms), a33.n)))
+        assert calls == {
+            "saturate": 0,
+            "saturates_to_unit": n_faces + len(report["blowup"].charts),
+        }
 
     def test_random_nondegenerate_samples(self):
         for f in nondegenerate_samples(1203, 10):

@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import sympy
 
-from conftest import ambient, ideal, poly, random_polynomial
-from mwb import PolyIdeal
+import oracles
+from conftest import F_TEXT, ambient, ideal, poly, random_polynomial
+from mwb import PolyIdeal, Polynomial
 from mwb.groebner import (
     codimension,
     dimension,
@@ -16,8 +18,10 @@ from mwb.groebner import (
     normal_form,
     saturate,
     saturate_at_variables,
+    saturates_to_unit,
 )
-from mwb.poly import format_polynomial, variable
+from mwb.poly import constant, derivative, format_polynomial, variable
+from mwb.polyhedra import dot, faces, newton_polyhedron
 
 A3 = ambient(ordinary="x,y,z")
 
@@ -72,6 +76,31 @@ def test_unit_detection():
     assert is_unit_ideal(ideal(A3, "x, x + 1"))
     assert not is_unit_ideal(ideal(A3, "x, y"))
     assert not is_unit_ideal(ideal(A3, "0"))
+    # Buchberger stops at the first constant remainder with exactly [1]
+    for text in ("1", "3", "x, x + 1", "x^2 + y, x y - 1, y", "x y + 1, x^2 z, y - z"):
+        for block in (0, 1):
+            assert groebner_basis(ideal(A3, text), block) == [constant(A3, 1)]
+
+
+def test_unit_basis_matches_sympy():
+    rng = random.Random(3004)
+    syms = sympy.symbols("x y z")
+    one = constant(A3, 1)
+    seen = set()
+    for k in range(40):
+        gens = [
+            random_polynomial(rng, A3, max_terms=3, max_entry=2)
+            for _ in range(rng.randint(2, 3))
+        ]
+        if k % 3 == 0:
+            # 1 = (g h + 1) - h g, a unit ideal Buchberger has to find
+            h = random_polynomial(rng, A3, max_terms=2, max_entry=2)
+            gens.append(gens[0] * h + one)
+        gb = sympy.groebner([to_sympy(g, syms) for g in gens], *syms, order="grevlex")
+        expected = gb.exprs == [1]
+        assert (groebner_basis(PolyIdeal(A3, tuple(gens))) == [one]) == expected
+        seen.add(expected)
+    assert seen == {True, False}
 
 
 def test_normal_form_properties():
@@ -117,6 +146,65 @@ def test_saturation_unit_cases():
     assert is_unit_ideal(
         saturate_at_variables(ideal(amb, "x^2 y^3"), ("x", "y"))
     )
+
+
+def _every_subset(names):
+    for size in range(len(names) + 1):
+        yield from itertools.combinations(names, size)
+
+
+def test_saturates_to_unit_matches_oracle():
+    rng = random.Random(3005)
+    seen = set()
+    for k in range(200):
+        names = "xyz"[: rng.randint(2, 3)]
+        split = rng.randint(0, len(names))
+        amb = ambient(ordinary=",".join(names[:split]), monomial=",".join(names[split:]))
+        # multilinear trinomials and binomials of higher degree, alternately
+        terms, entry = (3, 1) if k % 2 else (2, 3)
+        gens = [
+            random_polynomial(rng, amb, max_terms=terms, max_entry=entry)
+            for _ in range(rng.randint(1, 2))
+        ]
+        i = PolyIdeal(amb, tuple(gens))
+        for sub in _every_subset(amb.names()):
+            unit = saturates_to_unit(i, sub)
+            assert unit == oracles.unit_after_saturation(i, sub), (gens, sub)
+            seen.add(unit)
+    assert seen == {True, False}
+
+
+def face_jacobians(f):
+    """The Jacobian ideal (f_tau, df_tau/dx, ...) of f restricted to each
+    face tau of its Newton polyhedron."""
+    amb = f.ambient
+    p = newton_polyhedron(list(f.terms), amb.n)
+    for face in faces(p):
+        tight = [p.facets[k] for k in face.defining]
+        ftau = Polynomial(
+            amb,
+            {
+                e: c
+                for e, c in f.terms.items()
+                if all(dot(t.normal, e) == t.level for t in tight)
+            },
+        )
+        yield PolyIdeal(amb, [ftau] + [derivative(ftau, n) for n in amb.names()])
+
+
+def test_saturates_to_unit_on_face_jacobians():
+    degenerate = poly(ambient(monomial="x,y"), "x^2 - 2 x y + y^2")
+    golden = poly(ambient(monomial="x,y,z"), F_TEXT)
+    for f in (degenerate, golden):
+        for jac in face_jacobians(f):
+            for sub in _every_subset(f.ambient.names()):
+                assert saturates_to_unit(jac, sub) == oracles.unit_after_saturation(
+                    jac, sub
+                )
+    names = degenerate.ambient.names()
+    assert not all(saturates_to_unit(j, names) for j in face_jacobians(degenerate))
+    names = golden.ambient.names()
+    assert all(saturates_to_unit(j, names) for j in face_jacobians(golden))
 
 
 def test_codimension_and_dimension():
