@@ -192,9 +192,7 @@ def _expand(node: ResolutionNode, mode: str, limit: int, parent_inv):
             return
 
     pts = [(p,) + invariant_at(ideal, p) for p in node.marked]
-    worst_p, worst_inv, worst_center = max(
-        pts, key=lambda t: _CmpKey(t[1])
-    )
+    worst_p, worst_inv, worst_center = max(pts, key=lambda t: t[1])
     node.invariant = worst_inv
     node.worst_point = worst_p
 
@@ -271,16 +269,6 @@ def _expand(node: ResolutionNode, mode: str, limit: int, parent_inv):
         )
         node.children.append(child)
         _expand(child, mode, limit, worst_inv)
-
-
-class _CmpKey:
-    __slots__ = ("inv",)
-
-    def __init__(self, inv):
-        self.inv = inv
-
-    def __lt__(self, other):
-        return compare(self.inv, other.inv) < 0
 
 
 def _apply_change(ideal: PolyIdeal, marked: list, contact: Contact):

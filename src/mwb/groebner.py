@@ -35,6 +35,8 @@ from .poly import (
     LogAmbient,
     PolyIdeal,
     Polynomial,
+    constant,
+    monomial,
     rename,
     variable,
 )
@@ -155,6 +157,16 @@ def _fresh_name(taken, base="w") -> str:
     return name
 
 
+def _rabinowitsch(ideal: PolyIdeal, f: Polynomial) -> tuple[str, PolyIdeal]:
+    """I + (w*f - 1) in k[w, x], with w a fresh variable put first."""
+    amb = ideal.ambient
+    w = _fresh_name(amb.names())
+    scratch = LogAmbient(((w, ORDINARY),) + amb.variables)
+    lifted = [rename(g, {}, scratch) for g in ideal.generators]
+    lifted.append(variable(scratch, w) * rename(f, {}, scratch) - constant(scratch, 1))
+    return w, PolyIdeal(scratch, lifted)
+
+
 def saturate(ideal: PolyIdeal, f: Polynomial) -> PolyIdeal:
     """(I : f^inf) by Rabinowitsch elimination of an auxiliary variable."""
     if f.ambient != ideal.ambient:
@@ -162,13 +174,8 @@ def saturate(ideal: PolyIdeal, f: Polynomial) -> PolyIdeal:
     if f.is_zero():
         raise MwbError("saturation at zero")
     amb = ideal.ambient
-    w = _fresh_name(amb.names())
-    scratch = LogAmbient(((w, ORDINARY),) + amb.variables)
-    lifted = [rename(g, {}, scratch) for g in ideal.generators]
-    flift = rename(f, {}, scratch)
-    one = Polynomial(scratch, {(0,) * scratch.n: Fraction(1)})
-    lifted.append(variable(scratch, w) * flift - one)
-    basis = groebner_basis(PolyIdeal(scratch, lifted), block=1)
+    w, lifted = _rabinowitsch(ideal, f)
+    basis = groebner_basis(lifted, block=1)
     kept = [g for g in basis if g.degree_in(w) == 0]
     back = []
     for g in kept:
@@ -180,15 +187,10 @@ def saturates_to_unit(ideal: PolyIdeal, names) -> bool:
     """Whether I : (prod names)^inf is the unit ideal, by the Rabinowitsch
     trick on the whole product and without computing the saturation."""
     amb = ideal.ambient
-    w = _fresh_name(amb.names())
-    scratch = LogAmbient(((w, ORDINARY),) + amb.variables)
-    lifted = [rename(g, {}, scratch) for g in ideal.generators]
-    prod = variable(scratch, w)
+    e = [0] * amb.n
     for n in names:
-        prod = prod * variable(scratch, n)
-    one = Polynomial(scratch, {(0,) * scratch.n: Fraction(1)})
-    lifted.append(prod - one)
-    return is_unit_ideal(PolyIdeal(scratch, lifted))
+        e[amb.index(n)] += 1
+    return is_unit_ideal(_rabinowitsch(ideal, monomial(amb, e))[1])
 
 
 def saturate_at_variables(ideal: PolyIdeal, names) -> PolyIdeal:

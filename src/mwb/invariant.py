@@ -13,12 +13,17 @@ stripped generator by generator.
 The invariant at p is computed by the usual maximal-contact recursion:
 b_1 = logord, restrict the coefficient ideal
 
-    C(I, b) = ( prod_j g_j^{c_j} : g_j in D^{<=j}(I), sum (b-j) c_j >= b! )
+    C(I, b) = sum_{j<b} (D^{<=j}(I))^{b!/(b-j)}
 
 to a maximal contact hypersurface, repeat; a trailing infinity records a
-nonzero monomial part.  Entries are normalized to a_i = b_i / prod_{j<i}
-(b_j - 1)!.  Invariants compare lexicographically with a proper prefix
-counting as strictly larger than any of its extensions.
+nonzero monomial part.  The mixed products prod_j g_j^{c_j} over the other
+tuples with sum (b-j) c_j >= b! are left out: for every valuation v,
+v(prod_j g_j^{c_j}) >= b! min_j v(g_j)/(b-j) (weighted AM-GM), so each is
+integral over the pure powers, and the two forms agree up to integral
+closure (Kollar, Lectures on resolution of singularities).  Entries are
+normalized to a_i = b_i / prod_{j<i} (b_j - 1)!.  Invariants compare
+lexicographically with a proper prefix counting as strictly larger than any
+of its extensions.
 
 Maximal contact elements are only accepted in rectifiable shape: a
 coordinate times a unit monomial in inverted variables, or a triangular
@@ -100,9 +105,9 @@ def _prune(ambient, gens) -> list[Polynomial]:
 
     Everything downstream is invariant under this: ideals, their
     restrictions (ring maps), the monomial hull, and coefficient-ideal
-    products all depend on the generated ideal, not on the particular
-    generating set, and the product enumeration pays dearly for redundant
-    factors."""
+    powers all depend on the generated ideal, not on the particular
+    generating set, and the powers J^{b!/(b-j)} pay dearly for redundant
+    generators."""
     order = sorted(
         gens,
         key=lambda g: (max(sum(e) for e in g.terms), sorted(g.terms.items())),
@@ -286,38 +291,17 @@ def maximal_contact(tower: DerivativeTower, b: int, point) -> Contact:
 
 
 def minimal_tuples(b: int) -> list[tuple[int, ...]]:
-    """Dominance-minimal (c_0, ..., c_{b-1}) with sum (b-j) c_j >= b!.
+    """The b single-entry tuples c with c_j = b!/(b-j): the dominance-minimal
+    (c_0, ..., c_{b-1}) with sum (b-j) c_j >= b! and one nonzero entry.
 
-    Minimality means no single decrement keeps the threshold, i.e. the
-    weighted sum lies in [b!, b! + min weight over the support)."""
-    target = math.factorial(b)
-    weights = [b - j for j in range(b)]
-    out = []
-    # straightforward bounded enumeration; b stays small here
-    bounds = [(target + b) // w for w in weights]
-    for c in itertools.product(*(range(bd + 1) for bd in bounds)):
-        s = sum(w * x for w, x in zip(weights, c))
-        if s < target:
-            continue
-        if all(x == 0 or s - w < target for w, x in zip(weights, c)):
-            out.append(c)
-    return out
-
-
-def _power_products(gens: list[Polynomial], c: int, ambient) -> list[Polynomial]:
-    if c == 0:
-        return [Polynomial(ambient, {(0,) * ambient.n: Fraction(1)})]
-    out = []
-    for combo in itertools.combinations_with_replacement(range(len(gens)), c):
-        p = gens[combo[0]]
-        for k in combo[1:]:
-            p = p * gens[k]
-        out.append(p)
-    return out
+    The products of every other minimal tuple are integral over theirs, so
+    these alone give C(I, b) up to integral closure."""
+    f = math.factorial(b)
+    return [tuple(f // (b - j) if k == j else 0 for k in range(b)) for j in range(b)]
 
 
 def coefficient_ideal(ideal: PolyIdeal, b: int, tower: DerivativeTower | None = None) -> PolyIdeal:
-    """C(I, b), generated by the minimal-tuple products of stored stage
+    """C(I, b), generated by the pure powers of the stored stage
     generators."""
     if tower is None:
         tower = DerivativeTower(ideal)
@@ -327,29 +311,16 @@ def coefficient_ideal(ideal: PolyIdeal, b: int, tower: DerivativeTower | None = 
 
 def _products_ideal(levels, b: int, ambient) -> PolyIdeal:
     if b > 4 and any(levels[j] for j in range(b)):
-        # b! >= 120 makes the tuple enumeration explode; nothing at desk
-        # scale gets here without the zero-restriction shortcut firing first
+        # from b = 5 on the pure powers are J^{24} up to J^{120}; nothing at
+        # desk scale gets here without the zero-restriction shortcut firing
+        # first
         raise MwbError(f"coefficient ideal at order {b} exceeds the tool's scale")
-    levels = [_prune(ambient, lv) if lv else [] for lv in levels]
     gens = []
-    seen = set()
-    for c in minimal_tuples(b):
-        factor_lists = [
-            _power_products(levels[j], c[j], ambient) for j in range(b) if c[j]
-        ]
-        if any(not fl for fl in factor_lists):
-            continue  # some needed stage restricted to nothing
-        for combo in itertools.product(*factor_lists):
-            p = combo[0]
-            for q in combo[1:]:
-                p = p * q
-            if p.is_zero():
-                continue
-            key = tuple(sorted(p.terms.items()))
-            if key not in seen:
-                seen.add(key)
-                gens.append(p)
-    return PolyIdeal(ambient, _prune(ambient, gens) if gens else gens)
+    for j, c in enumerate(minimal_tuples(b)):
+        level = _prune(ambient, levels[j])
+        for combo in itertools.combinations_with_replacement(level, c[j]):
+            gens.append(math.prod(combo[1:], start=combo[0]))
+    return PolyIdeal(ambient, _prune(ambient, gens))
 
 
 # -- the invariant recursion ------------------------------------------------

@@ -4,17 +4,22 @@ Everything here recomputes answers from first principles with exact
 rational arithmetic: polyhedron membership by phase-one simplex
 feasibility, vertex sets by the convex-combination characterization,
 valuations by direct minimization over terms, unit saturations by building
-the saturated ideal.  The implementations are deliberately naive; their job
+the saturated ideal, coefficient ideals by every mixed product over the
+minimal tuples.  The implementations are deliberately naive; their job
 is to disagree loudly, not to be fast.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
 
+from mwb.errors import MwbError
 from mwb.groebner import is_unit_ideal, saturate_at_variables
+from mwb.invariant import _prune
+from mwb.poly import PolyIdeal
 
 
 def feasible(A, b):
@@ -145,8 +150,10 @@ def valuation(weight, direction, ideal):
     return best
 
 
+@functools.lru_cache(maxsize=None)
 def threshold_minimal_tuples(b):
-    """Dominance-minimal tuples c with sum (b - j) c_j >= b!, by box search."""
+    """Dominance-minimal tuples c with sum (b - j) c_j >= b!, by box search
+    (about a second at b = 4, hence the cache)."""
     target = math.factorial(b)
     weights = [b - j for j in range(b)]
     box = [target // w + 1 for w in weights]
@@ -155,7 +162,31 @@ def threshold_minimal_tuples(b):
         for c in itertools.product(*(range(bd + 1) for bd in box))
         if sum(w * x for w, x in zip(weights, c)) >= target
     ]
-    return dominance_minimal(hits)
+    return frozenset(dominance_minimal(hits))
+
+
+def product_coefficient_ideal(levels, b, ambient):
+    """C(I, b) in product form: every prod_j g_j^{c_j} with g_j a stored
+    generator of the j-th stage, over every dominance-minimal tuple c with
+    sum (b - j) c_j >= b!, mixed tuples included.  Stages and products are
+    pruned as in the package, and b > 4 is refused with its message."""
+    if b > 4 and any(levels):
+        raise MwbError(f"coefficient ideal at order {b} exceeds the tool's scale")
+    levels = [_prune(ambient, lv) for lv in levels]
+
+    @functools.cache
+    def power(j, c):
+        return [
+            math.prod(combo[1:], start=combo[0])
+            for combo in itertools.combinations_with_replacement(levels[j], c)
+        ]
+
+    gens = []
+    for c in threshold_minimal_tuples(b):
+        factors = [power(j, cj) for j, cj in enumerate(c) if cj]
+        for combo in itertools.product(*factors):
+            gens.append(math.prod(combo[1:], start=combo[0]))
+    return PolyIdeal(ambient, _prune(ambient, list(dict.fromkeys(gens))))
 
 
 def det(rows):

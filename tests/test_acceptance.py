@@ -2,6 +2,7 @@
 oracle cross-checks, one test per claim.  Run with -v for the checklist."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -17,6 +18,7 @@ from test_invariant import CHAIN, inv_of
 from test_monomials import random_ideals
 from test_polyhedra import random_cases
 
+import mwb.invariant
 import oracles
 from mwb.blowup import (
     FractionalIdeal,
@@ -29,10 +31,19 @@ from mwb.blowup import (
     weak_transform,
 )
 from mwb.engine import chart_origin, newton_nondegenerate, one_step_check, reembed_check, resolve
+from mwb.errors import MwbError
 from mwb.groebner import ideal_equal, is_unit_ideal, member, saturate_at_variables
 from mwb.invariant import INF, compare, invariant_at, reduced_center
-from mwb.monomials import closure_member, monomial_ideal
-from mwb.poly import PolyIdeal, Polynomial, format_polynomial, substitute
+from mwb.monomials import closure_member, integral_closure, monomial_ideal
+from mwb.poly import (
+    PolyIdeal,
+    Polynomial,
+    constant,
+    format_polynomial,
+    monomial,
+    substitute,
+    variable,
+)
 from mwb.polyhedra import newton_polyhedron
 
 F_TEXT = "x^2 + y^2 z + z^3"
@@ -351,3 +362,83 @@ def test_oracle_suites_agree_with_the_package():
             if node.center_ideal.ordinary and node.center_ideal.monomial.gens:
                 checked += 1
     assert checked >= 3
+
+
+def node_record(node):
+    """What a resolve tree fixes at a node."""
+    root = node.center_ideal.root if node.center_ideal else None
+    return (
+        node.path,
+        node.invariant,
+        node.worst_point,
+        node.center,
+        root,
+        node.status,
+        node.scope,
+    )
+
+
+def order_three_four_samples(seed, count):
+    """Seeded ideals in one ordinary variable x and monomial y, z with log
+    order b = 3 or 4 at their point: (x - t)^b plus monomials times two of
+    (x - t)^0, (x - t)^1, (x - t)^2, and for b = 3 maybe a second generator
+    without the leading power.  t alternates between 0 and 1.  At b = 4 the
+    power (x - t)^3 is left out: its Tschirnhaus shift makes the product
+    oracle take seconds per ideal."""
+    rng = random.Random(seed)
+    amb = ambient(ordinary="x", monomial="y,z")
+    out = []
+    for k in range(count):
+        point = (k % 2, 0, 0)
+        x = variable(amb, "x") - constant(amb, point[0])
+        b = 3 + k // 2 % 2
+        leads = [x**b]
+        if rng.randint(0, 1) and b == 3:
+            leads.append(constant(amb, 0))
+        gens = []
+        for f in leads:
+            for a in rng.sample(range(3), 2):
+                e = (0, rng.randint(1, 2), rng.randint(0, 2))
+                f = f + rng.choice((-2, -1, 1, 3)) * x**a * monomial(amb, e)
+            gens.append(f)
+        out.append((PolyIdeal(amb, gens), point))
+    return out
+
+
+def point_outcome(i, p):
+    """invariant_at with the center's monomial part replaced by its
+    integral closure, or the error it raised."""
+    try:
+        inv, center = invariant_at(i, p)
+    except MwbError as e:
+        return type(e).__name__, str(e)
+    if center is None or center.q.is_zero():
+        return inv, center
+    return inv, replace(center, q=integral_closure(center.q))
+
+
+def test_pure_power_coefficient_ideals_agree_with_the_product_form(monkeypatch):
+    """C(I, b) from the pure powers against the product form over every
+    minimal tuple: the same trees on the drop corpus, and the same
+    invariants and centers on seeded ideals of order 3 and 4.  Off the
+    corpus a center's monomial part may list different generators (the two
+    forms agree up to integral closure), so it is compared closed."""
+    samples = order_three_four_samples(9203, 32)
+    want_trees = [[node_record(n) for n in t.nodes()] for t in corpus_trees()]
+    want_points = [point_outcome(i, p) for i, p in samples]
+    multi = set()  # orders b met with a stage of two or more generators
+
+    def product_form(levels, b, amb):
+        if max(len(mwb.invariant._prune(amb, lv)) for lv in levels) > 1:
+            multi.add(b)
+        return oracles.product_coefficient_ideal(levels, b, amb)
+
+    monkeypatch.setattr(mwb.invariant, "_products_ideal", product_form)
+    for (kind, i), want in zip(drop_corpus(), want_trees):
+        assert [node_record(n) for n in resolve(i, mode=kind).nodes()] == want
+    covered = set()
+    for (i, p), want in zip(samples, want_points):
+        multi.clear()
+        assert point_outcome(i, p) == want
+        covered |= {(b, p) for b in multi}
+    assert {(3, (0, 0, 0)), (3, (1, 0, 0)), (4, (0, 0, 0)), (4, (1, 0, 0))} <= covered

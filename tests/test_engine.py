@@ -265,6 +265,14 @@ class TestSmallHelpers:
         assert blowup_equal(b1, b2)
         assert not blowup_equal(b1, b3)
 
+    def test_tied_marked_points_keep_the_earlier(self, a30):
+        # the origin is off the locus; both marks have invariant (2, 3)
+        i = ideal(a30, "x^2 + (y - 1)^3")
+        for marks in (((0, 1, 1), (0, 1, 0)), ((0, 1, 0), (0, 1, 1))):
+            root = resolve(i, marks=marks).root
+            assert str(root.invariant) == "(2, 3)"
+            assert root.worst_point == marks[0]
+
     def test_marked_points_follow_the_blowup(self, a30):
         tree = resolve(ideal(a30, F_TEXT))
         for c in tree.root.children:
