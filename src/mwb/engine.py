@@ -418,15 +418,19 @@ def newton_nondegenerate(f: Polynomial):
     amb = f.ambient
     exps = list(f.terms)
     poly = newton_polyhedron(exps, amb.n)
+    checked = set()
     for face in faces(poly):
-        active = [
+        active = tuple(
             e
             for e in exps
             if all(
                 dot(poly.facets[k].normal, e) == poly.facets[k].level
                 for k in face.defining
             )
-        ]
+        )
+        if active in checked:
+            continue  # faces with the same terms share one certificate
+        checked.add(active)
         ftau = Polynomial(amb, {e: f.terms[e] for e in active})
         jac = PolyIdeal(
             amb, [ftau] + [derivative(ftau, n) for n in amb.names()]

@@ -40,7 +40,7 @@ from fractions import Fraction
 from . import groebner
 from .blowup import CenterIdeal, make_center
 from .errors import MwbError, NoRectifiableContact
-from .monomials import MonomialIdeal, minimalize
+from .monomials import MonomialIdeal, minimalize, newton
 from .poly import (
     LogAmbient,
     PolyIdeal,
@@ -364,6 +364,8 @@ def invariant_at(ideal: PolyIdeal, point) -> tuple[Invariant, Center | None]:
             q = _lift_monomial(q, tower.ambient, amb0, dropped)
             if not q.is_zero():
                 entries.append(INF)
+                # canonical form: the vertices of Q's Newton polyhedron
+                q = MonomialIdeal(q.dim, newton(q).vertices)
             if not entries:
                 return Invariant(()), None  # the zero ideal
             d = 1

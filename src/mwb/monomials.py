@@ -9,6 +9,7 @@ vertex-wise maxima, so a box walk suffices to enumerate them.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import EmptyIdeal, MwbError, ZeroVector
@@ -36,9 +37,6 @@ class MonomialIdeal:
 
     def is_zero(self) -> bool:
         return not self.gens
-
-    def is_unit(self) -> bool:
-        return self.gens == ((0,) * self.dim,)
 
 
 def monomial_ideal(gens, n: int) -> MonomialIdeal:
@@ -116,7 +114,5 @@ def integral_closure(ideal: MonomialIdeal) -> MonomialIdeal:
         size *= b
     if size > 2_000_000:
         raise MwbError(f"closure box {box} too large to enumerate")
-    import itertools
-
     pts = [a for a in itertools.product(*(range(b) for b in box)) if contains(p, a)]
     return MonomialIdeal(ideal.dim, minimalize(pts))

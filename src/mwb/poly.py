@@ -150,9 +150,6 @@ class Polynomial:
     def is_constant(self) -> bool:
         return not self.terms or set(self.terms) == {(0,) * self.ambient.n}
 
-    def constant_value(self) -> Fraction:
-        return self.terms.get((0,) * self.ambient.n, Fraction(0))
-
     # -- arithmetic ---------------------------------------------------------
 
     def _check(self, other: "Polynomial"):

@@ -6,21 +6,29 @@ A finite set of exponent vectors G in N^n determines the unbounded polyhedron
 
 cut out by finitely many inequalities u . a >= N with inward normals u >= 0.
 The recession cone is the whole orthant, so the coordinate hyperplanes always
-contribute facets; the remaining ("exceptional") facet normals are recovered
-from (n-1)-subsets of difference vectors of generators together with
-coordinate directions, then validated against the support function.  The
-normal fan subdivides the nonnegative orthant; its maximal cones biject with
-vertices of P and a ray rho lies in the cone of a vertex v exactly when the
-facet inequality of rho is tight at v.
+contribute facets; the remaining ones are "exceptional".  The facets of P are
+the extreme rays (u, -N), u != 0, of the cone of valid inequalities
 
-All arithmetic is in exact integers, with no floats and no Fractions.
-Determinants and ranks use Bareiss fraction-free elimination, whose
-intermediate entries are integer minors and whose divisions are exact.
+    { (u, t) : u_i >= 0 for every i,  u . g + t >= 0 for every g in G },
+
+found by the double description method (Fukuda and Prodon, Double
+description method revisited, 1996): start from the simplicial cone of the
+first n + 1 constraints, add one generator's constraint at a time, keep the
+rays it does not cut off and join each cut pair whose tight constraint sets
+share a common face (the combinatorial adjacency test).  Faces are closed
+sets of facets: every face is the intersection of the facets containing it,
+so the face lattice is reached from P by adding one facet at a time and
+taking closures.  The normal fan subdivides the nonnegative orthant; its
+maximal cones biject with vertices of P and a ray rho lies in the cone of a
+vertex v exactly when the facet inequality of rho is tight at v.
+
+All arithmetic is in exact integers, with no floats and no Fractions.  Ranks
+use Bareiss fraction-free elimination, whose intermediate entries are
+integer minors and whose divisions are exact.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import gcd
 
@@ -73,39 +81,6 @@ def _rank(rows: list[Vec]) -> int:
     return rank
 
 
-def _det(rows: list[tuple[int, ...]]) -> int:
-    # Bareiss elimination: the last pivot is the determinant, up to the sign
-    # of the row swaps
-    mat = [list(r) for r in rows]
-    n = len(mat)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not mat[k][k]:
-            piv = next((i for i in range(k + 1, n) if mat[i][k]), None)
-            if piv is None:
-                return 0
-            mat[k], mat[piv] = mat[piv], mat[k]
-            sign = -sign
-        prow = mat[k]
-        p = prow[k]
-        for row in mat[k + 1 :]:
-            a = row[k]
-            for j in range(k + 1, n):
-                row[j] = (p * row[j] - a * prow[j]) // prev
-        prev = p
-    return sign * mat[-1][-1] if n else 1
-
-
-def _cross(vecs: list[Vec], n: int) -> Vec:
-    # integer normal to n-1 row vectors, by cofactor expansion
-    out = []
-    for i in range(n):
-        minor = [tuple(v[j] for j in range(n) if j != i) for v in vecs]
-        out.append((-1) ** i * _det(minor))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class Facet:
     """Inward facet inequality  normal . a >= level  with primitive normal."""
@@ -148,44 +123,43 @@ def newton_polyhedron(gens, n: int) -> NewtonPolyhedron:
             raise ZeroVector(f"generator {g!r} has a negative entry")
     gens = sorted(set(gens), reverse=True)
 
-    # coordinate facets: always genuine, recession takes care of the dimension
-    facets = [Facet(_unit(i, n), min(g[i] for g in gens)) for i in range(n)]
+    # constraint rows (e_i, 0), then (g, 1); the first n + 1 have the inverse
+    # [[I, 0], [-g_0, 1]], whose columns are the starting rays, each tagged
+    # with the rows it is tight on
+    rows = [_unit(i, n) + (0,) for i in range(n)] + [g + (1,) for g in gens]
+    every = frozenset(range(n + 1))
+    rays = [(_unit(i, n) + (-gens[0][i],), every - {i}) for i in range(n)]
+    rays.append(((0,) * n + (1,), every - {n}))
+    for r in range(n + 1, len(rows)):
+        vals = [dot(rows[r], x) for x, _ in rays]
+        kept = [(x, z | {r} if s == 0 else z) for (x, z), s in zip(rays, vals) if s >= 0]
+        cut = [j for j, t in enumerate(vals) if t < 0]
+        for i in (i for i, s in enumerate(vals) if s > 0):
+            for j in cut:
+                common = rays[i][1] & rays[j][1]
+                # adjacent iff no third ray is tight on every row both are tight on
+                if len(common) < n - 1 or any(
+                    common <= z for k, (_, z) in enumerate(rays) if k != i and k != j
+                ):
+                    continue
+                s, t = vals[i], vals[j]
+                joined = tuple(s * b - t * a for a, b in zip(rays[i][0], rays[j][0]))
+                kept.append((primitive(joined), common | {r}))
+        rays = kept
 
-    if n > 1:
-        diffs = set()
-        for g, h in itertools.combinations(gens, 2):
-            d = tuple(a - b for a, b in zip(g, h))
-            diffs.add(max(d, tuple(-x for x in d)))
-        pool = sorted(diffs) + [_unit(i, n) for i in range(n)]
-        seen = set(f.normal for f in facets)
-        cands = set()
-        for rows in itertools.combinations(pool, n - 1):
-            u = _cross(list(rows), n)
-            if all(x == 0 for x in u):
-                continue
-            if any(x < 0 for x in u) and any(x > 0 for x in u):
-                continue  # recession cone forces nonnegative normals
-            if all(x <= 0 for x in u):
-                u = tuple(-x for x in u)
-            u = primitive(u)
-            if u not in seen:
-                cands.add(u)
-        for u in sorted(cands, reverse=True):
-            level = min(dot(u, g) for g in gens)
-            on = [g for g in gens if dot(u, g) == level]
-            span = [tuple(a - b for a, b in zip(g, on[0])) for g in on[1:]]
-            span += [_unit(i, n) for i in range(n) if u[i] == 0]
-            if span and _rank(span) == n - 1:
-                facets.append(Facet(u, level))
-
+    # coordinate facets first, in coordinate order; then the exceptional
+    # ones, descending
+    facets = sorted(
+        (Facet(x[:n], -x[n]) for x, _ in rays if any(x[:n])),
+        key=lambda f: (f.is_standard(), f.normal),
+        reverse=True,
+    )
     verts = []
     for g in gens:
         active = [f.normal for f in facets if dot(f.normal, g) == f.level]
         if active and _rank(active) == n:
             verts.append(g)
-    if n == 1:
-        verts = [min(gens)]
-    return NewtonPolyhedron(n, tuple(sorted(verts, reverse=True)), tuple(facets))
+    return NewtonPolyhedron(n, tuple(verts), tuple(facets))
 
 
 def contains(p: NewtonPolyhedron, a: Vec) -> bool:
@@ -216,31 +190,32 @@ def faces(p: NewtonPolyhedron) -> list[Face]:
     dimension.  A lattice point a of P lies on the face iff every defining
     facet inequality is tight at a."""
     n = p.dim
-    out = {}
-    for r in range(len(p.facets) + 1):
-        for sel in itertools.combinations(range(len(p.facets)), r):
-            on = [
-                v
-                for v in p.vertices
-                if all(dot(p.facets[i].normal, v) == p.facets[i].level for i in sel)
-            ]
-            if not on:
-                continue
-            free = [i for i in range(n) if all(p.facets[j].normal[i] == 0 for j in sel)]
-            key = (tuple(on), tuple(free))
-            if key in out:
-                continue
-            # canonical defining set: every facet tight on the whole face
-            defining = tuple(
-                j
-                for j, f in enumerate(p.facets)
-                if all(dot(f.normal, v) == f.level for v in on)
-                and all(f.normal[i] == 0 for i in free)
-            )
-            span = [tuple(a - b for a, b in zip(v, on[0])) for v in on[1:]]
-            span += [_unit(i, n) for i in free]
-            dim = _rank(span) if span else 0
-            out[key] = Face(defining, tuple(on), tuple(free), dim)
+    tight = [
+        {j for j, f in enumerate(p.facets) if dot(f.normal, v) == f.level}
+        for v in p.vertices
+    ]
+    out: dict[tuple[int, ...], Face] = {}
+    todo = [set()]
+    while todo:
+        sel = todo.pop()
+        on = [k for k, t in enumerate(tight) if sel <= t]
+        if not on:
+            continue
+        free = [i for i in range(n) if all(p.facets[j].normal[i] == 0 for j in sel)]
+        # the closure: every facet tight on the whole face
+        defining = tuple(
+            j
+            for j, f in enumerate(p.facets)
+            if all(j in tight[k] for k in on) and all(f.normal[i] == 0 for i in free)
+        )
+        if defining in out:
+            continue
+        verts = tuple(p.vertices[k] for k in on)
+        span = [tuple(a - b for a, b in zip(v, verts[0])) for v in verts[1:]]
+        span += [_unit(i, n) for i in free]
+        dim = _rank(span) if span else 0
+        out[defining] = Face(defining, verts, tuple(free), dim)
+        todo += [{*defining, j} for j in range(len(p.facets)) if j not in defining]
     return sorted(out.values(), key=lambda f: (-f.dim, f.defining))
 
 

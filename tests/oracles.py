@@ -3,10 +3,12 @@
 Everything here recomputes answers from first principles with exact
 rational arithmetic: polyhedron membership by phase-one simplex
 feasibility, vertex sets by the convex-combination characterization,
-valuations by direct minimization over terms, unit saturations by building
-the saturated ideal, coefficient ideals by every mixed product over the
-minimal tuples.  The implementations are deliberately naive; their job
-is to disagree loudly, not to be fast.
+facets from the normal of every (n - 1)-subset of difference vectors,
+faces from every subset of facets, valuations by direct minimization over
+terms, unit saturations by building the saturated ideal, coefficient
+ideals by every mixed product over the minimal tuples.  The
+implementations are deliberately naive; their job is to disagree loudly,
+not to be fast.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from fractions import Fraction
 from mwb.errors import MwbError
 from mwb.groebner import is_unit_ideal, saturate_at_variables
 from mwb.invariant import _prune
+from mwb.polyhedra import Face, Facet, NewtonPolyhedron
 from mwb.poly import PolyIdeal
 
 
@@ -106,9 +109,13 @@ def hull_vertices(gens):
     return out
 
 
+def dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
 def support_min(u, pts):
     """min over pts of the inner product with u."""
-    return min(sum(a * b for a, b in zip(u, p)) for p in pts)
+    return min(dot(u, p) for p in pts)
 
 
 def dominance_minimal(points):
@@ -190,23 +197,15 @@ def product_coefficient_ideal(levels, b, ambient):
 
 
 def det(rows):
-    """Determinant by Gaussian elimination over Q."""
-    mat = [[Fraction(x) for x in r] for r in rows]
-    n = len(mat)
-    out = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if mat[i][col] != 0), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            out = -out
-        out *= mat[col][col]
-        for i in range(col + 1, n):
-            f = mat[i][col] / mat[col][col]
-            mat[i] = [a - f * b for a, b in zip(mat[i], mat[col])]
-    assert out.denominator == 1
-    return int(out)
+    """Determinant by cofactor expansion along the first row."""
+    if not rows:
+        return 1
+    rest = rows[1:]
+    return sum(
+        (-1) ** j * a * det([r[:j] + r[j + 1 :] for r in rest])
+        for j, a in enumerate(rows[0])
+        if a
+    )
 
 
 def rank(rows):
@@ -225,6 +224,74 @@ def rank(rows):
                 mat[i] = [a - f * b for a, b in zip(mat[i], mat[out])]
         out += 1
     return out
+
+
+def _cross(vecs, n):
+    """Integer normal to n - 1 row vectors, by cofactor expansion."""
+    return tuple((-1) ** i * det([v[:i] + v[i + 1 :] for v in vecs]) for i in range(n))
+
+
+def subset_newton_polyhedron(gens, n):
+    """The Newton polyhedron by candidate normals: the cross product of
+    every (n - 1)-subset of generator differences and coordinate directions,
+    kept when its tight generators and free directions span a hyperplane.
+    Same facet and vertex order as the package."""
+    gens = sorted(set(tuple(g) for g in gens), reverse=True)
+    unit = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    facets = [Facet(unit[i], min(g[i] for g in gens)) for i in range(n)]
+    diffs = set()
+    for g, h in itertools.combinations(gens, 2):
+        d = tuple(a - b for a, b in zip(g, h))
+        diffs.add(max(d, tuple(-x for x in d)))
+    cands = set()
+    # coordinate directions first: their zeros keep the expansions short
+    for rows in itertools.combinations(unit + sorted(diffs), n - 1):
+        u = _cross(rows, n)
+        if all(x >= 0 for x in u) or all(x <= 0 for x in u):
+            u = tuple(abs(x) for x in u)
+            g = math.gcd(*u)
+            if g:
+                cands.add(tuple(x // g for x in u))
+    cands -= set(unit)
+    for u in sorted(cands, reverse=True):
+        level = support_min(u, gens)
+        on = [g for g in gens if dot(u, g) == level]
+        span = [tuple(a - b for a, b in zip(g, on[0])) for g in on[1:]]
+        span += [unit[i] for i in range(n) if u[i] == 0]
+        if span and rank(span) == n - 1:
+            facets.append(Facet(u, level))
+    verts = [
+        g for g in gens if rank([f.normal for f in facets if dot(f.normal, g) == f.level]) == n
+    ]
+    return NewtonPolyhedron(n, tuple(verts), tuple(facets))
+
+
+def subset_faces(p):
+    """Every face of P, one subset of facets at a time, in the package's
+    order: by decreasing dimension, then by defining facet set."""
+    n = p.dim
+
+    def tight(f, v):
+        return dot(f.normal, v) == f.level
+
+    out = {}
+    for r in range(len(p.facets) + 1):
+        for sel in itertools.combinations(range(len(p.facets)), r):
+            on = tuple(v for v in p.vertices if all(tight(p.facets[i], v) for i in sel))
+            if not on:
+                continue
+            free = tuple(
+                i for i in range(n) if all(p.facets[j].normal[i] == 0 for j in sel)
+            )
+            defining = tuple(
+                j
+                for j, f in enumerate(p.facets)
+                if all(tight(f, v) for v in on) and all(f.normal[i] == 0 for i in free)
+            )
+            span = [tuple(a - b for a, b in zip(v, on[0])) for v in on[1:]]
+            span += [tuple(int(j == i) for j in range(n)) for i in free]
+            out[(on, free)] = Face(defining, on, free, rank(span) if span else 0)
+    return sorted(out.values(), key=lambda f: (-f.dim, f.defining))
 
 
 def unit_after_saturation(ideal, names):

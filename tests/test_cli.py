@@ -14,6 +14,7 @@ import random
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -22,7 +23,7 @@ import pytest
 from conftest import ambient, random_polynomial
 from mwb import cli
 from mwb.errors import MwbError
-from mwb.poly import format_polynomial
+from mwb.poly import Polynomial, format_polynomial
 
 GOLDEN = Path(__file__).parent / "golden"
 SCHEMA = json.loads((GOLDEN / "report.schema.json").read_text())
@@ -230,12 +231,15 @@ class TestJsonSchema:
 
 class TestParser:
     def test_print_parse_round_trip(self):
+        # p/q coefficients, and primed names as blow-up charts print them
         rng = random.Random(5150)
-        amb = ambient(ordinary="x,y", monomial="z")
-        for _ in range(40):
-            p = random_polynomial(rng, amb, max_terms=4)
-            q = cli.parse_polynomial(format_polynomial(p), amb)
-            assert q.terms == p.terms
+        plain = ambient(ordinary="x,y", monomial="z")
+        for amb in (plain, ambient(ordinary="x',u1", monomial="z'")):
+            for _ in range(40):
+                p = random_polynomial(rng, amb, max_terms=4)
+                scale = {e: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for e in p.terms}
+                p = Polynomial(amb, {e: c * scale[e] for e, c in p.terms.items()})
+                assert cli.parse_polynomial(format_polynomial(p), amb) == p
 
     def test_parse_print_is_stable(self):
         amb = ambient(ordinary="x,y")
@@ -392,3 +396,13 @@ class TestFlags:
     def test_newton_infers_variables_in_order_of_appearance(self):
         _, out, _ = run_cli(["newton", "--ideal", "y^2 + x^3"])
         assert "A^{2;0}(y ordinary, x ordinary)" in out
+
+    def test_center_monomial_part_is_its_newton_vertices(self):
+        # the coefficient ideal lists y^5*z^9, y^4*z^12, ... too; those lie
+        # inside the Newton polyhedron of y^8, z^18 and are not printed
+        code, out, _ = run_cli(
+            ["center", "--ordinary", "x", "--monomial", "y,z", "--ideal", "x^4 + x y + z^3"]
+        )
+        assert code == 0
+        assert "center: (x, (y^8, z^18)^{1/24})" in out.splitlines()
+        assert "ideal: (x^24, y^8, z^18)" in out.splitlines()

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 import oracles
 from mwb import newton_polyhedron, normal_fan
 from mwb.errors import EmptyIdeal, ZeroVector
-from mwb.polyhedra import _det, _rank, contains, dot, faces, facet_level, primitive
+from mwb.polyhedra import _rank, contains, dot, faces, facet_level, primitive
 
 EXPONENT = st.integers(min_value=0, max_value=6)
 
@@ -44,17 +44,14 @@ def random_matrices(seed, count):
 
 
 def test_integer_elimination_matches_rational_oracle():
-    swaps = singular = 0
+    leading_zero = deficient = 0
     for mat in random_matrices(1011, 3000):
-        assert _rank(mat) == oracles.rank(mat)
-        k = min(len(mat), len(mat[0]))
-        square = [row[:k] for row in mat[:k]]
-        det = _det(square)
-        assert det == oracles.det(square)
-        swaps += bool(det) and square[0][0] == 0
-        singular += not det
+        rank = _rank(mat)
+        assert rank == oracles.rank(mat)
+        leading_zero += bool(rank) and mat[0][0] == 0
+        deficient += rank < min(len(mat), len(mat[0]))
     # the seed really does reach the branches the zeros are there for
-    assert swaps > 50 and singular > 300
+    assert leading_zero > 1000 and deficient > 1000
 
 
 def test_oracle_simplex_sanity():
@@ -105,7 +102,8 @@ def test_vertices_match_hull_oracle():
 
 
 def test_four_variable_hull_matches_oracle():
-    # four variables make _cross expand 3x3 minors; random_cases stops at 3
+    # random_cases stops at 3 variables; four give the double description
+    # five-dimensional rays and tight sets of three or more rows
     rng = random.Random(1008)
     for _ in range(40):
         gens = [
@@ -131,6 +129,55 @@ def test_four_variable_hull_matches_oracle():
             assert facet_level(p, u) == oracles.support_min(u, gens)
         probe = tuple(rng.randint(0, 6) for _ in range(4))
         assert contains(p, probe) == oracles.in_hull(probe, gens)
+
+
+def agreement_cases(seed):
+    # n = 1, one generator, the origin and repeated generators, then random
+    # sets in 2 to 5 variables up to 8 generators (6 in five variables)
+    yield 1, [(3,), (1,), (4,)]
+    yield 3, [(2, 1, 0)]
+    yield 3, [(0, 0, 0), (1, 2, 0)]
+    yield 3, [(1, 0, 2), (0, 3, 0), (1, 0, 2), (0, 3, 0)]
+    rng = random.Random(seed)
+    for n, count, top in [(2, 30, 8), (3, 30, 8), (4, 10, 8), (5, 5, 6)]:
+        for k in range(count):
+            size = top if k == 0 else rng.randint(1, top)
+            yield n, [tuple(rng.randint(0, 5) for _ in range(n)) for _ in range(size)]
+
+
+def test_double_description_matches_subset_oracle():
+    compared = 0
+    for n, gens in agreement_cases(1012):
+        p = newton_polyhedron(gens, n)
+        assert p == oracles.subset_newton_polyhedron(gens, n), gens
+        if len(p.facets) <= 12:
+            assert faces(p) == oracles.subset_faces(p), gens
+            compared += 1
+    assert compared > 50
+
+
+def test_eight_generator_hull_in_four_variables():
+    gens = [
+        (6, 0, 0, 0),
+        (0, 6, 0, 0),
+        (0, 0, 6, 0),
+        (0, 0, 0, 6),
+        (2, 2, 1, 0),
+        (1, 0, 2, 2),
+        (0, 3, 0, 2),
+        (3, 3, 3, 3),
+    ]
+    p = newton_polyhedron(gens, 4)
+    assert set(p.vertices) == oracles.hull_vertices(gens)
+    assert (3, 3, 3, 3) not in p.vertices
+    assert len(p.facets) > 6
+    for facet in p.facets:
+        u = facet.normal
+        assert facet.level == oracles.support_min(u, gens)
+        on = [v for v in p.vertices if dot(u, v) == facet.level]
+        span = [tuple(a - b for a, b in zip(v, on[0])) for v in on[1:]]
+        span += [tuple(int(j == i) for j in range(4)) for i in range(4) if not u[i]]
+        assert oracles.rank(span) == 3
 
 
 def test_contains_matches_hull_oracle():
