@@ -360,14 +360,20 @@ def factored_total(b: MultiWeightedBlowup, ideal: PolyIdeal) -> str | None:
     if len(ideal.generators) != 1:
         return None
     weak, mult = weak_transform(b, ideal)
+    return format_factored(b, weak.generators[0], mult)
+
+
+def format_factored(b: MultiWeightedBlowup, weak: Polynomial, mult: dict) -> str:
+    """The total transform as u^k * (weak), from the weak transform and the
+    exceptional multiplicities."""
     e = [0] * b.cox.n
     for var, k in mult.items():
         if k:
             e[b.cox.index(var)] = k
     mono = format_monomial(b.cox, tuple(e))
     if mono == "1":
-        return format_polynomial(weak.generators[0])
-    return f"{mono} * ({format_polynomial(weak.generators[0])})"
+        return format_polynomial(weak)
+    return f"{mono} * ({format_polynomial(weak)})"
 
 
 # -- subcommands ------------------------------------------------------------
@@ -627,7 +633,7 @@ def cmd_one_step(args) -> None:
         b = report["blowup"]
         lines.extend(blowup_lines(b))
         obj["blowup"] = blowup_json(b)
-        factored = factored_total(b, PolyIdeal(f.ambient, (f,)))
+        factored = format_factored(b, report["weak"], report["multiplicities"])
         lines.append(f"total: {factored}")
         obj["total"] = factored
         for label, ok in report["charts"].items():

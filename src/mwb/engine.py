@@ -34,7 +34,6 @@ from .blowup import (
     center_to_blowup,
     proper_transform,
     restrict_blowup,
-    total_transform,
     weak_transform,
 )
 from .errors import (
@@ -52,7 +51,6 @@ from .invariant import (
     invariant_at,
     reduced_center,
 )
-from .monomials import newton
 from .poly import (
     MONOMIAL,
     ORDINARY,
@@ -415,19 +413,27 @@ def newton_nondegenerate(f: Polynomial):
     in the torus.  Returns (True, None) or (False, witness face)."""
     if f.is_zero():
         raise ZeroIdeal("the zero polynomial has no Newton polyhedron")
-    amb = f.ambient
-    exps = list(f.terms)
-    poly = newton_polyhedron(exps, amb.n)
-    checked = set()
-    for face in faces(poly):
-        active = tuple(
-            e
-            for e in exps
-            if all(
-                dot(poly.facets[k].normal, e) == poly.facets[k].level
-                for k in face.defining
-            )
+    poly = newton_polyhedron(list(f.terms), f.ambient.n)
+    return _faces_nondegenerate(f, poly, faces(poly))
+
+
+def _face_terms(f: Polynomial, poly, face) -> tuple:
+    """The exponents of f on a face of its Newton polyhedron, in f's order."""
+    return tuple(
+        e
+        for e in f.terms
+        if all(
+            dot(poly.facets[k].normal, e) == poly.facets[k].level
+            for k in face.defining
         )
+    )
+
+
+def _faces_nondegenerate(f: Polynomial, poly, face_list):
+    amb = f.ambient
+    checked = set()
+    for face in face_list:
+        active = _face_terms(f, poly, face)
         if active in checked:
             continue  # faces with the same terms share one certificate
         checked.add(active)
@@ -459,7 +465,11 @@ def one_step_check(f: Polynomial) -> dict:
         if all(e[i] > 0 for e in f.terms):
             raise MwbError(f"{name} divides f")
 
-    nd, witness = newton_nondegenerate(f)
+    # f's Newton polyhedron is that of its term ideal: the orbit check
+    # below reuses it and its faces
+    poly = newton_polyhedron(list(f.terms), amb.n)
+    face_list = faces(poly)
+    nd, witness = _faces_nondegenerate(f, poly, face_list)
     report = {"nondegenerate": nd, "witness": witness}
     if not nd:
         report["resolved"] = False
@@ -472,7 +482,6 @@ def one_step_check(f: Polynomial) -> dict:
     fm = weak.generators[0]
     report["blowup"] = b
     report["multiplicities"] = mult
-    report["total"] = total_transform(b, ideal).generators[0]
     report["weak"] = fm
 
     dl = d_leq(weak, 1)
@@ -483,9 +492,8 @@ def one_step_check(f: Polynomial) -> dict:
         )
     report["charts"] = charts
 
-    poly = newton(term_ideal)
     orbit = {}
-    for face in faces(poly):
+    for face in face_list:
         defining = {poly.facets[k].normal for k in face.defining}
         images = {}
         for j, ray in enumerate(b.fan.rays):
@@ -499,15 +507,7 @@ def one_step_check(f: Polynomial) -> dict:
             else:
                 images[v] = constant(b.cox, 0 if ray.direction in defining else 1)
         restricted = substitute(fm, images, b.cox)
-        active = [
-            e
-            for e in f.terms
-            if all(
-                dot(poly.facets[k].normal, e) == poly.facets[k].level
-                for k in face.defining
-            )
-        ]
-        ftau = Polynomial(amb, {e: f.terms[e] for e in active})
+        ftau = Polynomial(amb, {e: f.terms[e] for e in _face_terms(f, poly, face)})
         primed = rename(ftau, b.name_map, b.cox)
         label = ", ".join(format_monomial(amb, v) for v in face.vertices)
         orbit[label] = restricted == primed

@@ -54,12 +54,12 @@ def monic(p: Polynomial, block: int = 0) -> Polynomial:
     if lc == 1:
         return p
     inv = Fraction(1) / lc
-    return Polynomial(p.ambient, {e: c * inv for e, c in p.terms.items()})
+    return Polynomial._trusted(p.ambient, {e: c * inv for e, c in p.terms.items()})
 
 
 def _nf(p: Polynomial, basis, block: int) -> Polynomial:
     # basis: list of (lm, terms dict) with monic entries
-    return Polynomial(p.ambient, kernel.normal_form(p.terms, basis, block))
+    return Polynomial._trusted(p.ambient, kernel.normal_form(p.terms, basis, block))
 
 
 def groebner_basis(ideal: PolyIdeal, block: int = 0) -> list[Polynomial]:

@@ -3,7 +3,17 @@
 Exponents are plain int tuples, coefficients arbitrary Fractions.  Orders:
 block == 0 is graded reverse lexicographic; block == k > 0 eliminates the
 first k variables (grevlex on that block first, then grevlex on the rest).
+
+normal_form reduces largest term first, in the manner of Monagan and
+Pearce's heap division: the terms still to reduce sit in a heapq keyed by
+their order key negated, computed once when a term enters the heap, so
+each step pops the leading term instead of scanning every pending term.
+A term that cancels leaves its heap entry behind; entries whose exponent
+is no longer pending are skipped when popped.
 """
+
+import heapq
+from operator import add
 
 from .errors import BadOrder
 
@@ -22,8 +32,17 @@ def order_key(e, block):
     return (grevlex_key(e[:block]), grevlex_key(e[block:]))
 
 
+def _descending_key(e, block):
+    # order_key(e, block) flattened with every entry negated, so that the
+    # smallest key is the largest monomial; block is already checked
+    if block == 0:
+        return (-sum(e),) + e[::-1]
+    head, tail = e[:block], e[block:]
+    return (-sum(head),) + head[::-1] + (-sum(tail),) + tail[::-1]
+
+
 def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a, b):
@@ -48,15 +67,22 @@ def normal_form(f, basis, block):
     """Full reduction of the term dict f by a list of (lm, terms) pairs.
 
     Basis elements are monic: terms[lm] == 1.  Returns the irreducible
-    remainder as a new dict; f itself is not modified.
+    remainder as a new dict, its terms in decreasing order; f itself is not
+    modified.
     """
-    work = dict(f)
+    if not f:
+        return {}
+    if block < 0 or block > len(next(iter(f))):
+        raise BadOrder(f"block size {block} out of range")
+    work = dict(f)  # pending terms; every one has an entry in heap
+    heap = [(_descending_key(e, block), e) for e in work]
+    heapq.heapify(heap)
     out = {}
-    while work:
-        t = max(work, key=lambda e: order_key(e, block))
-        c = work.pop(t)
+    while heap:
+        t = heapq.heappop(heap)[1]
+        c = work.pop(t, None)
         if not c:
-            continue
+            continue  # stale entry, or a zero coefficient given in f
         hit = None
         for lm, terms in basis:
             q = mono_div(t, lm)
@@ -71,9 +97,16 @@ def normal_form(f, basis, block):
             m = mono_mul(q, e2)
             if m == t:
                 continue  # cancels against the popped leading term
-            nc = work.get(m, 0) - c * c2
-            if nc:
-                work[m] = nc
+            old = work.get(m)
+            if old is None:
+                nc = -c * c2
+                if nc:
+                    work[m] = nc
+                    heapq.heappush(heap, (_descending_key(m, block), m))
             else:
-                work.pop(m, None)
+                nc = old - c * c2
+                if nc:
+                    work[m] = nc
+                else:
+                    del work[m]
     return out

@@ -12,6 +12,19 @@ arithmetic here, it only licenses unit-stripping and saturation upstream.
 
 Coefficients are exact Fractions; exponent vectors are int tuples aligned
 with the variable order.
+
+The public constructor Polynomial(ambient, terms) validates and copies its
+input: every exponent becomes an int tuple of the ambient's length with no
+negative entry, every coefficient an exact Fraction, and zero terms are
+dropped.  Polynomial._trusted(ambient, terms) takes a term dict as it is.
+It serves only results that this module or groebner built from validated
+operands (sums, negations, products, powers, substitutions, monic
+rescalings and normal forms), where those properties hold by construction.
+
+substitute works on raw term dicts: each image's powers are built once by
+repeated squaring and every term of the source is expanded with one
+dict-level product per variable, so a monomial image (a blow-up pullback)
+keeps every product a single term and no intermediate Polynomial is made.
 """
 
 from __future__ import annotations
@@ -139,6 +152,17 @@ class Polynomial:
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _trusted(cls, ambient: LogAmbient, terms: dict) -> "Polynomial":
+        """Wrap a term dict without validating or copying it.
+
+        Only for dicts built from validated operands: int exponent tuples
+        of length ambient.n with no negative entry, nonzero Fractions."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "ambient", ambient)
+        object.__setattr__(p, "terms", terms)
+        return p
+
     def __setattr__(self, *a):
         raise AttributeError("Polynomial is immutable")
 
@@ -161,16 +185,13 @@ class Polynomial:
     def __add__(self, other):
         self._check(other)
         t = dict(self.terms)
-        for e, c in other.terms.items():
-            nc = t.get(e, Fraction(0)) + c
-            if nc:
-                t[e] = nc
-            else:
-                t.pop(e, None)
-        return Polynomial(self.ambient, t)
+        _add_into(t, other.terms)
+        return Polynomial._trusted(self.ambient, t)
 
     def __neg__(self):
-        return Polynomial(self.ambient, {e: -c for e, c in self.terms.items()})
+        return Polynomial._trusted(
+            self.ambient, {e: -c for e, c in self.terms.items()}
+        )
 
     def __sub__(self, other):
         return self + (-other)
@@ -178,36 +199,22 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c0 = _coeff(other)
-            return Polynomial(
+            if not c0:
+                return Polynomial._trusted(self.ambient, {})
+            return Polynomial._trusted(
                 self.ambient, {e: c * c0 for e, c in self.terms.items()}
             )
         self._check(other)
-        t: dict[Vec, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                m = kernel.mono_mul(e1, e2)
-                nc = t.get(m, Fraction(0)) + c1 * c2
-                if nc:
-                    t[m] = nc
-                else:
-                    t.pop(m, None)
-        return Polynomial(self.ambient, t)
+        return Polynomial._trusted(self.ambient, _mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
             raise MwbError("negative polynomial power")
-        out = constant(self.ambient, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base_needed = k >> 1
-            if base_needed:
-                base = base * base
-            k = base_needed
-        return out
+        return Polynomial._trusted(
+            self.ambient, _pow_terms(self.terms, k, (0,) * self.ambient.n)
+        )
 
     def __eq__(self, other):
         return (
@@ -297,26 +304,71 @@ def log_derivation(p: Polynomial, name: str) -> Polynomial:
 # -- substitution and reindexing --------------------------------------------
 
 
+def _add_into(acc: dict, terms: dict) -> None:
+    """Add a term dict into acc in place, dropping terms that cancel."""
+    for e, c in terms.items():
+        nc = acc.get(e, 0) + c
+        if nc:
+            acc[e] = nc
+        else:
+            acc.pop(e, None)
+
+
+def _mul_terms(a: dict, b: dict) -> dict:
+    """Product of two term dicts, zero terms dropped."""
+    t: dict[Vec, Fraction] = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            m = kernel.mono_mul(e1, e2)
+            nc = t.get(m, 0) + c1 * c2
+            if nc:
+                t[m] = nc
+            else:
+                t.pop(m, None)
+    return t
+
+
+def _pow_terms(terms: dict, k: int, one: Vec) -> dict:
+    """k-th power of a term dict by repeated squaring; one is the zero
+    exponent of its ambient."""
+    out = {one: Fraction(1)}
+    while k:
+        if k & 1:
+            out = _mul_terms(out, terms)
+        k >>= 1
+        if k:
+            terms = _mul_terms(terms, terms)
+    return out
+
+
 def substitute(p: Polynomial, images: dict, target: LogAmbient) -> Polynomial:
-    """Ring map determined by variable images; every source variable needs one."""
-    missing = [n for n in p.ambient.names() if n not in images]
+    """Ring map determined by variable images; every source variable needs
+    one, and every image must live on the target ambient."""
+    names = p.ambient.names()
+    missing = [n for n in names if n not in images]
     if missing:
         raise IncompleteSubstitution(f"no image for {missing}")
-    cache: list[dict[int, Polynomial]] = [dict() for _ in range(p.ambient.n)]
-
-    def pw(i: int, k: int) -> Polynomial:
-        if k not in cache[i]:
-            cache[i][k] = images[p.ambient.names()[i]] ** k
-        return cache[i][k]
-
-    out = Polynomial(target, {})
+    for n in names:
+        if images[n].ambient != target:
+            raise AmbientMismatch(
+                f"image of {n} lives on {images[n].ambient.describe()}, "
+                f"not on {target.describe()}"
+            )
+    one = (0,) * target.n
+    powers: list[dict[int, dict]] = [{} for _ in names]  # per variable, by k
+    out: dict[Vec, Fraction] = {}
     for e, c in p.terms.items():
-        t = constant(target, c)
+        t = {one: c}
         for i, k in enumerate(e):
             if k:
-                t = t * pw(i, k)
-        out = out + t
-    return out
+                pk = powers[i].get(k)
+                if pk is None:
+                    pk = powers[i][k] = _pow_terms(images[names[i]].terms, k, one)
+                t = _mul_terms(t, pk)
+                if not t:
+                    break
+        _add_into(out, t)
+    return Polynomial._trusted(target, out)
 
 
 def rename(p: Polynomial, mapping: dict, target: LogAmbient) -> Polynomial:

@@ -6,7 +6,9 @@ feasibility, vertex sets by the convex-combination characterization,
 facets from the normal of every (n - 1)-subset of difference vectors,
 faces from every subset of facets, valuations by direct minimization over
 terms, unit saturations by building the saturated ideal, coefficient
-ideals by every mixed product over the minimal tuples.  The
+ideals by every mixed product over the minimal tuples, substitution by
+Polynomial powers and products, normal forms by scanning every pending
+term for the largest.  The
 implementations are deliberately naive; their job is to disagree loudly,
 not to be fast.
 """
@@ -18,11 +20,12 @@ import itertools
 import math
 from fractions import Fraction
 
-from mwb.errors import MwbError
+from mwb import kernel
+from mwb.errors import IncompleteSubstitution, MwbError
 from mwb.groebner import is_unit_ideal, saturate_at_variables
 from mwb.invariant import _prune
 from mwb.polyhedra import Face, Facet, NewtonPolyhedron
-from mwb.poly import PolyIdeal
+from mwb.poly import PolyIdeal, Polynomial, constant
 
 
 def feasible(A, b):
@@ -298,3 +301,58 @@ def unit_after_saturation(ideal, names):
     """Is I : (prod names)^inf the unit ideal?  Saturates one variable at a
     time by elimination, then looks for 1 in a basis of the result."""
     return is_unit_ideal(saturate_at_variables(ideal, names))
+
+
+def naive_substitute(p, images, target):
+    """Ring map by Polynomial arithmetic: each term is the constant times
+    the images' powers, and the terms are summed one Polynomial at a time."""
+    missing = [n for n in p.ambient.names() if n not in images]
+    if missing:
+        raise IncompleteSubstitution(f"no image for {missing}")
+    cache = [dict() for _ in range(p.ambient.n)]
+
+    def pw(i, k):
+        if k not in cache[i]:
+            cache[i][k] = images[p.ambient.names()[i]] ** k
+        return cache[i][k]
+
+    out = Polynomial(target, {})
+    for e, c in p.terms.items():
+        t = constant(target, c)
+        for i, k in enumerate(e):
+            if k:
+                t = t * pw(i, k)
+        out = out + t
+    return out
+
+
+def scan_normal_form(f, basis, block):
+    """Reduction of the term dict f by monic (lm, terms) pairs, finding the
+    leading pending term by a full scan on every step."""
+    work = dict(f)
+    out = {}
+    while work:
+        t = max(work, key=lambda e: kernel.order_key(e, block))
+        c = work.pop(t)
+        if not c:
+            continue
+        hit = None
+        for lm, terms in basis:
+            q = kernel.mono_div(t, lm)
+            if q is not None:
+                hit = (q, terms)
+                break
+        if hit is None:
+            out[t] = c
+            continue
+        q, terms = hit
+        for e2, c2 in terms.items():
+            m = kernel.mono_mul(q, e2)
+            if m == t:
+                continue
+            nc = work.get(m, 0) - c * c2
+            if nc:
+                work[m] = nc
+            else:
+                work.pop(m, None)
+    return out

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import F_TEXT, ambient, drop_corpus, ideal, nondegenerate_samples, poly
-from mwb import groebner
+from mwb import engine, groebner
 from mwb.engine import (
     blowup_equal,
     chart_origin,
@@ -18,7 +18,8 @@ from mwb.engine import (
 )
 from mwb.errors import DepthExceeded, MwbError
 from mwb.invariant import compare, invariant_at
-from mwb.poly import Polynomial, format_polynomial, substitute
+from mwb.monomials import newton
+from mwb.poly import PolyIdeal, Polynomial, format_polynomial, monomial_saturation, substitute
 from mwb.polyhedra import dot, faces, newton_polyhedron
 
 
@@ -261,6 +262,34 @@ class TestOneStep:
             report = one_step_check(f)
             assert report["nondegenerate"]
             assert report["resolved"], format_polynomial(f)
+
+    def test_one_newton_polyhedron_per_check(self, a33, monkeypatch):
+        # the nondegeneracy certificate and the orbit check share f's
+        # polyhedron and face list; the blow-up builds its own from the
+        # term ideal, and the multiplicities one more
+        calls = {"newton_polyhedron": 0, "faces": 0}
+
+        def count(name):
+            original = getattr(engine, name)
+
+            def counting(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(engine, name, counting)
+
+        for name in calls:
+            count(name)
+        report = one_step_check(poly(a33, F_TEXT))
+        assert report["resolved"] and len(report["faces"]) == 7
+        assert calls == {"newton_polyhedron": 1, "faces": 1}
+        assert "total" not in report
+
+    def test_polyhedron_of_the_terms_is_that_of_the_term_ideal(self):
+        # the orbit check reads faces of the term ideal off f's polyhedron
+        for f in nondegenerate_samples(1204, 40):
+            term_ideal = monomial_saturation(PolyIdeal(f.ambient, (f,)))
+            assert newton_polyhedron(list(f.terms), f.ambient.n) == newton(term_ideal)
 
 
 class TestSmallHelpers:

@@ -8,6 +8,7 @@ import sympy
 
 from mwb import kernel
 from mwb.errors import BadOrder
+from oracles import scan_normal_form
 
 
 def random_exp(rng, n):
@@ -62,10 +63,15 @@ def test_block_order_eliminates_prefix():
 
 
 def test_bad_block_raises():
-    with pytest.raises(BadOrder):
-        kernel.order_key((1, 2), 5)
-    with pytest.raises(BadOrder):
-        kernel.order_key((1, 2), -1)
+    f = {(1, 2): Fraction(1), (0, 1): Fraction(-2)}
+    basis = [((0, 1), {(0, 1): Fraction(1)})]
+    for block in (5, 3, -1):
+        with pytest.raises(BadOrder):
+            kernel.order_key((1, 2), block)
+        with pytest.raises(BadOrder):
+            kernel.normal_form(f, basis, block)
+    # nothing to order, nothing to reject
+    assert kernel.normal_form({}, basis, 5) == {}
 
 
 def random_terms(rng, n, size):
@@ -110,3 +116,46 @@ def test_normal_form_agrees():
         gens = [to_sympy(terms, syms) for _, terms in basis]
         gb = sympy.groebner(gens, *syms, order="grevlex", domain="QQ")
         assert gb.contains(to_sympy(f, syms) - to_sympy(got, syms))
+
+
+def unit_terms(rng, n, size, top):
+    # coefficients +-1 and small exponents, so that reduction steps cancel
+    # terms and bring cancelled ones back
+    f = {}
+    for _ in range(size):
+        f[tuple(rng.randrange(0, top) for _ in range(n))] = Fraction(rng.choice((1, -1)))
+    return f
+
+
+def random_basis(rng, n, block, size, unit):
+    basis = []
+    for _ in range(size):
+        if unit:
+            terms = unit_terms(rng, n, rng.randrange(2, 5), 3)
+        else:
+            terms = random_terms(rng, n, rng.randrange(1, 5))
+        if terms:
+            lm = max(terms, key=lambda e: kernel.order_key(e, block))
+            basis.append((lm, {e: c / terms[lm] for e, c in terms.items()}))
+    return basis
+
+
+def test_heap_normal_form_matches_scan_oracle():
+    # same remainder as the full-scan reduction, in the same term order, on
+    # every block of n = 1..5 variables; some inputs carry zero coefficients
+    rng = random.Random(5004)
+    for n in range(1, 6):
+        for block in range(n + 1):
+            for i in range(16):
+                unit = i % 2 == 0
+                basis = random_basis(rng, n, block, rng.randrange(0, 4), unit)
+                if unit:
+                    f = unit_terms(rng, n, rng.randrange(1, 9), 4)
+                else:
+                    f = random_terms(rng, n, rng.randrange(0, 9))
+                if f and rng.random() < 0.2:
+                    f[random_exp(rng, n)] = Fraction(0)
+                got = kernel.normal_form(f, basis, block)
+                assert list(got.items()) == list(scan_normal_form(f, basis, block).items())
+                if not basis:
+                    assert got == {e: c for e, c in f.items() if c}

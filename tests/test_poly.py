@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import ambient, ideal, poly
-from mwb import LogAmbient, Polynomial, PolyIdeal
-from mwb.errors import AmbientMismatch, MwbError
+from mwb import LogAmbient, Polynomial, PolyIdeal, groebner, monomial_ideal
+from mwb.blowup import build_blowup
+from mwb.errors import AmbientMismatch, IncompleteSubstitution
 from mwb.poly import (
     constant,
     derivative,
@@ -20,6 +21,7 @@ from mwb.poly import (
     substitute,
     variable,
 )
+from oracles import naive_substitute
 
 
 @st.composite
@@ -122,7 +124,7 @@ def test_substitute_and_rename():
 
 def test_substitute_requires_all_names():
     target = ambient(ordinary="u")
-    with pytest.raises(MwbError):
+    with pytest.raises(IncompleteSubstitution):
         substitute(poly(A3, "x + y"), {"x": poly(target, "u")}, target)
 
 
@@ -171,3 +173,101 @@ def test_ideal_container():
     i = ideal(A3, "x^2 + y, z")
     assert len(i.generators) == 2
     assert str(i) == "(x^2 + y, z)"
+
+
+def random_poly(rng, amb, size, max_exp=3):
+    terms = {}
+    for _ in range(size):
+        e = tuple(rng.randrange(0, max_exp + 1) for _ in range(amb.n))
+        c = Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
+        terms[e] = terms.get(e, 0) + c
+    return Polynomial(amb, terms)
+
+
+def numbered(prefix, n, flag="ordinary"):
+    return LogAmbient([(f"{prefix}{i}", flag) for i in range(n)])
+
+
+def random_images(rng, kind, source):
+    """(images, target) of one kind the package substitutes."""
+    if kind == "pullback":
+        gens = [tuple(rng.randrange(0, 4) for _ in range(source.n)) for _ in range(3)]
+        gens = [g for g in gens if any(g)] or [(1,) * source.n]
+        b = build_blowup(monomial_ideal(gens, source.n), source)
+        return b.pullback, b.cox
+    if kind == "shift":
+        # x -> x + s on one variable, as a tier-2 coordinate change
+        images = {n: variable(source, n) for n in source.names()}
+        name = rng.choice(source.names())
+        images[name] = images[name] + random_poly(rng, source, rng.randrange(1, 4), 2)
+        return images, source
+    # monomials with coefficients, the constants 0 and 1, the zero polynomial
+    target = numbered("u", rng.randrange(1, 5), "monomial")
+    images = {}
+    for n in source.names():
+        pick = rng.choice(("monomial", "0", "1", "zero"))
+        if pick == "monomial":
+            e = tuple(rng.randrange(0, 4) for _ in range(target.n))
+            images[n] = monomial(target, e, rng.choice((1, 2, Fraction(-1, 3))))
+        elif pick == "zero":
+            images[n] = Polynomial(target, {})
+        else:
+            images[n] = constant(target, int(pick))
+    return images, target
+
+
+def test_substitute_matches_polynomial_arithmetic():
+    # the term-dict substitution agrees with powers and products of
+    # Polynomials on every kind of image the package substitutes, term
+    # order included
+    rng = random.Random(7101)
+    for i in range(300):
+        kind = ("pullback", "shift", "mixed")[i % 3]
+        source = numbered("x", rng.randrange(1, 4), "monomial")
+        images, target = random_images(rng, kind, source)
+        p = random_poly(rng, source, rng.randrange(0, 6))
+        got = substitute(p, images, target)
+        want = naive_substitute(p, images, target)
+        assert got == want
+        assert list(got.terms.items()) == list(want.terms.items())
+
+
+def test_substitute_rejects_images_off_the_target():
+    source = numbered("x", 2)
+    target = numbered("u", 2)
+    images = {"x0": variable(target, "u0"), "x1": variable(numbered("v", 2), "v1")}
+    with pytest.raises(AmbientMismatch):
+        substitute(poly(source, "x0^2 + x0 x1"), images, target)
+    # also where the variable with the stray image does not occur
+    with pytest.raises(AmbientMismatch):
+        substitute(poly(source, "x0"), images, target)
+
+
+def assert_validated(p):
+    """p is what the public constructor makes of its own terms."""
+    n = p.ambient.n
+    assert Polynomial(p.ambient, p.terms).terms == p.terms
+    for e, c in p.terms.items():
+        assert type(c) is Fraction and c != 0
+        assert type(e) is tuple and len(e) == n
+        assert all(type(x) is int and x >= 0 for x in e)
+
+
+def test_trusted_results_pass_the_public_constructor():
+    # results built without validation hold what validation would enforce
+    rng = random.Random(7102)
+    for _ in range(120):
+        amb = numbered("x", rng.randrange(1, 4))
+        f, g = (random_poly(rng, amb, rng.randrange(0, 5)) for _ in range(2))
+        scalar = rng.choice((0, 2, Fraction(-1, 2)))
+        results = [f + g, f - g, -f, f * g, f * scalar, f ** rng.randrange(0, 4)]
+        if not f.is_zero():
+            block = rng.randrange(0, amb.n + 1)
+            results.append(groebner.monic(f, block))
+            basis = [groebner.monic(h, block) for h in (g, f) if not h.is_zero()]
+            results.append(groebner.normal_form(f * g + g, basis, block))
+        target = numbered("u", rng.randrange(1, 4))
+        images = {n: random_poly(rng, target, rng.randrange(0, 3)) for n in amb.names()}
+        results.append(substitute(f, images, target))
+        for r in results:
+            assert_validated(r)
