@@ -58,7 +58,6 @@ from .poly import (
     PolyIdeal,
     Polynomial,
     constant,
-    derivative,
     format_monomial,
     monomial_saturation,
     rename,
@@ -204,19 +203,11 @@ def _expand(node: ResolutionNode, mode: str, limit: int, parent_inv):
             node.status, node.scope = "principal", "marked-points"
             return
     else:
-        codim = None
-        ok = True
-        for _, inv, _ in pts:
-            if inv.entries == (Fraction(0),):
-                continue
-            if codim is None:
-                codim = groebner.codimension(
-                    groebner.saturate_at_variables(ideal, inverted)
-                )
-            if inv.entries != (Fraction(1),) * codim:
-                ok = False
-                break
-        if ok:
+        # smooth at every marked point on the locus, in the chart's codimension
+        on_locus = {inv.entries for _, inv, _ in pts} - {(Fraction(0),)}
+        if not on_locus or on_locus == {
+            (Fraction(1),) * groebner.codimension(ideal, inverted)
+        }:
             node.status, node.scope = "smooth", "marked-points"
             return
 
@@ -437,11 +428,11 @@ def _faces_nondegenerate(f: Polynomial, poly, face_list):
         if active in checked:
             continue  # faces with the same terms share one certificate
         checked.add(active)
+        # on the torus (f_tau, x d/dx f_tau, ...) is the Jacobian ideal
         ftau = Polynomial(amb, {e: f.terms[e] for e in active})
-        jac = PolyIdeal(
-            amb, [ftau] + [derivative(ftau, n) for n in amb.names()]
-        )
-        if not groebner.saturates_to_unit(jac, amb.names()):
+        if not groebner.saturates_to_unit(
+            d_leq(PolyIdeal(amb, (ftau,)), 1), amb.names()
+        ):
             label = ", ".join(format_monomial(amb, v) for v in face.vertices)
             return False, f"face spanned by {label}"
     return True, None

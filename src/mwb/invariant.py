@@ -99,9 +99,10 @@ def compare(u: Invariant, v: Invariant) -> int:
 # -- derivative tower -------------------------------------------------------
 
 
-def _prune(ambient, gens) -> list[Polynomial]:
+def _prune(ambient, gens) -> tuple[list[Polynomial], list[Polynomial]]:
     """Minimal-ish generating subset: lowest degree first, drop anything the
-    kept part already generates.
+    kept part already generates.  Returns the kept generators and their
+    Groebner basis.
 
     Everything downstream is invariant under this: ideals, their
     restrictions (ring maps), the monomial hull, and coefficient-ideal
@@ -119,16 +120,18 @@ def _prune(ambient, gens) -> list[Polynomial]:
             continue
         kept.append(g)
         basis = groebner.groebner_basis(PolyIdeal(ambient, kept))
-    return kept
+    return kept, basis
 
 
 class DerivativeTower:
-    """The chain D^{<=m}(I) with stored generator lists.
+    """The chain D^{<=m}(I) with stored generator lists and their bases.
 
     Stage m+1 extends stage m by every log derivation of every stored
     generator; candidates reducing to zero against the previous stage's
-    Groebner basis are dropped to curb growth.  Stored generators, not the
-    reduced bases, feed contact selection and coefficient ideals."""
+    Groebner basis are dropped and the rest pruned to curb growth.  Stored
+    generators, not the reduced bases, feed contact selection and
+    coefficient ideals.  The tower serves the pointwise questions (log
+    order, maximal contact, monomial part); d_leq needs none of this."""
 
     def __init__(self, ideal: PolyIdeal):
         self.ambient = ideal.ambient
@@ -149,9 +152,9 @@ class DerivativeTower:
                 r = groebner.normal_form(d, basis) if basis else d
                 if not r.is_zero():
                     new.append(groebner.monic(r))
-        dedup = _prune(self.ambient, new)
+        dedup, basis = _prune(self.ambient, new)
         self.levels.append(dedup)
-        self.bases.append(groebner.groebner_basis(PolyIdeal(self.ambient, dedup)))
+        self.bases.append(basis)
 
     def level(self, m: int) -> list[Polynomial]:
         while len(self.levels) <= m:
@@ -167,9 +170,16 @@ class DerivativeTower:
 
 
 def d_leq(ideal: PolyIdeal, m: int) -> PolyIdeal:
-    """The m-th stage of the derivation chain, as an ideal."""
-    tower = DerivativeTower(ideal)
-    return PolyIdeal(ideal.ambient, tower.level(m))
+    """The m-th stage of the derivation chain, as an ideal: the generators
+    and m rounds of their log derivations, unpruned.  A derivation of
+    sum a_i g_i lies in (g_i, D g_i), so each round need only derive the
+    previous round's output."""
+    gens = list(ideal.generators)
+    new = gens
+    for _ in range(m):
+        new = [log_derivation(g, name) for g in new for name in ideal.ambient.names()]
+        gens += new
+    return PolyIdeal(ideal.ambient, gens)
 
 
 def logord_at(ideal: PolyIdeal, point, tower: DerivativeTower | None = None):
@@ -317,10 +327,10 @@ def _products_ideal(levels, b: int, ambient) -> PolyIdeal:
         raise MwbError(f"coefficient ideal at order {b} exceeds the tool's scale")
     gens = []
     for j, c in enumerate(minimal_tuples(b)):
-        level = _prune(ambient, levels[j])
+        level = _prune(ambient, levels[j])[0]
         for combo in itertools.combinations_with_replacement(level, c[j]):
             gens.append(math.prod(combo[1:], start=combo[0]))
-    return PolyIdeal(ambient, _prune(ambient, gens))
+    return PolyIdeal(ambient, _prune(ambient, gens)[0])
 
 
 # -- the invariant recursion ------------------------------------------------
@@ -475,8 +485,5 @@ def is_smooth_toroidal(ideal: PolyIdeal, point) -> bool:
     inv, _ = invariant_at(ideal, point)
     if inv.entries == (Fraction(0),):
         return True
-    work = ideal
-    if ideal.ambient.inverted:
-        work = groebner.saturate_at_variables(ideal, sorted(ideal.ambient.inverted))
-    codim = groebner.codimension(work)
+    codim = groebner.codimension(ideal, sorted(ideal.ambient.inverted))
     return inv.entries == (Fraction(1),) * codim

@@ -18,8 +18,9 @@ input: every exponent becomes an int tuple of the ambient's length with no
 negative entry, every coefficient an exact Fraction, and zero terms are
 dropped.  Polynomial._trusted(ambient, terms) takes a term dict as it is.
 It serves only results that this module or groebner built from validated
-operands (sums, negations, products, powers, substitutions, monic
-rescalings and normal forms), where those properties hold by construction.
+operands (sums, negations, products, powers, substitutions, derivations,
+monic rescalings, S-polynomials and normal forms), where those properties
+hold by construction.
 
 substitute works on raw term dicts: each image's powers are built once by
 repeated squaring and every term of the source is expanded with one
@@ -282,12 +283,8 @@ def variable(ambient: LogAmbient, name: str) -> Polynomial:
 def derivative(p: Polynomial, name: str) -> Polynomial:
     """Plain partial derivative d/dx, regardless of flag."""
     i = p.ambient.index(name)
-    t = {}
-    for e, c in p.terms.items():
-        if e[i]:
-            e2 = e[:i] + (e[i] - 1,) + e[i + 1 :]
-            t[e2] = t.get(e2, Fraction(0)) + c * e[i]
-    return Polynomial(p.ambient, t)
+    t = {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in p.terms.items() if e[i]}
+    return Polynomial._trusted(p.ambient, t)
 
 
 def log_derivation(p: Polynomial, name: str) -> Polynomial:
@@ -295,7 +292,7 @@ def log_derivation(p: Polynomial, name: str) -> Polynomial:
     the Euler operator x*d/dx when monomial or exceptional."""
     if p.ambient.is_log(name):
         i = p.ambient.index(name)
-        return Polynomial(
+        return Polynomial._trusted(
             p.ambient, {e: c * e[i] for e, c in p.terms.items() if e[i]}
         )
     return derivative(p, name)

@@ -5,10 +5,10 @@ rational arithmetic: polyhedron membership by phase-one simplex
 feasibility, vertex sets by the convex-combination characterization,
 facets from the normal of every (n - 1)-subset of difference vectors,
 faces from every subset of facets, valuations by direct minimization over
-terms, unit saturations by building the saturated ideal, coefficient
-ideals by every mixed product over the minimal tuples, substitution by
-Polynomial powers and products, normal forms by scanning every pending
-term for the largest.  The
+terms, saturations by eliminating an auxiliary variable, unit saturations
+by building the saturated ideal, coefficient ideals by every mixed product
+over the minimal tuples, substitution by Polynomial powers and products,
+normal forms by scanning every pending term for the largest.  The
 implementations are deliberately naive; their job is to disagree loudly,
 not to be fast.
 """
@@ -22,10 +22,10 @@ from fractions import Fraction
 
 from mwb import kernel
 from mwb.errors import IncompleteSubstitution, MwbError
-from mwb.groebner import is_unit_ideal, saturate_at_variables
+from mwb.groebner import groebner_basis, is_unit_ideal
 from mwb.invariant import _prune
 from mwb.polyhedra import Face, Facet, NewtonPolyhedron
-from mwb.poly import PolyIdeal, Polynomial, constant
+from mwb.poly import LogAmbient, PolyIdeal, Polynomial, constant, variable
 
 
 def feasible(A, b):
@@ -182,7 +182,7 @@ def product_coefficient_ideal(levels, b, ambient):
     pruned as in the package, and b > 4 is refused with its message."""
     if b > 4 and any(levels):
         raise MwbError(f"coefficient ideal at order {b} exceeds the tool's scale")
-    levels = [_prune(ambient, lv) for lv in levels]
+    levels = [_prune(ambient, lv)[0] for lv in levels]
 
     @functools.cache
     def power(j, c):
@@ -196,7 +196,7 @@ def product_coefficient_ideal(levels, b, ambient):
         factors = [power(j, cj) for j, cj in enumerate(c) if cj]
         for combo in itertools.product(*factors):
             gens.append(math.prod(combo[1:], start=combo[0]))
-    return PolyIdeal(ambient, _prune(ambient, list(dict.fromkeys(gens))))
+    return PolyIdeal(ambient, _prune(ambient, list(dict.fromkeys(gens)))[0])
 
 
 def det(rows):
@@ -297,10 +297,36 @@ def subset_faces(p):
     return sorted(out.values(), key=lambda f: (-f.dim, f.defining))
 
 
+def elimination_saturate(ideal, f):
+    """I : f^inf by elimination: adjoin a fresh first variable t, take the
+    block order basis of I + (t f - 1) eliminating t, keep the elements
+    free of t."""
+    amb = ideal.ambient
+    t = "t" + "_" * max(len(n) for n in amb.names())
+    lifted_amb = LogAmbient(((t, "ordinary"),) + amb.variables)
+
+    def lift(p):
+        return Polynomial(lifted_amb, {(0,) + e: c for e, c in p.terms.items()})
+
+    t_f = Polynomial(lifted_amb, {(1,) + e: c for e, c in f.terms.items()})
+    lifted = [lift(g) for g in ideal.generators] + [t_f - constant(lifted_amb, 1)]
+    basis = groebner_basis(PolyIdeal(lifted_amb, lifted), block=1)
+    return PolyIdeal(
+        amb,
+        [
+            Polynomial(amb, {e[1:]: c for e, c in g.terms.items()})
+            for g in basis
+            if all(e[0] == 0 for e in g.terms)
+        ],
+    )
+
+
 def unit_after_saturation(ideal, names):
     """Is I : (prod names)^inf the unit ideal?  Saturates one variable at a
     time by elimination, then looks for 1 in a basis of the result."""
-    return is_unit_ideal(saturate_at_variables(ideal, names))
+    for name in names:
+        ideal = elimination_saturate(ideal, variable(ideal.ambient, name))
+    return is_unit_ideal(ideal)
 
 
 def naive_substitute(p, images, target):

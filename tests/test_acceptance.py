@@ -424,7 +424,7 @@ def test_pure_power_coefficient_ideals_agree_with_the_product_form(monkeypatch):
     multi = set()  # orders b met with a stage of two or more generators
 
     def product_form(levels, b, amb):
-        if max(len(mwb.invariant._prune(amb, lv)) for lv in levels) > 1:
+        if max(len(mwb.invariant._prune(amb, lv)[0]) for lv in levels) > 1:
             multi.add(b)
         return oracles.product_coefficient_ideal(levels, b, amb)
 

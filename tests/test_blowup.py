@@ -163,6 +163,19 @@ def test_weak_transform_of_the_blown_up_ideal():
         assert is_unit_ideal(saturate_at_variables(weak, chart.inverted))
 
 
+def test_proper_transform_without_a_positive_level_ray_is_the_total():
+    # blowing up the unit ideal creates no exceptional divisor: nothing is
+    # saturated and nothing is divided out, not even a constant factor
+    a1 = ambient(ordinary="x")
+    for amb, text in ((a1, "1/2 + 1/2 x^3"), (A2, "2 x^2 y + 4 y^3")):
+        b = build_blowup(monomial_ideal([(0,) * amb.n], amb.n), amb)
+        assert not b.eplus()
+        i = ideal(amb, text)
+        assert proper_transform(b, i) == total_transform(b, i)
+        (g,) = proper_transform(b, i).generators
+        assert sorted(g.terms.values()) == sorted(i.generators[0].terms.values())
+
+
 def test_weak_and_proper_transform_of_a_pair():
     b = build_blowup(mono3((2, 0, 0), (0, 2, 1), (0, 0, 3)), A3)
     i = ideal(A3, "x^2 + y^2, z - y^2")

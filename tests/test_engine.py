@@ -292,6 +292,27 @@ class TestOneStep:
             assert newton_polyhedron(list(f.terms), f.ambient.n) == newton(term_ideal)
 
 
+def test_principal_resolutions_eliminate_nothing(monkeypatch):
+    # a principal ideal is saturated by division; only the pair still
+    # builds an elimination basis in its proper transforms
+    blocks = []
+    original = groebner.groebner_basis
+
+    def recording(ideal, block=0):
+        blocks.append(block)
+        return original(ideal, block)
+
+    monkeypatch.setattr(groebner, "groebner_basis", recording)
+    principal = [(kind, i) for kind, i in drop_corpus() if len(i.generators) == 1]
+    assert len(principal) == 22
+    for kind, i in principal:
+        resolve(i, mode=kind)
+    assert blocks and set(blocks) == {0}
+    blocks.clear()
+    resolve(ideal(ambient(ordinary="x,y,z"), "x^2 + y^2, z - y^2"))
+    assert 1 in blocks
+
+
 class TestSmallHelpers:
     def test_chart_origin(self):
         assert chart_origin(ambient(ordinary="x,y")) == (0, 0)

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import sympy
 
@@ -205,6 +206,65 @@ def test_saturates_to_unit_on_face_jacobians():
     assert not all(saturates_to_unit(j, names) for j in face_jacobians(degenerate))
     names = golden.ambient.names()
     assert all(saturates_to_unit(j, names) for j in face_jacobians(golden))
+
+
+def random_log_ambient(rng, n):
+    names = "xyzw"[:n]
+    split = rng.randint(0, n)
+    return ambient(ordinary=",".join(names[:split]), monomial=",".join(names[split:]))
+
+
+def test_principal_saturation_is_division():
+    # (g) : m^inf against elimination, term dict for term dict: m a
+    # constant, a variable or a product; g carrying high powers of m's
+    # variables, and g that is a monomial times a constant
+    rng = random.Random(3011)
+    shapes = set()
+    for k in range(160):
+        amb = random_log_ambient(rng, rng.randint(2, 4))
+        n = amb.n
+        m = tuple(rng.randint(0, 1) if k % 3 else 0 for _ in range(n))
+        m = m if k % 4 else tuple(int(i == k % n) for i in range(n))
+        g = random_polynomial(rng, amb, max_terms=1 if k % 5 == 0 else 3, max_entry=3)
+        shift = tuple(rng.randint(0, 6) for _ in range(n))
+        g = g * Polynomial(amb, {shift: rng.choice((1, -2, Fraction(1, 3)))})
+        f = Polynomial(amb, {m: rng.choice((1, 3))})
+        got = saturate(PolyIdeal(amb, (g,)), f)
+        want = oracles.elimination_saturate(PolyIdeal(amb, (g,)), f)
+        assert [h.terms for h in got.generators] == [h.terms for h in want.generators]
+        shapes.add((sum(m), got.generators[0].is_constant()))
+    assert {0, 1, 2} <= {k for k, _ in shapes}
+    assert {True, False} == {c for _, c in shapes}
+
+
+def test_saturation_of_the_zero_ideal_is_zero():
+    amb = ambient(ordinary="x,y")
+    assert saturate(PolyIdeal(amb, ()), variable(amb, "x")).is_zero()
+    assert oracles.elimination_saturate(PolyIdeal(amb, ()), variable(amb, "x")).is_zero()
+
+
+def test_dimension_on_a_chart_matches_the_saturated_ideal():
+    # dim (R/I)_f from the lift against dim R/(I : f^inf) by elimination,
+    # on ideals of two or three generators and every set of inverted names
+    rng = random.Random(3012)
+    seen = set()
+    for k in range(60):
+        amb = random_log_ambient(rng, rng.randint(2, 3))
+        gens = [
+            random_polynomial(rng, amb, max_terms=2, max_entry=3)
+            for _ in range(rng.randint(2, 3))
+        ]
+        i = PolyIdeal(amb, tuple(gens))
+        for sub in _every_subset(amb.names()):
+            saturated = i
+            for name in sub:
+                saturated = oracles.elimination_saturate(saturated, variable(amb, name))
+            dim = dimension(i, sub)
+            assert dim == dimension(saturated), (gens, sub)
+            assert codimension(i, sub) == amb.n - dim
+            assert saturates_to_unit(i, sub) == (dim < 0)
+            seen.add(dim < 0)
+    assert seen == {True, False}
 
 
 def test_codimension_and_dimension():

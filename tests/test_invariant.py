@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+import mwb.invariant
 import oracles
-from conftest import F_TEXT, ambient, ideal, poly
+from conftest import F_TEXT, ambient, ideal, poly, random_polynomial
+from mwb import PolyIdeal
 from mwb.blowup import center_to_blowup, proper_transform
 from mwb.errors import MwbError, NoRectifiableContact
 from mwb.groebner import ideal_equal
@@ -243,6 +245,32 @@ class TestPieces:
         d1 = d_leq(prop, 1)
         want = ideal(b.cox, "x', y' z', y'^2 + 3 z'^2, z'^3")
         assert ideal_equal(d1, want)
+
+    def test_d_leq_is_the_tower_stage(self, monkeypatch):
+        # generators plus unpruned rounds of derivations against the pruned
+        # tower; d_leq itself builds no tower
+        rng = random.Random(3021)
+        cases = []
+        for _ in range(24):
+            n = rng.randint(1, 3)
+            split = rng.randint(0, n)
+            amb = ambient(
+                ordinary=",".join("xyz"[:split]), monomial=",".join("xyz"[split:n])
+            )
+            gens = [
+                random_polynomial(rng, amb, max_terms=3, max_entry=3)
+                for _ in range(rng.randint(1, 2))
+            ]
+            i = PolyIdeal(amb, tuple(gens))
+            cases.append((i, [DerivativeTower(i).level(m) for m in range(3)]))
+
+        def no_tower(*args):
+            raise AssertionError("d_leq built a tower")
+
+        monkeypatch.setattr(mwb.invariant, "DerivativeTower", no_tower)
+        for i, levels in cases:
+            for m, level in enumerate(levels):
+                assert ideal_equal(d_leq(i, m), PolyIdeal(i.ambient, level))
 
     def test_monomial_part(self, a31):
         tower = DerivativeTower(ideal(a31, F_TEXT))

@@ -253,21 +253,38 @@ def assert_validated(p):
         assert all(type(x) is int and x >= 0 for x in e)
 
 
-def test_trusted_results_pass_the_public_constructor():
-    # results built without validation hold what validation would enforce
+def test_trusted_results_pass_the_public_constructor(monkeypatch):
+    # results built without validation hold what validation would enforce;
+    # groebner_basis hands its S-polynomials to _nf, which records them
+    reduced = []
+    original_nf = groebner._nf
+
+    def recording_nf(p, basis, block):
+        reduced.append(p)
+        return original_nf(p, basis, block)
+
+    monkeypatch.setattr(groebner, "_nf", recording_nf)
     rng = random.Random(7102)
+    spolys = 0
     for _ in range(120):
-        amb = numbered("x", rng.randrange(1, 4))
+        amb = numbered("x", rng.randrange(1, 4), rng.choice(("ordinary", "monomial")))
         f, g = (random_poly(rng, amb, rng.randrange(0, 5)) for _ in range(2))
         scalar = rng.choice((0, 2, Fraction(-1, 2)))
         results = [f + g, f - g, -f, f * g, f * scalar, f ** rng.randrange(0, 4)]
+        for name in amb.names():
+            results += [derivative(f, name), log_derivation(f, name)]
         if not f.is_zero():
             block = rng.randrange(0, amb.n + 1)
             results.append(groebner.monic(f, block))
             basis = [groebner.monic(h, block) for h in (g, f) if not h.is_zero()]
             results.append(groebner.normal_form(f * g + g, basis, block))
+            reduced.clear()
+            groebner.groebner_basis(PolyIdeal(amb, (f, g, f * g + f)), block)
+            results += reduced
+            spolys += len(reduced)
         target = numbered("u", rng.randrange(1, 4))
         images = {n: random_poly(rng, target, rng.randrange(0, 3)) for n in amb.names()}
         results.append(substitute(f, images, target))
         for r in results:
             assert_validated(r)
+    assert spolys > 100
