@@ -57,7 +57,6 @@ from .poly import (
     LogAmbient,
     PolyIdeal,
     Polynomial,
-    constant,
     format_monomial,
     monomial_saturation,
     rename,
@@ -486,18 +485,7 @@ def one_step_check(f: Polynomial) -> dict:
     orbit = {}
     for face in face_list:
         defining = {poly.facets[k].normal for k in face.defining}
-        images = {}
-        for j, ray in enumerate(b.fan.rays):
-            v = b.ray_vars[j]
-            if ray.standard:
-                images[v] = (
-                    constant(b.cox, 0)
-                    if ray.direction in defining
-                    else variable(b.cox, v)
-                )
-            else:
-                images[v] = constant(b.cox, 0 if ray.direction in defining else 1)
-        restricted = substitute(fm, images, b.cox)
+        restricted = _orbit_restriction(fm, b, defining)
         ftau = Polynomial(amb, {e: f.terms[e] for e in _face_terms(f, poly, face)})
         primed = rename(ftau, b.name_map, b.cox)
         label = ", ".join(format_monomial(amb, v) for v in face.vertices)
@@ -505,3 +493,27 @@ def one_step_check(f: Polynomial) -> dict:
     report["faces"] = orbit
     report["resolved"] = all(charts.values()) and all(orbit.values())
     return report
+
+
+def _orbit_restriction(fm: Polynomial, b: MultiWeightedBlowup, defining) -> Polynomial:
+    """fm on the exceptional orbit of a face: the Cox variable of a ray in
+    defining goes to 0, that of any other exceptional ray to 1, and a
+    standard ray's variable stays.  Such a map sends each term to one term
+    or to zero, so it is read off the exponents."""
+    zero, one = set(), set()
+    for j, ray in enumerate(b.fan.rays):
+        if ray.direction in defining:
+            zero.add(b.cox.index(b.ray_vars[j]))
+        elif not ray.standard:
+            one.add(b.cox.index(b.ray_vars[j]))
+    out: dict = {}
+    for e, c in fm.terms.items():
+        if any(e[i] for i in zero):
+            continue
+        e = tuple(0 if i in one else k for i, k in enumerate(e))
+        nc = out.get(e, 0) + c
+        if nc:
+            out[e] = nc
+        else:
+            out.pop(e, None)
+    return Polynomial._trusted(b.cox, out)

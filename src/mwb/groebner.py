@@ -2,9 +2,37 @@
 
 Everything runs through the kernel's normal-form loop; orders are grevlex
 (block == 0) or a block elimination order putting the first k variables in
-front (block == k).  Bases are reduced and monic, so they are unique for a
-given order and the determinism of every downstream consumer rests on the
-sorted pair selection here.
+front (block == k).
+
+groebner_basis keeps each basis element as a (lead, terms) pair: the lead
+is found once, when the element enters, and its terms are monic and list
+the lead first (a remainder from kernel.normal_form already does).  Pairs
+wait in a heap keyed (order_key(lcm), i, j), i < j the elements' entry
+indices, so the pair with the smallest lcm goes first and ties go to the
+oldest pair: the selection of a sorted scan over every pending pair.  It
+fixes the order of the work, so every count repeats from run to run.
+S-polynomials that vanish before reduction (two monomials) are not
+reduced.  Entering an element h updates the pending pairs the way of
+Gebauer and Moller (On an installation of Buchberger's algorithm, J. Symb.
+Comp. 1988):
+
+- new pairs (g, h) are grouped by lcm; a class whose lcm another class's
+  lcm properly divides goes (chain criterion), a class holding a pair with
+  coprime leads goes (Buchberger's criterion, which clears the class),
+  and every other class keeps one pair, the one with the oldest g;
+- an old pair (i, j) goes when lead(h) divides its lcm L and L is neither
+  lcm(lead(i), lead(h)) nor lcm(lead(j), lead(h));
+- every basis element whose lead lead(h) divides leaves the basis that
+  reduces and makes new pairs; its pending pairs stay.
+
+A skipped pair's S-polynomial has a standard representation through the
+pairs that are reduced, so what the run builds is a Groebner basis of the
+ideal, as the all-pairs run's is.  Why the output cannot change: its
+minimal part with tails reduced is the reduced monic basis, which is
+unique for the order; each element is a normal form, so its terms come
+in decreasing order, lead first (lead_pairs and dimension read leads off
+that); and bases are sorted by lead.  The run stops at the first constant
+it meets, with [1], the reduced basis of the unit ideal under every order.
 
 Saturation of a principal ideal at a monomial is division, since k[x] is
 a UFD and each variable is prime: (g) : m^inf = (g / x^e), x^e the largest
@@ -15,9 +43,7 @@ one elimination at the whole product measured slower on the drop corpus.
 
 Chart questions need no saturated ideal: (R/I)_f = R[w]/(I, w*f - 1), so
 dimension and codimension read one grevlex basis of that lift, and
-saturates_to_unit asks whether its dimension is negative.  Buchberger
-stops at the first constant remainder, the reduced basis of the unit
-ideal under every order.
+saturates_to_unit asks whether its dimension is negative.
 
 Dimension is read off the leading-term ideal by maximal independent
 variable sets, which is exact for a degree-compatible order like grevlex.
@@ -25,6 +51,7 @@ variable sets, which is exact for a degree-compatible order like grevlex.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from fractions import Fraction
 
@@ -35,9 +62,7 @@ from .poly import (
     LogAmbient,
     PolyIdeal,
     Polynomial,
-    constant,
     monomial,
-    rename,
     variable,
 )
 
@@ -49,84 +74,140 @@ def leading_term(p: Polynomial, block: int = 0):
     return lm, p.terms[lm]
 
 
+def _monic_terms(terms: dict, lead) -> dict:
+    lc = terms[lead]
+    if lc == 1:
+        return terms
+    inv = Fraction(1) / lc
+    return {e: c * inv for e, c in terms.items()}
+
+
 def monic(p: Polynomial, block: int = 0) -> Polynomial:
     lm, lc = leading_term(p, block)
     if lc == 1:
         return p
-    inv = Fraction(1) / lc
-    return Polynomial._trusted(p.ambient, {e: c * inv for e, c in p.terms.items()})
+    return Polynomial._trusted(p.ambient, _monic_terms(p.terms, lm))
 
 
-def _nf(p: Polynomial, basis, block: int) -> Polynomial:
-    # basis: list of (lm, terms dict) with monic entries
-    return Polynomial._trusted(p.ambient, kernel.normal_form(p.terms, basis, block))
+def lead_pairs(basis: list[Polynomial]) -> list[tuple]:
+    """The (lead, terms) pairs of a basis from groebner_basis, whose
+    elements list their lead first, as kernel.normal_form takes them."""
+    return [(next(iter(g.terms)), g.terms) for g in basis]
+
+
+def monic_remainder(p: Polynomial, pairs, block: int = 0) -> Polynomial:
+    """The normal form of p against (lead, terms) pairs, made monic; the
+    zero polynomial when p reduces to zero."""
+    r = kernel.normal_form(p.terms, pairs, block)
+    return Polynomial._trusted(p.ambient, _monic_terms(r, next(iter(r))) if r else r)
+
+
+def _s_polynomial(a, b, lcm) -> dict:
+    """S-polynomial of two monic (lead, terms) elements whose terms list
+    the lead first, lcm their leads' lcm; the leads cancel and are skipped."""
+    (la, ta), (lb, tb) = a, b
+    qa = kernel.mono_div(lcm, la)
+    qb = kernel.mono_div(lcm, lb)
+    s = {kernel.mono_mul(qa, e): c for e, c in itertools.islice(ta.items(), 1, None)}
+    for e, c in itertools.islice(tb.items(), 1, None):
+        m = kernel.mono_mul(qb, e)
+        nc = s.get(m, 0) - c
+        if nc:
+            s[m] = nc
+        else:
+            s.pop(m, None)
+    return s
+
+
+def _update(h: int, elements, live: list[int], pairs: dict, heap: list, block: int):
+    """Enter element h: the Gebauer-Moller update of the pending pairs and
+    of the basis indices in live."""
+    mh = elements[h][0]
+    lcm, divides = kernel.mono_lcm, kernel.mono_divides
+    classes: dict = {}  # lcm -> [oldest g with that lcm, whether any is coprime]
+    for g in live:
+        mg = elements[g][0]
+        L = lcm(mg, mh)
+        coprime = L == kernel.mono_mul(mg, mh)
+        c = classes.get(L)
+        if c is None:
+            classes[L] = [g, coprime]
+        elif coprime:
+            c[1] = True
+    for (i, j), L in list(pairs.items()):
+        if (
+            divides(mh, L)
+            and L != lcm(elements[i][0], mh)
+            and L != lcm(elements[j][0], mh)
+        ):
+            del pairs[i, j]
+    for L, (g, coprime) in classes.items():
+        if coprime or any(L2 != L and divides(L2, L) for L2 in classes):
+            continue
+        pairs[g, h] = L
+        heapq.heappush(heap, (kernel.order_key(L, block), g, h))
+    live[:] = [g for g in live if not divides(mh, elements[g][0])] + [h]
 
 
 def groebner_basis(ideal: PolyIdeal, block: int = 0) -> list[Polynomial]:
-    """Reduced monic basis, sorted by increasing leading monomial."""
-    gens = [monic(g, block) for g in ideal.generators if not g.is_zero()]
-    if not gens:
-        return []
-    G = list(gens)
-    lms = [leading_term(g, block)[0] for g in G]
+    """Reduced monic basis, sorted by increasing leading monomial; every
+    element lists its terms in decreasing order, its lead first."""
+    amb = ideal.ambient
+    one = (0,) * amb.n
+    elements: list[tuple] = []  # (lead, monic terms, lead first), by entry
+    live: list[int] = []  # indices of the basis that reduces
+    pairs: dict = {}  # pending (i, j) -> lcm of the two leads
+    heap: list = []  # (order_key(lcm), i, j); entries not in pairs are stale
 
-    def pairdata(i, j):
-        return kernel.order_key(kernel.mono_lcm(lms[i], lms[j]), block)
+    def enter(lead, terms) -> bool:
+        """Add a monic element unless it is a constant; False if it is."""
+        if lead == one:
+            return False
+        elements.append((lead, terms))
+        _update(len(elements) - 1, elements, live, pairs, heap, block)
+        return True
 
-    pairs = {(i, j): pairdata(i, j) for i, j in itertools.combinations(range(len(G)), 2)}
-    while pairs:
-        (i, j) = min(pairs, key=lambda ij: (pairs[ij], ij))
-        del pairs[(i, j)]
-        L = kernel.mono_lcm(lms[i], lms[j])
-        # Buchberger's coprimality criterion
-        if L == kernel.mono_mul(lms[i], lms[j]):
+    for g in ideal.generators:
+        lead, lc = leading_term(g, block)
+        if not enter(lead, _monic_terms({lead: lc, **g.terms}, lead)):
+            return [Polynomial._trusted(amb, {one: Fraction(1)})]
+    reducers = [elements[g] for g in live]
+    while heap:
+        _, i, j = heapq.heappop(heap)
+        L = pairs.pop((i, j), None)
+        if L is None:
             continue
-        qi = kernel.mono_div(L, lms[i])
-        qj = kernel.mono_div(L, lms[j])
-        # qi * G[i] has distinct terms; only qj * G[j] can cancel them
-        s = {kernel.mono_mul(qi, e): c for e, c in G[i].terms.items()}
-        for e, c in G[j].terms.items():
-            m = kernel.mono_mul(qj, e)
-            nc = s.get(m, Fraction(0)) - c
-            if nc:
-                s[m] = nc
-            else:
-                s.pop(m, None)
-        s = Polynomial._trusted(ideal.ambient, s)
-        r = _nf(s, list(zip(lms, (g.terms for g in G))), block)
-        if not r.is_zero():
-            r = monic(r, block)
-            if r.is_constant():
-                return [r]
-            G.append(r)
-            lms.append(leading_term(r, block)[0])
-            k = len(G) - 1
-            for i2 in range(k):
-                pairs[(i2, k)] = pairdata(i2, k)
+        s = _s_polynomial(elements[i], elements[j], L)
+        r = kernel.normal_form(s, reducers, block) if s else s
+        if r:
+            lead = next(iter(r))
+            if not enter(lead, _monic_terms(r, lead)):
+                return [Polynomial._trusted(amb, {one: Fraction(1)})]
+            reducers = [elements[g] for g in live]
 
-    # minimalize: drop elements whose lead is divisible by another lead
-    keep = []
-    for i, g in enumerate(G):
+    # minimal part: drop inputs whose lead another lead properly divides; no
+    # two leads are equal, since an entering element's lead drops any equal
+    # one, and a remainder's lead is irreducible by the basis
+    kept = [
+        g
+        for g in live
         if not any(
-            j != i
-            and kernel.mono_divides(lms[j], lms[i])
-            and (not kernel.mono_divides(lms[i], lms[j]) or j < i)
-            for j in range(len(G))
-        ):
-            keep.append(i)
+            h != g and kernel.mono_divides(elements[h][0], elements[g][0]) for h in live
+        )
+    ]
     reduced = []
-    for i in keep:
-        others = [(lms[j], G[j].terms) for j in keep if j != i]
-        r = _nf(G[i], others, block)
-        if not r.is_zero():
-            reduced.append(monic(r, block))
-    reduced.sort(key=lambda g: kernel.order_key(leading_term(g, block)[0], block))
-    return reduced
+    for g in kept:
+        lead, terms = elements[g]
+        others = [elements[h] for h in kept if h != g]
+        r = kernel.normal_form(terms, others, block)
+        reduced.append((kernel.order_key(lead, block), r))
+    reduced.sort(key=lambda kr: kr[0])
+    return [Polynomial._trusted(amb, r) for _, r in reduced]
 
 
 def normal_form(p: Polynomial, basis, block: int = 0) -> Polynomial:
     pairs = [(leading_term(g, block)[0], g.terms) for g in basis if not g.is_zero()]
-    return _nf(p, pairs, block)
+    return Polynomial._trusted(p.ambient, kernel.normal_form(p.terms, pairs, block))
 
 
 def member(p: Polynomial, ideal: PolyIdeal | list, block: int = 0) -> bool:
@@ -159,8 +240,13 @@ def _rabinowitsch(ideal: PolyIdeal, f: Polynomial) -> tuple[str, PolyIdeal]:
     amb = ideal.ambient
     w = _fresh_name(amb.names())
     scratch = LogAmbient(((w, ORDINARY),) + amb.variables)
-    lifted = [rename(g, {}, scratch) for g in ideal.generators]
-    lifted.append(variable(scratch, w) * rename(f, {}, scratch) - constant(scratch, 1))
+    lifted = [
+        Polynomial._trusted(scratch, {(0,) + e: c for e, c in g.terms.items()})
+        for g in ideal.generators
+    ]
+    wf = {(1,) + e: c for e, c in f.terms.items()}
+    wf[(0,) * scratch.n] = Fraction(-1)
+    lifted.append(Polynomial._trusted(scratch, wf))
     return w, PolyIdeal(scratch, lifted)
 
 
@@ -215,7 +301,7 @@ def dimension(ideal: PolyIdeal, names=()) -> int:
     basis = groebner_basis(ideal)
     if len(basis) == 1 and basis[0].is_constant():
         return -1
-    leads = [leading_term(g)[0] for g in basis]
+    leads = [lead for lead, _ in lead_pairs(basis)]
     for size in range(n, 0, -1):
         for sel in itertools.combinations(range(n), size):
             if all(any(e[i] for i in range(n) if i not in sel) for e in leads):

@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import groebner
+from . import groebner, kernel
 from .blowup import CenterIdeal, make_center
 from .errors import MwbError, NoRectifiableContact
 from .monomials import MonomialIdeal, minimalize, newton
@@ -115,11 +115,13 @@ def _prune(ambient, gens) -> tuple[list[Polynomial], list[Polynomial]]:
     )
     kept: list[Polynomial] = []
     basis: list[Polynomial] = []
+    pairs: list[tuple] = []
     for g in order:
-        if kept and groebner.normal_form(g, basis).is_zero():
+        if kept and not kernel.normal_form(g.terms, pairs, 0):
             continue
         kept.append(g)
         basis = groebner.groebner_basis(PolyIdeal(ambient, kept))
+        pairs = groebner.lead_pairs(basis)
     return kept, basis
 
 
@@ -142,16 +144,16 @@ class DerivativeTower:
 
     def _extend(self):
         prev = self.levels[-1]
-        basis = self.bases[-1]
+        pairs = groebner.lead_pairs(self.bases[-1])
         new = list(prev)
         for g in prev:
             for name in self.ambient.names():
                 d = log_derivation(g, name)
                 if d.is_zero():
                     continue
-                r = groebner.normal_form(d, basis) if basis else d
+                r = groebner.monic_remainder(d, pairs)
                 if not r.is_zero():
-                    new.append(groebner.monic(r))
+                    new.append(r)
         dedup, basis = _prune(self.ambient, new)
         self.levels.append(dedup)
         self.bases.append(basis)

@@ -13,7 +13,7 @@ is no longer pending are skipped when popped.
 """
 
 import heapq
-from operator import add
+from operator import add, le
 
 from .errors import BadOrder
 
@@ -46,7 +46,7 @@ def mono_mul(a, b):
 
 
 def mono_divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a, b):

@@ -17,10 +17,11 @@ The public constructor Polynomial(ambient, terms) validates and copies its
 input: every exponent becomes an int tuple of the ambient's length with no
 negative entry, every coefficient an exact Fraction, and zero terms are
 dropped.  Polynomial._trusted(ambient, terms) takes a term dict as it is.
-It serves only results that this module or groebner built from validated
-operands (sums, negations, products, powers, substitutions, derivations,
-monic rescalings, S-polynomials and normal forms), where those properties
-hold by construction.
+It serves only results that the package built from validated operands
+(sums, negations, products, powers, substitutions, renamings, unit
+stripping, derivations, monic rescalings, Rabinowitsch lifts,
+S-polynomials, normal forms and orbit restrictions), where those
+properties hold by construction.
 
 substitute works on raw term dicts: each image's powers are built once by
 repeated squaring and every term of the source is expanded with one
@@ -379,7 +380,7 @@ def rename(p: Polynomial, mapping: dict, target: LogAmbient) -> Polynomial:
         for i, k in enumerate(e):
             e2[perm[i]] = k
         t[tuple(e2)] = c
-    return Polynomial(target, t)
+    return Polynomial._trusted(target, t)
 
 
 def restrict(p: Polynomial, name: str, value: Polynomial | None = None) -> Polynomial:
@@ -413,7 +414,7 @@ def strip_inverted_units(p: Polynomial) -> tuple[Polynomial, Vec]:
     t = {
         tuple(x - r for x, r in zip(e, rem)): c for e, c in p.terms.items()
     }
-    return Polynomial(p.ambient, t), tuple(rem)
+    return Polynomial._trusted(p.ambient, t), tuple(rem)
 
 
 # -- ideals -----------------------------------------------------------------

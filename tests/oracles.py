@@ -5,10 +5,12 @@ rational arithmetic: polyhedron membership by phase-one simplex
 feasibility, vertex sets by the convex-combination characterization,
 facets from the normal of every (n - 1)-subset of difference vectors,
 faces from every subset of facets, valuations by direct minimization over
-terms, saturations by eliminating an auxiliary variable, unit saturations
-by building the saturated ideal, coefficient ideals by every mixed product
-over the minimal tuples, substitution by Polynomial powers and products,
-normal forms by scanning every pending term for the largest.  The
+terms, Groebner bases by Buchberger's algorithm over every pair,
+saturations by eliminating an auxiliary variable, unit saturations by
+building the saturated ideal, Rabinowitsch lifts by renaming and
+Polynomial arithmetic, coefficient ideals by every mixed product over the
+minimal tuples, substitution by Polynomial powers and products, normal
+forms by scanning every pending term for the largest.  The
 implementations are deliberately naive; their job is to disagree loudly,
 not to be fast.
 """
@@ -22,10 +24,18 @@ from fractions import Fraction
 
 from mwb import kernel
 from mwb.errors import IncompleteSubstitution, MwbError
-from mwb.groebner import groebner_basis, is_unit_ideal
+from mwb.groebner import groebner_basis, is_unit_ideal, leading_term, monic
 from mwb.invariant import _prune
 from mwb.polyhedra import Face, Facet, NewtonPolyhedron
-from mwb.poly import LogAmbient, PolyIdeal, Polynomial, constant, variable
+from mwb.poly import (
+    LogAmbient,
+    PolyIdeal,
+    Polynomial,
+    constant,
+    monomial,
+    rename,
+    variable,
+)
 
 
 def feasible(A, b):
@@ -382,3 +392,70 @@ def scan_normal_form(f, basis, block):
             else:
                 work.pop(m, None)
     return out
+
+
+def all_pairs_groebner_basis(ideal, block=0):
+    """Reduced monic basis by Buchberger's algorithm with no criterion but
+    coprime leads: every pair of elements is reduced against every element
+    entered so far, smallest lcm first, then the result is minimalized and
+    inter-reduced."""
+    amb = ideal.ambient
+    G = [monic(g, block) for g in ideal.generators]
+    if not G:
+        return []
+    lms = [leading_term(g, block)[0] for g in G]
+
+    def nf(p, idx):
+        pairs = [(lms[j], G[j].terms) for j in idx]
+        return Polynomial._trusted(amb, kernel.normal_form(p.terms, pairs, block))
+
+    def lcm_key(ij):
+        return kernel.order_key(kernel.mono_lcm(lms[ij[0]], lms[ij[1]]), block)
+
+    pairs = set(itertools.combinations(range(len(G)), 2))
+    while pairs:
+        i, j = min(pairs, key=lambda ij: (lcm_key(ij), ij))
+        pairs.discard((i, j))
+        L = kernel.mono_lcm(lms[i], lms[j])
+        if L == kernel.mono_mul(lms[i], lms[j]):
+            continue
+        qi = monomial(amb, kernel.mono_div(L, lms[i]))
+        qj = monomial(amb, kernel.mono_div(L, lms[j]))
+        r = nf(qi * G[i] - qj * G[j], range(len(G)))
+        if not r.is_zero():
+            r = monic(r, block)
+            if r.is_constant():
+                return [r]
+            G.append(r)
+            lms.append(leading_term(r, block)[0])
+            pairs |= {(k, len(G) - 1) for k in range(len(G) - 1)}
+
+    keep = [
+        i
+        for i in range(len(G))
+        if not any(
+            j != i
+            and kernel.mono_divides(lms[j], lms[i])
+            and (not kernel.mono_divides(lms[i], lms[j]) or j < i)
+            for j in range(len(G))
+        )
+    ]
+    reduced = [monic(nf(G[i], [j for j in keep if j != i]), block) for i in keep]
+    return sorted(
+        reduced, key=lambda g: kernel.order_key(leading_term(g, block)[0], block)
+    )
+
+
+def rabinowitsch_by_rename(ideal, f):
+    """I + (w*f - 1) built by renaming into k[w, x] and Polynomial
+    arithmetic, w the first name free in the ambient."""
+    amb = ideal.ambient
+    w = "w"
+    while w in amb.names():
+        w += "_"
+    lifted_amb = LogAmbient(((w, "ordinary"),) + amb.variables)
+    lifted = [rename(g, {}, lifted_amb) for g in ideal.generators]
+    lifted.append(
+        variable(lifted_amb, w) * rename(f, {}, lifted_amb) - constant(lifted_amb, 1)
+    )
+    return PolyIdeal(lifted_amb, lifted)

@@ -1,11 +1,21 @@
 """Resolution driver: worked trees, the drop law, and the one-step checks."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import F_TEXT, ambient, drop_corpus, ideal, nondegenerate_samples, poly
+from conftest import (
+    F_TEXT,
+    ambient,
+    drop_corpus,
+    ideal,
+    nondegenerate_samples,
+    poly,
+    random_polynomial,
+)
 from mwb import engine, groebner
+from mwb.blowup import build_blowup, weak_transform
 from mwb.engine import (
     blowup_equal,
     chart_origin,
@@ -19,7 +29,15 @@ from mwb.engine import (
 from mwb.errors import DepthExceeded, MwbError
 from mwb.invariant import compare, invariant_at
 from mwb.monomials import newton
-from mwb.poly import PolyIdeal, Polynomial, format_polynomial, monomial_saturation, substitute
+from mwb.poly import (
+    PolyIdeal,
+    Polynomial,
+    constant,
+    format_polynomial,
+    monomial_saturation,
+    substitute,
+    variable,
+)
 from mwb.polyhedra import dot, faces, newton_polyhedron
 
 
@@ -290,6 +308,34 @@ class TestOneStep:
         for f in nondegenerate_samples(1204, 40):
             term_ideal = monomial_saturation(PolyIdeal(f.ambient, (f,)))
             assert newton_polyhedron(list(f.terms), f.ambient.n) == newton(term_ideal)
+
+    def test_orbit_restriction_is_the_substitution(self):
+        # reading the orbit restriction off the exponents agrees with the
+        # ring map it stands for, term order included, on every face; for
+        # the weak transform and for a random polynomial on the Cox ring,
+        # whose terms merge and cancel once variables go to 1
+        rng = random.Random(1205)
+        for f in nondegenerate_samples(1204, 40):
+            amb = f.ambient
+            ideal_f = PolyIdeal(amb, (f,))
+            b = build_blowup(monomial_saturation(ideal_f), amb)
+            fm = weak_transform(b, ideal_f)[0].generators[0]
+            p = newton_polyhedron(list(f.terms), amb.n)
+            for face in faces(p):
+                defining = {p.facets[k].normal for k in face.defining}
+                images = {}
+                for ray, v in zip(b.fan.rays, b.ray_vars):
+                    if ray.direction in defining:
+                        images[v] = constant(b.cox, 0)
+                    elif ray.standard:
+                        images[v] = variable(b.cox, v)
+                    else:
+                        images[v] = constant(b.cox, 1)
+                for g in (fm, random_polynomial(rng, b.cox, max_terms=8, max_entry=1)):
+                    got = engine._orbit_restriction(g, b, defining)
+                    want = substitute(g, images, b.cox)
+                    assert got.ambient == want.ambient
+                    assert list(got.terms.items()) == list(want.terms.items())
 
 
 def test_principal_resolutions_eliminate_nothing(monkeypatch):

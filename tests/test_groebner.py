@@ -6,7 +6,7 @@ import sympy
 
 import oracles
 from conftest import F_TEXT, ambient, ideal, poly, random_polynomial
-from mwb import PolyIdeal, Polynomial
+from mwb import PolyIdeal, Polynomial, groebner
 from mwb.groebner import (
     codimension,
     dimension,
@@ -265,6 +265,69 @@ def test_dimension_on_a_chart_matches_the_saturated_ideal():
             assert saturates_to_unit(i, sub) == (dim < 0)
             seen.add(dim < 0)
     assert seen == {True, False}
+
+
+def test_groebner_basis_matches_the_all_pairs_oracle():
+    # the Gebauer-Moller run against Buchberger over every pair, term dict
+    # for term dict and term order included, under every block order: on
+    # 2-4 variables and 1-4 generators, plus inputs with equal and dividing
+    # leads, unit ideals and Rabinowitsch lifts of 2-3 variables
+    rng = random.Random(3013)
+    kinds = set()
+    for k in range(48):
+        shape = k % 4
+        # lifts add a variable; binomials on four variables keep the
+        # all-pairs runs short
+        amb = random_log_ambient(rng, rng.randint(2, 3 if shape == 3 else 4))
+        gens = [
+            random_polynomial(rng, amb, max_terms=5 - amb.n, max_entry=2)
+            for _ in range(rng.randint(1, 4))
+        ]
+        if shape == 1:
+            # multiples of gens[0] before and after it, two with one lead:
+            # leads divide or equal each other under every order
+            x, y = (variable(amb, n) for n in (amb.names()[0], amb.names()[-1]))
+            g = gens[0]
+            gens = [g * x] + gens + [g * (x + constant(amb, 1)), g * y]
+        elif shape == 2:
+            h = random_polynomial(rng, amb, max_terms=2, max_entry=1)
+            gens.append(gens[0] * h + constant(amb, 1))
+        i = PolyIdeal(amb, tuple(gens))
+        if shape == 3:
+            m = Polynomial(amb, {tuple(rng.randint(0, 1) for _ in range(amb.n)): 1})
+            i = oracles.rabinowitsch_by_rename(i, m)
+        for block in range(i.ambient.n + 1):
+            got = groebner_basis(i, block)
+            want = oracles.all_pairs_groebner_basis(i, block)
+            assert [list(g.terms.items()) for g in got] == [
+                list(g.terms.items()) for g in want
+            ], (i, block)
+            kinds.add((shape, got == [constant(i.ambient, 1)]))
+    assert {(0, False), (1, False), (2, True), (3, False), (3, True)} <= kinds
+
+
+def test_rabinowitsch_lift_matches_polynomial_arithmetic():
+    # the lift built from term dicts against renaming and arithmetic, on
+    # ambients that already use the name w
+    rng = random.Random(3014)
+    for k in range(60):
+        n = rng.randint(1, 3)
+        if k % 3:
+            amb = random_log_ambient(rng, n)
+        else:
+            amb = ambient(ordinary=",".join(("w", "w_", "w__")[:n]))
+        gens = [
+            random_polynomial(rng, amb, max_terms=3) for _ in range(rng.randint(0, 3))
+        ]
+        f = random_polynomial(rng, amb, max_terms=2 if k % 2 else 1, max_entry=2)
+        i = PolyIdeal(amb, tuple(gens))
+        w, got = groebner._rabinowitsch(i, f)
+        want = oracles.rabinowitsch_by_rename(i, f)
+        assert w == want.ambient.names()[0]
+        assert got == want
+        assert [list(g.terms.items()) for g in got.generators] == [
+            list(g.terms.items()) for g in want.generators
+        ]
 
 
 def test_codimension_and_dimension():

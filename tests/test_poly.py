@@ -255,16 +255,19 @@ def assert_validated(p):
 
 def test_trusted_results_pass_the_public_constructor(monkeypatch):
     # results built without validation hold what validation would enforce;
-    # groebner_basis hands its S-polynomials to _nf, which records them
+    # groebner_basis builds every S-polynomial it reduces in _s_polynomial,
+    # which records them
     reduced = []
-    original_nf = groebner._nf
+    original_s_polynomial = groebner._s_polynomial
 
-    def recording_nf(p, basis, block):
-        reduced.append(p)
-        return original_nf(p, basis, block)
+    def recording_s_polynomial(a, b, lcm):
+        s = original_s_polynomial(a, b, lcm)
+        reduced.append(s)
+        return s
 
-    monkeypatch.setattr(groebner, "_nf", recording_nf)
+    monkeypatch.setattr(groebner, "_s_polynomial", recording_s_polynomial)
     rng = random.Random(7102)
+    relabel = random.Random(7103)  # draws for renaming and unit stripping
     spolys = 0
     for _ in range(120):
         amb = numbered("x", rng.randrange(1, 4), rng.choice(("ordinary", "monomial")))
@@ -273,14 +276,23 @@ def test_trusted_results_pass_the_public_constructor(monkeypatch):
         results = [f + g, f - g, -f, f * g, f * scalar, f ** rng.randrange(0, 4)]
         for name in amb.names():
             results += [derivative(f, name), log_derivation(f, name)]
+        names = list(amb.names())
+        relabel.shuffle(names)
+        target = numbered("v", amb.n)
+        results.append(rename(f, dict(zip(names, target.names())), target))
+        inverted = relabel.sample(names, relabel.randrange(0, amb.n + 1))
+        inv = amb.with_inverted(inverted)
+        unit = monomial(inv, [relabel.randrange(0, 3) for _ in range(amb.n)])
+        results.append(strip_inverted_units(Polynomial(inv, f.terms) * unit)[0])
         if not f.is_zero():
             block = rng.randrange(0, amb.n + 1)
             results.append(groebner.monic(f, block))
             basis = [groebner.monic(h, block) for h in (g, f) if not h.is_zero()]
             results.append(groebner.normal_form(f * g + g, basis, block))
+            results += groebner._rabinowitsch(PolyIdeal(amb, (f, g)), f)[1].generators
             reduced.clear()
             groebner.groebner_basis(PolyIdeal(amb, (f, g, f * g + f)), block)
-            results += reduced
+            results += [Polynomial._trusted(amb, s) for s in reduced]
             spolys += len(reduced)
         target = numbered("u", rng.randrange(1, 4))
         images = {n: random_poly(rng, target, rng.randrange(0, 3)) for n in amb.names()}
