@@ -41,9 +41,17 @@ ideal, and only there: adjoin w, add w*f - 1, eliminate w with a block
 order.  Products are saturated factor by factor (saturate_at_variables):
 one elimination at the whole product measured slower on the drop corpus.
 
-Chart questions need no saturated ideal: (R/I)_f = R[w]/(I, w*f - 1), so
-dimension and codimension read one grevlex basis of that lift, and
-saturates_to_unit asks whether its dimension is negative.
+Chart questions need no saturated ideal.  Write R_f for k[x] with the
+named variables inverted (f their product).  Two theorems come first, in
+this order, and need no basis: a generator c*x^a whose variables are all
+named is a unit of R_f (k[x] is a UFD and each variable is prime, so the
+units of R_f are exactly these terms), and the ring is zero; otherwise a
+single generator is a nonzero nonunit of the affine domain R_f, which cuts
+the dimension by exactly one (Krull's principal ideal theorem; affine
+domains are catenary).  Every other ideal goes through the lift:
+(R/I)_f = R[w]/(I, w*f - 1), so dimension and codimension read one grevlex
+basis of it.  saturates_to_unit asks whether the dimension is negative,
+so it answers by the same theorems.
 
 Dimension is read off the leading-term ideal by maximal independent
 variable sets, which is exact for a degree-compatible order like grevlex.
@@ -291,13 +299,28 @@ def saturate_at_variables(ideal: PolyIdeal, names) -> PolyIdeal:
 
 def dimension(ideal: PolyIdeal, names=()) -> int:
     """Krull dimension of (R/I)_f, which is that of R/(I : f^inf), f the
-    product of the named variables (1 when none); -1 for the zero ring."""
-    if names:
-        e = [0] * ideal.ambient.n
-        for name in names:
-            e[ideal.ambient.index(name)] += 1
-        ideal = _rabinowitsch(ideal, monomial(ideal.ambient, e))[1]
+    product of the named variables (1 when none); -1 for the zero ring.
+
+    Two theorems answer first, in this order, with no basis.  A generator
+    c*x^a with every variable of x^a named is a unit of R_f, so the ring is
+    zero: -1.  Otherwise a single generator is a nonzero nonunit of the
+    affine domain R_f, which cuts the dimension by exactly one (Krull's
+    principal ideal theorem; affine domains are catenary): n - 1.  Every
+    other ideal has its dimension read off the lift's basis."""
     n = ideal.ambient.n
+    f = [0] * n
+    for name in names:
+        f[ideal.ambient.index(name)] += 1
+    for g in ideal.generators:
+        if len(g.terms) == 1:
+            (e,) = g.terms
+            if all(f[i] or not k for i, k in enumerate(e)):
+                return -1
+    if len(ideal.generators) == 1:
+        return n - 1
+    if names:
+        ideal = _rabinowitsch(ideal, monomial(ideal.ambient, f))[1]
+        n += 1
     basis = groebner_basis(ideal)
     if len(basis) == 1 and basis[0].is_constant():
         return -1

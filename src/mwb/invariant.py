@@ -130,16 +130,20 @@ class DerivativeTower:
 
     Stage m+1 extends stage m by every log derivation of every stored
     generator; candidates reducing to zero against the previous stage's
-    Groebner basis are dropped and the rest pruned to curb growth.  Stored
+    Groebner basis are dropped and the rest pruned to curb growth; from
+    stage 1 on, a stage that gains no candidate is carried over with its
+    basis, which is what pruning it again would rebuild.  Stored
     generators, not the reduced bases, feed contact selection and
     coefficient ideals.  The tower serves the pointwise questions (log
     order, maximal contact, monomial part); d_leq needs none of this."""
 
-    def __init__(self, ideal: PolyIdeal):
+    def __init__(self, ideal: PolyIdeal, basis: list[Polynomial] | None = None):
+        """basis, when given, is groebner.groebner_basis(ideal), already
+        computed by the caller."""
         self.ambient = ideal.ambient
         self.levels: list[list[Polynomial]] = [list(ideal.generators)]
         self.bases: list[list[Polynomial]] = [
-            groebner.groebner_basis(ideal)
+            groebner.groebner_basis(ideal) if basis is None else basis
         ]
 
     def _extend(self):
@@ -154,7 +158,12 @@ class DerivativeTower:
                 r = groebner.monic_remainder(d, pairs)
                 if not r.is_zero():
                     new.append(r)
-        dedup, basis = _prune(self.ambient, new)
+        if len(new) == len(prev) and len(self.levels) > 1:
+            # a pruned stage that no derivation leaves: pruning it again
+            # keeps every generator and rebuilds the same basis
+            dedup, basis = prev, self.bases[-1]
+        else:
+            dedup, basis = _prune(self.ambient, new)
         self.levels.append(dedup)
         self.bases.append(basis)
 
@@ -318,10 +327,11 @@ def coefficient_ideal(ideal: PolyIdeal, b: int, tower: DerivativeTower | None = 
     if tower is None:
         tower = DerivativeTower(ideal)
     levels = [tower.level(j) for j in range(b)]
-    return _products_ideal(levels, b, ideal.ambient)
+    return _products_ideal(levels, b, ideal.ambient)[0]
 
 
-def _products_ideal(levels, b: int, ambient) -> PolyIdeal:
+def _products_ideal(levels, b: int, ambient) -> tuple[PolyIdeal, list[Polynomial]]:
+    """C(I, b) from the stage generators, pruned, with its Groebner basis."""
     if b > 4 and any(levels[j] for j in range(b)):
         # from b = 5 on the pure powers are J^{24} up to J^{120}; nothing at
         # desk scale gets here without the zero-restriction shortcut firing
@@ -332,7 +342,8 @@ def _products_ideal(levels, b: int, ambient) -> PolyIdeal:
         level = _prune(ambient, levels[j])[0]
         for combo in itertools.combinations_with_replacement(level, c[j]):
             gens.append(math.prod(combo[1:], start=combo[0]))
-    return PolyIdeal(ambient, _prune(ambient, gens)[0])
+    kept, basis = _prune(ambient, gens)
+    return PolyIdeal(ambient, kept), basis
 
 
 # -- the invariant recursion ------------------------------------------------
@@ -361,10 +372,11 @@ def invariant_at(ideal: PolyIdeal, point) -> tuple[Invariant, Center | None]:
     contacts: list[Contact] = []
     dropped: list[str] = []  # contact variables, in order
     work = ideal
+    work_basis = None  # the input's basis is the tower's to compute
     cur_point = point
 
     while True:
-        tower = DerivativeTower(work)
+        tower = DerivativeTower(work, work_basis)
         b = logord_at(work, cur_point, tower)
         if b == 0:
             if not entries:
@@ -409,9 +421,10 @@ def invariant_at(ideal: PolyIdeal, point) -> tuple[Invariant, Center | None]:
             rlevels.append(rl)
         sub = tower.ambient.drop(contact.name)
         if all(not rl for rl in rlevels):
-            work = PolyIdeal(sub, ())  # restriction killed everything
+            # restriction killed everything: the zero ideal, empty basis
+            work, work_basis = PolyIdeal(sub, ()), []
         else:
-            work = _products_ideal(rlevels, b, sub)
+            work, work_basis = _products_ideal(rlevels, b, sub)
         cur_point = cur_point[:i] + cur_point[i + 1 :]
 
         if len(bvals) > amb0.n:

@@ -20,8 +20,8 @@ dropped.  Polynomial._trusted(ambient, terms) takes a term dict as it is.
 It serves only results that the package built from validated operands
 (sums, negations, products, powers, substitutions, renamings, unit
 stripping, derivations, monic rescalings, Rabinowitsch lifts,
-S-polynomials, normal forms and orbit restrictions), where those
-properties hold by construction.
+S-polynomials, normal forms, orbit restrictions and restrictions to a
+coordinate hyperplane), where those properties hold by construction.
 
 substitute works on raw term dicts: each image's powers are built once by
 repeated squaring and every term of the source is expanded with one
@@ -386,12 +386,17 @@ def rename(p: Polynomial, mapping: dict, target: LogAmbient) -> Polynomial:
 def restrict(p: Polynomial, name: str, value: Polynomial | None = None) -> Polynomial:
     """Substitute value (default 0) for the named variable and drop it.
 
-    The value must live on the reduced ambient (free of the variable)."""
+    The value must live on the reduced ambient (free of the variable).  A
+    zero value is read off the exponents: the terms free of the variable
+    stay, in substitute's order, with its coordinate deleted."""
     sub = p.ambient.drop(name)
-    if value is None:
-        value = Polynomial(sub, {})
-    if value.ambient != sub:
+    if value is not None and value.ambient != sub:
         raise AmbientMismatch("restriction value must live on the reduced ambient")
+    if value is None or value.is_zero():
+        i = p.ambient.index(name)
+        return Polynomial._trusted(
+            sub, {e[:i] + e[i + 1 :]: c for e, c in p.terms.items() if not e[i]}
+        )
     images = {}
     for n in p.ambient.names():
         images[n] = value if n == name else variable(sub, n)

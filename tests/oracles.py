@@ -7,7 +7,8 @@ facets from the normal of every (n - 1)-subset of difference vectors,
 faces from every subset of facets, valuations by direct minimization over
 terms, Groebner bases by Buchberger's algorithm over every pair,
 saturations by eliminating an auxiliary variable, unit saturations by
-building the saturated ideal, Rabinowitsch lifts by renaming and
+building the saturated ideal, dimensions from every variable set against
+a basis's leading terms, Rabinowitsch lifts by renaming and
 Polynomial arithmetic, coefficient ideals by every mixed product over the
 minimal tuples, substitution by Polynomial powers and products, normal
 forms by scanning every pending term for the largest.  The
@@ -337,6 +338,22 @@ def unit_after_saturation(ideal, names):
     for name in names:
         ideal = elimination_saturate(ideal, variable(ideal.ambient, name))
     return is_unit_ideal(ideal)
+
+
+def basis_dimension(ideal):
+    """Krull dimension of R/I from the leading terms of a grevlex basis,
+    found by scanning, as the largest variable set no leading term lies
+    in; -1 for the unit ideal.  No theorem shortcut."""
+    n = ideal.ambient.n
+    leads = [leading_term(g)[0] for g in groebner_basis(ideal)]
+    if any(not any(e) for e in leads):
+        return -1
+    return max(
+        size
+        for size in range(n + 1)
+        for sel in itertools.combinations(range(n), size)
+        if all(any(e[i] for i in range(n) if i not in sel) for e in leads)
+    )
 
 
 def naive_substitute(p, images, target):

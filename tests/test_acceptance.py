@@ -426,7 +426,8 @@ def test_pure_power_coefficient_ideals_agree_with_the_product_form(monkeypatch):
     def product_form(levels, b, amb):
         if max(len(mwb.invariant._prune(amb, lv)[0]) for lv in levels) > 1:
             multi.add(b)
-        return oracles.product_coefficient_ideal(levels, b, amb)
+        # no basis: the tower computes the product form's own
+        return oracles.product_coefficient_ideal(levels, b, amb), None
 
     monkeypatch.setattr(mwb.invariant, "_products_ideal", product_form)
     for (kind, i), want in zip(drop_corpus(), want_trees):

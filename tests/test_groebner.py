@@ -243,28 +243,79 @@ def test_saturation_of_the_zero_ideal_is_zero():
     assert oracles.elimination_saturate(PolyIdeal(amb, ()), variable(amb, "x")).is_zero()
 
 
-def test_dimension_on_a_chart_matches_the_saturated_ideal():
-    # dim (R/I)_f from the lift against dim R/(I : f^inf) by elimination,
-    # on ideals of two or three generators and every set of inverted names
-    rng = random.Random(3012)
-    seen = set()
-    for k in range(60):
-        amb = random_log_ambient(rng, rng.randint(2, 3))
-        gens = [
+def _chart_dimension_inputs(rng, amb, shape):
+    """Generators of one input shape for the chart dimension test."""
+    n = amb.n
+    if shape == "random":
+        return [
             random_polynomial(rng, amb, max_terms=2, max_entry=3)
             for _ in range(rng.randint(2, 3))
         ]
+    if shape == "principal":
+        return [random_polynomial(rng, amb, max_terms=3, max_entry=3)]
+    others = [
+        random_polynomial(rng, amb, max_terms=2, max_entry=2)
+        for _ in range(rng.randint(0, 2))
+    ]
+    if shape == "monomial":
+        # a term c x^a on one or two variables: a unit exactly when every
+        # one of them is inverted
+        support = rng.sample(range(n), rng.randint(1, 2))
+        e = tuple(rng.randint(1, 3) if i in support else 0 for i in range(n))
+        gens = [Polynomial(amb, {e: rng.choice((1, -2, Fraction(1, 3)))})]
+    elif shape == "constant":
+        # a nonzero constant, or 0, which leaves the zero ideal when alone
+        gens = [constant(amb, rng.choice((0, 1, -2, Fraction(1, 3))))]
+        others = others[:1]
+    else:
+        # u (1 + x): a unit times a nonunit when u is inverted
+        u, x = rng.sample(amb.names(), 2)
+        unit = variable(amb, u) ** rng.randint(1, 2)
+        return [unit * (variable(amb, x) + constant(amb, 1))]
+    gens += others
+    rng.shuffle(gens)
+    return gens
+
+
+def test_dimension_on_a_chart_matches_the_saturated_ideal():
+    # dim (R/I)_f against dim R/(I : f^inf), saturated by elimination and
+    # read off a basis with no shortcut, under every set of inverted names:
+    # random ideals of two or three generators, and the inputs the unit and
+    # principal theorems answer or must leave alone (principal ideals, a
+    # unit-monomial generator, monomials on a variable left uninverted,
+    # constants, the zero ideal, u (1 + x))
+    rng = random.Random(3012)
+    shapes = ("random", "principal", "monomial", "constant", "unit times 1 + x")
+    seen = set()
+    for k in range(120):
+        shape = shapes[k % len(shapes)]
+        amb = random_log_ambient(rng, rng.randint(2, 3))
+        gens = _chart_dimension_inputs(rng, amb, shape)
         i = PolyIdeal(amb, tuple(gens))
         for sub in _every_subset(amb.names()):
             saturated = i
             for name in sub:
                 saturated = oracles.elimination_saturate(saturated, variable(amb, name))
             dim = dimension(i, sub)
-            assert dim == dimension(saturated), (gens, sub)
+            assert dim == oracles.basis_dimension(saturated), (gens, sub)
             assert codimension(i, sub) == amb.n - dim
             assert saturates_to_unit(i, sub) == (dim < 0)
-            seen.add(dim < 0)
-    assert seen == {True, False}
+            kind = {-1: "unit", amb.n - 1: "hypersurface", amb.n: "all"}.get(dim)
+            seen.add((shape, kind))
+    assert {
+        ("random", "unit"),
+        ("random", "hypersurface"),
+        ("random", None),
+        ("principal", "unit"),
+        ("principal", "hypersurface"),
+        ("monomial", "unit"),
+        ("monomial", "hypersurface"),
+        ("monomial", None),
+        ("constant", "unit"),
+        ("constant", "hypersurface"),
+        ("constant", "all"),
+        ("unit times 1 + x", "hypersurface"),
+    } <= seen
 
 
 def test_groebner_basis_matches_the_all_pairs_oracle():

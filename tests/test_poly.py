@@ -243,6 +243,37 @@ def test_substitute_rejects_images_off_the_target():
         substitute(poly(source, "x0"), images, target)
 
 
+def random_flagged_ambient(rng, n):
+    """n variables with random flags, some of them inverted."""
+    flags = ("ordinary", "monomial", "exceptional")
+    variables = [(f"x{i}", rng.choice(flags)) for i in range(n)]
+    inverted = [v for v, _ in variables if rng.random() < 0.3]
+    return LogAmbient(variables, inverted)
+
+
+def test_restriction_by_exponents_matches_substitution():
+    # restrict with no value or the zero value against substitute with a
+    # zero image, term order included, on ordinary, log and inverted
+    # variables
+    rng = random.Random(7104)
+    kinds = set()
+    for _ in range(200):
+        amb = random_flagged_ambient(rng, rng.randrange(1, 5))
+        p = random_poly(rng, amb, rng.randrange(0, 7))
+        name = rng.choice(amb.names())
+        sub = amb.drop(name)
+        images = {n: variable(sub, n) for n in amb.names() if n != name}
+        images[name] = Polynomial(sub, {})
+        want = substitute(p, images, sub)
+        for got in (restrict(p, name), restrict(p, name, Polynomial(sub, {}))):
+            assert got.ambient == sub
+            assert list(got.terms.items()) == list(want.terms.items())
+        kind = "inverted" if name in amb.inverted else amb.flag(name)
+        kinds.add((kind, want.is_zero()))
+    flags = ("ordinary", "monomial", "exceptional", "inverted")
+    assert {(k, z) for k in flags for z in (True, False)} <= kinds
+
+
 def assert_validated(p):
     """p is what the public constructor makes of its own terms."""
     n = p.ambient.n
@@ -267,7 +298,7 @@ def test_trusted_results_pass_the_public_constructor(monkeypatch):
 
     monkeypatch.setattr(groebner, "_s_polynomial", recording_s_polynomial)
     rng = random.Random(7102)
-    relabel = random.Random(7103)  # draws for renaming and unit stripping
+    relabel = random.Random(7103)  # draws for renaming, unit stripping, restriction
     spolys = 0
     for _ in range(120):
         amb = numbered("x", rng.randrange(1, 4), rng.choice(("ordinary", "monomial")))
@@ -297,6 +328,9 @@ def test_trusted_results_pass_the_public_constructor(monkeypatch):
         target = numbered("u", rng.randrange(1, 4))
         images = {n: random_poly(rng, target, rng.randrange(0, 3)) for n in amb.names()}
         results.append(substitute(f, images, target))
+        name = relabel.choice(amb.names())
+        zero = Polynomial(amb.drop(name), {})
+        results += [restrict(f, name), restrict(f, name, zero)]
         for r in results:
             assert_validated(r)
     assert spolys > 100
