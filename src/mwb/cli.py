@@ -488,7 +488,6 @@ def cmd_center(args) -> None:
 
     assembled = assemble_center(cid, ambient)
     lines.append(f"center: {inv_mod.center_display(center, ambient)}")
-    lines.append(f"d: {center.d}")
     lines.append(
         "ideal: ("
         + ", ".join(format_monomial(ambient, g) for g in assembled.gens)
@@ -502,7 +501,6 @@ def cmd_center(args) -> None:
             )
     obj.update(
         center=inv_mod.center_display(center, ambient),
-        d=center.d,
         ideal=[format_monomial(ambient, g) for g in assembled.gens],
         root=root,
         weights=list(weights),

@@ -352,7 +352,6 @@ def reembed_check(ideal: PolyIdeal, point=None) -> dict:
         and tuple(c.name for c in c1.contacts[1:])
         == tuple(c.name for c in c0.contacts)
         and c1.orders == (Fraction(1),) + c0.orders
-        and c1.d == c0.d
         and c1.q.gens == tuple((0,) + g for g in c0.q.gens)
     )
     cid0, root0, _ = reduced_center(c0, amb)

@@ -1,29 +1,37 @@
-"""Logarithmic derivatives, order, maximal contact, and the invariant.
+"""Logarithmic order, maximal contact, and the invariant.
 
 The ambient's log structure fixes which derivations exist: d/dx for an
 ordinary variable, the Euler operator x d/dx for a monomial or exceptional
-one.  Iterating them gives the chain I = D^{<=0} subset D^{<=1} subset ...;
-the logarithmic order of I at a point p is the first m whose stage does not
-vanish at p, infinite when the chain stabilizes while still vanishing.  A
-stabilized chain is a monomial ideal in the log variables near p; its
-monomial part is read off the stored generators' terms (smallest monomial
-ideal containing them), with unit factors in chart-inverted variables
-stripped generator by generator.
+one.  The logarithmic order of a polynomial at a point p is the order at p
+of its terms that no log variable vanishing at p divides, infinite when
+there is no such term.  An ideal's log order is the least over its
+generators, since a derivation of h*g lies in (g, D g).
 
-The invariant at p is computed by the usual maximal-contact recursion:
-b_1 = logord, restrict the coefficient ideal
+The invariant at p is computed in the Rees-algebra form of the
+maximal-contact recursion (Villamayor, Rees algebras on smooth schemes,
+2008; Abramovich-Temkin-Wlodarczyk, arXiv:1906.07106).  A family of
+weighted pairs (g, delta), delta a positive rational, starts as (g, 1) for
+each generator, and each step
 
-    C(I, b) = sum_{j<b} (D^{<=j}(I))^{b!/(b-j)}
+  * reads the entry a = min over the family of logord_p(g) / delta;
+  * closes the family under log derivations: (D g, delta - 1/a) joins while
+    its weight stays positive.  Pairs are taken in descending weight, and a
+    pair is kept only if it is nonzero modulo the kept pairs, all of weight
+    at least its own; otherwise it and its derivatives are already in the
+    Rees algebra;
+  * takes a maximal contact among the kept pairs of weight 1/a, which have
+    order at least one, or else among the reduced basis of the ideal of the
+    kept pairs of weight at least 1/a; then restricts every kept pair to
+    it.
 
-to a maximal contact hypersurface, repeat; a trailing infinity records a
-nonzero monomial part.  The mixed products prod_j g_j^{c_j} over the other
-tuples with sum (b-j) c_j >= b! are left out: for every valuation v,
-v(prod_j g_j^{c_j}) >= b! min_j v(g_j)/(b-j) (weighted AM-GM), so each is
-integral over the pure powers, and the two forms agree up to integral
-closure (Kollar, Lectures on resolution of singularities).  Entries are
-normalized to a_i = b_i / prod_{j<i} (b_j - 1)!.  Invariants compare
-lexicographically with a proper prefix counting as strictly larger than any
-of its extensions.
+The entries are the a_i themselves, nondecreasing rationals.  An empty
+family ends the recursion.  A family whose orders are all infinite is
+monomial in the log variables near p and ends it with an infinity: its
+monomial part Q is the Newton polyhedron of the points m/delta, m over the
+exponents of its terms with ordinary coordinates (a derivation in them
+reaches every log monomial of a term) and inverted ones (units on the
+chart) set to zero.  Invariants compare lexicographically with a proper
+prefix counting as strictly larger than any of its extensions.
 
 Maximal contact elements are only accepted in rectifiable shape: a
 coordinate times a unit monomial in inverted variables, or a triangular
@@ -32,16 +40,18 @@ c*x + (terms without x); other shapes raise NoRectifiableContact.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import groebner, kernel
+from . import groebner
 from .blowup import CenterIdeal, make_center
 from .errors import MwbError, NoRectifiableContact
-from .monomials import MonomialIdeal, minimalize, newton
+from .monomials import MonomialIdeal, monomial_ideal, newton
 from .poly import (
+    ORDINARY,
     LogAmbient,
     PolyIdeal,
     Polynomial,
@@ -49,10 +59,14 @@ from .poly import (
     log_derivation,
     restrict,
     strip_inverted_units,
-    variable,
 )
 
 INF = float("inf")
+
+# Pairs one derivative closure may take before the recursion gives up with
+# an error.  (x^200) on A^1 takes 200; no other closure of the test suite or
+# the benchmark takes more than 34.
+CLOSURE_BUDGET = 2000
 
 
 # -- invariants and their order ---------------------------------------------
@@ -85,6 +99,10 @@ def entry_str(e) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
+def point_str(point) -> str:
+    return "(" + ", ".join(entry_str(x) for x in point) + ")"
+
+
 def compare(u: Invariant, v: Invariant) -> int:
     """Lexicographic with the twist that a proper prefix is larger: running
     out of entries means the recursion stopped, which dominates."""
@@ -96,88 +114,43 @@ def compare(u: Invariant, v: Invariant) -> int:
     return 1 if len(u.entries) < len(v.entries) else -1
 
 
-# -- derivative tower -------------------------------------------------------
+# -- log order ---------------------------------------------------------------
 
 
-def _prune(ambient, gens) -> tuple[list[Polynomial], list[Polynomial]]:
-    """Minimal-ish generating subset: lowest degree first, drop anything the
-    kept part already generates.  Returns the kept generators and their
-    Groebner basis.
-
-    Everything downstream is invariant under this: ideals, their
-    restrictions (ring maps), the monomial hull, and coefficient-ideal
-    powers all depend on the generated ideal, not on the particular
-    generating set, and the powers J^{b!/(b-j)} pay dearly for redundant
-    generators."""
-    order = sorted(
-        gens,
-        key=lambda g: (max(sum(e) for e in g.terms), sorted(g.terms.items())),
-    )
-    kept: list[Polynomial] = []
-    basis: list[Polynomial] = []
-    pairs: list[tuple] = []
-    for g in order:
-        if kept and not kernel.normal_form(g.terms, pairs, 0):
-            continue
-        kept.append(g)
-        basis = groebner.groebner_basis(PolyIdeal(ambient, kept))
-        pairs = groebner.lead_pairs(basis)
-    return kept, basis
-
-
-class DerivativeTower:
-    """The chain D^{<=m}(I) with stored generator lists and their bases.
-
-    Stage m+1 extends stage m by every log derivation of every stored
-    generator; candidates reducing to zero against the previous stage's
-    Groebner basis are dropped and the rest pruned to curb growth; from
-    stage 1 on, a stage that gains no candidate is carried over with its
-    basis, which is what pruning it again would rebuild.  Stored
-    generators, not the reduced bases, feed contact selection and
-    coefficient ideals.  The tower serves the pointwise questions (log
-    order, maximal contact, monomial part); d_leq needs none of this."""
-
-    def __init__(self, ideal: PolyIdeal, basis: list[Polynomial] | None = None):
-        """basis, when given, is groebner.groebner_basis(ideal), already
-        computed by the caller."""
-        self.ambient = ideal.ambient
-        self.levels: list[list[Polynomial]] = [list(ideal.generators)]
-        self.bases: list[list[Polynomial]] = [
-            groebner.groebner_basis(ideal) if basis is None else basis
+def log_order(g: Polynomial, point):
+    """Log order of g at the point: the order there of its terms that no
+    vanishing log variable divides, INF when every term has one.  Those
+    terms' order is their least total degree at the origin, and elsewhere
+    the least k with a k-th partial derivative not vanishing at the point;
+    inverted-variable units are stripped first."""
+    amb = g.ambient
+    vanishing = [
+        i for i, (_, flag) in enumerate(amb.variables) if flag != ORDINARY and not point[i]
+    ]
+    free = {e: c for e, c in g.terms.items() if not any(e[i] for i in vanishing)}
+    if not free:
+        return INF
+    g, _ = strip_inverted_units(Polynomial._trusted(amb, free))
+    if not any(point):
+        return min(sum(e) for e in g.terms)
+    # partials in nondecreasing variable order, each multi-index once
+    layer = [(g, 0)]
+    for k in itertools.count():
+        if any(p.evaluate(point) for p, _ in layer):
+            return k
+        layer = [
+            (d, j)
+            for p, i in layer
+            for j in range(i, amb.n)
+            if (d := derivative(p, amb.names()[j])).terms
         ]
 
-    def _extend(self):
-        prev = self.levels[-1]
-        pairs = groebner.lead_pairs(self.bases[-1])
-        new = list(prev)
-        for g in prev:
-            for name in self.ambient.names():
-                d = log_derivation(g, name)
-                if d.is_zero():
-                    continue
-                r = groebner.monic_remainder(d, pairs)
-                if not r.is_zero():
-                    new.append(r)
-        if len(new) == len(prev) and len(self.levels) > 1:
-            # a pruned stage that no derivation leaves: pruning it again
-            # keeps every generator and rebuilds the same basis
-            dedup, basis = prev, self.bases[-1]
-        else:
-            dedup, basis = _prune(self.ambient, new)
-        self.levels.append(dedup)
-        self.bases.append(basis)
 
-    def level(self, m: int) -> list[Polynomial]:
-        while len(self.levels) <= m:
-            self._extend()
-        return self.levels[m]
-
-    def basis(self, m: int) -> list[Polynomial]:
-        self.level(m)
-        return self.bases[m]
-
-    def stabilized(self, m: int) -> bool:
-        return self.basis(m + 1) == self.basis(m)
+def logord_at(ideal: PolyIdeal, point):
+    """min m with D^{<=m}(I) not vanishing at the point, the least log order
+    of a generator; INF for the zero ideal and for a monomial one."""
+    point = tuple(Fraction(x) for x in point)
+    return min((log_order(g, point) for g in ideal.generators), default=INF)
 
 
 def d_leq(ideal: PolyIdeal, m: int) -> PolyIdeal:
@@ -193,49 +166,23 @@ def d_leq(ideal: PolyIdeal, m: int) -> PolyIdeal:
     return PolyIdeal(ideal.ambient, gens)
 
 
-def logord_at(ideal: PolyIdeal, point, tower: DerivativeTower | None = None):
-    """min m with D^{<=m}(I) not vanishing at the point; INF if the chain
-    stabilizes first (the zero ideal included)."""
-    if tower is None:
-        tower = DerivativeTower(ideal)
-    point = tuple(Fraction(x) for x in point)
-    m = 0
-    while True:
-        if any(g.evaluate(point) != 0 for g in tower.level(m)):
-            return m
-        if tower.stabilized(m):
-            return INF
-        m += 1
-
-
 def max_logord(ideal: PolyIdeal):
     """min m with D^{<=m}(I) the unit ideal; INF if the chain stabilizes
-    below it."""
-    tower = DerivativeTower(ideal)
+    below it.  Each round derives only the previous round's remainders
+    against the stage's basis, as d_leq does."""
+    amb = ideal.ambient
+    basis = groebner.groebner_basis(ideal)
+    new = list(ideal.generators)
     m = 0
-    while True:
-        basis = tower.basis(m)
-        if len(basis) == 1 and basis[0].is_constant():
-            return m
-        if tower.stabilized(m):
+    while not (len(basis) == 1 and basis[0].is_constant()):
+        pairs = groebner.lead_pairs(basis)
+        derived = (log_derivation(g, name) for g in new for name in amb.names())
+        new = [r for r in (groebner.monic_remainder(d, pairs) for d in derived) if r.terms]
+        if not new:
             return INF
+        basis = groebner.groebner_basis(PolyIdeal(amb, basis + new))
         m += 1
-
-
-def monomial_part(tower: DerivativeTower, m: int) -> MonomialIdeal:
-    """Smallest monomial ideal containing the stabilized stage: generated by
-    all terms of the stored generators, inverted-variable factors stripped
-    generator by generator (they are units on the chart)."""
-    amb = tower.ambient
-    inv_idx = [amb.index(v) for v in amb.inverted]
-    exps = []
-    for g in tower.level(m):
-        for e in g.terms:
-            e2 = list(e)
-            for i in inv_idx:
-                e2[i] = 0
-            exps.append(tuple(e2))
-    return MonomialIdeal(amb.n, minimalize(exps))
+    return m
 
 
 # -- maximal contact --------------------------------------------------------
@@ -250,13 +197,13 @@ class Contact:
     shift: Polynomial | None  # on the ambient without the coordinate
 
 
-def maximal_contact(tower: DerivativeTower, b: int, point) -> Contact:
-    amb = tower.ambient
+def maximal_contact(amb: LogAmbient, gens: list[Polynomial], point) -> Contact:
+    """A rectifiable maximal contact among candidates of order at least one
+    at the point."""
     point = tuple(Fraction(x) for x in point)
-    gens = tower.level(b - 1)
 
     # tier 1: unit monomial times a single ordinary coordinate; ties go to
-    # the earliest ambient variable, not to generator storage order
+    # the earliest ambient variable, not to candidate order
     tier1 = set()
     for g in gens:
         s, _ = strip_inverted_units(g)
@@ -301,49 +248,80 @@ def maximal_contact(tower: DerivativeTower, b: int, point) -> Contact:
         for name, flag in amb.variables:
             if flag == "ordinary" and derivative(g, name).evaluate(point) != 0:
                 raise NoRectifiableContact(
-                    f"order-one element {g} at {point} is not in rectifiable shape"
+                    f"order-one element {g} at {point_str(point)} is not in rectifiable shape"
                 )
     raise NoRectifiableContact(
-        f"no stored generator of stage {b - 1} has ordinary order one at {point}"
+        f"no contact candidate has ordinary order one at {point_str(point)}"
     )
 
 
-# -- coefficient ideals -----------------------------------------------------
+# -- the derivative closure -------------------------------------------------
 
 
 def minimal_tuples(b: int) -> list[tuple[int, ...]]:
     """The b single-entry tuples c with c_j = b!/(b-j): the dominance-minimal
-    (c_0, ..., c_{b-1}) with sum (b-j) c_j >= b! and one nonzero entry.
-
-    The products of every other minimal tuple are integral over theirs, so
-    these alone give C(I, b) up to integral closure."""
+    (c_0, ..., c_{b-1}) with sum (b-j) c_j >= b! and one nonzero entry, the
+    exponents of the factorial coefficient ideal's pure powers.  Unused by
+    the invariant; kept while the benchmark's span list names it."""
     f = math.factorial(b)
     return [tuple(f // (b - j) if k == j else 0 for k in range(b)) for j in range(b)]
 
 
-def coefficient_ideal(ideal: PolyIdeal, b: int, tower: DerivativeTower | None = None) -> PolyIdeal:
-    """C(I, b), generated by the pure powers of the stored stage
-    generators."""
-    if tower is None:
-        tower = DerivativeTower(ideal)
-    levels = [tower.level(j) for j in range(b)]
-    return _products_ideal(levels, b, ideal.ambient)[0]
+def coefficient_ideal(pairs, a, point) -> list[tuple[Polynomial, Fraction]]:
+    """The family closed under log derivations at entry a, pruned: each
+    kept pair (g, delta) adds (D g, delta - 1/a) while that weight is
+    positive.  Pairs are taken by descending weight, then degree, and a
+    pair is kept as its monic remainder against the basis of the pairs
+    already kept, which only grows: each kept remainder enters the previous
+    reduced basis.  Raises MwbError after CLOSURE_BUDGET pairs; the point
+    only names where in that message."""
+    amb = pairs[0][0].ambient
+    step = 1 / a
+    seq = itertools.count()
+    heap = [(-d, max(map(sum, g.terms)), next(seq), g) for g, d in pairs]
+    heapq.heapify(heap)
+    kept: list[tuple[Polynomial, Fraction]] = []
+    basis: list[Polynomial] = []
+    leads: list[tuple] = []
+    taken = 0
+    while heap:
+        taken += 1
+        if taken > CLOSURE_BUDGET:
+            ideal = PolyIdeal(amb, [g for g, _ in pairs])
+            raise MwbError(
+                f"derivative closure of {ideal} at {point_str(point)}"
+                f" exceeds {CLOSURE_BUDGET} pairs"
+            )
+        neg, _, _, g = heapq.heappop(heap)
+        r = groebner.monic_remainder(g, leads)
+        if not r.terms:
+            continue
+        kept.append((r, -neg))
+        basis = groebner.groebner_basis(PolyIdeal(amb, basis + [r]))
+        leads = groebner.lead_pairs(basis)
+        if -neg > step:
+            for name in amb.names():
+                dr = log_derivation(r, name)
+                if dr.terms:
+                    heapq.heappush(heap, (neg + step, max(map(sum, dr.terms)), next(seq), dr))
+    return kept
 
 
-def _products_ideal(levels, b: int, ambient) -> tuple[PolyIdeal, list[Polynomial]]:
-    """C(I, b) from the stage generators, pruned, with its Groebner basis."""
-    if b > 4 and any(levels[j] for j in range(b)):
-        # from b = 5 on the pure powers are J^{24} up to J^{120}; nothing at
-        # desk scale gets here without the zero-restriction shortcut firing
-        # first
-        raise MwbError(f"coefficient ideal at order {b} exceeds the tool's scale")
-    gens = []
-    for j, c in enumerate(minimal_tuples(b)):
-        level = _prune(ambient, levels[j])[0]
-        for combo in itertools.combinations_with_replacement(level, c[j]):
-            gens.append(math.prod(combo[1:], start=combo[0]))
-    kept, basis = _prune(ambient, gens)
-    return PolyIdeal(ambient, kept), basis
+def monomial_part(pairs) -> list[tuple[Fraction, ...]]:
+    """The points m/delta of a family whose log orders are all infinite, m
+    over its terms' exponents with ordinary and inverted coordinates set to
+    zero.  Their Newton polyhedron is the family's monomial part."""
+    amb = pairs[0][0].ambient
+    keep = [
+        flag != ORDINARY and name not in amb.inverted for name, flag in amb.variables
+    ]
+    return sorted(
+        {
+            tuple(x / d if k else Fraction(0) for x, k in zip(e, keep))
+            for g, d in pairs
+            for e in g.terms
+        }
+    )
 
 
 # -- the invariant recursion ------------------------------------------------
@@ -352,13 +330,15 @@ def _products_ideal(levels, b: int, ambient) -> tuple[PolyIdeal, list[Polynomial
 @dataclass(frozen=True)
 class Center:
     """The center attached to an invariant at a point: rectified contacts
-    with their fractional orders a_i, the factorial normalizer d, and the
-    monomial part Q at original-ambient arity."""
+    with their orders a_i, and the monomial part Q at original-ambient
+    arity, stored by its Newton vertices times scale.  scale is the least
+    positive integer that makes every a_i * scale and every vertex an
+    integer vector."""
 
     contacts: tuple[Contact, ...]
     orders: tuple[Fraction, ...]  # the a_i
-    d: int
     q: MonomialIdeal
+    scale: int
 
 
 def invariant_at(ideal: PolyIdeal, point) -> tuple[Invariant, Center | None]:
@@ -367,107 +347,67 @@ def invariant_at(ideal: PolyIdeal, point) -> tuple[Invariant, Center | None]:
     if len(point) != amb0.n:
         raise MwbError("point arity does not match the ambient")
 
+    amb = amb0
+    family = [(g, Fraction(1)) for g in ideal.generators]
     entries: list = []
-    bvals: list[int] = []
     contacts: list[Contact] = []
-    dropped: list[str] = []  # contact variables, in order
-    work = ideal
-    work_basis = None  # the input's basis is the tower's to compute
-    cur_point = point
-
-    while True:
-        tower = DerivativeTower(work, work_basis)
-        b = logord_at(work, cur_point, tower)
-        if b == 0:
+    while family:
+        a = min(log_order(g, point) / d for g, d in family)
+        if a == 0:
             if not entries:
                 return Invariant((Fraction(0),)), None
             raise MwbError("restriction does not vanish at the point")
-        if b == INF:
-            m = len(tower.levels) - 1
-            q = monomial_part(tower, m)
-            q = _lift_monomial(q, tower.ambient, amb0, dropped)
-            if not q.is_zero():
-                entries.append(INF)
-                # canonical form: the vertices of Q's Newton polyhedron
-                q = MonomialIdeal(q.dim, newton(q).vertices)
-            if not entries:
-                return Invariant(()), None  # the zero ideal
-            d = 1
-            for bv in bvals:
-                d *= math.factorial(bv - 1)
-            return (
-                Invariant(tuple(entries)),
-                Center(tuple(contacts), tuple(entries[: len(bvals)]), d, q),
-            )
-
-        pre = 1
-        for bv in bvals:
-            pre *= math.factorial(bv - 1)
-        entries.append(Fraction(b, pre))
-        bvals.append(b)
-
-        contact = maximal_contact(tower, b, cur_point)
+        if a == INF:
+            break
+        entries.append(a)
+        kept = coefficient_ideal(family, a, point)
+        try:
+            contact = maximal_contact(amb, [g for g, d in kept if d == 1 / a], point)
+        except NoRectifiableContact:
+            # the order-one element may show only in the reduced basis of
+            # the pairs of weight at least 1/a, the weight-1/a ideal
+            heavy = PolyIdeal(amb, [g for g, d in kept if d >= 1 / a])
+            contact = maximal_contact(amb, groebner.groebner_basis(heavy), point)
         contacts.append(contact)
-        i = tower.ambient.index(contact.name)
-        dropped.append(contact.name)
+        i = amb.index(contact.name)
+        family = []
+        for g, d in kept:
+            r = restrict(g, contact.name, contact.shift)
+            if r.terms:
+                family.append((r, d))
+        amb = amb.drop(contact.name)
+        point = point[:i] + point[i + 1 :]
 
-        rlevels = []
-        for j in range(b):
-            rl = []
-            for g in tower.level(j):
-                r = restrict(g, contact.name, contact.shift)
-                if not r.is_zero():
-                    rl.append(r)
-            rlevels.append(rl)
-        sub = tower.ambient.drop(contact.name)
-        if all(not rl for rl in rlevels):
-            # restriction killed everything: the zero ideal, empty basis
-            work, work_basis = PolyIdeal(sub, ()), []
-        else:
-            work, work_basis = _products_ideal(rlevels, b, sub)
-        cur_point = cur_point[:i] + cur_point[i + 1 :]
-
-        if len(bvals) > amb0.n:
-            raise MwbError("invariant recursion exceeded the ambient dimension")
-
-
-def _lift_monomial(
-    q: MonomialIdeal, stage: LogAmbient, amb0: LogAmbient, dropped: list[str]
-) -> MonomialIdeal:
-    """Re-inflate a stage monomial ideal to original arity (zero exponents on
-    restricted coordinates) and check it lives in the log subring."""
-    if q.is_zero():
-        return MonomialIdeal(amb0.n, ())
-    pos = [amb0.index(n) for n in stage.names()]
-    gens = []
-    for g in q.gens:
-        e = [0] * amb0.n
-        for i, x in zip(pos, g):
-            e[i] = x
-        gens.append(tuple(e))
-    for e in gens:
-        for i, (name, flag) in enumerate(amb0.variables):
-            if flag == "ordinary" and e[i]:
-                raise MwbError(
-                    f"monomial part touches the ordinary variable {name}"
-                )
-    return MonomialIdeal(amb0.n, minimalize(gens))
+    if not entries and not family:
+        return Invariant(()), None  # the zero ideal
+    orders = tuple(entries)
+    scale = math.lcm(*(x.denominator for x in orders))
+    q = MonomialIdeal(amb0.n, ())
+    if family:
+        entries.append(INF)
+        pos = [amb0.index(n) for n in amb.names()]
+        points = []
+        for p in monomial_part(family):
+            full = [Fraction(0)] * amb0.n
+            for i, x in zip(pos, p):
+                full[i] = x
+            points.append(full)
+        den = math.lcm(*(x.denominator for p in points for x in p))
+        verts = newton(monomial_ideal([[x * den for x in p] for p in points], amb0.n)).vertices
+        scale = math.lcm(scale, *(Fraction(x, den).denominator for v in verts for x in v))
+        q = MonomialIdeal(amb0.n, tuple(tuple(x * scale // den for x in v) for v in verts))
+    return Invariant(tuple(entries)), Center(tuple(contacts), orders, q, scale)
 
 
 # -- centers in reduced form ------------------------------------------------
 
 
 def reduced_center(center: Center, ambient: LogAmbient) -> tuple[CenterIdeal, int, tuple[int, ...]]:
-    """The center as a plain ideal with the Rees root: exponents a_i * d on
-    the contact coordinates plus the monomial part, root lcm(a_i * d), and
-    the cosmetic weights w_i = root / (a_i * d)."""
-    exps = []
-    for a in center.orders:
-        e = a * center.d
-        if e.denominator != 1:
-            raise MwbError(f"center exponent {e} is not integral")
-        exps.append(int(e))
-    names = [c.name for c in center.contacts[: len(exps)]]
+    """The center as a plain ideal with the Rees root: exponents
+    a_i * scale on the contact coordinates plus the monomial part, root
+    lcm(a_i * scale), and the cosmetic weights w_i = root / (a_i * scale)."""
+    exps = [int(a * center.scale) for a in center.orders]
+    names = [c.name for c in center.contacts]
     root = math.lcm(*exps) if exps else 1
     c = make_center(list(zip(names, exps)), center.q, root)
     weights = tuple(root // e for e in exps)

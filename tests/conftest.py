@@ -152,7 +152,7 @@ def drop_corpus():
     for f in nondegenerate_samples(4101, 4):
         cases.append(("resolve", PolyIdeal(f.ambient, (f,))))
     # order-two shapes exercising tangent cones, monomial tails and divisor
-    # steps; log order three in three ordinary variables is out of scale
+    # steps
     cases.append(("resolve", ideal(a2, "x^2 + y^4")))
     cases.append(("resolve", ideal(a3, "x^2 + y^2 z^2")))
     cases.append(("principalize", ideal(a2, "x^2, y^2")))

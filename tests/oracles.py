@@ -10,7 +10,8 @@ saturations by eliminating an auxiliary variable, unit saturations by
 building the saturated ideal, dimensions from every variable set against
 a basis's leading terms, Rabinowitsch lifts by renaming and
 Polynomial arithmetic, coefficient ideals by every mixed product over the
-minimal tuples, substitution by Polynomial powers and products, normal
+minimal tuples, the invariant by the derivative tower and the factorial
+coefficient ideal, substitution by Polynomial powers and products, normal
 forms by scanning every pending term for the largest.  The
 implementations are deliberately naive; their job is to disagree loudly,
 not to be fast.
@@ -25,16 +26,26 @@ from fractions import Fraction
 
 from mwb import kernel
 from mwb.errors import IncompleteSubstitution, MwbError
-from mwb.groebner import groebner_basis, is_unit_ideal, leading_term, monic
-from mwb.invariant import _prune
+from mwb.groebner import (
+    groebner_basis,
+    is_unit_ideal,
+    lead_pairs,
+    leading_term,
+    monic,
+    monic_remainder,
+)
+from mwb.invariant import INF, Center, Invariant, maximal_contact
+from mwb.monomials import MonomialIdeal, minimalize, newton
 from mwb.polyhedra import Face, Facet, NewtonPolyhedron
 from mwb.poly import (
     LogAmbient,
     PolyIdeal,
     Polynomial,
     constant,
+    log_derivation,
     monomial,
     rename,
+    restrict,
     variable,
 )
 
@@ -190,7 +201,8 @@ def product_coefficient_ideal(levels, b, ambient):
     """C(I, b) in product form: every prod_j g_j^{c_j} with g_j a stored
     generator of the j-th stage, over every dominance-minimal tuple c with
     sum (b - j) c_j >= b!, mixed tuples included.  Stages and products are
-    pruned as in the package, and b > 4 is refused with its message."""
+    pruned by _prune, and b > 4 is refused: from b = 5 on the tuples run up
+    to b!/1 = 120 factors."""
     if b > 4 and any(levels):
         raise MwbError(f"coefficient ideal at order {b} exceeds the tool's scale")
     levels = [_prune(ambient, lv)[0] for lv in levels]
@@ -208,6 +220,126 @@ def product_coefficient_ideal(levels, b, ambient):
         for combo in itertools.product(*factors):
             gens.append(math.prod(combo[1:], start=combo[0]))
     return PolyIdeal(ambient, _prune(ambient, list(dict.fromkeys(gens)))[0])
+
+
+def _prune(ambient, gens):
+    """Lowest degree first, drop anything the kept part already generates.
+    Returns the kept generators and their Groebner basis."""
+    order = sorted(
+        gens,
+        key=lambda g: (max(sum(e) for e in g.terms), sorted(g.terms.items())),
+    )
+    kept, basis = [], []
+    for g in order:
+        if kept and not kernel.normal_form(g.terms, lead_pairs(basis), 0):
+            continue
+        kept.append(g)
+        basis = groebner_basis(PolyIdeal(ambient, kept))
+    return kept, basis
+
+
+class DerivativeTower:
+    """The chain D^{<=m}(I): stage 0 is the generators, stage m+1 stage m's
+    generators with the remainders of their log derivations against stage
+    m's basis, pruned."""
+
+    def __init__(self, ideal):
+        self.ambient = ideal.ambient
+        self.levels = [list(ideal.generators)]
+        self.bases = [groebner_basis(ideal)]
+
+    def level(self, m):
+        while len(self.levels) <= m:
+            prev = self.levels[-1]
+            pairs = lead_pairs(self.bases[-1])
+            new = list(prev)
+            for g in prev:
+                for name in self.ambient.names():
+                    r = monic_remainder(log_derivation(g, name), pairs)
+                    if not r.is_zero():
+                        new.append(r)
+            kept, basis = _prune(self.ambient, new)
+            self.levels.append(kept)
+            self.bases.append(basis)
+        return self.levels[m]
+
+    def stabilized(self, m):
+        self.level(m + 1)
+        return self.bases[m + 1] == self.bases[m]
+
+    def logord(self, point):
+        """min m with stage m not vanishing at the point; INF once the chain
+        stabilizes first."""
+        m = 0
+        while not any(g.evaluate(point) != 0 for g in self.level(m)):
+            if self.stabilized(m):
+                return INF
+            m += 1
+        return m
+
+
+def tower_invariant(ideal, point):
+    """The invariant by the maximal-contact recursion on the derivative
+    tower: b = the tower's log order, then the coefficient ideal
+    C(I, b) = sum_j (D^{<=j} I)^{b!/(b-j)}, in product form, restricted to a
+    maximal contact, and so on; the entries are a_i = b_i / prod_{j<i}
+    (b_j - 1)!.  A stabilized tower contributes its monomial part, the
+    smallest monomial ideal containing its last stage, with inverted
+    variables stripped.  Returns the package's (Invariant, Center), the
+    center's scale being d = prod (b_j - 1)!; b > 4 raises MwbError, as
+    product_coefficient_ideal does.  Contacts follow the package's
+    maximal_contact tier rules on the stage b - 1 generators."""
+    amb0 = ideal.ambient
+    point = tuple(Fraction(x) for x in point)
+    entries, contacts = [], []
+    d = 1
+    work = ideal
+    while True:
+        tower = DerivativeTower(work)
+        amb = tower.ambient
+        b = tower.logord(point)
+        if b == 0:
+            if not entries:
+                return Invariant((Fraction(0),)), None
+            raise MwbError("restriction does not vanish at the point")
+        if b == INF:
+            # every term of the stabilized stage, inverted factors stripped,
+            # at original arity
+            keep = [name not in amb.inverted for name in amb.names()]
+            pos = [amb0.index(name) for name in amb.names()]
+            gens = []
+            for g in tower.level(len(tower.levels) - 1):
+                for e in g.terms:
+                    full = [0] * amb0.n
+                    for i, x, k in zip(pos, e, keep):
+                        full[i] = x if k else 0
+                    gens.append(tuple(full))
+            orders = tuple(entries)
+            q = MonomialIdeal(amb0.n, minimalize(gens))
+            if q.gens:
+                for (_, flag), column in zip(amb0.variables, zip(*q.gens)):
+                    if flag == "ordinary" and any(column):
+                        raise MwbError("monomial part touches an ordinary variable")
+                q = MonomialIdeal(amb0.n, newton(q).vertices)
+                entries.append(INF)
+            if not entries:
+                return Invariant(()), None
+            return Invariant(tuple(entries)), Center(tuple(contacts), orders, q, d)
+        entries.append(Fraction(b, d))
+        d *= math.factorial(b - 1)
+        contact = maximal_contact(amb, tower.level(b - 1), point)
+        contacts.append(contact)
+        levels = [
+            [restrict(g, contact.name, contact.shift) for g in tower.level(j)]
+            for j in range(b)
+        ]
+        levels = [[g for g in lv if not g.is_zero()] for lv in levels]
+        sub = amb.drop(contact.name)
+        # a restriction that kills every stage leaves the zero ideal, and
+        # the minimal tuples need not be searched
+        work = product_coefficient_ideal(levels, b, sub) if any(levels) else PolyIdeal(sub, ())
+        i = amb.index(contact.name)
+        point = point[:i] + point[i + 1 :]
 
 
 def det(rows):

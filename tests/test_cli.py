@@ -8,12 +8,14 @@ rewrite the transcripts after an intentional output change.
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import random
 import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -358,6 +360,45 @@ class TestExitCodes:
         assert err.startswith("error: ")
 
 
+class TestBounded:
+    """Huge exponents and long contact chains: each ends quickly and cleanly."""
+
+    def test_huge_power_exceeds_the_closure_budget(self):
+        start = time.perf_counter()
+        argv = ["invariant", "--ordinary", "x,y", "--ideal", "x^99999999999999999999"]
+        code, out, err = run_cli(argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "exceeds" in err
+        assert time.perf_counter() - start < 1
+        code, out, _ = run_cli(["invariant", "--ordinary", "x,y", "--ideal", "x^200"])
+        assert code == 0 and "invariant: (200)" in out.splitlines()
+
+    def test_huge_power_off_the_origin(self):
+        # the order at (1, 0) comes from partial derivatives, not from an
+        # expansion of (x + 1)^N
+        start = time.perf_counter()
+        base = ["invariant", "--ordinary", "x,y", "--point", "1,0", "--ideal"]
+        code, out, _ = run_cli(base + ["x^99999999999999999999"])
+        assert code == 0 and "invariant: (0)" in out.splitlines()
+        code, out, err = run_cli(base + ["x^99999999999999999999 - 1"])
+        assert (code, out) == (1, "") and "not in rectifiable shape" in err
+        assert time.perf_counter() - start < 1
+
+    def test_deep_contact_chain(self):
+        ideal = "x^4 - x^3 y^2 - 2 x y^3 - z, y^3 z^3"
+        code, out, _ = run_cli(["invariant", "--ordinary", "x,y,z", "--ideal", ideal])
+        assert code == 0
+        assert "invariant: (1, 15, 15)" in out.splitlines()
+
+    def test_resolve_on_a_monomial_divisor(self):
+        argv = ["resolve", "--ordinary", "x,y", "--monomial", "z",
+                "--ideal", "x y^3 z^2 - x y^2 z^3"]
+        code, out, err = run_cli(argv)
+        assert code in (0, 1)
+        if code == 1:
+            assert err.startswith("error: ") and out == ""
+
+
 class TestFlags:
     def test_depth_limit_env(self, monkeypatch):
         monkeypatch.setenv("MWB_DEPTH_LIMIT", "0")
@@ -399,14 +440,14 @@ class TestFlags:
         assert "A^{2;0}(y ordinary, x ordinary)" in out
 
     def test_center_monomial_part_is_its_newton_vertices(self):
-        # the coefficient ideal lists y^5*z^9, y^4*z^12, ... too; those lie
-        # inside the Newton polyhedron of y^8, z^18 and are not printed
+        # the family also has the point y^2, from its pair (y, 1/2); it lies
+        # inside the Newton polyhedron of y^{4/3}, z^3 and is not printed
         code, out, _ = run_cli(
             ["center", "--ordinary", "x", "--monomial", "y,z", "--ideal", "x^4 + x y + z^3"]
         )
         assert code == 0
-        assert "center: (x, (y^8, z^18)^{1/24})" in out.splitlines()
-        assert "ideal: (x^24, y^8, z^18)" in out.splitlines()
+        assert "center: (x, (y^4, z^9)^{1/12})" in out.splitlines()
+        assert "ideal: (x^12, y^4, z^9)" in out.splitlines()
 
 
 # -- fuzzing ----------------------------------------------------------------
@@ -431,34 +472,43 @@ SOUP = ("x", "y", "w", "0", "1", "2", "3", "1/2", "1/0", "+", "-", "*", "^",
         "(", ")", ",", ";", "=", "'", "total")
 soup = st.lists(st.sampled_from(SOUP), max_size=8).map(" ".join)
 
-# small values: at most two variables and degree at most two
-EXPONENTS = [(a, b) for a in range(3) for b in range(3 - a)]
-small_monomial = st.sampled_from(EXPONENTS).map(lambda e: f"x^{e[0]} y^{e[1]}")
+# small values: degree at most two in the ambient's variables
 small_rational = st.sampled_from(("0", "1", "-1", "1/2", "-2"))
 
 
-@st.composite
-def small_polynomial(draw):
-    exps = draw(st.lists(st.sampled_from(EXPONENTS), min_size=1, max_size=4, unique=True))
-    return " + ".join(f"({draw(small_rational)}) x^{a} y^{b}" for a, b in exps)
+def small_values(names):
+    """The value strategy of each option over the variables in names."""
+    exps = [e for e in itertools.product(range(3), repeat=len(names)) if sum(e) <= 2]
+
+    def text(e):
+        return " ".join(f"{v}^{k}" for v, k in zip(names, e))
+
+    @st.composite
+    def small_polynomial(draw):
+        terms = draw(st.lists(st.sampled_from(exps), min_size=1, max_size=4, unique=True))
+        return " + ".join(f"({draw(small_rational)}) {text(e)}" for e in terms)
+
+    point = st.lists(small_rational, min_size=len(names), max_size=len(names))
+    direction = st.lists(st.integers(0, 2), min_size=len(names), max_size=len(names))
+    weight = st.tuples(direction, st.integers(-1, 2))
+    return {
+        "--ideal": st.lists(small_polynomial(), min_size=1, max_size=2).map(", ".join),
+        "--ideal-monomial": st.lists(st.sampled_from(exps).map(text), min_size=1, max_size=3)
+        .map(", ".join),
+        "--point": point.map(",".join),
+        "--mark": point.map(",".join),
+        "--weights": st.lists(
+            weight.map(lambda t: ",".join(map(str, t[0])) + f"={t[1]}"),
+            min_size=1,
+            max_size=2,
+        ).map(";".join),
+        "--rees": st.integers(-1, 3).map(str),
+        "--kind": st.sampled_from(("total", "weak", "proper")),
+    }
 
 
-SMALL = {
-    "--ideal": st.lists(small_polynomial(), min_size=1, max_size=2).map(", ".join),
-    "--ideal-monomial": st.lists(small_monomial, min_size=1, max_size=3).map(", ".join),
-    "--point": st.lists(small_rational, min_size=2, max_size=2).map(",".join),
-    "--mark": st.lists(small_rational, min_size=2, max_size=2).map(",".join),
-    "--weights": st.lists(
-        st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-1, 2)).map(
-            lambda t: f"{t[0]},{t[1]}={t[2]}"
-        ),
-        min_size=1,
-        max_size=2,
-    ).map(";".join),
-    "--rees": st.integers(-1, 3).map(str),
-    "--kind": st.sampled_from(("total", "weak", "proper")),
-}
-# two variables mostly; inferred ones and a missing one now and then
+SMALL = {names: small_values(names) for names in ("xy", "xyz")}
+# two variables mostly; inferred ones, a missing one and a third now and then
 AMBIENTS = (
     ["--ordinary", "x,y"],
     ["--monomial", "x,y"],
@@ -469,12 +519,15 @@ AMBIENTS = (
     ["--monomial", "x,y"],
     ["--ordinary", "x", "--monomial", "y"],
     ["--monomial", "x"],
+    ["--ordinary", "x,y", "--monomial", "z"],
 )
 
 
 @st.composite
 def command(draw, name):
-    argv = [name] + draw(st.sampled_from(AMBIENTS))
+    ambient = draw(st.sampled_from(AMBIENTS))
+    small = SMALL["xyz" if "z" in ambient else "xy"]
+    argv = [name] + ambient
     for opt in FUZZ_OPTIONS[name]:
         # zeros are the draws a failing example shrinks to: they keep the
         # required options in and the occasional ones out
@@ -487,7 +540,7 @@ def command(draw, name):
         if opt == "--trace":
             argv.append(opt)
         else:
-            value = draw(soup if draw(st.integers(0, 2)) == 2 else SMALL[opt])
+            value = draw(soup if draw(st.integers(0, 2)) == 2 else small[opt])
             argv.append(f"{opt}={value}")
     if draw(st.booleans()):
         argv.append("--json")

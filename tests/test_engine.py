@@ -206,7 +206,7 @@ class TestReembedding:
         report = reembed_check(ideal(a20, "x^2 + y^3"))
         assert str(report["invariant"]) == "(2, 3)"
         assert str(report["extended_invariant"]) == "(1, 2, 3)"
-        assert report["root"] == report["extended_root"] == 12
+        assert report["root"] == report["extended_root"] == 6
 
 
 class TestOneStep:

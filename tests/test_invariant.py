@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-import mwb.invariant
 import oracles
 from conftest import F_TEXT, ambient, ideal, poly, random_polynomial
 from mwb import PolyIdeal
@@ -14,8 +13,8 @@ from mwb.groebner import ideal_equal
 from mwb.invariant import (
     INF,
     Center,
+    CLOSURE_BUDGET,
     Contact,
-    DerivativeTower,
     Invariant,
     center_display,
     coefficient_ideal,
@@ -93,22 +92,22 @@ class TestWorkedInvariants:
         assert inv.entries == (2, 3, 3)
         assert [c.name for c in ctr.contacts] == ["x", "y", "z"]
         assert all(c.shift is None for c in ctr.contacts)
-        assert ctr.d == 240
+        assert ctr.scale == 1
         assert ctr.q.is_zero()
         assert center_display(ctr, a30) == "(x^{1/3}, y^{1/2}, z^{1/2})"
         c, root, w = reduced_center(ctr, a30)
-        assert c.ordinary == (("x", 480), ("y", 720), ("z", 720))
-        assert (c.root, root, w) == (1440, 1440, (3, 2, 2))
+        assert c.ordinary == (("x", 2), ("y", 3), ("z", 3))
+        assert (c.root, root, w) == (6, 6, (3, 2, 2))
 
     def test_plane_cusp(self):
         a20 = ambient(ordinary="x,y")
         inv, ctr = invariant_at(ideal(a20, "x^2 + y^3"), (0, 0))
         assert str(inv) == "(2, 3)"
-        assert ctr.d == 2
+        assert ctr.scale == 1
         assert center_display(ctr, a20) == "(x^{1/3}, y^{1/2})"
         c, root, w = reduced_center(ctr, a20)
-        assert c.ordinary == (("x", 4), ("y", 6))
-        assert (root, w) == (12, (3, 2))
+        assert c.ordinary == (("x", 2), ("y", 3))
+        assert (root, w) == (6, (3, 2))
 
     def test_pair_with_rectified_contact(self, a30):
         i = ideal(a30, "x^2 + y^2, z - y^2")
@@ -246,11 +245,10 @@ class TestPieces:
         want = ideal(b.cox, "x', y' z', y'^2 + 3 z'^2, z'^3")
         assert ideal_equal(d1, want)
 
-    def test_d_leq_is_the_tower_stage(self, monkeypatch):
+    def test_d_leq_is_the_tower_stage(self):
         # generators plus unpruned rounds of derivations against the pruned
-        # tower; d_leq itself builds no tower
+        # tower of the oracle
         rng = random.Random(3021)
-        cases = []
         for _ in range(24):
             n = rng.randint(1, 3)
             split = rng.randint(0, n)
@@ -262,31 +260,41 @@ class TestPieces:
                 for _ in range(rng.randint(1, 2))
             ]
             i = PolyIdeal(amb, tuple(gens))
-            cases.append((i, [DerivativeTower(i).level(m) for m in range(3)]))
-
-        def no_tower(*args):
-            raise AssertionError("d_leq built a tower")
-
-        monkeypatch.setattr(mwb.invariant, "DerivativeTower", no_tower)
-        for i, levels in cases:
-            for m, level in enumerate(levels):
-                assert ideal_equal(d_leq(i, m), PolyIdeal(i.ambient, level))
+            tower = oracles.DerivativeTower(i)
+            for m in range(3):
+                assert ideal_equal(d_leq(i, m), PolyIdeal(amb, tower.level(m)))
 
     def test_monomial_part(self, a31):
-        tower = DerivativeTower(ideal(a31, F_TEXT))
-        q = monomial_part(tower, 0)
-        assert set(q.gens) == {(2, 0, 0), (0, 2, 1), (0, 0, 3)}
+        # ordinary exponents drop out, and a weight divides the rest
+        x_z2, z3, z = (poly(a31, t) for t in ("x z^2", "z^3", "z"))
+        pts = monomial_part([(x_z2 + z3, Fraction(1)), (z, Fraction(1, 2))])
+        assert pts == [(0, 0, 2), (0, 0, 3)]
+        assert monomial_part([(z3, Fraction(3, 2))]) == [(0, 0, 2)]
         # inverted variables are units on the chart and get stripped
         inv = ambient(ordinary="x", monomial="y", inverted=("y",))
-        t2 = DerivativeTower(ideal(inv, "x^2 y^3 + y"))
-        assert set(monomial_part(t2, 0).gens) == {(0, 0)}
+        assert monomial_part([(poly(inv, "x^2 y^3 + y"), Fraction(1))]) == [(0, 0)]
 
     def test_coefficient_ideal(self):
         a20 = ambient(ordinary="x,y")
-        ci = coefficient_ideal(ideal(a20, "x^2 + y^3"), 2)
-        assert ideal_equal(ci, ideal(a20, "x^2, y^3, x y^2"))
-        with pytest.raises(MwbError):
-            coefficient_ideal(ideal(a20, "x^2 + y^3"), 5)
+        f = poly(a20, "x^2 + y^3")
+        kept = coefficient_ideal([(f, Fraction(1))], Fraction(2), (0, 0))
+        assert [(format_polynomial(g), d) for g, d in kept] == [
+            ("y^3 + x^2", 1),
+            ("x", Fraction(1, 2)),
+            ("y^2", Fraction(1, 2)),
+        ]
+        # a pair the kept ones of at least its weight generate is left out
+        kept = coefficient_ideal(
+            [(f, Fraction(1)), (poly(a20, "x^3"), Fraction(1, 2))], Fraction(2), (0, 0)
+        )
+        assert len(kept) == 3
+        # a power of x takes one pair per derivative, so the budget stops it
+        a1 = ambient(ordinary="x")
+        big = CLOSURE_BUDGET + 5
+        with pytest.raises(MwbError, match="exceeds"):
+            coefficient_ideal([(poly(a1, f"x^{big}"), Fraction(1))], Fraction(big), (0,))
+        x200 = [(poly(a1, "x^200"), Fraction(1))]
+        assert len(coefficient_ideal(x200, Fraction(200), (0,))) == 200
 
     def test_minimal_tuples_match_oracle(self):
         # the pure tuples: minimal ones with a single nonzero entry
@@ -306,8 +314,18 @@ class TestPieces:
         mixed = ambient(ordinary="x,y", monomial="z")
         assert not is_smooth_toroidal(ideal(mixed, "z"), ORIGIN3)
 
+    def test_contact_from_the_reduced_basis(self):
+        # on x = 0 the pair of weight 1/2 is y^3 + y: order one at the
+        # origin but not rectifiable; the ideal of the pairs of weight at
+        # least 1/2 is (y), and its reduced basis gives the contact
+        a20 = ambient(ordinary="x,y")
+        i = ideal(a20, "2 x^2 + y^4 + 2 y^2")
+        inv, ctr = invariant_at(i, (0, 0))
+        assert str(inv) == "(2, 2)"
+        assert [c.name for c in ctr.contacts] == ["x", "y"]
+        assert inv == oracles.tower_invariant(i, (0, 0))[0]
+
     def test_no_rectifiable_contact(self):
         a11 = ambient(ordinary="x", monomial="z")
-        tower = DerivativeTower(ideal(a11, "z"))
         with pytest.raises(NoRectifiableContact):
-            maximal_contact(tower, 1, (0, 0))
+            maximal_contact(a11, [poly(a11, "z")], (0, 0))
