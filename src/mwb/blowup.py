@@ -18,6 +18,14 @@ rays (levels N_i > 0 happen exactly when a sits inside (x_i)).  The weak
 transform divides the total transform by the E+ multiplicities of the term
 ideal; the proper transform saturates them away.
 
+Transforms are exponent maps: every pullback is one monomial with
+coefficient 1, so c x^e goes to c X^(B e), row rho of B being beta_rows[rho]
+for the rho-th Cox variable.  e -> B e is injective, since the standard rows
+are w_i e_i with w_i >= 1: no terms merge, and coefficients and term order
+carry over.  The multiplicity on rho is the least (B e)_rho over the terms
+(for u_rho >= 0 that is w_rho N_rho of the term ideal, with no Newton
+polyhedron built); the weak transform subtracts it in the same pass.
+
 Root data: a fractional ideal a^{1/l} is blown up with the ray weights
 w_rho = l / gcd(l, N_rho) (gcd(l, 0) read as l), which depends only on the
 equivalence class of a^{1/l} under (a, l) ~ (closure(a^c), c*l).  Centers
@@ -29,25 +37,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
-from .errors import (
-    EmptyCenter,
-    HypothesisViolated,
-    MwbError,
-    ZeroIdeal,
-    ZeroVector,
-)
+from .errors import EmptyCenter, HypothesisViolated, MwbError, ZeroIdeal
 from .monomials import MonomialIdeal, minimalize, monomial_ideal, newton
-from .poly import (
-    EXCEPTIONAL,
-    ORDINARY,
-    LogAmbient,
-    PolyIdeal,
-    Polynomial,
-    monomial_saturation,
-    substitute,
-)
-from .polyhedra import NewtonPolyhedron, NormalFan, Vec, dot, facet_level, normal_fan
+from .poly import EXCEPTIONAL, ORDINARY, LogAmbient, PolyIdeal, Polynomial
+from .polyhedra import NormalFan, Vec, dot, normal_fan
 from . import groebner
 
 # -- fractional ideals ------------------------------------------------------
@@ -352,35 +347,29 @@ def restrict_blowup(c: CenterIdeal, ambient: LogAmbient) -> MultiWeightedBlowup:
 # -- transforms -------------------------------------------------------------
 
 
-def _divide_monomial(p: Polynomial, e: Vec) -> Polynomial:
-    if not any(e):
-        return p
-    t = {}
-    for exp, c in p.terms.items():
-        q = tuple(a - b for a, b in zip(exp, e))
-        if any(x < 0 for x in q):
-            raise ZeroVector(f"term {exp} not divisible by {e}")
-        t[q] = c
-    return Polynomial(p.ambient, t)
-
-
-def total_transform(b: MultiWeightedBlowup, ideal: PolyIdeal) -> PolyIdeal:
+def _exponent_map(b: MultiWeightedBlowup, ideal: PolyIdeal, shift: Vec) -> PolyIdeal:
+    """Every term c x^e sent to c X^(B e - shift), B the matrix of beta_rows."""
     if ideal.ambient.variables != b.source.variables:
         raise MwbError("ideal does not live on the blow-up's source")
-    gens = [substitute(g, b.pullback, b.cox) for g in ideal.generators]
+    rows = tuple(zip(b.beta_rows, shift))
+    gens = []
+    for g in ideal.generators:
+        t = {tuple(sum(map(mul, r, e)) - k for r, k in rows): c for e, c in g.terms.items()}
+        gens.append(Polynomial._trusted(b.cox, t))
     return PolyIdeal(b.cox, gens)
 
 
+def total_transform(b: MultiWeightedBlowup, ideal: PolyIdeal) -> PolyIdeal:
+    return _exponent_map(b, ideal, (0,) * b.cox.n)
+
+
 def exceptional_multiplicities(b: MultiWeightedBlowup, ideal: PolyIdeal) -> dict:
-    """w_rho * N_rho(term ideal of I) on every positive-level ray: the
-    exceptional multiplicities of the total transform."""
+    """w_rho * min over terms of <u_rho, e> on every positive-level ray: the
+    exceptional multiplicities of the total transform.  For u_rho >= 0 this
+    is w_rho * N_rho of the term ideal, its Newton polyhedron's support."""
     if ideal.is_zero():
         raise ZeroIdeal("multiplicities of the zero ideal")
-    p = newton(monomial_saturation(ideal))
-    out = {}
-    for j in b.eplus():
-        out[b.ray_vars[j]] = b.weights[j] * facet_level(p, b.fan.rays[j].direction)
-    return out
+    return {b.ray_vars[j]: k_rho(b, j, ideal) for j in b.eplus()}
 
 
 def weak_transform(
@@ -391,13 +380,8 @@ def weak_transform(
     if ideal.is_zero():
         raise ZeroIdeal("weak transform of the zero ideal")
     mult = exceptional_multiplicities(b, ideal)
-    e = [0] * b.cox.n
-    for var, k in mult.items():
-        e[b.cox.index(var)] += k
-    e = tuple(e)
-    total = total_transform(b, ideal)
-    gens = [_divide_monomial(g, e) for g in total.generators]
-    return PolyIdeal(b.cox, gens), mult
+    shift = tuple(mult.get(v, 0) for v in b.ray_vars)
+    return _exponent_map(b, ideal, shift), mult
 
 
 def proper_transform(b: MultiWeightedBlowup, ideal: PolyIdeal) -> PolyIdeal:

@@ -25,8 +25,7 @@ coordinate hyperplane), where those properties hold by construction.
 
 substitute works on raw term dicts: each image's powers are built once by
 repeated squaring and every term of the source is expanded with one
-dict-level product per variable, so a monomial image (a blow-up pullback)
-keeps every product a single term and no intermediate Polynomial is made.
+dict-level product per variable, so no intermediate Polynomial is made.
 """
 
 from __future__ import annotations
@@ -47,6 +46,9 @@ ORDINARY = "ordinary"
 MONOMIAL = "monomial"
 EXCEPTIONAL = "exceptional"
 _FLAGS = (ORDINARY, MONOMIAL, EXCEPTIONAL)
+
+# Bit bound on the numerator and denominator of each power evaluate builds.
+EVALUATE_BITS = 1 << 20
 
 
 class LogAmbient:
@@ -237,14 +239,20 @@ class Polynomial:
         return max(e[i] for e in self.terms)
 
     def evaluate(self, point) -> Fraction:
+        """Value at a rational point; a power x^k with |x| not 0 or 1 whose
+        numerator or denominator would pass EVALUATE_BITS bits raises."""
         point = [_coeff(x) for x in point]
         if len(point) != self.ambient.n:
             raise MwbError("point arity does not match ambient")
+        bits = [max(x.numerator.bit_length(), x.denominator.bit_length())
+                if x not in (0, 1, -1) else 0 for x in point]
         total = Fraction(0)
         for e, c in self.terms.items():
             v = c
-            for x, k in zip(point, e):
+            for x, b, k in zip(point, bits, e):
                 if k:
+                    if k * b > EVALUATE_BITS:
+                        raise MwbError(f"evaluating {x}^{k} exceeds {EVALUATE_BITS} bits")
                     v *= x**k
             total += v
         return total

@@ -12,7 +12,9 @@ a basis's leading terms, Rabinowitsch lifts by renaming and
 Polynomial arithmetic, coefficient ideals by every mixed product over the
 minimal tuples, the invariant by the derivative tower and the factorial
 coefficient ideal, substitution by Polynomial powers and products, normal
-forms by scanning every pending term for the largest.  The
+forms by scanning every pending term for the largest, blow-up transforms
+by substituting the pullback images and dividing out the exceptional
+monomial, multiplicities from the term ideal's Newton polyhedron.  The
 implementations are deliberately naive; their job is to disagree loudly,
 not to be fast.
 """
@@ -36,7 +38,7 @@ from mwb.groebner import (
 )
 from mwb.invariant import INF, Center, Invariant, maximal_contact
 from mwb.monomials import MonomialIdeal, minimalize, newton
-from mwb.polyhedra import Face, Facet, NewtonPolyhedron
+from mwb.polyhedra import Face, Facet, NewtonPolyhedron, facet_level
 from mwb.poly import (
     LogAmbient,
     PolyIdeal,
@@ -44,8 +46,10 @@ from mwb.poly import (
     constant,
     log_derivation,
     monomial,
+    monomial_saturation,
     rename,
     restrict,
+    substitute,
     variable,
 )
 
@@ -509,6 +513,42 @@ def naive_substitute(p, images, target):
                 t = t * pw(i, k)
         out = out + t
     return out
+
+
+def substitution_total_transform(b, ideal):
+    """Total transform by substituting the pullback image of every source
+    variable."""
+    return PolyIdeal(b.cox, [substitute(g, b.pullback, b.cox) for g in ideal.generators])
+
+
+def polyhedron_multiplicities(b, ideal):
+    """w_rho N_rho on every positive-level ray, N_rho read off the Newton
+    polyhedron of the term ideal."""
+    p = newton(monomial_saturation(ideal))
+    return {
+        b.ray_vars[j]: b.weights[j] * facet_level(p, b.fan.rays[j].direction)
+        for j in b.eplus()
+    }
+
+
+def division_weak_transform(b, ideal):
+    """The substituted total transform divided term by term by the
+    exceptional monomial of the polyhedron multiplicities, through the
+    validating Polynomial constructor."""
+    mult = polyhedron_multiplicities(b, ideal)
+    m = [0] * b.cox.n
+    for var, k in mult.items():
+        m[b.cox.index(var)] += k
+    gens = []
+    for g in substitution_total_transform(b, ideal).generators:
+        terms = {}
+        for e, c in g.terms.items():
+            q = tuple(a - k for a, k in zip(e, m))
+            if min(q) < 0:
+                raise MwbError(f"term {e} not divisible by {tuple(m)}")
+            terms[q] = c
+        gens.append(Polynomial(b.cox, terms))
+    return PolyIdeal(b.cox, gens), mult
 
 
 def scan_normal_form(f, basis, block):

@@ -3,7 +3,15 @@ import random
 import pytest
 
 import oracles
-from conftest import ambient, ideal, poly
+from conftest import (
+    ambient,
+    drop_corpus,
+    ideal,
+    poly,
+    random_monomial_gens,
+    random_polynomial,
+)
+from mwb import engine
 from mwb.blowup import (
     FractionalIdeal,
     assemble_center,
@@ -28,7 +36,7 @@ from mwb.errors import HypothesisViolated, MwbError, ZeroIdeal
 from mwb.groebner import ideal_equal, is_unit_ideal, member, saturate_at_variables
 from mwb.monomials import monomial_ideal, newton, power, shift
 from mwb.polyhedra import dot, normal_fan
-from mwb.poly import format_polynomial
+from mwb.poly import PolyIdeal, format_polynomial
 
 A3 = ambient(ordinary="x,y,z")
 A2 = ambient(ordinary="x,y")
@@ -189,6 +197,62 @@ def test_weak_and_proper_transform_of_a_pair():
     assert not member(witness, weak)
     for g in weak.generators:
         assert member(g, proper)
+
+
+def _transform_cases(monkeypatch):
+    """(blow-up, ideal) pairs: every weak transform the drop corpus makes,
+    then seeded 4-variable blow-ups with weights or a Rees root, on
+    ideals whose term ideal sits inside a coordinate hyperplane's ideal
+    as often as not (declared-exceptional standard rays)."""
+    seen = []
+
+    def recording(b, i):
+        seen.append((b, i))
+        return weak_transform(b, i)
+
+    monkeypatch.setattr(engine, "weak_transform", recording)
+    for kind, i in drop_corpus():
+        engine.resolve(i, mode=kind)
+    monkeypatch.undo()
+    rng = random.Random(8807)
+    for _ in range(60):
+        k = rng.randint(0, 4)
+        amb = ambient(ordinary=",".join("xyzw"[:k]), monomial=",".join("xyzw"[k:]))
+        a = monomial_ideal(random_monomial_gens(rng, 4, max_entry=4, max_gens=4), 4)
+        if rng.random() < 0.5:
+            a = shift(a, tuple(rng.randint(0, 1) for _ in range(4)))
+        if rng.random() < 0.5:
+            b = rees_blowup(FractionalIdeal(a, rng.randint(1, 6)), amb)
+        else:
+            fan = normal_fan(newton(a))
+            b = build_blowup(
+                a,
+                amb,
+                {fan.rays[j].direction: rng.randint(1, 4) for j in fan.exceptional()},
+            )
+        gens = [random_polynomial(rng, amb) for _ in range(rng.randint(1, 3))]
+        seen.append((b, PolyIdeal(amb, gens)))
+    return seen
+
+
+def test_transforms_agree_with_substitution(monkeypatch):
+    cases = _transform_cases(monkeypatch)
+    assert any(b.declared_exceptional() for b, _ in cases)
+    assert any(len(set(b.weights)) > 1 for b, _ in cases)
+    for b, i in cases:
+        assert b.ray_vars == b.cox.names()
+        total = total_transform(b, i)
+        want = oracles.substitution_total_transform(b, i)
+        assert [list(g.terms.items()) for g in total.generators] == [
+            list(g.terms.items()) for g in want.generators
+        ]
+        assert exceptional_multiplicities(b, i) == oracles.polyhedron_multiplicities(b, i)
+        weak, mult = weak_transform(b, i)
+        want, want_mult = oracles.division_weak_transform(b, i)
+        assert mult == want_mult
+        assert [list(g.terms.items()) for g in weak.generators] == [
+            list(g.terms.items()) for g in want.generators
+        ]
 
 
 def test_k_rho_worked_values():

@@ -384,6 +384,15 @@ class TestBounded:
         assert (code, out) == (1, "") and "not in rectifiable shape" in err
         assert time.perf_counter() - start < 1
 
+    def test_huge_power_evaluated_at_a_point(self):
+        start = time.perf_counter()
+        argv = ["invariant", "--ordinary", "x,y", "--point", "2,0",
+                "--ideal", "x^99999999999999999999"]
+        code, out, err = run_cli(argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "exceeds" in err
+        assert time.perf_counter() - start < 1
+
     def test_deep_contact_chain(self):
         ideal = "x^4 - x^3 y^2 - 2 x y^3 - z, y^3 z^3"
         code, out, _ = run_cli(["invariant", "--ordinary", "x,y,z", "--ideal", ideal])

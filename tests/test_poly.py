@@ -7,8 +7,9 @@ from hypothesis import given, strategies as st
 from conftest import ambient, ideal, poly
 from mwb import LogAmbient, Polynomial, PolyIdeal, groebner, monomial_ideal
 from mwb.blowup import build_blowup
-from mwb.errors import AmbientMismatch, IncompleteSubstitution
+from mwb.errors import AmbientMismatch, IncompleteSubstitution, MwbError
 from mwb.poly import (
+    EVALUATE_BITS,
     constant,
     derivative,
     format_polynomial,
@@ -95,6 +96,18 @@ def test_evaluate():
     f = poly(A3, "x^2 + y z - 3")
     assert f.evaluate((1, 2, 3)) == 4
     assert f.evaluate((Fraction(1, 2), 0, 0)) == Fraction(-11, 4)
+
+
+def test_evaluate_bounds_the_powers_it_builds():
+    # 2 and 1/2 take two bits, so x^k stops one step past EVALUATE_BITS / 2
+    k = EVALUATE_BITS // 2
+    assert monomial(A3, (k, 0, 0)).evaluate((2, 0, 0)) == 2**k
+    for x in (2, Fraction(1, 2), -3):
+        with pytest.raises(MwbError, match="exceeds"):
+            monomial(A3, (k + 1, 0, 0)).evaluate((x, 0, 0))
+    huge = monomial(A3, (10**20, 10**20, 10**20), 5)
+    assert huge.evaluate((1, -1, 1)) == 5
+    assert huge.evaluate((0, 1, -1)) == 0
 
 
 def test_restrict_drops_the_variable():
