@@ -14,6 +14,7 @@ usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -23,16 +24,16 @@ from . import engine, invariant as inv_mod
 from .blowup import (
     FractionalIdeal,
     MultiWeightedBlowup,
+    assemble_center,
     build_blowup,
     exceptional_multiplicities,
-    factored_morphism,
     proper_transform,
     rees_blowup,
     total_transform,
     weak_transform,
 )
 from .errors import MwbError
-from .monomials import MonomialIdeal, minimalize, monomial_ideal
+from .monomials import MonomialIdeal, minimalize
 from .poly import (
     MONOMIAL,
     ORDINARY,
@@ -484,8 +485,6 @@ def cmd_center(args) -> None:
         emit(args, lines, obj)
         return
     cid, root, weights = inv_mod.reduced_center(center, ambient)
-    from .blowup import assemble_center
-
     assembled = assemble_center(cid, ambient)
     lines.append(f"center: {inv_mod.center_display(center, ambient)}")
     lines.append(
@@ -699,6 +698,7 @@ def _add_ambient_opts(sub):
     sub.add_argument("--monomial", help="comma-separated monomial variables")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="mwb",

@@ -4,17 +4,19 @@ Everything runs through the kernel's normal-form loop; orders are grevlex
 (block == 0) or a block elimination order putting the first k variables in
 front (block == k).
 
-groebner_basis keeps each basis element as a (lead, terms) pair: the lead
-is found once, when the element enters, and its terms are monic and list
-the lead first (a remainder from kernel.normal_form already does).  Pairs
-wait in a heap keyed (order_key(lcm), i, j), i < j the elements' entry
-indices, so the pair with the smallest lcm goes first and ties go to the
-oldest pair: the selection of a sorted scan over every pending pair.  It
-fixes the order of the work, so every count repeats from run to run.
-S-polynomials that vanish before reduction (two monomials) are not
-reduced.  Entering an element h updates the pending pairs the way of
-Gebauer and Moller (On an installation of Buchberger's algorithm, J. Symb.
-Comp. 1988):
+extend grows a Groebner basis held as (lead, terms) pairs: the lead is
+found once, when an element enters, and its terms are monic and list the
+lead first (a remainder from kernel.normal_form already does).  The given
+basis goes in live with no pairs among its elements, so callers adding
+generators grow one basis, never rebuild it; groebner_basis is extend
+from [] with its minimal part interreduced.  Pairs wait in a heap keyed
+(order_key(lcm), i, j), i < j the elements' entry indices, so the pair
+with the smallest lcm goes first and ties go to the oldest pair: the
+selection of a sorted scan over every pending pair.  It fixes the order
+of the work, so every count repeats from run to run.  S-polynomials that
+vanish before reduction (two monomials) are not reduced.  Entering an
+element h updates the pending pairs the way of Gebauer and Moller (On an
+installation of Buchberger's algorithm, J. Symb. Comp. 1988):
 
 - new pairs (g, h) are grouped by lcm; a class whose lcm another class's
   lcm properly divides goes (chain criterion), a class holding a pair with
@@ -30,9 +32,11 @@ pairs that are reduced, so what the run builds is a Groebner basis of the
 ideal, as the all-pairs run's is.  Why the output cannot change: its
 minimal part with tails reduced is the reduced monic basis, which is
 unique for the order; each element is a normal form, so its terms come
-in decreasing order, lead first (lead_pairs and dimension read leads off
-that); and bases are sorted by lead.  The run stops at the first constant
-it meets, with [1], the reduced basis of the unit ideal under every order.
+in decreasing order, lead first; and bases are sorted by lead.  Nor do
+extend's unreduced bases change a remainder (the full normal form modulo
+any Groebner basis is unique) or the leading-term ideal dimension reads.
+The run stops at the first constant it meets, with [1], the reduced
+basis of the unit ideal under every order.
 
 Saturation of a principal ideal at a monomial is division, since k[x] is
 a UFD and each variable is prime: (g) : m^inf = (g / x^e), x^e the largest
@@ -97,12 +101,6 @@ def monic(p: Polynomial, block: int = 0) -> Polynomial:
     return Polynomial._trusted(p.ambient, _monic_terms(p.terms, lm))
 
 
-def lead_pairs(basis: list[Polynomial]) -> list[tuple]:
-    """The (lead, terms) pairs of a basis from groebner_basis, whose
-    elements list their lead first, as kernel.normal_form takes them."""
-    return [(next(iter(g.terms)), g.terms) for g in basis]
-
-
 def monic_remainder(p: Polynomial, pairs, block: int = 0) -> Polynomial:
     """The normal form of p against (lead, terms) pairs, made monic; the
     zero polynomial when p reduces to zero."""
@@ -157,28 +155,27 @@ def _update(h: int, elements, live: list[int], pairs: dict, heap: list, block: i
     live[:] = [g for g in live if not divides(mh, elements[g][0])] + [h]
 
 
-def groebner_basis(ideal: PolyIdeal, block: int = 0) -> list[Polynomial]:
-    """Reduced monic basis, sorted by increasing leading monomial; every
-    element lists its terms in decreasing order, its lead first."""
-    amb = ideal.ambient
-    one = (0,) * amb.n
-    elements: list[tuple] = []  # (lead, monic terms, lead first), by entry
-    live: list[int] = []  # indices of the basis that reduces
+def extend(basis: list[tuple], gens, block: int = 0) -> list[tuple]:
+    """A Groebner basis of basis + gens, basis being one already, as
+    (lead, monic terms) pairs listing the lead first; neither reduced nor
+    sorted, and [(1, {1: 1})] once a constant turns up."""
+    elements = list(basis)  # (lead, monic terms, lead first), by entry
+    live = list(range(len(elements)))  # indices of the basis that reduces
     pairs: dict = {}  # pending (i, j) -> lcm of the two leads
     heap: list = []  # (order_key(lcm), i, j); entries not in pairs are stale
 
     def enter(lead, terms) -> bool:
         """Add a monic element unless it is a constant; False if it is."""
-        if lead == one:
+        if not any(lead):
             return False
         elements.append((lead, terms))
         _update(len(elements) - 1, elements, live, pairs, heap, block)
         return True
 
-    for g in ideal.generators:
+    for g in gens:
         lead, lc = leading_term(g, block)
         if not enter(lead, _monic_terms({lead: lc, **g.terms}, lead)):
-            return [Polynomial._trusted(amb, {one: Fraction(1)})]
+            return [(lead, {lead: Fraction(1)})]
     reducers = [elements[g] for g in live]
     while heap:
         _, i, j = heapq.heappop(heap)
@@ -190,27 +187,29 @@ def groebner_basis(ideal: PolyIdeal, block: int = 0) -> list[Polynomial]:
         if r:
             lead = next(iter(r))
             if not enter(lead, _monic_terms(r, lead)):
-                return [Polynomial._trusted(amb, {one: Fraction(1)})]
+                return [(lead, {lead: Fraction(1)})]
             reducers = [elements[g] for g in live]
+    return reducers
 
-    # minimal part: drop inputs whose lead another lead properly divides; no
-    # two leads are equal, since an entering element's lead drops any equal
-    # one, and a remainder's lead is irreducible by the basis
+
+def groebner_basis(ideal: PolyIdeal, block: int = 0) -> list[Polynomial]:
+    """Reduced monic basis, sorted by increasing leading monomial; every
+    element lists its terms in decreasing order, its lead first."""
+    elements = extend([], ideal.generators, block)
+    # minimal part: drop elements whose lead another lead properly divides;
+    # no two leads are equal, since an entering element's lead drops any
+    # equal one, and a remainder's lead is irreducible by the basis
     kept = [
-        g
-        for g in live
-        if not any(
-            h != g and kernel.mono_divides(elements[h][0], elements[g][0]) for h in live
-        )
+        a
+        for a in elements
+        if not any(b[0] != a[0] and kernel.mono_divides(b[0], a[0]) for b in elements)
     ]
     reduced = []
-    for g in kept:
-        lead, terms = elements[g]
-        others = [elements[h] for h in kept if h != g]
-        r = kernel.normal_form(terms, others, block)
+    for i, (lead, terms) in enumerate(kept):
+        r = kernel.normal_form(terms, kept[:i] + kept[i + 1 :], block)
         reduced.append((kernel.order_key(lead, block), r))
     reduced.sort(key=lambda kr: kr[0])
-    return [Polynomial._trusted(amb, r) for _, r in reduced]
+    return [Polynomial._trusted(ideal.ambient, r) for _, r in reduced]
 
 
 def normal_form(p: Polynomial, basis, block: int = 0) -> Polynomial:
@@ -321,10 +320,9 @@ def dimension(ideal: PolyIdeal, names=()) -> int:
     if names:
         ideal = _rabinowitsch(ideal, monomial(ideal.ambient, f))[1]
         n += 1
-    basis = groebner_basis(ideal)
-    if len(basis) == 1 and basis[0].is_constant():
+    leads = [lead for lead, _ in extend([], ideal.generators)]
+    if leads and not any(leads[0]):
         return -1
-    leads = [lead for lead, _ in lead_pairs(basis)]
     for size in range(n, 0, -1):
         for sel in itertools.combinations(range(n), size):
             if all(any(e[i] for i in range(n) if i not in sel) for e in leads):

@@ -56,6 +56,7 @@ from .poly import (
     PolyIdeal,
     Polynomial,
     derivative,
+    format_monomial,
     log_derivation,
     restrict,
     strip_inverted_units,
@@ -169,18 +170,18 @@ def d_leq(ideal: PolyIdeal, m: int) -> PolyIdeal:
 def max_logord(ideal: PolyIdeal):
     """min m with D^{<=m}(I) the unit ideal; INF if the chain stabilizes
     below it.  Each round derives only the previous round's remainders
-    against the stage's basis, as d_leq does."""
+    against the stage's basis, as d_leq does, and groebner.extend grows
+    that basis by them."""
     amb = ideal.ambient
-    basis = groebner.groebner_basis(ideal)
+    basis = groebner.extend([], ideal.generators)
     new = list(ideal.generators)
     m = 0
-    while not (len(basis) == 1 and basis[0].is_constant()):
-        pairs = groebner.lead_pairs(basis)
+    while not basis or any(basis[0][0]):
         derived = (log_derivation(g, name) for g in new for name in amb.names())
-        new = [r for r in (groebner.monic_remainder(d, pairs) for d in derived) if r.terms]
+        new = [r for r in (groebner.monic_remainder(d, basis) for d in derived) if r.terms]
         if not new:
             return INF
-        basis = groebner.groebner_basis(PolyIdeal(amb, basis + new))
+        basis = groebner.extend(basis, new)
         m += 1
     return m
 
@@ -271,18 +272,17 @@ def coefficient_ideal(pairs, a, point) -> list[tuple[Polynomial, Fraction]]:
     """The family closed under log derivations at entry a, pruned: each
     kept pair (g, delta) adds (D g, delta - 1/a) while that weight is
     positive.  Pairs are taken by descending weight, then degree, and a
-    pair is kept as its monic remainder against the basis of the pairs
-    already kept, which only grows: each kept remainder enters the previous
-    reduced basis.  Raises MwbError after CLOSURE_BUDGET pairs; the point
-    only names where in that message."""
+    pair is kept as its monic remainder against a Groebner basis of the
+    pairs already kept, which groebner.extend grows by each kept remainder.
+    Raises MwbError after CLOSURE_BUDGET pairs; the point only names where
+    in that message."""
     amb = pairs[0][0].ambient
     step = 1 / a
     seq = itertools.count()
     heap = [(-d, max(map(sum, g.terms)), next(seq), g) for g, d in pairs]
     heapq.heapify(heap)
     kept: list[tuple[Polynomial, Fraction]] = []
-    basis: list[Polynomial] = []
-    leads: list[tuple] = []
+    basis: list[tuple] = []  # groebner.extend's pairs
     taken = 0
     while heap:
         taken += 1
@@ -293,12 +293,11 @@ def coefficient_ideal(pairs, a, point) -> list[tuple[Polynomial, Fraction]]:
                 f" exceeds {CLOSURE_BUDGET} pairs"
             )
         neg, _, _, g = heapq.heappop(heap)
-        r = groebner.monic_remainder(g, leads)
+        r = groebner.monic_remainder(g, basis)
         if not r.terms:
             continue
         kept.append((r, -neg))
-        basis = groebner.groebner_basis(PolyIdeal(amb, basis + [r]))
-        leads = groebner.lead_pairs(basis)
+        basis = groebner.extend(basis, [r])
         if -neg > step:
             for name in amb.names():
                 dr = log_derivation(r, name)
@@ -421,8 +420,6 @@ def center_display(center: Center, ambient: LogAmbient) -> str:
     for (name, _e), w in zip(c.ordinary, weights):
         parts.append(name if w == 1 else f"{name}^{{1/{w}}}")
     if not center.q.is_zero():
-        from .poly import format_monomial
-
         inner = ", ".join(format_monomial(ambient, g) for g in center.q.gens)
         parts.append(f"({inner})" + (f"^{{1/{root}}}" if root != 1 else ""))
     return "(" + ", ".join(parts) + ")"

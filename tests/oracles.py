@@ -31,7 +31,6 @@ from mwb.errors import IncompleteSubstitution, MwbError
 from mwb.groebner import (
     groebner_basis,
     is_unit_ideal,
-    lead_pairs,
     leading_term,
     monic,
     monic_remainder,
@@ -224,6 +223,12 @@ def product_coefficient_ideal(levels, b, ambient):
         for combo in itertools.product(*factors):
             gens.append(math.prod(combo[1:], start=combo[0]))
     return PolyIdeal(ambient, _prune(ambient, list(dict.fromkeys(gens)))[0])
+
+
+def lead_pairs(basis):
+    """The (lead, terms) pairs of a basis from groebner_basis, whose
+    elements list their lead first, as kernel.normal_form takes them."""
+    return [(next(iter(g.terms)), g.terms) for g in basis]
 
 
 def _prune(ambient, gens):

@@ -340,15 +340,16 @@ class TestOneStep:
 
 def test_principal_resolutions_eliminate_nothing(monkeypatch):
     # a principal ideal is saturated by division; only the pair still
-    # builds an elimination basis in its proper transforms
+    # builds an elimination basis in its proper transforms.  Every basis,
+    # reduced or grown, is built by extend
     blocks = []
-    original = groebner.groebner_basis
+    original = groebner.extend
 
-    def recording(ideal, block=0):
+    def recording(basis, gens, block=0):
         blocks.append(block)
-        return original(ideal, block)
+        return original(basis, gens, block)
 
-    monkeypatch.setattr(groebner, "groebner_basis", recording)
+    monkeypatch.setattr(groebner, "extend", recording)
     principal = [(kind, i) for kind, i in drop_corpus() if len(i.generators) == 1]
     assert len(principal) == 22
     for kind, i in principal:

@@ -6,7 +6,7 @@ import sympy
 
 import oracles
 from conftest import F_TEXT, ambient, ideal, poly, random_polynomial
-from mwb import PolyIdeal, Polynomial, groebner
+from mwb import PolyIdeal, Polynomial, groebner, kernel
 from mwb.groebner import (
     codimension,
     dimension,
@@ -21,6 +21,7 @@ from mwb.groebner import (
     saturate_at_variables,
     saturates_to_unit,
 )
+from mwb.invariant import INF, max_logord
 from mwb.poly import constant, derivative, format_polynomial, variable
 from mwb.polyhedra import dot, faces, newton_polyhedron
 
@@ -318,12 +319,33 @@ def test_dimension_on_a_chart_matches_the_saturated_ideal():
     } <= seen
 
 
+def interreduced(amb, pairs, block):
+    """The minimal part of (lead, terms) pairs, each element reduced by the
+    others, sorted by lead: the reduced basis when the pairs are a
+    Groebner basis."""
+    kept = [
+        (lead, terms)
+        for lead, terms in pairs
+        if not any(m != lead and kernel.mono_divides(m, lead) for m, _ in pairs)
+    ]
+    out = [
+        (lead, kernel.normal_form(terms, [q for q in kept if q[0] != lead], block))
+        for lead, terms in kept
+    ]
+    out.sort(key=lambda lt: kernel.order_key(lt[0], block))
+    return [Polynomial._trusted(amb, r) for _, r in out]
+
+
 def test_groebner_basis_matches_the_all_pairs_oracle():
     # the Gebauer-Moller run against Buchberger over every pair, term dict
     # for term dict and term order included, under every block order: on
     # 2-4 variables and 1-4 generators, plus inputs with equal and dividing
-    # leads, unit ideals and Rabinowitsch lifts of 2-3 variables
+    # leads, unit ideals and Rabinowitsch lifts of 2-3 variables.  The
+    # basis extend grows one generator at a time is checked too: once
+    # interreduced it is the reduced basis, and remainders against it are
+    # those against the reduced basis
     rng = random.Random(3013)
+    rem_rng = random.Random(3113)  # keeps rng's ideals what they were
     kinds = set()
     for k in range(48):
         shape = k % 4
@@ -354,6 +376,17 @@ def test_groebner_basis_matches_the_all_pairs_oracle():
                 list(g.terms.items()) for g in want
             ], (i, block)
             kinds.add((shape, got == [constant(i.ambient, 1)]))
+            grown = []
+            for g in i.generators:
+                grown = groebner.extend(grown, [g], block)
+            assert [
+                list(g.terms.items()) for g in interreduced(i.ambient, grown, block)
+            ] == [list(g.terms.items()) for g in want], (i, block)
+            for _ in range(3):
+                p = random_polynomial(rem_rng, i.ambient, max_terms=4, max_entry=3)
+                r = groebner.monic_remainder(p, grown, block)
+                r0 = groebner.monic_remainder(p, oracles.lead_pairs(got), block)
+                assert list(r.terms.items()) == list(r0.terms.items()), (i, block, p)
     assert {(0, False), (1, False), (2, True), (3, False), (3, True)} <= kinds
 
 
@@ -390,6 +423,17 @@ def test_codimension_and_dimension():
     # the cuspidal curve in the plane has codimension one
     a2 = ambient(ordinary="x,y")
     assert codimension(ideal(a2, "x^2 + y^3")) == 1
+
+
+def test_zero_ideal_values():
+    # extend has no generator to read the arity from
+    amb = ambient(ordinary="x,y")
+    zero = PolyIdeal(amb, ())
+    assert groebner.extend([], ()) == []
+    assert groebner_basis(zero) == []
+    assert dimension(zero) == 2
+    assert dimension(zero, ["x"]) == 2
+    assert max_logord(zero) is INF
 
 
 def test_monic_scales_leading_coefficient():
