@@ -278,7 +278,17 @@ def build_blowup(
         raise ZeroIdeal("blow-up of the zero ideal")
     if ideal.dim != ambient.n:
         raise MwbError("ideal arity does not match the ambient")
-    fan = normal_fan(newton(ideal))
+    return _fan_blowup(ideal, ambient, normal_fan(newton(ideal)), weights)
+
+
+def _fan_blowup(
+    ideal: MonomialIdeal,
+    ambient: LogAmbient,
+    fan: NormalFan,
+    weights: dict | None = None,
+) -> MultiWeightedBlowup:
+    """build_blowup on the normal fan of the ideal's Newton polyhedron, for
+    a caller that holds that polyhedron already."""
     w = [1] * len(fan.rays)
     if weights:
         bydir = {fan.rays[j].direction: j for j in fan.exceptional()}

@@ -29,7 +29,7 @@ from . import groebner
 from .blowup import (
     CenterIdeal,
     MultiWeightedBlowup,
-    build_blowup,
+    _fan_blowup,
     center_consistency,
     center_to_blowup,
     proper_transform,
@@ -63,7 +63,7 @@ from .poly import (
     substitute,
     variable,
 )
-from .polyhedra import dot, faces, newton_polyhedron
+from .polyhedra import dot, faces, newton_polyhedron, normal_fan
 
 
 def depth_limit() -> int:
@@ -403,26 +403,30 @@ def newton_nondegenerate(f: Polynomial):
     if f.is_zero():
         raise ZeroIdeal("the zero polynomial has no Newton polyhedron")
     poly = newton_polyhedron(list(f.terms), f.ambient.n)
-    return _faces_nondegenerate(f, poly, faces(poly))
+    face_list = faces(poly)
+    return _faces_nondegenerate(f, face_list, _face_terms(f, poly, face_list))
 
 
-def _face_terms(f: Polynomial, poly, face) -> tuple:
-    """The exponents of f on a face of its Newton polyhedron, in f's order."""
-    return tuple(
-        e
-        for e in f.terms
-        if all(
-            dot(poly.facets[k].normal, e) == poly.facets[k].level
-            for k in face.defining
+def _face_terms(f: Polynomial, poly, face_list) -> list[tuple]:
+    """The exponents of f on each face of its Newton polyhedron, in f's
+    order."""
+    out = []
+    for face in face_list:
+        tight = [poly.facets[k] for k in face.defining]
+        out.append(
+            tuple(e for e in f.terms if all(dot(t.normal, e) == t.level for t in tight))
         )
-    )
+    return out
 
 
-def _faces_nondegenerate(f: Polynomial, poly, face_list):
+def _face_label(amb: LogAmbient, face) -> str:
+    return ", ".join(format_monomial(amb, v) for v in face.vertices)
+
+
+def _faces_nondegenerate(f: Polynomial, face_list, face_terms):
     amb = f.ambient
     checked = set()
-    for face in face_list:
-        active = _face_terms(f, poly, face)
+    for face, active in zip(face_list, face_terms):
         if active in checked:
             continue  # faces with the same terms share one certificate
         checked.add(active)
@@ -431,8 +435,7 @@ def _faces_nondegenerate(f: Polynomial, poly, face_list):
         if not groebner.saturates_to_unit(
             d_leq(PolyIdeal(amb, (ftau,)), 1), amb.names()
         ):
-            label = ", ".join(format_monomial(amb, v) for v in face.vertices)
-            return False, f"face spanned by {label}"
+            return False, f"face spanned by {_face_label(amb, face)}"
     return True, None
 
 
@@ -441,6 +444,13 @@ def one_step_check(f: Polynomial) -> dict:
     a fully monomial ambient resolves it in one step: the first derivation
     stage of the weak transform is a unit on every chart, and on each
     exceptional orbit the weak transform restricts to the matching face of f.
+
+    Each object is built once.  f's Newton polyhedron is that of its term
+    ideal, so its faces, f's terms on each face and the fan of the blow-up
+    all come from it.  The charts' questions share one basis of the first
+    derivation stage (groebner.chart_dimensions).  report["faces"] is keyed
+    by a face's vertices, which faces can share; each label holds the AND
+    of the checks of its faces, so "resolved" covers every face.
     """
     amb = f.ambient
     if any(flag != MONOMIAL for _, flag in amb.variables):
@@ -454,41 +464,39 @@ def one_step_check(f: Polynomial) -> dict:
         if all(e[i] > 0 for e in f.terms):
             raise MwbError(f"{name} divides f")
 
-    # f's Newton polyhedron is that of its term ideal: the orbit check
-    # below reuses it and its faces
     poly = newton_polyhedron(list(f.terms), amb.n)
     face_list = faces(poly)
-    nd, witness = _faces_nondegenerate(f, poly, face_list)
+    face_terms = _face_terms(f, poly, face_list)
+    nd, witness = _faces_nondegenerate(f, face_list, face_terms)
     report = {"nondegenerate": nd, "witness": witness}
     if not nd:
         report["resolved"] = False
         return report
 
     ideal = PolyIdeal(amb, (f,))
-    term_ideal = monomial_saturation(ideal)
-    b = build_blowup(term_ideal, amb)
+    b = _fan_blowup(monomial_saturation(ideal), amb, normal_fan(poly))
     weak, mult = weak_transform(b, ideal)
     fm = weak.generators[0]
     report["blowup"] = b
     report["multiplicities"] = mult
     report["weak"] = fm
 
-    dl = d_leq(weak, 1)
-    charts = {}
-    for chart in b.charts:
-        charts["".join(chart.inverted)] = groebner.saturates_to_unit(
-            dl, chart.inverted
-        )
+    dims = groebner.chart_dimensions(
+        d_leq(weak, 1), [chart.inverted for chart in b.charts]
+    )
+    charts = {"".join(c.inverted): d < 0 for c, d in zip(b.charts, dims)}
     report["charts"] = charts
 
     orbit = {}
-    for face in face_list:
+    primed = {}  # f's terms on a face -> that restriction on the Cox ring
+    for face, active in zip(face_list, face_terms):
+        if active not in primed:
+            ftau = Polynomial(amb, {e: f.terms[e] for e in active})
+            primed[active] = rename(ftau, b.name_map, b.cox)
         defining = {poly.facets[k].normal for k in face.defining}
-        restricted = _orbit_restriction(fm, b, defining)
-        ftau = Polynomial(amb, {e: f.terms[e] for e in _face_terms(f, poly, face)})
-        primed = rename(ftau, b.name_map, b.cox)
-        label = ", ".join(format_monomial(amb, v) for v in face.vertices)
-        orbit[label] = restricted == primed
+        ok = _orbit_restriction(fm, b, defining) == primed[active]
+        label = _face_label(amb, face)
+        orbit[label] = orbit.get(label, True) and ok
     report["faces"] = orbit
     report["resolved"] = all(charts.values()) and all(orbit.values())
     return report

@@ -57,6 +57,19 @@ domains are catenary).  Every other ideal goes through the lift:
 basis of it.  saturates_to_unit asks whether the dimension is negative,
 so it answers by the same theorems.
 
+chart_dimensions asks this for many name sets, as a blow-up's charts do,
+and dimension is its one-set case, so there is one lift path.  It grows
+one basis G of I in k[x] with extend, and for each name set gives every
+element of G a zero w exponent and extends that by w*f - 1.  This is
+sound because grevlex on (w, x) restricts to grevlex on x: a monomial free
+of w has the same degree in both rings, and grevlex breaks degree ties at
+the last variable that differs, which for two w-free monomials is an x.
+So the lift of G keeps its leads, the S-polynomial of two lifted elements
+is the lift of theirs, and its standard representation over G lifts too.
+G is then a Groebner basis of I k[w, x], so extending it by w*f - 1 gives
+a Groebner basis of the lift, whose leading-term ideal, and with it the
+dimension, does not depend on the basis it grew from.
+
 Dimension is read off the leading-term ideal by maximal independent
 variable sets, which is exact for a degree-compatible order like grevlex.
 """
@@ -74,7 +87,6 @@ from .poly import (
     LogAmbient,
     PolyIdeal,
     Polynomial,
-    monomial,
     variable,
 )
 
@@ -242,19 +254,27 @@ def _fresh_name(taken, base="w") -> str:
     return name
 
 
+def _lift_ambient(amb: LogAmbient) -> LogAmbient:
+    """k[w, x]: the ambient with a fresh ordinary variable w put first."""
+    return LogAmbient(((_fresh_name(amb.names()), ORDINARY),) + amb.variables)
+
+
+def _inverse_equation(scratch: LogAmbient, f_terms: dict) -> Polynomial:
+    """w*f - 1 on the lift, f given by its terms over k[x]."""
+    wf = {(1,) + e: c for e, c in f_terms.items()}
+    wf[(0,) * scratch.n] = Fraction(-1)
+    return Polynomial._trusted(scratch, wf)
+
+
 def _rabinowitsch(ideal: PolyIdeal, f: Polynomial) -> tuple[str, PolyIdeal]:
     """I + (w*f - 1) in k[w, x], with w a fresh variable put first."""
-    amb = ideal.ambient
-    w = _fresh_name(amb.names())
-    scratch = LogAmbient(((w, ORDINARY),) + amb.variables)
+    scratch = _lift_ambient(ideal.ambient)
     lifted = [
         Polynomial._trusted(scratch, {(0,) + e: c for e, c in g.terms.items()})
         for g in ideal.generators
     ]
-    wf = {(1,) + e: c for e, c in f.terms.items()}
-    wf[(0,) * scratch.n] = Fraction(-1)
-    lifted.append(Polynomial._trusted(scratch, wf))
-    return w, PolyIdeal(scratch, lifted)
+    lifted.append(_inverse_equation(scratch, f.terms))
+    return scratch.names()[0], PolyIdeal(scratch, lifted)
 
 
 def saturate(ideal: PolyIdeal, f: Polynomial) -> PolyIdeal:
@@ -298,29 +318,59 @@ def saturate_at_variables(ideal: PolyIdeal, names) -> PolyIdeal:
 
 def dimension(ideal: PolyIdeal, names=()) -> int:
     """Krull dimension of (R/I)_f, which is that of R/(I : f^inf), f the
-    product of the named variables (1 when none); -1 for the zero ring.
+    product of the named variables (1 when none); -1 for the zero ring."""
+    return chart_dimensions(ideal, [names])[0]
+
+
+def chart_dimensions(ideal: PolyIdeal, name_sets) -> list[int]:
+    """dimension(ideal, names) for each names in name_sets.
 
     Two theorems answer first, in this order, with no basis.  A generator
     c*x^a with every variable of x^a named is a unit of R_f, so the ring is
     zero: -1.  Otherwise a single generator is a nonzero nonunit of the
     affine domain R_f, which cuts the dimension by exactly one (Krull's
     principal ideal theorem; affine domains are catenary): n - 1.  Every
-    other ideal has its dimension read off the lift's basis."""
-    n = ideal.ambient.n
-    f = [0] * n
-    for name in names:
-        f[ideal.ambient.index(name)] += 1
-    for g in ideal.generators:
-        if len(g.terms) == 1:
-            (e,) = g.terms
-            if all(f[i] or not k for i, k in enumerate(e)):
-                return -1
-    if len(ideal.generators) == 1:
-        return n - 1
-    if names:
-        ideal = _rabinowitsch(ideal, monomial(ideal.ambient, f))[1]
-        n += 1
-    leads = [lead for lead, _ in extend([], ideal.generators)]
+    other name set has its dimension read off a basis of its lift, and all
+    lifts grow from one basis of I, built at the first of them."""
+    amb = ideal.ambient
+    n = amb.n
+    gens = ideal.generators
+    units = [e for g in gens if len(g.terms) == 1 for e in g.terms]
+    basis = dim = lifted = scratch = None  # built when first needed
+    out = []
+    for names in name_sets:
+        f = [0] * n
+        for name in names:
+            f[amb.index(name)] += 1
+        if units and any(all(f[i] or not k for i, k in enumerate(e)) for e in units):
+            out.append(-1)
+            continue
+        if len(gens) == 1:
+            out.append(n - 1)
+            continue
+        if basis is None:
+            basis = extend([], gens)
+            dim = _leads_dimension([lead for lead, _ in basis], n)
+        if dim < 0 or not names:  # the zero ring stays zero on every chart
+            out.append(dim)
+            continue
+        if lifted is None:
+            # a grevlex basis of I in k[x] is one of I in k[w, x]: see the
+            # module docstring
+            lifted = [
+                ((0,) + lead, {(0,) + e: c for e, c in terms.items()})
+                for lead, terms in basis
+            ]
+            scratch = _lift_ambient(amb)
+        grown = extend(lifted, [_inverse_equation(scratch, {tuple(f): Fraction(1)})])
+        out.append(_leads_dimension([lead for lead, _ in grown], n + 1))
+    return out
+
+
+def _leads_dimension(leads, n: int) -> int:
+    """Krull dimension of k[x_1, ..., x_n] modulo the ideal of the leads of
+    a grevlex Groebner basis, by maximal independent variable sets; -1 when
+    the basis is the unit ideal's."""
     if leads and not any(leads[0]):
         return -1
     for size in range(n, 0, -1):

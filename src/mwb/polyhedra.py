@@ -188,14 +188,19 @@ class Face:
 def faces(p: NewtonPolyhedron) -> list[Face]:
     """All nonempty faces of P, the full polyhedron included, by decreasing
     dimension.  A lattice point a of P lies on the face iff every defining
-    facet inequality is tight at a."""
+    facet inequality is tight at a.
+
+    Each selection of facets is closed once: a selection reached again
+    from another face is not pushed again, since its closure, and all it
+    leads to, is already known."""
     n = p.dim
     tight = [
         {j for j, f in enumerate(p.facets) if dot(f.normal, v) == f.level}
         for v in p.vertices
     ]
     out: dict[tuple[int, ...], Face] = {}
-    todo = [set()]
+    todo = [frozenset()]
+    seen = set(todo)
     while todo:
         sel = todo.pop()
         on = [k for k, t in enumerate(tight) if sel <= t]
@@ -215,7 +220,12 @@ def faces(p: NewtonPolyhedron) -> list[Face]:
         span += [_unit(i, n) for i in free]
         dim = _rank(span) if span else 0
         out[defining] = Face(defining, verts, tuple(free), dim)
-        todo += [{*defining, j} for j in range(len(p.facets)) if j not in defining]
+        for j in range(len(p.facets)):
+            if j not in defining:
+                wider = frozenset((*defining, j))
+                if wider not in seen:
+                    seen.add(wider)
+                    todo.append(wider)
     return sorted(out.values(), key=lambda f: (-f.dim, f.defining))
 
 

@@ -14,7 +14,7 @@ from conftest import (
     poly,
     random_polynomial,
 )
-from mwb import engine, groebner
+from mwb import engine, groebner, monomials
 from mwb.blowup import build_blowup, weak_transform
 from mwb.engine import (
     blowup_equal,
@@ -241,7 +241,10 @@ class TestOneStep:
             one_step_check(poly(ambient(ordinary="x,y"), "x + y^2"))
 
     def test_certificates_saturate_nothing(self, a33, monkeypatch):
+        # every chart question goes through chart_dimensions, which
+        # saturates_to_unit reaches as well: record its name sets per call
         calls = {"saturate": 0, "saturates_to_unit": 0}
+        name_sets = []
 
         def count(name):
             original = getattr(groebner, name)
@@ -254,6 +257,13 @@ class TestOneStep:
 
         for name in calls:
             count(name)
+        original = groebner.chart_dimensions
+
+        def recording(ideal, sets):
+            name_sets.append(len(sets))
+            return original(ideal, sets)
+
+        monkeypatch.setattr("mwb.groebner.chart_dimensions", recording)
         f = poly(a33, F_TEXT)
         report = one_step_check(f)
         assert report["resolved"]
@@ -270,10 +280,10 @@ class TestOneStep:
             for face in faces(p)
         }
         assert len(restrictions) < len(faces(p))
-        assert calls == {
-            "saturate": 0,
-            "saturates_to_unit": len(restrictions) + len(report["blowup"].charts),
-        }
+        assert calls == {"saturate": 0, "saturates_to_unit": len(restrictions)}
+        # then every chart in one call, on one basis
+        charts = len(report["blowup"].charts)
+        assert name_sets == [1] * len(restrictions) + [charts]
 
     def test_random_nondegenerate_samples(self):
         for f in nondegenerate_samples(1203, 10):
@@ -282,26 +292,48 @@ class TestOneStep:
             assert report["resolved"], format_polynomial(f)
 
     def test_one_newton_polyhedron_per_check(self, a33, monkeypatch):
-        # the nondegeneracy certificate and the orbit check share f's
-        # polyhedron and face list; the blow-up builds its own from the
-        # term ideal, and the multiplicities one more
+        # the nondegeneracy certificate, the orbit check and the blow-up's
+        # fan share f's polyhedron; the blow-up builds none of its own
         calls = {"newton_polyhedron": 0, "faces": 0}
 
-        def count(name):
-            original = getattr(engine, name)
+        def count(module, name):
+            original = getattr(module, name)
 
             def counting(*args):
                 calls[name] += 1
                 return original(*args)
 
-            monkeypatch.setattr(engine, name, counting)
+            monkeypatch.setattr(module, name, counting)
 
-        for name in calls:
-            count(name)
+        count(engine, "newton_polyhedron")
+        count(engine, "faces")
+        count(monomials, "newton_polyhedron")
         report = one_step_check(poly(a33, F_TEXT))
         assert report["resolved"] and len(report["faces"]) == 7
         assert calls == {"newton_polyhedron": 1, "faces": 1}
         assert "total" not in report
+
+    def test_every_face_check_counts(self, a33, monkeypatch):
+        # faces that share their vertices share a label; a failing face
+        # must fail the check even when a later face with its label passes
+        f = poly(a33, F_TEXT)
+        p = newton_polyhedron(list(f.terms), a33.n)
+        labels = [tuple(face.vertices) for face in faces(p)]
+        bad = next(i for i, v in enumerate(labels) if v in labels[i + 1 :])
+        original = engine._orbit_restriction
+        seen = []
+
+        def failing(fm, b, defining):
+            seen.append(defining)
+            out = original(fm, b, defining)
+            return out + constant(b.cox, 1) if len(seen) == bad + 1 else out
+
+        monkeypatch.setattr(engine, "_orbit_restriction", failing)
+        report = one_step_check(f)
+        assert len(seen) == len(labels)
+        assert report["charts"] and all(report["charts"].values())
+        assert report["resolved"] is False
+        assert list(report["faces"].values()).count(False) == 1
 
     def test_polyhedron_of_the_terms_is_that_of_the_term_ideal(self):
         # the orbit check reads faces of the term ideal off f's polyhedron

@@ -5,7 +5,14 @@ from fractions import Fraction
 import sympy
 
 import oracles
-from conftest import F_TEXT, ambient, ideal, poly, random_polynomial
+from conftest import (
+    F_TEXT,
+    ambient,
+    ideal,
+    nondegenerate_samples,
+    poly,
+    random_polynomial,
+)
 from mwb import PolyIdeal, Polynomial, groebner, kernel
 from mwb.groebner import (
     codimension,
@@ -21,8 +28,15 @@ from mwb.groebner import (
     saturate_at_variables,
     saturates_to_unit,
 )
-from mwb.invariant import INF, max_logord
-from mwb.poly import constant, derivative, format_polynomial, variable
+from mwb.blowup import build_blowup, weak_transform
+from mwb.invariant import INF, d_leq, max_logord
+from mwb.poly import (
+    constant,
+    derivative,
+    format_polynomial,
+    monomial_saturation,
+    variable,
+)
 from mwb.polyhedra import dot, faces, newton_polyhedron
 
 A3 = ambient(ordinary="x,y,z")
@@ -317,6 +331,49 @@ def test_dimension_on_a_chart_matches_the_saturated_ideal():
         ("constant", "all"),
         ("unit times 1 + x", "hypersurface"),
     } <= seen
+
+
+def test_chart_dimensions_match_the_lifts():
+    # every name set of one call against the basis dimension of its own
+    # Rabinowitsch lift, built by renaming, and d < 0 against saturation by
+    # elimination: the shapes of the chart dimension test (principal ideals
+    # and unit-monomial generators among them), the zero ideal, a unit
+    # ideal that only a basis shows, the empty name set, repeated names,
+    # and the chart lifts of the one-step check's first derivation stage
+    rng = random.Random(3015)
+    shapes = ("random", "principal", "monomial", "constant", "unit times 1 + x")
+    cases = []
+    for k in range(50):
+        amb = random_log_ambient(rng, rng.randint(2, 3))
+        gens = _chart_dimension_inputs(rng, amb, shapes[k % len(shapes)])
+        cases.append((PolyIdeal(amb, tuple(gens)), list(_every_subset(amb.names()))))
+    amb = ambient(ordinary="x,y", monomial="z")
+    every = list(_every_subset(amb.names()))
+    cases.append((PolyIdeal(amb, ()), every))
+    cases.append((ideal(amb, "x, 1 - x"), every))
+    repeated = [("x", "x"), ("z", "y", "z"), (), ("y",), ()]
+    cases.append((ideal(amb, "x^2 - y z, y^2 + x"), repeated))
+    for f in nondegenerate_samples(1204, 6):
+        pi = PolyIdeal(f.ambient, (f,))
+        b = build_blowup(monomial_saturation(pi), f.ambient)
+        dl = d_leq(weak_transform(b, pi)[0], 1)
+        cases.append((dl, [chart.inverted for chart in b.charts] + [()]))
+    seen = set()
+    for i, name_sets in cases:
+        n = i.ambient.n
+        got = groebner.chart_dimensions(i, name_sets)
+        assert len(got) == len(name_sets)
+        for names, d in zip(name_sets, got):
+            e = [0] * n
+            for name in names:
+                e[i.ambient.index(name)] += 1
+            f = Polynomial(i.ambient, {tuple(e): 1})
+            lift = oracles.rabinowitsch_by_rename(i, f)
+            assert d == oracles.basis_dimension(lift), (i, names)
+            assert (d < 0) == oracles.unit_after_saturation(i, names), (i, names)
+            assert dimension(i, names) == d
+            seen.add({-1: "unit", n - 1: "hypersurface", n: "all"}.get(d, "other"))
+    assert seen == {"unit", "hypersurface", "all", "other"}
 
 
 def interreduced(amb, pairs, block):
