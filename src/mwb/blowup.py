@@ -143,7 +143,7 @@ class MultiWeightedBlowup:
     weights: tuple[int, ...]  # per ray, fan order
     root: int | None  # Rees root when built from one
     cox: LogAmbient
-    ray_vars: tuple[str, ...]  # Cox variable per ray, fan order
+    ray_vars: tuple[str, ...]  # Cox variable per ray, fan order = Cox order
     name_map: dict  # source variable -> Cox variable
     beta_rows: tuple[Vec, ...]  # w_rho * u_rho per ray
     grading: dict  # Cox variable -> tuple over exceptional rays
@@ -213,23 +213,20 @@ def _assemble(
     carried = {name_map[v] for v in ambient.inverted}
     cox = LogAmbient(cox_vars, carried)
 
-    ray_vars = tuple(
-        name_map[ambient.names()[i]] if i < n else fresh[i - n]
-        for i in range(len(rays))
-    )
+    # the fan lists the n standard rays first, in coordinate order, then
+    # the exceptional ones, so ray j's Cox variable is the j-th
+    ray_vars = cox.names()
     beta_rows = tuple(
         tuple(weights[j] * rays[j].direction[i] for i in range(n))
         for j in range(len(rays))
     )
 
-    pullback = {}
-    for i, name in enumerate(ambient.names()):
-        e = [0] * cox.n
-        for j in range(len(rays)):
-            k = weights[j] * rays[j].direction[i]
-            if k:
-                e[cox.index(ray_vars[j])] += k
-        pullback[name] = Polynomial(cox, {tuple(e): Fraction(1)})
+    # x_i -> prod_rho var_rho^(w_rho u_rho[i]): the exponent of x_i is
+    # column i of beta_rows
+    pullback = {
+        name: Polynomial._trusted(cox, {column: Fraction(1)})
+        for name, column in zip(ambient.names(), zip(*beta_rows))
+    }
 
     grading = {}
     for i, name in enumerate(ambient.names()):
@@ -244,11 +241,10 @@ def _assemble(
     charts = []
     irrelevant = []
     for ci, cone in enumerate(fan.maximal_cones):
-        inv = tuple(
-            ray_vars[j]
-            for j in range(len(rays))
-            if dot(rays[j].direction, cone.vertex) > rays[j].level
-        )
+        # every facet inequality holds on P, so the rays not tight at the
+        # vertex, the ones not in its cone, are those with dot > level
+        tight = set(cone.rays)
+        inv = tuple(v for j, v in enumerate(ray_vars) if j not in tight)
         charts.append(Chart(ci, cone.vertex, inv))
         irrelevant.append(inv)
 

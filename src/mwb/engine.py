@@ -506,13 +506,14 @@ def _orbit_restriction(fm: Polynomial, b: MultiWeightedBlowup, defining) -> Poly
     """fm on the exceptional orbit of a face: the Cox variable of a ray in
     defining goes to 0, that of any other exceptional ray to 1, and a
     standard ray's variable stays.  Such a map sends each term to one term
-    or to zero, so it is read off the exponents."""
+    or to zero, so it is read off the exponents.  ray_vars is the Cox
+    order, so ray j's variable is exponent j."""
     zero, one = set(), set()
     for j, ray in enumerate(b.fan.rays):
         if ray.direction in defining:
-            zero.add(b.cox.index(b.ray_vars[j]))
+            zero.add(j)
         elif not ray.standard:
-            one.add(b.cox.index(b.ray_vars[j]))
+            one.add(j)
     out: dict = {}
     for e, c in fm.terms.items():
         if any(e[i] for i in zero):

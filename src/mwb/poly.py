@@ -20,8 +20,9 @@ dropped.  Polynomial._trusted(ambient, terms) takes a term dict as it is.
 It serves only results that the package built from validated operands
 (sums, negations, products, powers, substitutions, renamings, unit
 stripping, derivations, monic rescalings, Rabinowitsch lifts,
-S-polynomials, normal forms, orbit restrictions and restrictions to a
-coordinate hyperplane), where those properties hold by construction.
+S-polynomials, normal forms, orbit restrictions, restrictions to a
+coordinate hyperplane and blow-up pullbacks), where those properties hold
+by construction.
 
 substitute works on raw term dicts: each image's powers are built once by
 repeated squaring and every term of the source is expanded with one

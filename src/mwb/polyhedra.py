@@ -15,16 +15,35 @@ found by the double description method (Fukuda and Prodon, Double
 description method revisited, 1996): start from the simplicial cone of the
 first n + 1 constraints, add one generator's constraint at a time, keep the
 rays it does not cut off and join each cut pair whose tight constraint sets
-share a common face (the combinatorial adjacency test).  Faces are closed
-sets of facets: every face is the intersection of the facets containing it,
-so the face lattice is reached from P by adding one facet at a time and
-taking closures.  The normal fan subdivides the nonnegative orthant; its
-maximal cones biject with vertices of P and a ray rho lies in the cone of a
-vertex v exactly when the facet inequality of rho is tight at v.
+share a common face (the combinatorial adjacency test).
 
-All arithmetic is in exact integers, with no floats and no Fractions.  Ranks
-use Bareiss fraction-free elimination, whose intermediate entries are
-integer minors and whose divisions are exact.
+Each ray carries the set of constraint rows it is tight on, and these tags
+are exact.  A starting ray's tag is read off the inverse matrix; a kept ray
+gains the new row iff it is tight on it; a joined ray is a positive
+combination of its two parents, so it is tight on an earlier row iff both
+parents are, and it is tight on the new row by construction.  The final
+tags therefore give the incidence of facets and generators with no dot
+product, and the vertices follow from it:
+
+    a generator g is a vertex iff no other generator's set of tight
+    facets contains g's own.
+
+The minimal face of P containing g is the intersection of the facets tight
+at g.  P is pointed (its recession cone is the orthant), so that face has a
+vertex, and every vertex is a generator.  If g is a vertex the face is {g}
+and no other generator lies on it; if not, the face holds some vertex
+h != g, and h is tight on every facet tight at g.
+
+Faces are closed sets of facets: every face is the intersection of the
+facets containing it, so the face lattice is reached from P by adding one
+facet at a time and taking closures.  The normal fan subdivides the
+nonnegative orthant; its maximal cones biject with vertices of P and a ray
+rho lies in the cone of a vertex v exactly when the facet inequality of rho
+is tight at v, which is the vertex's incidence.
+
+All arithmetic is in exact integers, with no floats and no Fractions.  Face
+dimensions use Bareiss fraction-free elimination, whose intermediate
+entries are integer minors and whose divisions are exact.
 """
 
 from __future__ import annotations
@@ -94,9 +113,13 @@ class Facet:
 
 @dataclass(frozen=True)
 class NewtonPolyhedron:
+    """Vertices, facets and their incidence: incidence[k] is the set of
+    indices of the facets tight at vertices[k]."""
+
     dim: int
     vertices: tuple[Vec, ...]
     facets: tuple[Facet, ...]
+    incidence: tuple[frozenset[int], ...]
 
     def __str__(self) -> str:
         ineqs = ", ".join(
@@ -111,7 +134,8 @@ def newton_polyhedron(gens, n: int) -> NewtonPolyhedron:
     Facets are listed with the coordinate facets first (in coordinate order),
     then the exceptional ones in lexicographically descending order of their
     primitive normals.  Vertices are a subset of the generators, listed in
-    lexicographically descending order.
+    lexicographically descending order, each with the set of facet indices
+    tight at it (the incidence), read off the double description tags.
     """
     gens = [tuple(int(x) for x in g) for g in gens]
     if not gens:
@@ -148,18 +172,29 @@ def newton_polyhedron(gens, n: int) -> NewtonPolyhedron:
         rays = kept
 
     # coordinate facets first, in coordinate order; then the exceptional
-    # ones, descending
-    facets = sorted(
-        (Facet(x[:n], -x[n]) for x, _ in rays if any(x[:n])),
-        key=lambda f: (f.is_standard(), f.normal),
+    # ones, descending; each keeps its tag
+    tagged = sorted(
+        ((Facet(x[:n], -x[n]), z) for x, z in rays if any(x[:n])),
+        key=lambda fz: (fz[0].is_standard(), fz[0].normal),
         reverse=True,
     )
-    verts = []
-    for g in gens:
-        active = [f.normal for f in facets if dot(f.normal, g) == f.level]
-        if active and _rank(active) == n:
-            verts.append(g)
-    return NewtonPolyhedron(n, tuple(verts), tuple(facets))
+    # the facets tight at each generator (row r), read off the tags
+    tight = [
+        frozenset(j for j, (_, z) in enumerate(tagged) if r in z)
+        for r in range(n, len(rows))
+    ]
+    # a vertex is a generator whose tight set no other generator's contains
+    verts = [
+        k
+        for k, t in enumerate(tight)
+        if not any(t <= u for m, u in enumerate(tight) if m != k)
+    ]
+    return NewtonPolyhedron(
+        n,
+        tuple(gens[k] for k in verts),
+        tuple(f for f, _ in tagged),
+        tuple(tight[k] for k in verts),
+    )
 
 
 def contains(p: NewtonPolyhedron, a: Vec) -> bool:
@@ -190,14 +225,13 @@ def faces(p: NewtonPolyhedron) -> list[Face]:
     dimension.  A lattice point a of P lies on the face iff every defining
     facet inequality is tight at a.
 
-    Each selection of facets is closed once: a selection reached again
-    from another face is not pushed again, since its closure, and all it
-    leads to, is already known."""
+    The vertices on a selection of facets, and the closure (the facets
+    tight at all of them), are read off p.incidence.  Each selection is
+    closed once: a selection reached again from another face
+    is not pushed again, since its closure, and all it leads to, is already
+    known."""
     n = p.dim
-    tight = [
-        {j for j, f in enumerate(p.facets) if dot(f.normal, v) == f.level}
-        for v in p.vertices
-    ]
+    tight = p.incidence
     out: dict[tuple[int, ...], Face] = {}
     todo = [frozenset()]
     seen = set(todo)
@@ -210,8 +244,8 @@ def faces(p: NewtonPolyhedron) -> list[Face]:
         # the closure: every facet tight on the whole face
         defining = tuple(
             j
-            for j, f in enumerate(p.facets)
-            if all(j in tight[k] for k in on) and all(f.normal[i] == 0 for i in free)
+            for j in sorted(frozenset.intersection(*(tight[k] for k in on)))
+            if all(p.facets[j].normal[i] == 0 for i in free)
         )
         if defining in out:
             continue
@@ -265,15 +299,9 @@ def normal_fan(p: NewtonPolyhedron) -> NormalFan:
     Rays are the facet normals, standard rays e_1..e_n first, exceptional rays
     in lexicographically descending order (inherited from the facet list).
     Maximal cones biject with vertices and are listed by lexicographically
-    descending vertex; a ray belongs to a cone iff its inequality is tight at
-    the cone's vertex.
+    descending vertex, as the vertices are; a cone's rays are its vertex's
+    incidence, the facets tight there, in ascending order.
     """
     rays = tuple(Ray(f.normal, f.level, f.is_standard()) for f in p.facets)
-    cones = []
-    for v in p.vertices:
-        tight = tuple(
-            i for i, r in enumerate(rays) if dot(r.direction, v) == r.level
-        )
-        cones.append(Cone(v, tight))
-    cones.sort(key=lambda c: c.vertex, reverse=True)
-    return NormalFan(p.dim, rays, tuple(cones))
+    cones = tuple(Cone(v, tuple(sorted(t))) for v, t in zip(p.vertices, p.incidence))
+    return NormalFan(p.dim, rays, cones)

@@ -390,7 +390,8 @@ def subset_newton_polyhedron(gens, n):
     """The Newton polyhedron by candidate normals: the cross product of
     every (n - 1)-subset of generator differences and coordinate directions,
     kept when its tight generators and free directions span a hyperplane.
-    Same facet and vertex order as the package."""
+    Same facet and vertex order as the package; the incidence of each
+    vertex by dot products."""
     gens = sorted(set(tuple(g) for g in gens), reverse=True)
     unit = [tuple(int(j == i) for j in range(n)) for i in range(n)]
     facets = [Facet(unit[i], min(g[i] for g in gens)) for i in range(n)]
@@ -418,7 +419,11 @@ def subset_newton_polyhedron(gens, n):
     verts = [
         g for g in gens if rank([f.normal for f in facets if dot(f.normal, g) == f.level]) == n
     ]
-    return NewtonPolyhedron(n, tuple(verts), tuple(facets))
+    incidence = [
+        frozenset(j for j, f in enumerate(facets) if dot(f.normal, v) == f.level)
+        for v in verts
+    ]
+    return NewtonPolyhedron(n, tuple(verts), tuple(facets), tuple(incidence))
 
 
 def subset_faces(p):

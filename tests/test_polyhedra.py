@@ -6,7 +6,10 @@ from hypothesis import given, strategies as st
 
 import oracles
 from mwb import newton_polyhedron, normal_fan
+from mwb.blowup import FractionalIdeal, build_blowup, rees_blowup
 from mwb.errors import EmptyIdeal, ZeroVector
+from mwb.monomials import monomial_ideal
+from mwb.poly import MONOMIAL, ORDINARY, LogAmbient
 from mwb.polyhedra import _rank, contains, dot, faces, facet_level, primitive
 
 EXPONENT = st.integers(min_value=0, max_value=6)
@@ -154,6 +157,52 @@ def test_double_description_matches_subset_oracle():
             assert faces(p) == oracles.subset_faces(p), gens
             compared += 1
     assert compared > 50
+
+
+def fan_shaped_cases(seed, count):
+    # four variables, an antichain of three or four generators with entries
+    # up to 6, as the blowup_fan workload draws them
+    rng = random.Random(seed)
+    while count:
+        gens = [tuple(rng.randint(0, 6) for _ in range(4)) for _ in range(rng.choice((3, 4)))]
+        if all(
+            i == j or not all(x <= y for x, y in zip(a, b))
+            for i, a in enumerate(gens)
+            for j, b in enumerate(gens)
+        ):
+            count -= 1
+            yield 4, gens
+
+
+def test_fans_and_charts_match_the_dot_product_incidence():
+    # the cones and every chart's inverted variables come from the double
+    # description tags; the definition is by dot products at each vertex
+    rng = random.Random(1501)
+    for n, gens in [*agreement_cases(1012), *fan_shaped_cases(1502, 40)]:
+        p = newton_polyhedron(gens, n)
+        assert set(p.vertices) == oracles.hull_vertices(gens), gens
+        tight = {
+            v: tuple(j for j, f in enumerate(p.facets) if dot(f.normal, v) == f.level)
+            for v in p.vertices
+        }
+        assert [(c.vertex, c.rays) for c in normal_fan(p).maximal_cones] == sorted(
+            tight.items(), reverse=True
+        ), gens
+        ordinary = rng.randint(0, n)
+        amb = LogAmbient(
+            [(f"x{i}", ORDINARY if i < ordinary else MONOMIAL) for i in range(n)]
+        )
+        ideal = monomial_ideal(gens, n)
+        root = rng.randint(1, 6)
+        for b in (build_blowup(ideal, amb), rees_blowup(FractionalIdeal(ideal, root), amb)):
+            assert [c.vertex for c in b.charts] == sorted(tight, reverse=True)
+            for chart in b.charts:
+                want = tuple(
+                    v
+                    for v, r in zip(b.ray_vars, b.fan.rays)
+                    if dot(r.direction, chart.vertex) > r.level
+                )
+                assert chart.inverted == want, gens
 
 
 def test_eight_generator_hull_in_four_variables():
