@@ -36,8 +36,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from operator import mul
+from string import ascii_letters
 
 from .errors import EmptyCenter, HypothesisViolated, MwbError, ZeroIdeal
 from .monomials import MonomialIdeal, minimalize, monomial_ideal, newton
@@ -134,25 +136,63 @@ class Chart:
     vertex: Vec
     inverted: tuple[str, ...]
 
+    @property
+    def label(self) -> str:
+        return "".join(self.inverted)
+
 
 @dataclass(frozen=True)
 class MultiWeightedBlowup:
+    """The Cox data of a blow-up.  The fan lists the n standard rays first,
+    in coordinate order, then the exceptional ones, and the Cox variables
+    follow the same order, so ray j's variable is the j-th; the other views
+    are derived from these fields."""
+
     source: LogAmbient
     ideal: MonomialIdeal
     fan: NormalFan
     weights: tuple[int, ...]  # per ray, fan order
     root: int | None  # Rees root when built from one
     cox: LogAmbient
-    ray_vars: tuple[str, ...]  # Cox variable per ray, fan order = Cox order
-    name_map: dict  # source variable -> Cox variable
     beta_rows: tuple[Vec, ...]  # w_rho * u_rho per ray
-    grading: dict  # Cox variable -> tuple over exceptional rays
-    pullback: dict  # source variable -> Polynomial over cox
     charts: tuple[Chart, ...]
-    irrelevant: tuple[tuple[str, ...], ...]
 
-    def levels(self) -> tuple[int, ...]:
-        return tuple(r.level for r in self.fan.rays)
+    @property
+    def ray_vars(self) -> tuple[str, ...]:
+        """Cox variable per ray."""
+        return self.cox.names()
+
+    @property
+    def name_map(self) -> dict:
+        """Source variable -> Cox variable."""
+        return dict(zip(self.source.names(), self.cox.names()))
+
+    @cached_property
+    def pullback(self) -> dict:
+        """Source variable -> Polynomial over cox: x_i goes to
+        prod_rho var_rho^(w_rho u_rho[i]), whose exponent is column i of
+        beta_rows."""
+        return {
+            name: Polynomial._trusted(self.cox, {column: Fraction(1)})
+            for name, column in zip(self.source.names(), zip(*self.beta_rows))
+        }
+
+    @property
+    def grading(self) -> dict:
+        """Cox variable -> its degree, a tuple over the exceptional rays."""
+        exc = self.fan.exceptional()
+        names = self.ray_vars
+        out = {
+            names[i]: tuple(self.beta_rows[j][i] for j in exc)
+            for i in range(self.source.n)
+        }
+        for pos, j in enumerate(exc):
+            out[names[j]] = tuple(-1 if q == pos else 0 for q in range(len(exc)))
+        return out
+
+    @property
+    def irrelevant(self) -> tuple[tuple[str, ...], ...]:
+        return tuple(chart.inverted for chart in self.charts)
 
     def eplus(self) -> list[int]:
         return self.fan.positive_level()
@@ -166,23 +206,20 @@ class MultiWeightedBlowup:
             if r.standard and r.level > 0
         ]
 
-    def exceptional_vars(self) -> list[str]:
-        return [self.ray_vars[i] for i in self.fan.exceptional()]
-
     def chart_ambient(self, chart: Chart) -> LogAmbient:
         return self.cox.with_inverted(chart.inverted)
 
 
-_FRESH_LETTERS = "uvwst"
+_FRESH_LETTERS = "uvwstE" + ascii_letters
 
 
 def _fresh_names(source: LogAmbient, count: int) -> list[str]:
+    """count names for exceptional variables: one letter that is no source
+    variable's initial, numbered when count > 1, so no name is taken."""
     taken_initials = {n[0] for n in source.names()}
-    letter = next(
-        (c for c in _FRESH_LETTERS if c not in taken_initials), None
-    )
+    letter = next((c for c in _FRESH_LETTERS if c not in taken_initials), None)
     if letter is None:
-        letter = "E"
+        raise MwbError("every letter is the initial of a source variable")
     if count == 1:
         return [letter]
     return [f"{letter}{i + 1}" for i in range(count)]
@@ -200,53 +237,26 @@ def _assemble(
     exc = fan.exceptional()
 
     # Cox variables: prime a source name iff its pullback is nontrivial
-    name_map = {}
     cox_vars = []
     for i, (name, flag) in enumerate(ambient.variables):
         nontrivial = weights[i] > 1 or any(rays[j].direction[i] for j in exc)
-        new = name + "'" if nontrivial else name
-        name_map[name] = new
-        cox_vars.append((new, flag))
-    fresh = _fresh_names(ambient, len(exc))
-    for name in fresh:
-        cox_vars.append((name, EXCEPTIONAL))
-    carried = {name_map[v] for v in ambient.inverted}
+        cox_vars.append((name + "'" if nontrivial else name, flag))
+    cox_vars += [(name, EXCEPTIONAL) for name in _fresh_names(ambient, len(exc))]
+    carried = {cox_vars[ambient.index(v)][0] for v in ambient.inverted}
     cox = LogAmbient(cox_vars, carried)
-
-    # the fan lists the n standard rays first, in coordinate order, then
-    # the exceptional ones, so ray j's Cox variable is the j-th
     ray_vars = cox.names()
     beta_rows = tuple(
         tuple(weights[j] * rays[j].direction[i] for i in range(n))
         for j in range(len(rays))
     )
 
-    # x_i -> prod_rho var_rho^(w_rho u_rho[i]): the exponent of x_i is
-    # column i of beta_rows
-    pullback = {
-        name: Polynomial._trusted(cox, {column: Fraction(1)})
-        for name, column in zip(ambient.names(), zip(*beta_rows))
-    }
-
-    grading = {}
-    for i, name in enumerate(ambient.names()):
-        grading[name_map[name]] = tuple(
-            weights[j] * rays[j].direction[i] for j in exc
-        )
-    for pos, j in enumerate(exc):
-        grading[ray_vars[j]] = tuple(
-            -1 if q == pos else 0 for q in range(len(exc))
-        )
-
+    # every facet inequality holds on P, so the rays not tight at the
+    # vertex, the ones not in its cone, are those with dot > level
     charts = []
-    irrelevant = []
     for ci, cone in enumerate(fan.maximal_cones):
-        # every facet inequality holds on P, so the rays not tight at the
-        # vertex, the ones not in its cone, are those with dot > level
         tight = set(cone.rays)
         inv = tuple(v for j, v in enumerate(ray_vars) if j not in tight)
         charts.append(Chart(ci, cone.vertex, inv))
-        irrelevant.append(inv)
 
     return MultiWeightedBlowup(
         source=ambient,
@@ -255,13 +265,8 @@ def _assemble(
         weights=tuple(weights),
         root=root,
         cox=cox,
-        ray_vars=ray_vars,
-        name_map=name_map,
         beta_rows=beta_rows,
-        grading=grading,
-        pullback=pullback,
         charts=tuple(charts),
-        irrelevant=tuple(irrelevant),
     )
 
 

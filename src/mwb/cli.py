@@ -315,9 +315,8 @@ def blowup_lines(b: MultiWeightedBlowup) -> list[str]:
     for var in b.cox.names():
         lines.append(f"grading: {var} = {b.grading[var]}")
     for chart in b.charts:
-        label = "".join(chart.inverted)
         lines.append(
-            f"chart {label}: vertex {format_monomial(b.source, chart.vertex)}, "
+            f"chart {chart.label}: vertex {format_monomial(b.source, chart.vertex)}, "
             f"inverted ({', '.join(chart.inverted)})"
         )
     irr = ", ".join("*".join(group) for group in b.irrelevant)
@@ -346,7 +345,7 @@ def blowup_json(b: MultiWeightedBlowup) -> dict:
         "grading": {v: list(b.grading[v]) for v in b.cox.names()},
         "charts": [
             {
-                "label": "".join(c.inverted),
+                "label": c.label,
                 "vertex": format_monomial(b.source, c.vertex),
                 "inverted": list(c.inverted),
             }

@@ -63,7 +63,7 @@ from .poly import (
     substitute,
     variable,
 )
-from .polyhedra import dot, faces, newton_polyhedron, normal_fan
+from .polyhedra import faces, newton_polyhedron, normal_fan
 
 
 def depth_limit() -> int:
@@ -246,10 +246,9 @@ def _expand(node: ResolutionNode, mode: str, limit: int, parent_inv):
     for chart in b.charts:
         amb = b.chart_ambient(chart)
         gens = [Polynomial(amb, g.terms) for g in child_ideal.generators]
-        label = "".join(chart.inverted)
         child = ResolutionNode(
-            label,
-            f"{node.path}/{label}",
+            chart.label,
+            f"{node.path}/{chart.label}",
             amb,
             PolyIdeal(amb, gens),
             node.depth + 1,
@@ -284,16 +283,13 @@ def _apply_change(ideal: PolyIdeal, marked: list, contact: Contact):
 
 
 def _child_marked(node, b: MultiWeightedBlowup, chart, amb: LogAmbient):
+    # the chart's variables are the Cox variables: one per source variable,
+    # in source order, then the exceptional ones, which the lift sets to 1
     pts = [chart_origin(amb)]
     source_names = node.ambient.names()
-    exc = set(b.exceptional_vars())
+    ones = (Fraction(1),) * (amb.n - len(source_names))
     for q in node.marked:
-        values = {}
-        for name in amb.names():
-            values[name] = Fraction(1) if name in exc else None
-        for i, x in enumerate(source_names):
-            values[b.name_map[x]] = q[i]
-        cand = tuple(values[n] for n in amb.names())
+        cand = q + ones
         if any(cand[amb.index(v)] == 0 for v in amb.inverted):
             continue
         # the naive lift must be an actual preimage (it can fail to be one
@@ -316,7 +312,9 @@ def reembed_check(ideal: PolyIdeal, point=None) -> dict:
 
     The invariant must gain a leading 1, the center a factor x0^d with the
     root unchanged, and restricting the extended center's blow-up to x0 = 0
-    must reproduce the original center's blow-up chart by chart."""
+    must reproduce the original center's blow-up chart by chart.  Off the
+    locus of I, (x0) + I is the unit ideal near the point too, and both
+    invariants are (0)."""
     amb = ideal.ambient
     if point is None:
         point = chart_origin(amb)
@@ -333,12 +331,14 @@ def reembed_check(ideal: PolyIdeal, point=None) -> dict:
     extended = PolyIdeal(ext, [variable(ext, base)] + lifted)
     epoint = (Fraction(0),) + point
     inv1, c1 = invariant_at(extended, epoint)
+    off_locus = inv0.entries == (Fraction(0),)
 
     report = {
         "variable": base,
         "invariant": inv0,
         "extended_invariant": inv1,
-        "invariant_ok": inv1.entries == (Fraction(1),) + inv0.entries,
+        "invariant_ok": inv1.entries
+        == (inv0.entries if off_locus else (Fraction(1),) + inv0.entries),
         "applicable": c0 is not None,
     }
     if c0 is None:
@@ -379,17 +379,11 @@ def reembed_check(ideal: PolyIdeal, point=None) -> dict:
 
 
 def blowup_equal(b1: MultiWeightedBlowup, b2: MultiWeightedBlowup) -> bool:
+    """Same rays, weights, root and Cox ring; the cones, charts, pullbacks
+    and grading follow from these."""
+
     def data(b):
-        return (
-            tuple((r.direction, r.level, r.standard) for r in b.fan.rays),
-            b.weights,
-            b.root,
-            b.cox.variables,
-            b.cox.inverted,
-            b.ray_vars,
-            {k: tuple(sorted(v.terms.items())) for k, v in b.pullback.items()},
-            b.irrelevant,
-        )
+        return b.fan.rays, b.weights, b.root, b.cox
 
     return data(b1) == data(b2)
 
@@ -403,35 +397,24 @@ def newton_nondegenerate(f: Polynomial):
     if f.is_zero():
         raise ZeroIdeal("the zero polynomial has no Newton polyhedron")
     poly = newton_polyhedron(list(f.terms), f.ambient.n)
-    face_list = faces(poly)
-    return _faces_nondegenerate(f, face_list, _face_terms(f, poly, face_list))
-
-
-def _face_terms(f: Polynomial, poly, face_list) -> list[tuple]:
-    """The exponents of f on each face of its Newton polyhedron, in f's
-    order."""
-    out = []
-    for face in face_list:
-        tight = [poly.facets[k] for k in face.defining]
-        out.append(
-            tuple(e for e in f.terms if all(dot(t.normal, e) == t.level for t in tight))
-        )
-    return out
+    return _faces_nondegenerate(f, faces(poly))
 
 
 def _face_label(amb: LogAmbient, face) -> str:
     return ", ".join(format_monomial(amb, v) for v in face.vertices)
 
 
-def _faces_nondegenerate(f: Polynomial, face_list, face_terms):
+def _faces_nondegenerate(f: Polynomial, face_list):
+    """face_list holds the faces of f's own Newton polyhedron, so the
+    generators on a face are f's terms on it."""
     amb = f.ambient
     checked = set()
-    for face, active in zip(face_list, face_terms):
-        if active in checked:
+    for face in face_list:
+        if face.generators in checked:
             continue  # faces with the same terms share one certificate
-        checked.add(active)
+        checked.add(face.generators)
         # on the torus (f_tau, x d/dx f_tau, ...) is the Jacobian ideal
-        ftau = Polynomial(amb, {e: f.terms[e] for e in active})
+        ftau = Polynomial(amb, {e: f.terms[e] for e in face.generators})
         if not groebner.saturates_to_unit(
             d_leq(PolyIdeal(amb, (ftau,)), 1), amb.names()
         ):
@@ -466,8 +449,7 @@ def one_step_check(f: Polynomial) -> dict:
 
     poly = newton_polyhedron(list(f.terms), amb.n)
     face_list = faces(poly)
-    face_terms = _face_terms(f, poly, face_list)
-    nd, witness = _faces_nondegenerate(f, face_list, face_terms)
+    nd, witness = _faces_nondegenerate(f, face_list)
     report = {"nondegenerate": nd, "witness": witness}
     if not nd:
         report["resolved"] = False
@@ -484,17 +466,17 @@ def one_step_check(f: Polynomial) -> dict:
     dims = groebner.chart_dimensions(
         d_leq(weak, 1), [chart.inverted for chart in b.charts]
     )
-    charts = {"".join(c.inverted): d < 0 for c, d in zip(b.charts, dims)}
+    charts = {c.label: d < 0 for c, d in zip(b.charts, dims)}
     report["charts"] = charts
 
     orbit = {}
     primed = {}  # f's terms on a face -> that restriction on the Cox ring
-    for face, active in zip(face_list, face_terms):
+    for face in face_list:
+        active = face.generators
         if active not in primed:
             ftau = Polynomial(amb, {e: f.terms[e] for e in active})
             primed[active] = rename(ftau, b.name_map, b.cox)
-        defining = {poly.facets[k].normal for k in face.defining}
-        ok = _orbit_restriction(fm, b, defining) == primed[active]
+        ok = _orbit_restriction(fm, b, face.defining) == primed[active]
         label = _face_label(amb, face)
         orbit[label] = orbit.get(label, True) and ok
     report["faces"] = orbit
@@ -504,16 +486,13 @@ def one_step_check(f: Polynomial) -> dict:
 
 def _orbit_restriction(fm: Polynomial, b: MultiWeightedBlowup, defining) -> Polynomial:
     """fm on the exceptional orbit of a face: the Cox variable of a ray in
-    defining goes to 0, that of any other exceptional ray to 1, and a
-    standard ray's variable stays.  Such a map sends each term to one term
-    or to zero, so it is read off the exponents.  ray_vars is the Cox
-    order, so ray j's variable is exponent j."""
-    zero, one = set(), set()
-    for j, ray in enumerate(b.fan.rays):
-        if ray.direction in defining:
-            zero.add(j)
-        elif not ray.standard:
-            one.add(j)
+    defining, a tuple of the face's facet indices, goes to 0, that of any
+    other exceptional ray to 1, and a standard ray's variable stays.  Such
+    a map sends each term to one term or to zero, so it is read off the
+    exponents.  The fan keeps the facet order and ray_vars is the Cox
+    order, so facet j is ray j and its variable is exponent j."""
+    zero = set(defining)
+    one = set(b.fan.exceptional()) - zero
     out: dict = {}
     for e, c in fm.terms.items():
         if any(e[i] for i in zero):

@@ -48,7 +48,7 @@ entries are integer minors and whose divisions are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 
 from .errors import EmptyIdeal, ZeroVector
@@ -114,12 +114,16 @@ class Facet:
 @dataclass(frozen=True)
 class NewtonPolyhedron:
     """Vertices, facets and their incidence: incidence[k] is the set of
-    indices of the facets tight at vertices[k]."""
+    indices of the facets tight at vertices[k].  Every generator keeps its
+    tag as well, tags[k] being the facets tight at generators[k]; the
+    generators are not part of P's identity, so equality skips them."""
 
     dim: int
     vertices: tuple[Vec, ...]
     facets: tuple[Facet, ...]
     incidence: tuple[frozenset[int], ...]
+    generators: tuple[Vec, ...] = field(compare=False)
+    tags: tuple[frozenset[int], ...] = field(compare=False)
 
     def __str__(self) -> str:
         ineqs = ", ".join(
@@ -133,9 +137,10 @@ def newton_polyhedron(gens, n: int) -> NewtonPolyhedron:
 
     Facets are listed with the coordinate facets first (in coordinate order),
     then the exceptional ones in lexicographically descending order of their
-    primitive normals.  Vertices are a subset of the generators, listed in
+    primitive normals.  Generators are listed without repeats in
     lexicographically descending order, each with the set of facet indices
-    tight at it (the incidence), read off the double description tags.
+    tight at it, read off the double description tags; the vertices are a
+    subset of them in the same order, and their tags are the incidence.
     """
     gens = [tuple(int(x) for x in g) for g in gens]
     if not gens:
@@ -194,6 +199,8 @@ def newton_polyhedron(gens, n: int) -> NewtonPolyhedron:
         tuple(gens[k] for k in verts),
         tuple(f for f, _ in tagged),
         tuple(tight[k] for k in verts),
+        tuple(gens),
+        tuple(tight),
     )
 
 
@@ -211,11 +218,12 @@ def facet_level(p: NewtonPolyhedron, u: Vec) -> int:
 
 @dataclass(frozen=True)
 class Face:
-    """A face of P: tight facets, the vertices on it, free coordinate
-    directions in its recession cone, and its dimension."""
+    """A face of P: tight facets, the vertices and the generators on it,
+    free coordinate directions in its recession cone, and its dimension."""
 
     defining: tuple[int, ...]
     vertices: tuple[Vec, ...]
+    generators: tuple[Vec, ...]
     free: tuple[int, ...]
     dim: int
 
@@ -226,10 +234,10 @@ def faces(p: NewtonPolyhedron) -> list[Face]:
     facet inequality is tight at a.
 
     The vertices on a selection of facets, and the closure (the facets
-    tight at all of them), are read off p.incidence.  Each selection is
-    closed once: a selection reached again from another face
-    is not pushed again, since its closure, and all it leads to, is already
-    known."""
+    tight at all of them), are read off p.incidence, and the generators on
+    the face off p.tags.  Each selection is closed once: a selection
+    reached again from another face is not pushed again, since its
+    closure, and all it leads to, is already known."""
     n = p.dim
     tight = p.incidence
     out: dict[tuple[int, ...], Face] = {}
@@ -253,7 +261,8 @@ def faces(p: NewtonPolyhedron) -> list[Face]:
         span = [tuple(a - b for a, b in zip(v, verts[0])) for v in verts[1:]]
         span += [_unit(i, n) for i in free]
         dim = _rank(span) if span else 0
-        out[defining] = Face(defining, verts, tuple(free), dim)
+        gens = tuple(g for g, t in zip(p.generators, p.tags) if t.issuperset(defining))
+        out[defining] = Face(defining, verts, gens, tuple(free), dim)
         for j in range(len(p.facets)):
             if j not in defining:
                 wider = frozenset((*defining, j))

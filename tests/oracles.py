@@ -390,8 +390,8 @@ def subset_newton_polyhedron(gens, n):
     """The Newton polyhedron by candidate normals: the cross product of
     every (n - 1)-subset of generator differences and coordinate directions,
     kept when its tight generators and free directions span a hyperplane.
-    Same facet and vertex order as the package; the incidence of each
-    vertex by dot products."""
+    Same facet, vertex and generator order as the package; the tight facets
+    of each generator, vertices included, by dot products."""
     gens = sorted(set(tuple(g) for g in gens), reverse=True)
     unit = [tuple(int(j == i) for j in range(n)) for i in range(n)]
     facets = [Facet(unit[i], min(g[i] for g in gens)) for i in range(n)]
@@ -416,14 +416,19 @@ def subset_newton_polyhedron(gens, n):
         span += [unit[i] for i in range(n) if u[i] == 0]
         if span and rank(span) == n - 1:
             facets.append(Facet(u, level))
-    verts = [
-        g for g in gens if rank([f.normal for f in facets if dot(f.normal, g) == f.level]) == n
+    tags = [
+        frozenset(j for j, f in enumerate(facets) if dot(f.normal, g) == f.level)
+        for g in gens
     ]
-    incidence = [
-        frozenset(j for j, f in enumerate(facets) if dot(f.normal, v) == f.level)
-        for v in verts
-    ]
-    return NewtonPolyhedron(n, tuple(verts), tuple(facets), tuple(incidence))
+    verts = [k for k, t in enumerate(tags) if rank([facets[j].normal for j in t]) == n]
+    return NewtonPolyhedron(
+        n,
+        tuple(gens[k] for k in verts),
+        tuple(facets),
+        tuple(tags[k] for k in verts),
+        tuple(gens),
+        tuple(tags),
+    )
 
 
 def subset_faces(p):
@@ -448,9 +453,12 @@ def subset_faces(p):
                 for j, f in enumerate(p.facets)
                 if all(tight(f, v) for v in on) and all(f.normal[i] == 0 for i in free)
             )
+            gens = tuple(
+                g for g in p.generators if all(tight(p.facets[j], g) for j in defining)
+            )
             span = [tuple(a - b for a, b in zip(v, on[0])) for v in on[1:]]
             span += [tuple(int(j == i) for j in range(n)) for i in free]
-            out[(on, free)] = Face(defining, on, free, rank(span) if span else 0)
+            out[(on, free)] = Face(defining, on, gens, free, rank(span) if span else 0)
     return sorted(out.values(), key=lambda f: (-f.dim, f.defining))
 
 

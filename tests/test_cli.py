@@ -303,6 +303,25 @@ class TestExitCodes:
         assert (code, err) == (0, "")
         assert "invariant: (2, 3)" in out
 
+    def test_exceptional_names_avoid_every_source_initial(self):
+        # u, v, w, s, t and E are all taken, so the exceptional variable
+        # takes the next letter that no source variable starts with
+        ordinary = ["--ordinary", "u,v,w,s,t,E"]
+        code, out, err = run_cli(["blowup", *ordinary, "--ideal-monomial", "u^2, v^3"])
+        assert (code, err) == (0, "")
+        assert "pullback: u = u'*a^3" in out.splitlines()
+        code, out, err = run_cli(["resolve", *ordinary, "--ideal", "u^2 + v^3"])
+        assert (code, err) == (0, "")
+
+    def test_reembed_off_the_locus_is_ok(self):
+        for ideal, point in (("x^2 + y^3", "1,0"), ("1", "0,0")):
+            argv = ["reembed-check", "--ordinary", "x,y", "--ideal", ideal, "--point", point]
+            code, out, err = run_cli(argv)
+            assert (code, err) == (0, "")
+            assert "invariant: (0) -> (0): ok" in out.splitlines()
+            code, out, _ = run_cli(argv + ["--json"])
+            assert code == 0 and json.loads(out)["invariant_ok"] is True
+
     def test_domain_error_is_one(self):
         code, out, err = run_cli(["invariant", "--ordinary", "x", "--ideal", "x + w"])
         assert code == 1

@@ -343,7 +343,8 @@ class TestOneStep:
 
     def test_orbit_restriction_is_the_substitution(self):
         # reading the orbit restriction off the exponents agrees with the
-        # ring map it stands for, term order included, on every face; for
+        # ring map it stands for, term order included, on every face (the
+        # map picks the rays by facet normal, the package by facet index); for
         # the weak transform and for a random polynomial on the Cox ring,
         # whose terms merge and cancel once variables go to 1
         rng = random.Random(1205)
@@ -364,7 +365,7 @@ class TestOneStep:
                     else:
                         images[v] = constant(b.cox, 1)
                 for g in (fm, random_polynomial(rng, b.cox, max_terms=8, max_entry=1)):
-                    got = engine._orbit_restriction(g, b, defining)
+                    got = engine._orbit_restriction(g, b, face.defining)
                     want = substitute(g, images, b.cox)
                     assert got.ambient == want.ambient
                     assert list(got.terms.items()) == list(want.terms.items())

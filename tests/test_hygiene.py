@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module of mwb imports is used in it."""
+"""Source hygiene: every name a module of mwb imports is used in it, and
+every private module-level name is used somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -44,3 +45,72 @@ def test_the_walk_sees_an_unused_import():
         "x: b = os.path\n"
     )
     assert unused_imports(tree) == [(3, "d")]
+
+
+def private_definitions(tree):
+    """(name, node) of each module-level function, class or constant whose
+    name starts with one underscore."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def references(tree, skip=None):
+    """Names read in the tree outside the node skip: bare names, attribute
+    names and the names a from-import binds."""
+    inside = {id(n) for n in ast.walk(skip)} if skip else set()
+    out = set()
+    for n in ast.walk(tree):
+        if id(n) in inside:
+            continue
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            out.update(a.name for a in n.names)
+    return out
+
+
+def unreferenced_private_names(trees):
+    """(module, name) of each private definition that no module reads
+    outside the definition itself."""
+    everywhere = {mod: references(tree) for mod, tree in trees.items()}
+    found = []
+    for mod, tree in trees.items():
+        for name, node in private_definitions(tree):
+            used = name in references(tree, node) or any(
+                name in refs for other, refs in everywhere.items() if other != mod
+            )
+            if not used:
+                found.append((mod, name))
+    return found
+
+
+def test_every_private_name_is_referenced():
+    trees = {p.name: ast.parse(p.read_text(), str(p)) for p in SOURCES}
+    assert sum(len(list(private_definitions(t))) for t in trees.values()) >= 20
+    assert unreferenced_private_names(trees) == []
+
+
+def test_the_scan_sees_an_unreferenced_private_name():
+    trees = {
+        "a.py": ast.parse(
+            "_LIMIT = 3\n"
+            "def _loop(n):\n    return _loop(n - 1) if n else _LIMIT\n"
+            "def _used():\n    pass\n"
+            "class _Kept:\n    pass\n"
+        ),
+        "b.py": ast.parse("from a import _used\nimport a\nx = a._Kept\n"),
+    }
+    # _loop only calls itself
+    assert unreferenced_private_names(trees) == [("a.py", "_loop")]

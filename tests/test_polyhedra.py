@@ -175,12 +175,16 @@ def fan_shaped_cases(seed, count):
 
 
 def test_fans_and_charts_match_the_dot_product_incidence():
-    # the cones and every chart's inverted variables come from the double
-    # description tags; the definition is by dot products at each vertex
+    # the cones, every chart's inverted variables and every generator's
+    # kept tag come from the double description tags; the definition is by
+    # dot products at each vertex and generator
     rng = random.Random(1501)
     for n, gens in [*agreement_cases(1012), *fan_shaped_cases(1502, 40)]:
         p = newton_polyhedron(gens, n)
         assert set(p.vertices) == oracles.hull_vertices(gens), gens
+        assert p.generators == tuple(sorted(set(map(tuple, gens)), reverse=True))
+        for g, t in zip(p.generators, p.tags):
+            assert t == {j for j, f in enumerate(p.facets) if dot(f.normal, g) == f.level}
         tight = {
             v: tuple(j for j, f in enumerate(p.facets) if dot(f.normal, v) == f.level)
             for v in p.vertices
