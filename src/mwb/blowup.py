@@ -18,6 +18,17 @@ rays (levels N_i > 0 happen exactly when a sits inside (x_i)).  The weak
 transform divides the total transform by the E+ multiplicities of the term
 ideal; the proper transform saturates them away.
 
+The proper transform is computed from the weak transform: it is
+weak : (prod_{E+} X_rho)^inf, with the same output as the definition,
+total : (prod_{E+} X_rho)^inf.  As ideals, total = X^mult * weak, and
+X^mult is a monomial in the E+ variables only, exactly the ones saturated.
+In a UFD, (u J) : x^inf = u' (J : x^inf) for a monomial u, u' being u
+with x removed: x is prime, and the other variables of u are prime and
+coprime to x.  Saturating at every E+ variable in turn removes all of
+X^mult, so the final saturations are equal ideals.  Each output is unique
+for its ideal (a monic principal generator, or the reduced basis of the
+elimination ideal), so the bytes are unchanged too.
+
 Transforms are exponent maps: every pullback is one monomial with
 coefficient 1, so c x^e goes to c X^(B e), row rho of B being beta_rows[rho]
 for the rho-th Cox variable.  e -> B e is injective, since the standard rows
@@ -279,17 +290,7 @@ def build_blowup(
         raise ZeroIdeal("blow-up of the zero ideal")
     if ideal.dim != ambient.n:
         raise MwbError("ideal arity does not match the ambient")
-    return _fan_blowup(ideal, ambient, normal_fan(newton(ideal)), weights)
-
-
-def _fan_blowup(
-    ideal: MonomialIdeal,
-    ambient: LogAmbient,
-    fan: NormalFan,
-    weights: dict | None = None,
-) -> MultiWeightedBlowup:
-    """build_blowup on the normal fan of the ideal's Newton polyhedron, for
-    a caller that holds that polyhedron already."""
+    fan = normal_fan(newton(ideal))
     w = [1] * len(fan.rays)
     if weights:
         bydir = {fan.rays[j].direction: j for j in fan.exceptional()}
@@ -396,10 +397,13 @@ def weak_transform(
 
 
 def proper_transform(b: MultiWeightedBlowup, ideal: PolyIdeal) -> PolyIdeal:
-    """Total transform saturated at every positive-level ray variable."""
-    total = total_transform(b, ideal)
-    names = [b.ray_vars[j] for j in b.eplus()]
-    return groebner.saturate_at_variables(total, names)
+    """Total transform saturated at every positive-level ray variable,
+    computed as the weak transform saturated there (see the module
+    docstring); the zero ideal maps to the zero ideal."""
+    if ideal.is_zero():
+        return total_transform(b, ideal)
+    weak, mult = weak_transform(b, ideal)
+    return groebner.saturate_at_variables(weak, mult)
 
 
 def monomial_valuation(b: MultiWeightedBlowup, ray: int, p: Polynomial) -> int:

@@ -7,8 +7,15 @@ comma-separated expression lists.  Ambients are declared with --ordinary
 and --monomial (ordinary variables first); `newton` can instead infer
 variables from the generators in order of first appearance.
 
-Exit codes: 0 on success, 1 on a domain error (reported on stderr), 2 on
-usage errors.
+Option values are typed by argparse: names for --ordinary and --monomial,
+tuples of Fractions for --point and --mark, a direction -> weight map for
+--weights, an int for --rees.  So exit codes follow one rule: 0 on
+success; 2 on a usage error, a value that does not parse included (argparse
+names the option on stderr); 1 on a domain error, reported as an `error:`
+line on stderr.  A value that parses but does not fit, such as a point
+with the wrong number of coordinates, a root of 0 or a weight on a
+direction that is no exceptional ray, is a domain error: the library
+checks it, and the CLI does not check it again.
 """
 
 from __future__ import annotations
@@ -26,13 +33,12 @@ from .blowup import (
     MultiWeightedBlowup,
     assemble_center,
     build_blowup,
-    exceptional_multiplicities,
-    proper_transform,
     rees_blowup,
     total_transform,
     weak_transform,
 )
 from .errors import MwbError
+from .groebner import saturate_at_variables
 from .monomials import MonomialIdeal, minimalize
 from .poly import (
     MONOMIAL,
@@ -189,96 +195,72 @@ def inferred_names(text: str) -> list[str]:
     return names
 
 
-# -- shared option handling -------------------------------------------------
+# -- option values ----------------------------------------------------------
 
 
-def _split_names(value: str | None) -> list[str]:
-    if not value:
-        return []
+def _names(value: str) -> list[str]:
+    """--ordinary, --monomial: comma-separated names."""
     return [v.strip() for v in value.split(",") if v.strip()]
 
 
-def build_ambient(args, gens_text: str | None = None) -> LogAmbient:
-    ordinary = _split_names(getattr(args, "ordinary", None))
-    mono = _split_names(getattr(args, "monomial", None))
-    if not ordinary and not mono:
-        if gens_text is None:
-            raise MwbError("declare variables with --ordinary and/or --monomial")
-        ordinary = inferred_names(gens_text)
-        if not ordinary:
-            raise MwbError("no variables found in the input")
-    variables = [(n, ORDINARY) for n in ordinary] + [(n, MONOMIAL) for n in mono]
-    return LogAmbient(variables)
-
-
-def parse_point(value: str, ambient: LogAmbient) -> tuple:
-    parts = [v.strip() for v in value.split(",")]
-    if len(parts) != ambient.n:
-        raise MwbError(
-            f"point has {len(parts)} coordinates, the ambient has {ambient.n}"
-        )
+def _point(value: str) -> tuple:
+    """--point, --mark: comma-separated rationals."""
     try:
-        return tuple(Fraction(v) for v in parts)
+        return tuple(Fraction(v) for v in value.split(","))
     except (ValueError, ZeroDivisionError):
-        raise MwbError(f"point {value!r} is not a list of rationals") from None
+        raise argparse.ArgumentTypeError(
+            f"{value!r} is not a list of rationals"
+        ) from None
 
 
-def point_or_origin(value: str | None, ambient: LogAmbient) -> tuple:
-    """--point when it is given (an empty one is an error), else the origin."""
-    if value is None:
-        return engine.chart_origin(ambient)
-    return parse_point(value, ambient)
-
-
-def parse_weights(value: str | None) -> dict | None:
-    """direction=weight pairs: '3,2,2=1;1,0,2=2'."""
-    if value is None:
-        return None
+def _weights(value: str) -> dict:
+    """--weights: direction=weight pairs, '3,2,2=1;1,0,2=2'."""
     out = {}
     for part in value.split(";"):
         part = part.strip()
         if not part:
             continue
-        if "=" not in part:
-            raise MwbError(f"weight {part!r} is not direction=weight")
-        dirs, w = part.rsplit("=", 1)
+        dirs, eq, w = part.rpartition("=")
+        if not eq:
+            raise argparse.ArgumentTypeError(f"{part!r} is not direction=weight")
         try:
             direction = tuple(int(x) for x in dirs.split(","))
             weight = int(w)
         except ValueError:
-            raise MwbError(
-                f"weight {part!r} needs integer entries on both sides"
+            raise argparse.ArgumentTypeError(
+                f"{part!r} needs integer entries on both sides"
             ) from None
         if direction in out:
-            raise MwbError(f"direction {dirs.strip()} is given two weights")
+            raise argparse.ArgumentTypeError(
+                f"direction {dirs.strip()} is given two weights"
+            )
         out[direction] = weight
     if not out:
-        raise MwbError(f"--weights {value!r} names no direction")
+        raise argparse.ArgumentTypeError(f"{value!r} names no direction")
     return out
 
 
+def build_ambient(args, gens_text: str | None = None) -> LogAmbient:
+    ordinary = args.ordinary
+    if not ordinary and not args.monomial:
+        if gens_text is None:
+            raise MwbError("declare variables with --ordinary and/or --monomial")
+        ordinary = inferred_names(gens_text)
+        if not ordinary:
+            raise MwbError("no variables found in the input")
+    return LogAmbient(
+        [(n, ORDINARY) for n in ordinary] + [(n, MONOMIAL) for n in args.monomial]
+    )
+
+
 def make_blowup(args, ambient: LogAmbient) -> MultiWeightedBlowup:
-    if not getattr(args, "ideal_monomial", None):
-        raise MwbError("--ideal-monomial is required to build the blow-up")
     ideal = parse_monomial_ideal(args.ideal_monomial, ambient)
-    root = getattr(args, "rees", None)
-    weights = parse_weights(getattr(args, "weights", None))
-    if root is not None:
-        if weights:
-            raise MwbError("--rees determines the weights; drop --weights")
-        return rees_blowup(FractionalIdeal(ideal, int(root)), ambient)
-    return build_blowup(ideal, ambient, weights)
+    if args.rees is not None:
+        return rees_blowup(FractionalIdeal(ideal, args.rees), ambient)
+    return build_blowup(ideal, ambient, args.weights)
 
 
 # -- serialization helpers --------------------------------------------------
-
-
-def frac_str(x) -> str:
-    return inv_mod.entry_str(x)
-
-
-def point_json(p) -> list:
-    return [frac_str(x) for x in p]
 
 
 def ideal_json(ideal: PolyIdeal) -> list:
@@ -416,32 +398,27 @@ def cmd_blowup(args) -> None:
 
 
 def cmd_transform(args) -> None:
+    """One weak transform gives the factored total, the multiplicities and
+    the proper transform: the weak one saturated at the multiplicities'
+    variables, as blowup's docstring argues."""
     ambient = build_ambient(args)
     b = make_blowup(args, ambient)
     ideal = parse_ideal(args.ideal, ambient)
     total = total_transform(b, ideal)
-    lines = [f"kind: {args.kind}"]
-    obj = {"kind": args.kind}
-    if args.kind == "total":
-        result = total
-        mult = None
-    elif args.kind == "weak":
-        result, mult = weak_transform(b, ideal)
-    else:
-        result = proper_transform(b, ideal)
-        mult = exceptional_multiplicities(b, ideal)
-    factored = factored_total(b, ideal)
-    if factored is not None:
-        lines.append(f"total: {factored}")
-    else:
-        lines.append(f"total: {total}")
-    obj["total"] = ideal_json(total)
+    lines = [f"kind: {args.kind}", f"total: {total}"]
+    obj = {"kind": args.kind, "total": ideal_json(total)}
+    principal = len(ideal.generators) == 1
+    if args.kind == "total" and not principal:
+        emit(args, lines, obj)
+        return
+    weak, mult = weak_transform(b, ideal)  # ZeroIdeal on (0)
+    if principal:
+        lines[1] = f"total: {format_factored(b, weak.generators[0], mult)}"
     if args.kind != "total":
+        result = weak if args.kind == "weak" else saturate_at_variables(weak, mult)
         lines.append(f"{args.kind}: {result}")
-    obj[args.kind] = ideal_json(result)
-    if mult is not None:
-        for var in sorted(mult):
-            lines.append(f"multiplicity: {var} = {mult[var]}")
+        obj[args.kind] = ideal_json(result)
+        lines += [f"multiplicity: {v} = {mult[v]}" for v in sorted(mult)]
         obj["multiplicities"] = {v: mult[v] for v in sorted(mult)}
     emit(args, lines, obj)
 
@@ -449,7 +426,7 @@ def cmd_transform(args) -> None:
 def _invariant_data(args):
     ambient = build_ambient(args, args.ideal)
     ideal = parse_ideal(args.ideal, ambient)
-    point = point_or_origin(args.point, ambient)
+    point = args.point if args.point is not None else engine.chart_origin(ambient)
     inv, center = inv_mod.invariant_at(ideal, point)
     return ambient, ideal, point, inv, center
 
@@ -459,54 +436,44 @@ def cmd_invariant(args) -> None:
     lines = [
         f"ambient: {ambient.describe()}",
         f"ideal: {ideal}",
-        f"point: ({', '.join(frac_str(x) for x in point)})",
+        f"point: {inv_mod.point_str(point)}",
         f"invariant: {inv}",
     ]
     obj = {
         "ambient": ambient.describe(),
         "ideal": ideal_json(ideal),
-        "point": point_json(point),
-        "invariant": [frac_str(e) for e in inv.entries],
+        "point": [inv_mod.entry_str(x) for x in point],
+        "invariant": [inv_mod.entry_str(e) for e in inv.entries],
     }
     if center is not None:
-        lines.append(f"center: {inv_mod.center_display(center, ambient)}")
         obj["center"] = inv_mod.center_display(center, ambient)
+        lines.append(f"center: {obj['center']}")
     emit(args, lines, obj)
 
 
 def cmd_center(args) -> None:
     ambient, ideal, point, inv, center = _invariant_data(args)
     lines = [f"invariant: {inv}"]
-    obj = {"invariant": [frac_str(e) for e in inv.entries]}
+    obj = {"invariant": [inv_mod.entry_str(e) for e in inv.entries]}
     if center is None:
         lines.append("center: none")
         obj["center"] = None
         emit(args, lines, obj)
         return
     cid, root, weights = inv_mod.reduced_center(center, ambient)
-    assembled = assemble_center(cid, ambient)
-    lines.append(f"center: {inv_mod.center_display(center, ambient)}")
-    lines.append(
-        "ideal: ("
-        + ", ".join(format_monomial(ambient, g) for g in assembled.gens)
-        + ")"
-    )
-    lines.append(f"root: {root}")
-    for c in center.contacts:
-        if c.shift is not None:
-            lines.append(
-                f"change: {c.name} -> {c.name} + ({format_polynomial(c.shift)})"
-            )
+    display = inv_mod.center_display(center, ambient)
+    gens = [format_monomial(ambient, g) for g in assemble_center(cid, ambient).gens]
+    changes = [
+        {"variable": c.name, "shift": format_polynomial(c.shift)}
+        for c in center.contacts
+        if c.shift is not None
+    ]
+    lines += [f"center: {display}", f"ideal: ({', '.join(gens)})", f"root: {root}"]
+    lines += [
+        f"change: {c['variable']} -> {c['variable']} + ({c['shift']})" for c in changes
+    ]
     obj.update(
-        center=inv_mod.center_display(center, ambient),
-        ideal=[format_monomial(ambient, g) for g in assembled.gens],
-        root=root,
-        weights=list(weights),
-        changes=[
-            {"variable": c.name, "shift": format_polynomial(c.shift)}
-            for c in center.contacts
-            if c.shift is not None
-        ],
+        center=display, ideal=gens, root=root, weights=list(weights), changes=changes
     )
     emit(args, lines, obj)
 
@@ -521,8 +488,8 @@ def _tree_lines(tree: engine.ResolutionTree, trace: bool = False) -> list[str]:
             lines.append(f"{p}: ambient {node.ambient.describe()}")
             lines.append(f"{p}: ideal {node.ideal}")
         if node.invariant is not None:
-            at = ", ".join(frac_str(x) for x in node.worst_point)
-            lines.append(f"{p}: invariant {node.invariant} at ({at})")
+            at = inv_mod.point_str(node.worst_point)
+            lines.append(f"{p}: invariant {node.invariant} at {at}")
         for c in node.changes:
             lines.append(
                 f"{p}: change {c.name} -> {c.name} + ({format_polynomial(c.shift)})"
@@ -560,12 +527,12 @@ def _tree_json(tree: engine.ResolutionTree) -> dict:
             "ambient": node.ambient.describe(),
             "ideal": ideal_json(node.ideal),
             "invariant": (
-                [frac_str(e) for e in node.invariant.entries]
+                [inv_mod.entry_str(e) for e in node.invariant.entries]
                 if node.invariant is not None
                 else None
             ),
             "point": (
-                point_json(node.worst_point)
+                [inv_mod.entry_str(x) for x in node.worst_point]
                 if node.worst_point is not None
                 else None
             ),
@@ -586,8 +553,7 @@ def _tree_json(tree: engine.ResolutionTree) -> dict:
 def cmd_resolve(args) -> None:
     ambient = build_ambient(args, args.ideal)
     ideal = parse_ideal(args.ideal, ambient)
-    marks = tuple(parse_point(m, ambient) for m in args.mark or ())
-    tree = engine.resolve(ideal, mode=args.mode, marks=marks)
+    tree = engine.resolve(ideal, mode=args.mode, marks=tuple(args.mark or ()))
     emit(args, _tree_lines(tree, trace=args.trace), _tree_json(tree))
 
 
@@ -646,8 +612,7 @@ def cmd_one_step(args) -> None:
 def cmd_reembed(args) -> None:
     ambient = build_ambient(args, args.ideal)
     ideal = parse_ideal(args.ideal, ambient)
-    point = point_or_origin(args.point, ambient)
-    report = engine.reembed_check(ideal, point)
+    report = engine.reembed_check(ideal, args.point)
     lines = [
         f"variable: {report['variable']}",
         f"invariant: {report['invariant']} -> {report['extended_invariant']}: "
@@ -655,9 +620,9 @@ def cmd_reembed(args) -> None:
     ]
     obj = {
         "variable": report["variable"],
-        "invariant": [frac_str(e) for e in report["invariant"].entries],
+        "invariant": [inv_mod.entry_str(e) for e in report["invariant"].entries],
         "extended_invariant": [
-            frac_str(e) for e in report["extended_invariant"].entries
+            inv_mod.entry_str(e) for e in report["extended_invariant"].entries
         ],
         "invariant_ok": report["invariant_ok"],
         "applicable": report["applicable"],
@@ -693,8 +658,24 @@ def cmd_reembed(args) -> None:
 
 
 def _add_ambient_opts(sub):
-    sub.add_argument("--ordinary", help="comma-separated ordinary variables")
-    sub.add_argument("--monomial", help="comma-separated monomial variables")
+    sub.add_argument(
+        "--ordinary", type=_names, default=(), help="comma-separated ordinary variables"
+    )
+    sub.add_argument(
+        "--monomial", type=_names, default=(), help="comma-separated monomial variables"
+    )
+
+
+def _add_point_opt(sub):
+    sub.add_argument(
+        "--point", type=_point, help="comma-separated coordinates (default origin)"
+    )
+
+
+def _add_weight_opts(sub):
+    g = sub.add_mutually_exclusive_group()
+    g.add_argument("--weights", type=_weights, help="ray weights 'a,b,c=w;...'")
+    g.add_argument("--rees", type=int, help="Rees root l for the weights")
 
 
 @functools.cache
@@ -720,15 +701,13 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub("blowup", cmd_blowup, help="multi-weighted blow-up of a monomial ideal")
     _add_ambient_opts(s)
     s.add_argument("--ideal-monomial", required=True, help="monomial generators")
-    s.add_argument("--weights", help="ray weights 'a,b,c=w;...'")
-    s.add_argument("--rees", type=int, help="Rees root l for the weights")
+    _add_weight_opts(s)
 
     s = sub("transform", cmd_transform, help="transform an ideal under a blow-up")
     _add_ambient_opts(s)
     s.add_argument("--ideal", required=True, help="ideal to transform")
     s.add_argument("--ideal-monomial", required=True, help="blow-up center")
-    s.add_argument("--weights", help="ray weights 'a,b,c=w;...'")
-    s.add_argument("--rees", type=int, help="Rees root l for the weights")
+    _add_weight_opts(s)
     s.add_argument(
         "--kind",
         choices=("total", "weak", "proper"),
@@ -739,18 +718,19 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub("invariant", cmd_invariant, help="resolution invariant at a point")
     _add_ambient_opts(s)
     s.add_argument("--ideal", required=True)
-    s.add_argument("--point", help="comma-separated coordinates (default origin)")
+    _add_point_opt(s)
 
     s = sub("center", cmd_center, help="reduced center attached to the invariant")
     _add_ambient_opts(s)
     s.add_argument("--ideal", required=True)
-    s.add_argument("--point", help="comma-separated coordinates (default origin)")
+    _add_point_opt(s)
 
     def resolve_opts(s):
         _add_ambient_opts(s)
         s.add_argument("--ideal", required=True)
         s.add_argument(
             "--mark",
+            type=_point,
             action="append",
             metavar="POINT",
             help="additional marked point (repeatable)",
@@ -784,7 +764,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub("reembed-check", cmd_reembed, help="re-embedding invariance check")
     _add_ambient_opts(s)
     s.add_argument("--ideal", required=True)
-    s.add_argument("--point", help="comma-separated coordinates (default origin)")
+    _add_point_opt(s)
 
     return top
 

@@ -29,7 +29,7 @@ from . import groebner
 from .blowup import (
     CenterIdeal,
     MultiWeightedBlowup,
-    _fan_blowup,
+    _assemble,
     center_consistency,
     center_to_blowup,
     proper_transform,
@@ -241,7 +241,9 @@ def _expand(node: ResolutionNode, mode: str, limit: int, parent_inv):
 
     weak, mult = weak_transform(b, ideal)
     node.multiplicities = mult
-    child_ideal = proper_transform(b, ideal) if mode == "resolve" else weak
+    child_ideal = weak
+    if mode == "resolve":  # the proper transform, as blowup's docstring argues
+        child_ideal = groebner.saturate_at_variables(weak, mult)
 
     for chart in b.charts:
         amb = b.chart_ambient(chart)
@@ -456,7 +458,8 @@ def one_step_check(f: Polynomial) -> dict:
         return report
 
     ideal = PolyIdeal(amb, (f,))
-    b = _fan_blowup(monomial_saturation(ideal), amb, normal_fan(poly))
+    fan = normal_fan(poly)
+    b = _assemble(amb, monomial_saturation(ideal), fan, [1] * len(fan.rays), None)
     weak, mult = weak_transform(b, ideal)
     fm = weak.generators[0]
     report["blowup"] = b

@@ -344,7 +344,7 @@ def invariant_at(ideal: PolyIdeal, point) -> tuple[Invariant, Center | None]:
     amb0 = ideal.ambient
     point = tuple(Fraction(x) for x in point)
     if len(point) != amb0.n:
-        raise MwbError("point arity does not match the ambient")
+        raise MwbError(f"point has {len(point)} coordinates, the ambient has {amb0.n}")
 
     amb = amb0
     family = [(g, Fraction(1)) for g in ideal.generators]

@@ -199,6 +199,27 @@ def test_weak_and_proper_transform_of_a_pair():
         assert member(g, proper)
 
 
+def test_proper_transform_is_the_saturated_total():
+    # proper_transform saturates the weak transform; the definition
+    # saturates the total one.  Both must give the same unique output.
+    rng = random.Random(4417)
+    pairs = 0
+    for _ in range(30):
+        k = rng.randint(0, 3)
+        amb = ambient(ordinary=",".join("xyz"[:k]), monomial=",".join("xyz"[k:]))
+        a = monomial_ideal(random_monomial_gens(rng, 3, max_entry=3, max_gens=3), 3)
+        b = build_blowup(a, amb)
+        gens = [random_polynomial(rng, amb, max_entry=3) for _ in range(rng.randint(1, 3))]
+        i = PolyIdeal(amb, gens)
+        pairs += len(i.generators) > 1
+        names = [b.ray_vars[j] for j in b.eplus()]
+        want = saturate_at_variables(total_transform(b, i), names)
+        assert proper_transform(b, i) == want, (a, i)
+    assert pairs >= 10
+    zero = PolyIdeal(A3, ())
+    assert proper_transform(build_blowup(mono3((1, 1, 0)), A3), zero).is_zero()
+
+
 def _transform_cases(monkeypatch):
     """(blow-up, ideal) pairs: every weak transform the drop corpus makes,
     then seeded 4-variable blow-ups with weights or a Rees root, on

@@ -344,39 +344,71 @@ class TestExitCodes:
             ["newton", "--ideal", "3 + 4"],
             ["invariant", "--ordinary", "x,y", "--ideal", "x^2", "--point", "0"],
             ["blowup", "--ordinary", "x,y", "--ideal-monomial", "x + y"],
-            ["blowup", "--ordinary", "x,y", "--ideal-monomial", "x", "--weights", "1,1"],
-            ["blowup", "--ordinary", "x,y", "--ideal-monomial", "x",
-             "--rees", "2", "--weights", "1,1=1"],
             ["resolve", "--ordinary", "x,y", "--ideal", "x^2 + y^3", "--mark", "1"],
             ["nondegenerate", "--ordinary", "x,y", "--ideal", "x, y"],
             ["invariant", "--ordinary", "x,y", "--ideal", "1/0 x^2 + y^3"],
-            ["resolve", "--ordinary", "x,y", "--ideal", "x^2 + y^3", "--mark", "1/0,0"],
-            ["invariant", "--ordinary", "x,y", "--ideal", "x^2", "--point", "0,1/0"],
-            ["resolve", "--ordinary", "x,y", "--ideal", "x^2 + y^3", "--mark", "a,0"],
-            ["invariant", "--ordinary", "x,y", "--ideal", "x^2", "--point", "abc,0"],
-            ["blowup", "--ordinary", "x,y", "--ideal-monomial", "x", "--weights", "a=1"],
-            ["blowup", "--ordinary", "x,y", "--ideal-monomial", "x", "--weights", "1,0=w"],
-            ["invariant", "--ordinary", "x,y", "--ideal", "x^2", "--point", ""],
-            ["center", "--ordinary", "x,y", "--ideal", "x^2", "--point", ""],
-            ["reembed-check", "--ordinary", "x,y", "--ideal", "x^2 + y^3", "--point", ""],
-            ["blowup", "--ordinary", "x,y", "--ideal-monomial", "x", "--weights", ""],
-            ["blowup", "--ordinary", "x,y", "--ideal-monomial", "x", "--weights", ";"],
+            ["blowup", "--ordinary", "x,y", "--ideal-monomial", "x^2, y^3", "--rees", "0"],
             ["blowup", "--ordinary", "x,y", "--ideal-monomial", "x^2, y^3",
-             "--weights", "3,2=1;3,2=2"],
+             "--weights", "3,2=0"],
+            ["blowup", "--ordinary", "x,y", "--ideal-monomial", "x^2, y^3",
+             "--weights", "9,9=1"],
         ],
         ids=(
-            "no-vars point-arity non-monomial weight-syntax rees-and-weights mark-arity"
-            " two-gens zero-denominator mark-zero-denominator point-zero-denominator"
+            "no-vars point-arity non-monomial mark-arity two-gens zero-denominator"
+            " rees-zero weight-zero weight-direction-not-a-ray"
+        ).split(),
+    )
+    def test_malformed_input_is_one(self, argv):
+        # values that parse but do not fit the ambient or the fan: the
+        # library refuses them
+        code, out, err = run_cli(argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["blowup", "--ordinary", "x,y", "--ideal-monomial", "x", "--weights", "1,1"],
+             "--weights"),
+            (["blowup", "--ordinary", "x,y", "--ideal-monomial", "x",
+              "--rees", "2", "--weights", "1,1=1"], "--weights"),
+            (["resolve", "--ordinary", "x,y", "--ideal", "x^2 + y^3", "--mark", "1/0,0"],
+             "--mark"),
+            (["invariant", "--ordinary", "x,y", "--ideal", "x^2", "--point", "0,1/0"],
+             "--point"),
+            (["resolve", "--ordinary", "x,y", "--ideal", "x^2 + y^3", "--mark", "a,0"],
+             "--mark"),
+            (["invariant", "--ordinary", "x,y", "--ideal", "x^2", "--point", "abc,0"],
+             "--point"),
+            (["blowup", "--ordinary", "x,y", "--ideal-monomial", "x", "--weights", "a=1"],
+             "--weights"),
+            (["blowup", "--ordinary", "x,y", "--ideal-monomial", "x", "--weights", "1,0=w"],
+             "--weights"),
+            (["invariant", "--ordinary", "x,y", "--ideal", "x^2", "--point", ""], "--point"),
+            (["center", "--ordinary", "x,y", "--ideal", "x^2", "--point", ""], "--point"),
+            (["reembed-check", "--ordinary", "x,y", "--ideal", "x^2 + y^3", "--point", ""],
+             "--point"),
+            (["blowup", "--ordinary", "x,y", "--ideal-monomial", "x", "--weights", ""],
+             "--weights"),
+            (["blowup", "--ordinary", "x,y", "--ideal-monomial", "x", "--weights", ";"],
+             "--weights"),
+            (["blowup", "--ordinary", "x,y", "--ideal-monomial", "x^2, y^3",
+              "--weights", "3,2=1;3,2=2"], "--weights"),
+        ],
+        ids=(
+            "weight-syntax rees-and-weights mark-zero-denominator point-zero-denominator"
             " mark-not-numeric point-not-numeric weight-direction-not-numeric"
             " weight-not-numeric invariant-empty-point center-empty-point"
             " reembed-empty-point empty-weights weights-no-direction"
             " weight-direction-repeated"
         ).split(),
     )
-    def test_malformed_input_is_one(self, argv):
+    def test_malformed_value_is_two(self, argv, option):
+        # an option value that does not parse is a usage error, reported by
+        # argparse against the option before any command runs
         code, out, err = run_cli(argv)
-        assert code == 1
-        assert err.startswith("error: ")
+        assert (code, out) == (2, "")
+        assert f"argument {option}" in err
 
 
 class TestBounded:
