@@ -204,7 +204,11 @@ def _names(value: str) -> list[str]:
 
 
 def _point(value: str) -> tuple:
-    """--point, --mark: comma-separated rationals."""
+    """--point, --mark: comma-separated rationals, each an integer, p/q or a
+    decimal.  An exponent (1e5) is refused, so that 1e999999999 cannot build
+    a billion-digit integer while the options parse."""
+    if "e" in value.lower():
+        raise argparse.ArgumentTypeError(f"{value!r} has an exponent")
     try:
         return tuple(Fraction(v) for v in value.split(","))
     except (ValueError, ZeroDivisionError):

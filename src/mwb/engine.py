@@ -265,22 +265,13 @@ def _apply_change(ideal: PolyIdeal, marked: list, contact: Contact):
     coordinate x; marked points move to their new coordinates."""
     amb = ideal.ambient
     i = amb.index(contact.name)
-    lift = rename(
-        contact.shift, {n: n for n in contact.shift.ambient.names()}, amb
-    )
+    lift = rename(contact.shift, {}, amb)
     images = {n: variable(amb, n) for n in amb.names()}
     images[contact.name] = variable(amb, contact.name) + lift
     new_ideal = PolyIdeal(
         amb, [substitute(g, images, amb) for g in ideal.generators]
     )
-    shifted = []
-    for q in marked:
-        sval = contact.shift.evaluate(
-            tuple(
-                q[amb.index(n)] for n in contact.shift.ambient.names()
-            )
-        )
-        shifted.append(q[:i] + (q[i] - sval,) + q[i + 1 :])
+    shifted = [q[:i] + (q[i] - lift.evaluate(q),) + q[i + 1 :] for q in marked]
     return new_ideal, shifted
 
 
@@ -327,9 +318,7 @@ def reembed_check(ideal: PolyIdeal, point=None) -> dict:
     while base in amb.names():
         base += "0"
     ext = LogAmbient(((base, ORDINARY),) + amb.variables, amb.inverted)
-    lifted = [
-        rename(g, {n: n for n in amb.names()}, ext) for g in ideal.generators
-    ]
+    lifted = [rename(g, {}, ext) for g in ideal.generators]
     extended = PolyIdeal(ext, [variable(ext, base)] + lifted)
     epoint = (Fraction(0),) + point
     inv1, c1 = invariant_at(extended, epoint)

@@ -40,6 +40,7 @@ c*x + (terms without x); other shapes raise NoRectifiableContact.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -73,6 +74,7 @@ CLOSURE_BUDGET = 2000
 # -- invariants and their order ---------------------------------------------
 
 
+@functools.total_ordering
 @dataclass(frozen=True)
 class Invariant:
     entries: tuple
@@ -82,15 +84,6 @@ class Invariant:
 
     def __lt__(self, other):
         return compare(self, other) < 0
-
-    def __le__(self, other):
-        return compare(self, other) <= 0
-
-    def __gt__(self, other):
-        return compare(self, other) > 0
-
-    def __ge__(self, other):
-        return compare(self, other) >= 0
 
 
 def entry_str(e) -> str:
@@ -215,14 +208,14 @@ def maximal_contact(amb: LogAmbient, gens: list[Polynomial], point) -> Contact:
             continue
         i = e.index(1)
         name, flag = amb.variables[i]
-        if flag == "ordinary" and point[i] == 0:
+        if flag == ORDINARY and point[i] == 0:
             tier1.add(i)
     if tier1:
         return Contact(amb.variables[min(tier1)][0], None)
 
     # tier 2: triangular c*x + (terms without x), earliest variable first
     for i, (name, flag) in enumerate(amb.variables):
-        if flag != "ordinary":
+        if flag != ORDINARY:
             continue
         for g in gens:
             if g.evaluate(point) != 0:
@@ -247,7 +240,7 @@ def maximal_contact(amb: LogAmbient, gens: list[Polynomial], point) -> Contact:
 
     for g in gens:
         for name, flag in amb.variables:
-            if flag == "ordinary" and derivative(g, name).evaluate(point) != 0:
+            if flag == ORDINARY and derivative(g, name).evaluate(point) != 0:
                 raise NoRectifiableContact(
                     f"order-one element {g} at {point_str(point)} is not in rectifiable shape"
                 )

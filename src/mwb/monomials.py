@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import EmptyIdeal, MwbError, ZeroVector
-from .polyhedra import NewtonPolyhedron, Vec, contains, newton_polyhedron
+from .polyhedra import NewtonPolyhedron, Vec, contains, exponent, newton_polyhedron
 
 
 def divides(a: Vec, b: Vec) -> bool:
@@ -40,13 +40,7 @@ class MonomialIdeal:
 
 
 def monomial_ideal(gens, n: int) -> MonomialIdeal:
-    gens = [tuple(int(x) for x in g) for g in gens]
-    for g in gens:
-        if len(g) != n:
-            raise ZeroVector(f"exponent vector {g!r} does not have {n} entries")
-        if any(x < 0 for x in g):
-            raise ZeroVector(f"exponent vector {g!r} has a negative entry")
-    return MonomialIdeal(n, minimalize(gens))
+    return MonomialIdeal(n, minimalize(exponent(g, n) for g in gens))
 
 
 def member(a: Vec, ideal: MonomialIdeal) -> bool:
@@ -80,8 +74,7 @@ def power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
 
 def shift(ideal: MonomialIdeal, m: Vec) -> MonomialIdeal:
     """Multiply by the single monomial x^m."""
-    if any(x < 0 for x in m):
-        raise ZeroVector(f"shift {m!r} has a negative entry")
+    m = exponent(m, ideal.dim)
     return MonomialIdeal(
         ideal.dim, tuple(tuple(a + b for a, b in zip(g, m)) for g in ideal.gens)
     )

@@ -13,11 +13,17 @@ arithmetic here, it only licenses unit-stripping and saturation upstream.
 Coefficients are exact Fractions; exponent vectors are int tuples aligned
 with the variable order.
 
+LogAmbient, Polynomial and PolyIdeal are frozen slotted dataclasses, so
+equality, hashing and immutability are declared, not written.  Each keeps
+a validating __init__ of its own; Polynomial keeps its __hash__, since its
+terms are a dict.
+
 The public constructor Polynomial(ambient, terms) validates and copies its
-input: every exponent becomes an int tuple of the ambient's length with no
-negative entry, every coefficient an exact Fraction, and zero terms are
-dropped.  Polynomial._trusted(ambient, terms) takes a term dict as it is.
-It serves only results that the package built from validated operands
+input: every exponent passes polyhedra.exponent (an int tuple of the
+ambient's length with no negative entry), every coefficient becomes an
+exact Fraction, and zero terms are dropped, after the exponent check.
+Polynomial._trusted(ambient, terms) takes a term dict as it is.  It
+serves only results that the package built from validated operands
 (sums, negations, products, powers, substitutions, renamings, unit
 stripping, derivations, monic rescalings, Rabinowitsch lifts,
 S-polynomials, normal forms, orbit restrictions, restrictions to a
@@ -31,17 +37,13 @@ dict-level product per variable, so no intermediate Polynomial is made.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import kernel
-from .errors import (
-    AmbientMismatch,
-    IncompleteSubstitution,
-    MwbError,
-    ZeroVector,
-)
+from .errors import AmbientMismatch, IncompleteSubstitution, MwbError
 from .monomials import MonomialIdeal, minimalize
-from .polyhedra import Vec
+from .polyhedra import Vec, exponent
 
 ORDINARY = "ordinary"
 MONOMIAL = "monomial"
@@ -52,10 +54,13 @@ _FLAGS = (ORDINARY, MONOMIAL, EXCEPTIONAL)
 EVALUATE_BITS = 1 << 20
 
 
+@dataclass(frozen=True, slots=True)
 class LogAmbient:
     """Ordered named variables with log flags and chart inversions."""
 
-    __slots__ = ("variables", "inverted", "_index")
+    variables: tuple[tuple[str, str], ...]
+    inverted: frozenset[str]
+    _index: dict[str, int] = field(compare=False, repr=False)
 
     def __init__(self, variables, inverted=()):
         variables = tuple((str(n), str(f)) for n, f in variables)
@@ -71,19 +76,6 @@ class LogAmbient:
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "inverted", inverted)
         object.__setattr__(self, "_index", {n: i for i, (n, _) in enumerate(variables)})
-
-    def __setattr__(self, *a):
-        raise AttributeError("LogAmbient is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LogAmbient)
-            and self.variables == other.variables
-            and self.inverted == other.inverted
-        )
-
-    def __hash__(self):
-        return hash((self.variables, self.inverted))
 
     @property
     def n(self) -> int:
@@ -137,20 +129,18 @@ def _coeff(c) -> Fraction:
     raise MwbError(f"coefficient {c!r} is not rational")
 
 
+@dataclass(frozen=True, slots=True)
 class Polynomial:
     """Term dict {exponent tuple: nonzero Fraction} over a LogAmbient."""
 
-    __slots__ = ("ambient", "terms")
+    ambient: LogAmbient
+    terms: dict[Vec, Fraction]
 
     def __init__(self, ambient: LogAmbient, terms):
         clean = {}
         n = ambient.n
         for e, c in dict(terms).items():
-            e = tuple(int(x) for x in e)
-            if len(e) != n:
-                raise ZeroVector(f"exponent {e!r} does not have {n} entries")
-            if any(x < 0 for x in e):
-                raise ZeroVector(f"exponent {e!r} has a negative entry")
+            e = exponent(e, n)
             c = _coeff(c)
             if c:
                 clean[e] = c
@@ -167,9 +157,6 @@ class Polynomial:
         object.__setattr__(p, "ambient", ambient)
         object.__setattr__(p, "terms", terms)
         return p
-
-    def __setattr__(self, *a):
-        raise AttributeError("Polynomial is immutable")
 
     # -- predicates ---------------------------------------------------------
 
@@ -221,14 +208,8 @@ class Polynomial:
             self.ambient, _pow_terms(self.terms, k, (0,) * self.ambient.n)
         )
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Polynomial)
-            and self.ambient == other.ambient
-            and self.terms == other.terms
-        )
-
     def __hash__(self):
+        # the terms dict is unhashable, so hash its sorted items
         return hash((self.ambient, tuple(sorted(self.terms.items()))))
 
     # -- queries ------------------------------------------------------------
@@ -253,7 +234,10 @@ class Polynomial:
             for x, b, k in zip(point, bits, e):
                 if k:
                     if k * b > EVALUATE_BITS:
-                        raise MwbError(f"evaluating {x}^{k} exceeds {EVALUATE_BITS} bits")
+                        raise MwbError(
+                            f"a {b}-bit coordinate to the power {k} exceeds "
+                            f"{EVALUATE_BITS} bits"
+                        )
                     v *= x**k
             total += v
         return total
@@ -434,10 +418,12 @@ def strip_inverted_units(p: Polynomial) -> tuple[Polynomial, Vec]:
 # -- ideals -----------------------------------------------------------------
 
 
+@dataclass(frozen=True, slots=True)
 class PolyIdeal:
     """Finitely generated ideal; zero generators are dropped, order kept."""
 
-    __slots__ = ("ambient", "generators")
+    ambient: LogAmbient
+    generators: tuple[Polynomial, ...]
 
     def __init__(self, ambient: LogAmbient, generators):
         gens = []
@@ -449,21 +435,8 @@ class PolyIdeal:
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "generators", tuple(gens))
 
-    def __setattr__(self, *a):
-        raise AttributeError("PolyIdeal is immutable")
-
     def is_zero(self) -> bool:
         return not self.generators
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PolyIdeal)
-            and self.ambient == other.ambient
-            and self.generators == other.generators
-        )
-
-    def __hash__(self):
-        return hash((self.ambient, self.generators))
 
     def __str__(self):
         if self.is_zero():

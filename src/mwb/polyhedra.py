@@ -60,6 +60,16 @@ def dot(u: Vec, v: Vec) -> int:
     return sum(a * b for a, b in zip(u, v))
 
 
+def exponent(v, n: int) -> Vec:
+    """v as an int tuple of length n with no negative entry."""
+    e = tuple(int(x) for x in v)
+    if len(e) != n:
+        raise ZeroVector(f"exponent {e!r} does not have {n} entries")
+    if any(x < 0 for x in e):
+        raise ZeroVector(f"exponent {e!r} has a negative entry")
+    return e
+
+
 def primitive(v: Vec) -> Vec:
     """v divided by the gcd of its entries; rejects the zero vector."""
     g = 0
@@ -142,15 +152,9 @@ def newton_polyhedron(gens, n: int) -> NewtonPolyhedron:
     tight at it, read off the double description tags; the vertices are a
     subset of them in the same order, and their tags are the incidence.
     """
-    gens = [tuple(int(x) for x in g) for g in gens]
+    gens = sorted({exponent(g, n) for g in gens}, reverse=True)
     if not gens:
         raise EmptyIdeal("newton polyhedron of no generators")
-    for g in gens:
-        if len(g) != n:
-            raise ZeroVector(f"generator {g!r} does not have {n} entries")
-        if any(x < 0 for x in g):
-            raise ZeroVector(f"generator {g!r} has a negative entry")
-    gens = sorted(set(gens), reverse=True)
 
     # constraint rows (e_i, 0), then (g, 1); the first n + 1 have the inverse
     # [[I, 0], [-g_0, 1]], whose columns are the starting rays, each tagged

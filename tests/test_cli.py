@@ -303,6 +303,12 @@ class TestExitCodes:
         assert (code, err) == (0, "")
         assert "invariant: (2, 3)" in out
 
+    def test_point_is_a_fraction_or_a_decimal(self):
+        base = ["invariant", "--ordinary", "x,y", "--ideal", "x^2 + y^3", "--point"]
+        code, out, err = run_cli(base + ["1/2,0"])
+        assert (code, err) == (0, "") and "point: (1/2, 0)" in out.splitlines()
+        assert run_cli(base + ["0.5,0"]) == (code, out, err)
+
     def test_exceptional_names_avoid_every_source_initial(self):
         # u, v, w, s, t and E are all taken, so the exceptional variable
         # takes the next letter that no source variable starts with
@@ -394,13 +400,17 @@ class TestExitCodes:
              "--weights"),
             (["blowup", "--ordinary", "x,y", "--ideal-monomial", "x^2, y^3",
               "--weights", "3,2=1;3,2=2"], "--weights"),
+            (["invariant", "--ordinary", "x,y", "--ideal", "x^2 + y^3",
+              "--point", "1e1000000,0"], "--point"),
+            (["resolve", "--ordinary", "x,y", "--ideal", "x^2 + y^3", "--mark", "1E5,0"],
+             "--mark"),
         ],
         ids=(
             "weight-syntax rees-and-weights mark-zero-denominator point-zero-denominator"
             " mark-not-numeric point-not-numeric weight-direction-not-numeric"
             " weight-not-numeric invariant-empty-point center-empty-point"
             " reembed-empty-point empty-weights weights-no-direction"
-            " weight-direction-repeated"
+            " weight-direction-repeated point-exponent mark-exponent"
         ).split(),
     )
     def test_malformed_value_is_two(self, argv, option):

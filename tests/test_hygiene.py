@@ -1,5 +1,6 @@
-"""Source hygiene: every name a module of mwb imports is used in it, and
-every private module-level name is used somewhere in the package."""
+"""Source hygiene: every name a module of mwb imports is used in it, every
+private module-level name is used somewhere in the package, and records
+leave their value methods to dataclasses."""
 
 import ast
 from pathlib import Path
@@ -47,10 +48,9 @@ def test_the_walk_sees_an_unused_import():
     assert unused_imports(tree) == [(3, "d")]
 
 
-def private_definitions(tree):
-    """(name, node) of each module-level function, class or constant whose
-    name starts with one underscore."""
-    for node in tree.body:
+def definitions(body):
+    """(name, node) of each function, class or assigned name in a body."""
+    for node in body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
         elif isinstance(node, ast.Assign):
@@ -60,8 +60,15 @@ def private_definitions(tree):
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
-                yield name, node
+            yield name, node
+
+
+def private_definitions(tree):
+    """(name, node) of each module-level function, class or constant whose
+    name starts with one underscore."""
+    for name, node in definitions(tree.body):
+        if name.startswith("_") and not name.startswith("__"):
+            yield name, node
 
 
 def references(tree, skip=None):
@@ -114,3 +121,44 @@ def test_the_scan_sees_an_unreferenced_private_name():
     }
     # _loop only calls itself
     assert unreferenced_private_names(trees) == [("a.py", "_loop")]
+
+
+def hand_written_value_methods(tree):
+    """(class, name) of each class body that assigns __slots__ or defines
+    __setattr__ or __eq__ itself; a dataclass declares those.  An explicit
+    __hash__ is allowed: a record whose field is a dict needs one."""
+    return [
+        (cls.name, name)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for name, _ in definitions(cls.body)
+        if name in ("__slots__", "__setattr__", "__eq__")
+    ]
+
+
+def test_records_are_dataclasses():
+    found = {
+        p.name: hits
+        for p in SOURCES
+        if (hits := hand_written_value_methods(ast.parse(p.read_text(), str(p))))
+    }
+    assert not found, found
+
+
+def test_the_scan_sees_a_hand_written_record():
+    tree = ast.parse(
+        "class Point:\n"
+        "    __slots__ = ('x',)\n"
+        "    def __setattr__(self, *a):\n        raise AttributeError\n"
+        "    def __eq__(self, other):\n        return self.x == other.x\n"
+        "    def __hash__(self):\n        return hash(self.x)\n"
+        "@dataclass(frozen=True, slots=True)\n"
+        "class Kept:\n"
+        "    x: int\n"
+        "    def __hash__(self):\n        return 0\n"
+    )
+    assert hand_written_value_methods(tree) == [
+        ("Point", "__slots__"),
+        ("Point", "__setattr__"),
+        ("Point", "__eq__"),
+    ]

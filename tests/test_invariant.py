@@ -171,6 +171,10 @@ class TestOrder:
                 assert u.entries == v.entries
             if cuv <= 0 and cvw <= 0:
                 assert cuw <= 0
+            # the operators are compare's order, nothing else
+            assert (u < v, u <= v, u > v, u >= v, u == v) == (
+                cuv < 0, cuv <= 0, cuv > 0, cuv >= 0, cuv == 0
+            )
 
     def test_truncation_is_larger(self):
         assert compare(inv_of((2, 3)), inv_of((2,))) < 0

@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -108,6 +109,10 @@ def test_evaluate_bounds_the_powers_it_builds():
     huge = monomial(A3, (10**20, 10**20, 10**20), 5)
     assert huge.evaluate((1, -1, 1)) == 5
     assert huge.evaluate((0, 1, -1)) == 0
+    # a coordinate too long to print in decimal still gets a message
+    with pytest.raises(MwbError, match="exceeds") as err:
+        monomial(A3, (100, 0, 0)).evaluate((10**5000, 0, 0))
+    assert "16610-bit" in str(err.value)
 
 
 def test_restrict_drops_the_variable():
@@ -186,6 +191,34 @@ def test_ideal_container():
     i = ideal(A3, "x^2 + y, z")
     assert len(i.generators) == 2
     assert str(i) == "(x^2 + y, z)"
+
+
+def test_value_types_compare_hash_and_freeze():
+    amb = ambient(ordinary="x", monomial="y", inverted=("y",))
+    same = LogAmbient((("x", "ordinary"), ("y", "monomial")), ("y",))
+    f = Polynomial(amb, {(2, 0): 3, (0, 1): Fraction(-1, 2)})
+    g = Polynomial._trusted(same, dict(f.terms))
+    samples = [
+        (amb, same, "LogAmbient(A^{2;1}(x ordinary, y monomial*))"),
+        (f, g, "Polynomial(3*x^2 - 1/2*y)"),
+        (PolyIdeal(amb, [f]), PolyIdeal(same, [g]), "PolyIdeal(3*x^2 - 1/2*y)"),
+    ]
+    for a, b, text in samples:
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == text
+        assert not hasattr(a, "__dict__")
+        with pytest.raises(AttributeError):
+            setattr(a, fields(a)[0].name, None)
+    assert amb != amb.with_inverted(("x",))
+    assert amb != LogAmbient(amb.variables)
+    assert f != Polynomial(amb, {(2, 0): 3})
+
+
+def test_constructor_checks_exponents_before_dropping_zeros():
+    with pytest.raises(MwbError, match="negative entry"):
+        Polynomial(A2, {(-1, 0): 0})
+    with pytest.raises(MwbError, match="entries"):
+        Polynomial(A2, {(1,): 0})
 
 
 def random_poly(rng, amb, size, max_exp=3):
