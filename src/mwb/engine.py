@@ -13,6 +13,35 @@ principalization, the ideal itself saturates to the unit ideal.  When only
 the marked points can be certified (smooth there, or the ideal does not
 vanish there), the leaf is honest about it with scope "marked-points".
 
+The first derivation stage (g, Dg) of a hypersurface is often settled by
+g's exponents alone (Kouchnirenko, Polyedres de Newton et nombres de
+Milnor, 1976), and then no Groebner basis is built.  Write g = sum c_a x^a
+with every c_a != 0 on the chart R_f, f the product of the inverted
+variables, and call a term a unit term when its monomial is in inverted
+variables only.  Suppose every variable that is not inverted is
+logarithmic, D_j = x_j d/dx_j; for an inverted ordinary variable d/dx_j and
+x_j d/dx_j generate the same ideal of R_f, so every D_j may be taken to be
+x_j d/dx_j, and D_j x^a = a_j x^a.
+
+  * No unit term: (g, Dg) is not the unit ideal.  On the stratum where
+    every variable that is not inverted is 0 and the inverted ones are
+    not, every term of g vanishes, and so does every term of each D_j g,
+    each a multiple of a term of g.
+  * A unit term, and the vectors (1, a) over the support of g linearly
+    independent (the exponents affinely independent): (g, Dg) is the unit
+    ideal.  At a point p of the chart let Z be the variables that vanish
+    there, and g_Z the terms of g free of Z; it holds the unit terms.
+    Then g(p) = g_Z(p) and D_j g(p) = D_j g_Z(p), which is 0 for j in Z.
+    A common zero p gives sum t_a (1, a) = 0 over the support of g_Z,
+    with every t_a = c_a p^a != 0, against the independence of that
+    subset.
+
+When every variable is inverted this is the torus lemma for a face
+polynomial: f_tau is nonsingular in the torus when its exponents are
+affinely independent.  Anything else, a variable that is neither inverted
+nor logarithmic included, goes to the Groebner lift, and all charts of one
+g left undecided share one groebner.chart_dimensions call.
+
 Every produced center is re-checked against the blow-up it induces
 (center_consistency), and a child whose worst invariant fails to drop
 strictly below the parent's raises InvariantNotDropped rather than
@@ -63,7 +92,7 @@ from .poly import (
     substitute,
     variable,
 )
-from .polyhedra import faces, newton_polyhedron, normal_fan
+from .polyhedra import affinely_independent, faces, newton_polyhedron, normal_fan
 
 
 def depth_limit() -> int:
@@ -181,9 +210,7 @@ def _expand(node: ResolutionNode, mode: str, limit: int, parent_inv):
         if ideal.is_zero():
             node.status, node.scope = "smooth", "chart"
             return
-        if len(ideal.generators) == 1 and groebner.saturates_to_unit(
-            d_leq(ideal, 1), inverted
-        ):
+        if len(ideal.generators) == 1 and _smooth_on_charts(ideal, [inverted])[0]:
             node.status, node.scope = "smooth", "chart"
             return
 
@@ -391,14 +418,48 @@ def newton_nondegenerate(f: Polynomial):
     return _faces_nondegenerate(f, faces(poly))
 
 
+def _support_verdict(g: Polynomial, names):
+    """Whether (g, Dg) is the unit ideal on the chart inverting names, when
+    g's exponents settle it (the module docstring's two lemmas); None when
+    they do not."""
+    inverted = set(names)
+    free = []
+    for i, (n, flag) in enumerate(g.ambient.variables):
+        if n not in inverted:
+            if flag == ORDINARY:
+                return None
+            free.append(i)
+    if not any(all(e[i] == 0 for i in free) for e in g.terms):
+        return False
+    return True if affinely_independent(g.terms) else None
+
+
+def _smooth_on_charts(ideal: PolyIdeal, name_sets) -> list[bool]:
+    """For each set of inverted names, whether the first derivation stage
+    of the principal ideal (g) saturates to the unit ideal on that chart.
+    The support of g answers first; the charts it leaves open share one
+    chart_dimensions call."""
+    (g,) = ideal.generators
+    verdicts = [_support_verdict(g, names) for names in name_sets]
+    undecided = [names for names, v in zip(name_sets, verdicts) if v is None]
+    if undecided:
+        dims = iter(groebner.chart_dimensions(d_leq(ideal, 1), undecided))
+        verdicts = [next(dims) < 0 if v is None else v for v in verdicts]
+    return verdicts
+
+
 def _face_label(amb: LogAmbient, face) -> str:
     return ", ".join(format_monomial(amb, v) for v in face.vertices)
 
 
 def _faces_nondegenerate(f: Polynomial, face_list):
     """face_list holds the faces of f's own Newton polyhedron, so the
-    generators on a face are f's terms on it."""
+    generators on a face are f's terms on it.  Affine independence passes
+    to subsets, so when f's exponents are independent every face
+    restriction passes the torus lemma and none is built."""
     amb = f.ambient
+    if affinely_independent(f.terms):
+        return True, None
     checked = set()
     for face in face_list:
         if face.generators in checked:
@@ -406,9 +467,7 @@ def _faces_nondegenerate(f: Polynomial, face_list):
         checked.add(face.generators)
         # on the torus (f_tau, x d/dx f_tau, ...) is the Jacobian ideal
         ftau = Polynomial(amb, {e: f.terms[e] for e in face.generators})
-        if not groebner.saturates_to_unit(
-            d_leq(PolyIdeal(amb, (ftau,)), 1), amb.names()
-        ):
+        if not _smooth_on_charts(PolyIdeal(amb, (ftau,)), [amb.names()])[0]:
             return False, f"face spanned by {_face_label(amb, face)}"
     return True, None
 
@@ -421,10 +480,11 @@ def one_step_check(f: Polynomial) -> dict:
 
     Each object is built once.  f's Newton polyhedron is that of its term
     ideal, so its faces, f's terms on each face and the fan of the blow-up
-    all come from it.  The charts' questions share one basis of the first
-    derivation stage (groebner.chart_dimensions).  report["faces"] is keyed
-    by a face's vertices, which faces can share; each label holds the AND
-    of the checks of its faces, so "resolved" covers every face.
+    all come from it.  The support of the weak transform settles most
+    chart questions (_smooth_on_charts); the rest share one basis of the
+    first derivation stage (groebner.chart_dimensions).  report["faces"]
+    is keyed by a face's vertices, which faces can share; each label holds
+    the AND of the checks of its faces, so "resolved" covers every face.
     """
     amb = f.ambient
     if any(flag != MONOMIAL for _, flag in amb.variables):
@@ -455,10 +515,8 @@ def one_step_check(f: Polynomial) -> dict:
     report["multiplicities"] = mult
     report["weak"] = fm
 
-    dims = groebner.chart_dimensions(
-        d_leq(weak, 1), [chart.inverted for chart in b.charts]
-    )
-    charts = {c.label: d < 0 for c, d in zip(b.charts, dims)}
+    smooth = _smooth_on_charts(weak, [chart.inverted for chart in b.charts])
+    charts = {c.label: ok for c, ok in zip(b.charts, smooth)}
     report["charts"] = charts
 
     orbit = {}

@@ -52,6 +52,10 @@ _FLAGS = (ORDINARY, MONOMIAL, EXCEPTIONAL)
 
 # Bit bound on the numerator and denominator of each power evaluate builds.
 EVALUATE_BITS = 1 << 20
+# Bound on the term products one multiplication of * or ** may form,
+# len(a) * len(b), checked before that multiplication expands; a power
+# checks each squaring step, of which there are at most 2 log2(k) + 1.
+TERM_BUDGET = 1 << 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -197,7 +201,9 @@ class Polynomial:
                 self.ambient, {e: c * c0 for e, c in self.terms.items()}
             )
         self._check(other)
-        return Polynomial._trusted(self.ambient, _mul_terms(self.terms, other.terms))
+        return Polynomial._trusted(
+            self.ambient, _mul_within_budget(self.terms, other.terms)
+        )
 
     __rmul__ = __mul__
 
@@ -205,7 +211,8 @@ class Polynomial:
         if k < 0:
             raise MwbError("negative polynomial power")
         return Polynomial._trusted(
-            self.ambient, _pow_terms(self.terms, k, (0,) * self.ambient.n)
+            self.ambient,
+            _pow_terms(self.terms, k, (0,) * self.ambient.n, _mul_within_budget),
         )
 
     def __hash__(self):
@@ -319,16 +326,27 @@ def _mul_terms(a: dict, b: dict) -> dict:
     return t
 
 
-def _pow_terms(terms: dict, k: int, one: Vec) -> dict:
-    """k-th power of a term dict by repeated squaring; one is the zero
-    exponent of its ambient."""
+def _mul_within_budget(a: dict, b: dict) -> dict:
+    """_mul_terms, refused before it expands when it would form more than
+    TERM_BUDGET term products."""
+    if len(a) * len(b) > TERM_BUDGET:
+        raise MwbError(
+            f"multiplying {len(a)} terms by {len(b)} terms forms "
+            f"{len(a) * len(b)} term products, over the budget of {TERM_BUDGET}"
+        )
+    return _mul_terms(a, b)
+
+
+def _pow_terms(terms: dict, k: int, one: Vec, mul=_mul_terms) -> dict:
+    """k-th power of a term dict by repeated squaring, each product by mul;
+    one is the zero exponent of its ambient."""
     out = {one: Fraction(1)}
     while k:
         if k & 1:
-            out = _mul_terms(out, terms)
+            out = mul(out, terms)
         k >>= 1
         if k:
-            terms = _mul_terms(terms, terms)
+            terms = mul(terms, terms)
     return out
 
 

@@ -110,6 +110,14 @@ def _rank(rows: list[Vec]) -> int:
     return rank
 
 
+def affinely_independent(points) -> bool:
+    """Whether no point is an affine combination of the others: the
+    vectors (1, a) over the points are linearly independent.  Repeated
+    points are dependent; no points are independent."""
+    rows = [(1, *a) for a in points]
+    return _rank(rows) == len(rows)
+
+
 @dataclass(frozen=True)
 class Facet:
     """Inward facet inequality  normal . a >= level  with primitive normal."""

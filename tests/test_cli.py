@@ -454,6 +454,22 @@ class TestBounded:
         assert err.startswith("error: ") and "exceeds" in err
         assert time.perf_counter() - start < 1
 
+    def test_huge_parenthesized_power_exceeds_the_term_budget(self):
+        start = time.perf_counter()
+        argv = ["transform", "--ordinary", "x,y", "--ideal", "(x+y)^99999",
+                "--ideal-monomial", "x, y"]
+        code, out, err = run_cli(argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "term products" in err
+        assert time.perf_counter() - start < 2
+        argv[4] = "(x+y)^5"
+        code, out, err = run_cli(argv)
+        assert code == 0 and err == ""
+        assert out.splitlines()[1] == (
+            "total: u^5 * (x'^5 + 5*x'^4*y' + 10*x'^3*y'^2 + 10*x'^2*y'^3"
+            " + 5*x'*y'^4 + y'^5)"
+        )
+
     def test_deep_contact_chain(self):
         ideal = "x^4 - x^3 y^2 - 2 x y^3 - z, y^3 z^3"
         code, out, _ = run_cli(["invariant", "--ordinary", "x,y,z", "--ideal", ideal])

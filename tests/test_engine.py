@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import oracles
 import pytest
 
 from conftest import (
@@ -27,7 +28,7 @@ from mwb.engine import (
     resolve,
 )
 from mwb.errors import DepthExceeded, MwbError
-from mwb.invariant import compare, invariant_at
+from mwb.invariant import compare, d_leq, invariant_at
 from mwb.monomials import newton
 from mwb.poly import (
     PolyIdeal,
@@ -38,7 +39,7 @@ from mwb.poly import (
     substitute,
     variable,
 )
-from mwb.polyhedra import dot, faces, newton_polyhedron
+from mwb.polyhedra import affinely_independent, faces, newton_polyhedron
 
 
 def fmt_ideal(i):
@@ -241,10 +242,12 @@ class TestOneStep:
             one_step_check(poly(ambient(ordinary="x,y"), "x + y^2"))
 
     def test_certificates_saturate_nothing(self, a33, monkeypatch):
-        # every chart question goes through chart_dimensions, which
-        # saturates_to_unit reaches as well: record its name sets per call
+        # the support decides every face and chart of F_TEXT, so no lift
+        # runs; a collinear face leaves questions open, and exactly those
+        # reach chart_dimensions, one call per face polynomial and one for
+        # the charts, with the verdicts the lift gives every question
         calls = {"saturate": 0, "saturates_to_unit": 0}
-        name_sets = []
+        lifts = []
 
         def count(name):
             original = getattr(groebner, name)
@@ -253,37 +256,53 @@ class TestOneStep:
                 calls[name] += 1
                 return original(*args)
 
-            monkeypatch.setattr(f"mwb.groebner.{name}", counting)
+            monkeypatch.setattr(groebner, name, counting)
 
         for name in calls:
             count(name)
         original = groebner.chart_dimensions
 
         def recording(ideal, sets):
-            name_sets.append(len(sets))
+            lifts.append((ideal.generators[0], [frozenset(s) for s in sets]))
             return original(ideal, sets)
 
-        monkeypatch.setattr("mwb.groebner.chart_dimensions", recording)
-        f = poly(a33, F_TEXT)
-        report = one_step_check(f)
+        monkeypatch.setattr(groebner, "chart_dimensions", recording)
+        report = one_step_check(poly(a33, F_TEXT))
         assert report["resolved"]
-        p = newton_polyhedron(list(f.terms), a33.n)
-        # one certificate per distinct face restriction, not per face
-        restrictions = {
-            frozenset(
-                e
-                for e in f.terms
-                if all(
-                    dot(p.facets[k].normal, e) == p.facets[k].level for k in face.defining
-                )
-            )
-            for face in faces(p)
-        }
-        assert len(restrictions) < len(faces(p))
-        assert calls == {"saturate": 0, "saturates_to_unit": len(restrictions)}
-        # then every chart in one call, on one basis
-        charts = len(report["blowup"].charts)
-        assert name_sets == [1] * len(restrictions) + [charts]
+        assert calls == {"saturate": 0, "saturates_to_unit": 0} and lifts == []
+
+        f = poly(a33, "x^2 + x y + y^2 + z^3")
+        report = one_step_check(f)
+        got = list(lifts)
+        monkeypatch.undo()
+        assert calls == {"saturate": 0, "saturates_to_unit": 0}
+
+        def lift(g, names):
+            return groebner.saturates_to_unit(d_leq(PolyIdeal(g.ambient, (g,)), 1), names)
+
+        names = frozenset(a33.names())
+        restrictions = []
+        for face in faces(newton_polyhedron(list(f.terms), a33.n)):
+            ftau = Polynomial(a33, {e: f.terms[e] for e in face.generators})
+            if ftau not in restrictions:
+                restrictions.append(ftau)
+        assert all(lift(ftau, names) for ftau in restrictions)
+        assert report["nondegenerate"] and report["resolved"]
+        fm, charts = report["weak"], report["blowup"].charts
+        assert report["charts"] == {c.label: lift(fm, c.inverted) for c in charts}
+        open_faces = [
+            g for g in restrictions if engine._support_verdict(g, names) is None
+        ]
+        open_charts = [
+            frozenset(c.inverted)
+            for c in charts
+            if engine._support_verdict(fm, c.inverted) is None
+        ]
+        # x^2, x y, y^2 are collinear, so that face and the whole support
+        # are affinely dependent, and every chart keeps all four terms of fm
+        assert [str(g) for g in open_faces] == ["z^3 + x^2 + x*y + y^2", "x^2 + x*y + y^2"]
+        assert len(open_charts) == len(charts) == 3
+        assert got == [(g, [names]) for g in open_faces] + [(fm, open_charts)]
 
     def test_random_nondegenerate_samples(self):
         for f in nondegenerate_samples(1203, 10):
@@ -369,6 +388,49 @@ class TestOneStep:
                     want = substitute(g, images, b.cox)
                     assert got.ambient == want.ambient
                     assert list(got.terms.items()) == list(want.terms.items())
+
+
+class TestSupportCriterion:
+    def test_verdicts_agree_with_the_lift(self):
+        # on all-log and mixed ambients with random inverted subsets, a
+        # verdict the support gives is the Groebner lift's, and the batched
+        # path answers every chart as the lift does
+        rng = random.Random(1901)
+        ambients = [
+            ambient(monomial="x,y"),
+            ambient(monomial="x,y,z"),
+            ambient(ordinary="x", monomial="y,z"),
+            ambient(ordinary="x,y", monomial="z"),
+        ]
+        seen = {True: 0, False: 0, None: 0}
+        for _ in range(300):
+            amb = rng.choice(ambients)
+            g = random_polynomial(rng, amb, max_terms=4, max_entry=2)
+            principal = PolyIdeal(amb, (g,))
+            stage = d_leq(principal, 1)
+            sets = [
+                [n for n in amb.names() if rng.random() < 0.5] for _ in range(3)
+            ]
+            lifted = [groebner.saturates_to_unit(stage, names) for names in sets]
+            for names, want in zip(sets, lifted):
+                verdict = engine._support_verdict(g, names)
+                seen[verdict] += 1
+                if verdict is not None:
+                    assert verdict == want, (format_polynomial(g), names)
+            assert engine._smooth_on_charts(principal, sets) == lifted
+        assert min(seen.values()) >= 100, seen
+
+    def test_affine_independence_matches_the_rank_oracle(self):
+        rng = random.Random(1902)
+        for _ in range(400):
+            n = rng.randint(1, 4)
+            points = [
+                tuple(rng.randint(0, 2) for _ in range(n))
+                for _ in range(rng.randint(0, n + 2))
+            ]
+            rows = [(1, *a) for a in points]
+            want = not rows or oracles.rank(rows) == len(rows)
+            assert affinely_independent(points) == want, points
 
 
 def test_principal_resolutions_eliminate_nothing(monkeypatch):

@@ -115,6 +115,22 @@ def test_evaluate_bounds_the_powers_it_builds():
     assert "16610-bit" in str(err.value)
 
 
+def test_products_and_powers_stay_within_the_term_budget(monkeypatch):
+    # each multiplication is checked before it expands: len(a) * len(b)
+    # term products at most, and a power checks every squaring step
+    monkeypatch.setattr("mwb.poly.TERM_BUDGET", 9)
+    a, b = poly(A3, "x + y + z"), poly(A3, "x - y")
+    assert format_polynomial(a * a) == format_polynomial(a**2)
+    assert len((a * b).terms) == 4
+    with pytest.raises(MwbError, match="forms 12 term products"):
+        a * poly(A3, "x + y + z + 1")
+    # (x - y)^4 squares 2 terms, then 3; ^6 then multiplies 3 terms by 5
+    assert len((b**4).terms) == 5
+    with pytest.raises(MwbError, match="3 terms by 5 terms"):
+        b**6
+    assert (a * 7).terms == {e: 7 for e in a.terms}
+
+
 def test_restrict_drops_the_variable():
     f = poly(A3, "x^2 + x z + y")
     r = restrict(f, "x")
