@@ -15,7 +15,13 @@ names the option on stderr); 1 on a domain error, reported as an `error:`
 line on stderr.  A value that parses but does not fit, such as a point
 with the wrong number of coordinates, a root of 0 or a weight on a
 direction that is no exceptional ray, is a domain error: the library
-checks it, and the CLI does not check it again.
+checks it, and the CLI does not check it again.  An integer literal longer
+than LITERAL_DIGITS, or an input whose coefficients pass poly.COEFF_BITS, is
+a domain error too, so every coefficient that parses can be printed.
+
+Each cmd_* handler returns one Report: it adds each fact once, as JSON fields
+and the text lines that show them, and main prints the lines or dumps the
+fields.  A blow-up and a resolution tree are each walked once.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import functools
 import json
 import re
 import sys
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import engine, invariant as inv_mod
@@ -41,11 +48,13 @@ from .errors import MwbError
 from .groebner import saturate_at_variables
 from .monomials import MonomialIdeal, minimalize
 from .poly import (
+    COEFF_BITS,
     MONOMIAL,
     ORDINARY,
     LogAmbient,
     PolyIdeal,
     Polynomial,
+    coefficient_bits,
     format_monomial,
     format_polynomial,
     monomial_saturation,
@@ -59,6 +68,10 @@ _TOKEN = re.compile(
     r"|(?P<name>[A-Za-z][A-Za-z0-9_]*'*)"
     r"|(?P<op>[-+*^(),]))"
 )
+# A literal of d digits is below 10**d < 2**(10 d / 3), so this many digits
+# keep every literal within the coefficient budget, and int() within
+# Python's 4300-digit conversion limit.
+LITERAL_DIGITS = COEFF_BITS * 3 // 10
 
 
 def tokenize(text: str) -> list[tuple[str, str]]:
@@ -72,10 +85,13 @@ def tokenize(text: str) -> list[tuple[str, str]]:
                 break
             raise MwbError(f"cannot read {rest[:20]!r}")
         pos = m.end()
-        for kind in ("frac", "int", "name", "op"):
-            if m.group(kind) is not None:
-                out.append((kind, m.group(kind)))
-                break
+        kind, val = m.lastgroup, m.group(m.lastgroup)
+        digits = max(map(len, val.split("/"))) if kind in ("frac", "int") else 0
+        if digits > LITERAL_DIGITS:
+            raise MwbError(
+                f"a number has {digits} digits, over the limit of {LITERAL_DIGITS}"
+            )
+        out.append((kind, val))
     return out
 
 
@@ -154,13 +170,24 @@ class _Parser:
     def _const(self, c: Fraction) -> Polynomial:
         return Polynomial(self.ambient, {(0,) * self.ambient.n: c})
 
+    def end(self, polys: list[Polynomial]) -> list[Polynomial]:
+        """The parsed polynomials, once the input is used up.  Products are
+        bounded as they form; a sum may still pile up denominators, so each
+        result is held to the coefficient budget too."""
+        if self.peek() != (None, None):
+            raise MwbError(f"trailing input near {self.peek()[1]!r}")
+        for p in polys:
+            bits = max(coefficient_bits(p.terms))
+            if bits > COEFF_BITS:
+                raise MwbError(
+                    f"coefficients need {bits} bits, over the budget of {COEFF_BITS}"
+                )
+        return polys
+
 
 def parse_polynomial(text: str, ambient: LogAmbient) -> Polynomial:
     parser = _Parser(tokenize(text), ambient)
-    p = parser.expr()
-    if parser.peek() != (None, None):
-        raise MwbError(f"trailing input near {parser.peek()[1]!r}")
-    return p
+    return parser.end([parser.expr()])[0]
 
 
 def parse_ideal(text: str, ambient: LogAmbient) -> PolyIdeal:
@@ -169,9 +196,7 @@ def parse_ideal(text: str, ambient: LogAmbient) -> PolyIdeal:
     while parser.peek() == ("op", ","):
         parser.take()
         gens.append(parser.expr())
-    if parser.peek() != (None, None):
-        raise MwbError(f"trailing input near {parser.peek()[1]!r}")
-    return PolyIdeal(ambient, gens)
+    return PolyIdeal(ambient, parser.end(gens))
 
 
 def parse_monomial_ideal(text: str, ambient: LogAmbient) -> MonomialIdeal:
@@ -188,11 +213,7 @@ def parse_monomial_ideal(text: str, ambient: LogAmbient) -> MonomialIdeal:
 
 
 def inferred_names(text: str) -> list[str]:
-    names = []
-    for kind, val in tokenize(text):
-        if kind == "name" and val not in names:
-            names.append(val)
-    return names
+    return list(dict.fromkeys(v for kind, v in tokenize(text) if kind == "name"))
 
 
 # -- option values ----------------------------------------------------------
@@ -264,99 +285,98 @@ def make_blowup(args, ambient: LogAmbient) -> MultiWeightedBlowup:
     return build_blowup(ideal, ambient, args.weights)
 
 
-# -- serialization helpers --------------------------------------------------
+# -- reports ----------------------------------------------------------------
 
 
-def ideal_json(ideal: PolyIdeal) -> list:
-    return [format_polynomial(g) for g in ideal.generators]
+@dataclass
+class Report:
+    """One subcommand's output: JSON fields and text lines, each fact
+    added once as both.  main prints the lines or dumps the fields."""
+
+    fields: dict = field(default_factory=dict)
+    lines: list = field(default_factory=list)
+
+    def add(self, *lines: str, **fields) -> None:
+        self.lines.extend(lines)
+        self.fields.update(fields)
+
+    def item(self, key: str, value, text=None) -> None:
+        """One field, shown as the line 'key: text' (text defaults to value)."""
+        self.add(f"{key}: {value if text is None else text}", **{key: value})
 
 
-def emit(args, lines, obj) -> None:
-    if args.json:
-        print(json.dumps(obj, indent=2))
-    else:
-        for line in lines:
-            print(line)
+def _paren(items) -> str:
+    return "(" + ", ".join(items) + ")"
 
 
-def blowup_lines(b: MultiWeightedBlowup) -> list[str]:
-    lines = []
-    lines.append(f"ambient: {b.source.describe()}")
-    lines.append(
-        "ideal: ("
-        + ", ".join(format_monomial(b.source, g) for g in b.ideal.gens)
-        + ")"
-    )
+# how text shows a boolean field
+_YES = {True: "yes", False: "no"}
+_OK = {True: "ok", False: "MISMATCH"}
+
+
+def _generators(ideal: PolyIdeal) -> tuple[list, str]:
+    """An ideal's generators as JSON strings, and its text."""
+    gens = [format_polynomial(g) for g in ideal.generators]
+    return gens, _paren(gens) if gens else "(0)"
+
+
+def _entries(values) -> tuple[list, str]:
+    """Invariant entries or point coordinates as JSON strings, and their text."""
+    strs = [inv_mod.entry_str(v) for v in values]
+    return strs, _paren(strs)
+
+
+def _change(c) -> str:
+    return f"{c.name} -> {c.name} + ({format_polynomial(c.shift)})"
+
+
+def blowup_report(b: MultiWeightedBlowup) -> Report:
+    r = Report()
+    r.item("ambient", b.source.describe())
+    ideal = [format_monomial(b.source, g) for g in b.ideal.gens]
+    r.item("ideal", ideal, _paren(ideal))
+    r.add(root=b.root)
     if b.root is not None:
-        lines.append(f"root: {b.root}")
-    for j, ray in enumerate(b.fan.rays):
-        tag = f" -> {b.ray_vars[j]}" if not ray.standard else ""
-        lines.append(
-            f"ray: {ray.direction}, level {ray.level}, weight {b.weights[j]}{tag}"
-        )
-    for name in b.source.names():
-        lines.append(
-            f"pullback: {name} = {format_polynomial(b.pullback[name])}"
-        )
-    for var in b.cox.names():
-        lines.append(f"grading: {var} = {b.grading[var]}")
-    for chart in b.charts:
-        lines.append(
-            f"chart {chart.label}: vertex {format_monomial(b.source, chart.vertex)}, "
-            f"inverted ({', '.join(chart.inverted)})"
-        )
-    irr = ", ".join("*".join(group) for group in b.irrelevant)
-    lines.append(f"irrelevant: ({irr})")
-    return lines
-
-
-def blowup_json(b: MultiWeightedBlowup) -> dict:
-    return {
-        "ambient": b.source.describe(),
-        "ideal": [format_monomial(b.source, g) for g in b.ideal.gens],
-        "root": b.root,
-        "rays": [
+        r.add(f"root: {b.root}")
+    rays = []
+    for ray, weight, var in zip(b.fan.rays, b.weights, b.ray_vars):
+        tag = "" if ray.standard else f" -> {var}"
+        r.add(f"ray: {ray.direction}, level {ray.level}, weight {weight}{tag}")
+        rays.append(
             {
-                "direction": list(r.direction),
-                "level": r.level,
-                "weight": b.weights[j],
-                "standard": r.standard,
-                "var": b.ray_vars[j],
+                "direction": list(ray.direction),
+                "level": ray.level,
+                "weight": weight,
+                "standard": ray.standard,
+                "var": var,
             }
-            for j, r in enumerate(b.fan.rays)
-        ],
-        "pullback": {
-            n: format_polynomial(b.pullback[n]) for n in b.source.names()
-        },
-        "grading": {v: list(b.grading[v]) for v in b.cox.names()},
-        "charts": [
-            {
-                "label": c.label,
-                "vertex": format_monomial(b.source, c.vertex),
-                "inverted": list(c.inverted),
-            }
-            for c in b.charts
-        ],
-        "irrelevant": [list(group) for group in b.irrelevant],
-    }
-
-
-def factored_total(b: MultiWeightedBlowup, ideal: PolyIdeal) -> str | None:
-    """u^k * (weak) display for a principal ideal, None otherwise."""
-    if len(ideal.generators) != 1:
-        return None
-    weak, mult = weak_transform(b, ideal)
-    return format_factored(b, weak.generators[0], mult)
+        )
+    r.add(rays=rays)
+    pullback = {n: format_polynomial(b.pullback[n]) for n in b.source.names()}
+    r.add(*(f"pullback: {n} = {f}" for n, f in pullback.items()), pullback=pullback)
+    grading = b.grading
+    r.add(
+        *(f"grading: {v} = {grading[v]}" for v in b.cox.names()),
+        grading={v: list(grading[v]) for v in b.cox.names()},
+    )
+    charts = []
+    for c in b.charts:
+        vertex, inverted = format_monomial(b.source, c.vertex), list(c.inverted)
+        r.add(f"chart {c.label}: vertex {vertex}, inverted {_paren(inverted)}")
+        charts.append({"label": c.label, "vertex": vertex, "inverted": inverted})
+    r.add(charts=charts)
+    irrelevant = [list(group) for group in b.irrelevant]
+    r.add(
+        "irrelevant: " + _paren("*".join(group) for group in irrelevant),
+        irrelevant=irrelevant,
+    )
+    return r
 
 
 def format_factored(b: MultiWeightedBlowup, weak: Polynomial, mult: dict) -> str:
     """The total transform as u^k * (weak), from the weak transform and the
     exceptional multiplicities."""
-    e = [0] * b.cox.n
-    for var, k in mult.items():
-        if k:
-            e[b.cox.index(var)] = k
-    mono = format_monomial(b.cox, tuple(e))
+    mono = format_monomial(b.cox, tuple(mult.get(v, 0) for v in b.cox.names()))
     if mono == "1":
         return format_polynomial(weak)
     return f"{mono} * ({format_polynomial(weak)})"
@@ -365,7 +385,7 @@ def format_factored(b: MultiWeightedBlowup, weak: Polynomial, mult: dict) -> str
 # -- subcommands ------------------------------------------------------------
 
 
-def cmd_newton(args) -> None:
+def cmd_newton(args) -> Report:
     text = args.ideal if args.ideal is not None else args.ideal_monomial
     ambient = build_ambient(args, text)
     if args.ideal is not None:
@@ -373,58 +393,53 @@ def cmd_newton(args) -> None:
     else:
         mono = parse_monomial_ideal(args.ideal_monomial, ambient)
     p = newton_polyhedron(list(mono.gens), ambient.n)
-    lines = [f"ambient: {ambient.describe()}"]
-    lines.append(
-        "vertices: " + ", ".join(format_monomial(ambient, v) for v in p.vertices)
+    r = Report()
+    r.item("ambient", ambient.describe())
+    r.add(
+        "vertices: " + ", ".join(format_monomial(ambient, v) for v in p.vertices),
+        vertices=[list(v) for v in p.vertices],
     )
-    for f in p.facets:
-        kind = "coordinate" if f.is_standard() else "exceptional"
-        lines.append(f"facet: normal {f.normal}, level {f.level} ({kind})")
-    obj = {
-        "ambient": ambient.describe(),
-        "vertices": [list(v) for v in p.vertices],
-        "facets": [
-            {
-                "normal": list(f.normal),
-                "level": f.level,
-                "standard": f.is_standard(),
-            }
-            for f in p.facets
-        ],
-    }
-    emit(args, lines, obj)
+    facets = [
+        {"normal": list(f.normal), "level": f.level, "standard": f.is_standard()}
+        for f in p.facets
+    ]
+    for f in facets:
+        kind = "coordinate" if f["standard"] else "exceptional"
+        r.add(f"facet: normal {tuple(f['normal'])}, level {f['level']} ({kind})")
+    r.add(facets=facets)
+    return r
 
 
-def cmd_blowup(args) -> None:
+def cmd_blowup(args) -> Report:
     ambient = build_ambient(args, args.ideal_monomial)
-    b = make_blowup(args, ambient)
-    emit(args, blowup_lines(b), blowup_json(b))
+    return blowup_report(make_blowup(args, ambient))
 
 
-def cmd_transform(args) -> None:
+def cmd_transform(args) -> Report:
     """One weak transform gives the factored total, the multiplicities and
     the proper transform: the weak one saturated at the multiplicities'
     variables, as blowup's docstring argues."""
     ambient = build_ambient(args)
     b = make_blowup(args, ambient)
     ideal = parse_ideal(args.ideal, ambient)
-    total = total_transform(b, ideal)
-    lines = [f"kind: {args.kind}", f"total: {total}"]
-    obj = {"kind": args.kind, "total": ideal_json(total)}
+    total, total_text = _generators(total_transform(b, ideal))
+    r = Report()
+    r.item("kind", args.kind)
     principal = len(ideal.generators) == 1
-    if args.kind == "total" and not principal:
-        emit(args, lines, obj)
-        return
-    weak, mult = weak_transform(b, ideal)  # ZeroIdeal on (0)
-    if principal:
-        lines[1] = f"total: {format_factored(b, weak.generators[0], mult)}"
+    if principal or args.kind != "total":
+        weak, mult = weak_transform(b, ideal)  # ZeroIdeal on (0)
+        if principal:
+            total_text = format_factored(b, weak.generators[0], mult)
+    r.item("total", total, total_text)
     if args.kind != "total":
         result = weak if args.kind == "weak" else saturate_at_variables(weak, mult)
-        lines.append(f"{args.kind}: {result}")
-        obj[args.kind] = ideal_json(result)
-        lines += [f"multiplicity: {v} = {mult[v]}" for v in sorted(mult)]
-        obj["multiplicities"] = {v: mult[v] for v in sorted(mult)}
-    emit(args, lines, obj)
+        r.item(args.kind, *_generators(result))
+        mults = dict(sorted(mult.items()))
+        r.add(
+            *(f"multiplicity: {v} = {k}" for v, k in mults.items()),
+            multiplicities=mults,
+        )
+    return r
 
 
 def _invariant_data(args):
@@ -435,239 +450,166 @@ def _invariant_data(args):
     return ambient, ideal, point, inv, center
 
 
-def cmd_invariant(args) -> None:
+def cmd_invariant(args) -> Report:
     ambient, ideal, point, inv, center = _invariant_data(args)
-    lines = [
-        f"ambient: {ambient.describe()}",
-        f"ideal: {ideal}",
-        f"point: {inv_mod.point_str(point)}",
-        f"invariant: {inv}",
-    ]
-    obj = {
-        "ambient": ambient.describe(),
-        "ideal": ideal_json(ideal),
-        "point": [inv_mod.entry_str(x) for x in point],
-        "invariant": [inv_mod.entry_str(e) for e in inv.entries],
-    }
+    r = Report()
+    r.item("ambient", ambient.describe())
+    r.item("ideal", *_generators(ideal))
+    r.item("point", *_entries(point))
+    r.item("invariant", *_entries(inv.entries))
     if center is not None:
-        obj["center"] = inv_mod.center_display(center, ambient)
-        lines.append(f"center: {obj['center']}")
-    emit(args, lines, obj)
+        r.item("center", inv_mod.center_display(center, ambient))
+    return r
 
 
-def cmd_center(args) -> None:
+def cmd_center(args) -> Report:
     ambient, ideal, point, inv, center = _invariant_data(args)
-    lines = [f"invariant: {inv}"]
-    obj = {"invariant": [inv_mod.entry_str(e) for e in inv.entries]}
+    r = Report()
+    r.item("invariant", *_entries(inv.entries))
     if center is None:
-        lines.append("center: none")
-        obj["center"] = None
-        emit(args, lines, obj)
-        return
+        r.item("center", None, "none")
+        return r
     cid, root, weights = inv_mod.reduced_center(center, ambient)
-    display = inv_mod.center_display(center, ambient)
+    r.item("center", inv_mod.center_display(center, ambient))
     gens = [format_monomial(ambient, g) for g in assemble_center(cid, ambient).gens]
-    changes = [
-        {"variable": c.name, "shift": format_polynomial(c.shift)}
-        for c in center.contacts
-        if c.shift is not None
-    ]
-    lines += [f"center: {display}", f"ideal: ({', '.join(gens)})", f"root: {root}"]
-    lines += [
-        f"change: {c['variable']} -> {c['variable']} + ({c['shift']})" for c in changes
-    ]
-    obj.update(
-        center=display, ideal=gens, root=root, weights=list(weights), changes=changes
+    r.item("ideal", gens, _paren(gens))
+    r.item("root", root)
+    r.add(weights=list(weights))
+    shifted = [c for c in center.contacts if c.shift is not None]
+    r.add(
+        *(f"change: {_change(c)}" for c in shifted),
+        changes=[
+            {"variable": c.name, "shift": format_polynomial(c.shift)} for c in shifted
+        ],
     )
-    emit(args, lines, obj)
+    return r
 
 
-def _tree_lines(tree: engine.ResolutionTree, trace: bool = False) -> list[str]:
-    """Summary transcript; trace adds ambients, ideals and the per-step
-    pullback/total/multiplicity data so runs can be diffed in full."""
-    lines = [f"mode: {tree.mode}", f"order: {tree.order()}"]
-    for node in tree.nodes():
-        p = node.path
-        if trace:
-            lines.append(f"{p}: ambient {node.ambient.describe()}")
-            lines.append(f"{p}: ideal {node.ideal}")
-        if node.invariant is not None:
-            at = inv_mod.point_str(node.worst_point)
-            lines.append(f"{p}: invariant {node.invariant} at {at}")
-        for c in node.changes:
-            lines.append(
-                f"{p}: change {c.name} -> {c.name} + ({format_polynomial(c.shift)})"
-            )
-        if node.center is not None:
-            lines.append(
-                f"{p}: center {inv_mod.center_display(node.center, node.ambient)}, "
-                f"root {node.center_ideal.root}"
-            )
-        if trace and node.blowup is not None:
-            for name in node.ambient.names():
-                lines.append(
-                    f"{p}: pullback {name} = "
-                    f"{format_polynomial(node.blowup.pullback[name])}"
-                )
-            factored = factored_total(node.blowup, node.ideal)
-            if factored is not None:
-                lines.append(f"{p}: total {factored}")
-            if node.multiplicities:
-                mults = ", ".join(
-                    f"{v} = {node.multiplicities[v]}"
-                    for v in sorted(node.multiplicities)
-                )
-                lines.append(f"{p}: multiplicities {mults}")
-        if node.is_leaf():
-            lines.append(f"{p}: leaf {node.status} [{node.scope}]")
-    return lines
-
-
-def _tree_json(tree: engine.ResolutionTree) -> dict:
+def tree_report(tree: engine.ResolutionTree, trace: bool = False) -> Report:
+    """Summary transcript and per-node JSON in one walk; trace adds ambients,
+    ideals and the per-step pullback/total/multiplicity lines so runs can be
+    diffed in full."""
+    r = Report()
+    r.item("mode", tree.mode)
+    r.item("order", tree.order())
     nodes = []
     for node in tree.nodes():
-        entry = {
-            "path": node.path,
-            "ambient": node.ambient.describe(),
-            "ideal": ideal_json(node.ideal),
-            "invariant": (
-                [inv_mod.entry_str(e) for e in node.invariant.entries]
-                if node.invariant is not None
-                else None
-            ),
-            "point": (
-                [inv_mod.entry_str(x) for x in node.worst_point]
-                if node.worst_point is not None
-                else None
-            ),
-            "center": (
-                inv_mod.center_display(node.center, node.ambient)
-                if node.center is not None
-                else None
-            ),
-            "root": node.center_ideal.root if node.center_ideal else None,
-            "status": node.status,
-            "scope": node.scope,
-            "children": [c.path for c in node.children],
-        }
-        nodes.append(entry)
-    return {"mode": tree.mode, "order": tree.order(), "nodes": nodes}
+        p, ambient = node.path, node.ambient.describe()
+        ideal, ideal_text = _generators(node.ideal)
+        n = Report()
+        n.add(path=p, ambient=ambient, ideal=ideal)
+        # every node has these keys, in this order; set below when it has them
+        n.add(invariant=None, point=None, center=None, root=None)
+        if trace:
+            n.add(f"{p}: ambient {ambient}", f"{p}: ideal {ideal_text}")
+        if node.invariant is not None:
+            inv, inv_text = _entries(node.invariant.entries)
+            at, at_text = _entries(node.worst_point)
+            n.add(f"{p}: invariant {inv_text} at {at_text}", invariant=inv, point=at)
+        n.add(*(f"{p}: change {_change(c)}" for c in node.changes))
+        if node.center is not None:
+            center = inv_mod.center_display(node.center, node.ambient)
+            root = node.center_ideal.root
+            n.add(f"{p}: center {center}, root {root}", center=center, root=root)
+        if trace and node.blowup is not None:
+            b, mult = node.blowup, node.multiplicities
+            for name in node.ambient.names():
+                n.add(f"{p}: pullback {name} = {format_polynomial(b.pullback[name])}")
+            if len(node.ideal.generators) == 1:
+                n.add(f"{p}: total {format_factored(b, node.weak.generators[0], mult)}")
+            if mult:
+                mults = ", ".join(f"{v} = {mult[v]}" for v in sorted(mult))
+                n.add(f"{p}: multiplicities {mults}")
+        if node.is_leaf():
+            n.add(f"{p}: leaf {node.status} [{node.scope}]")
+        n.add(status=node.status, scope=node.scope)
+        n.add(children=[c.path for c in node.children])
+        r.add(*n.lines)
+        nodes.append(n.fields)
+    r.add(nodes=nodes)
+    return r
 
 
-def cmd_resolve(args) -> None:
+def cmd_resolve(args) -> Report:
     ambient = build_ambient(args, args.ideal)
     ideal = parse_ideal(args.ideal, ambient)
     tree = engine.resolve(ideal, mode=args.mode, marks=tuple(args.mark or ()))
-    emit(args, _tree_lines(tree, trace=args.trace), _tree_json(tree))
+    return tree_report(tree, trace=args.trace)
 
 
-def cmd_nondegenerate(args) -> None:
+def _one_polynomial(args, refusal: str) -> Polynomial:
+    """The one generator of --ideal; refusal is the error for any other count."""
     ambient = build_ambient(args, args.ideal)
     ideal = parse_ideal(args.ideal, ambient)
     if len(ideal.generators) != 1:
-        raise MwbError("nondegeneracy is a property of one polynomial")
-    ok, witness = engine.newton_nondegenerate(ideal.generators[0])
-    lines = [
-        f"polynomial: {format_polynomial(ideal.generators[0])}",
-        f"nondegenerate: {'yes' if ok else 'no'}",
-    ]
-    obj = {
-        "polynomial": format_polynomial(ideal.generators[0]),
-        "nondegenerate": ok,
-    }
+        raise MwbError(refusal)
+    return ideal.generators[0]
+
+
+def cmd_nondegenerate(args) -> Report:
+    f = _one_polynomial(args, "nondegeneracy is a property of one polynomial")
+    ok, witness = engine.newton_nondegenerate(f)
+    r = Report()
+    r.item("polynomial", format_polynomial(f))
+    r.item("nondegenerate", ok, _YES[ok])
     if witness:
-        lines.append(f"witness: {witness}")
-        obj["witness"] = witness
-    emit(args, lines, obj)
+        r.item("witness", witness)
+    return r
 
 
-def cmd_one_step(args) -> None:
-    ambient = build_ambient(args, args.ideal)
-    ideal = parse_ideal(args.ideal, ambient)
-    if len(ideal.generators) != 1:
-        raise MwbError("the one-step certificate takes one polynomial")
-    report = engine.one_step_check(ideal.generators[0])
-    f = ideal.generators[0]
-    lines = [f"polynomial: {format_polynomial(f)}"]
-    obj = {"polynomial": format_polynomial(f)}
-    lines.append(f"nondegenerate: {'yes' if report['nondegenerate'] else 'no'}")
-    obj["nondegenerate"] = report["nondegenerate"]
+def cmd_one_step(args) -> Report:
+    f = _one_polynomial(args, "the one-step certificate takes one polynomial")
+    report = engine.one_step_check(f)
+    r = Report()
+    r.item("polynomial", format_polynomial(f))
+    r.item("nondegenerate", report["nondegenerate"], _YES[report["nondegenerate"]])
     if not report["nondegenerate"]:
-        lines.append(f"witness: {report['witness']}")
-        obj["witness"] = report["witness"]
+        r.item("witness", report["witness"])
     else:
         b = report["blowup"]
-        lines.extend(blowup_lines(b))
-        obj["blowup"] = blowup_json(b)
-        factored = format_factored(b, report["weak"], report["multiplicities"])
-        lines.append(f"total: {factored}")
-        obj["total"] = factored
+        sub = blowup_report(b)
+        r.add(*sub.lines, blowup=sub.fields)
+        r.item("total", format_factored(b, report["weak"], report["multiplicities"]))
         for label, ok in report["charts"].items():
-            lines.append(f"chart {label}: unit {'yes' if ok else 'no'}")
-        obj["charts"] = report["charts"]
+            r.add(f"chart {label}: unit {_YES[ok]}")
         for label, ok in report["faces"].items():
-            lines.append(f"face {label}: match {'yes' if ok else 'no'}")
-        obj["faces"] = report["faces"]
-    lines.append(f"resolved in one step: {'yes' if report['resolved'] else 'no'}")
-    obj["resolved"] = report["resolved"]
-    emit(args, lines, obj)
+            r.add(f"face {label}: match {_YES[ok]}")
+        r.add(charts=report["charts"], faces=report["faces"])
+    resolved = report["resolved"]
+    r.add(f"resolved in one step: {_YES[resolved]}", resolved=resolved)
+    return r
 
 
-def cmd_reembed(args) -> None:
+def cmd_reembed(args) -> Report:
     ambient = build_ambient(args, args.ideal)
-    ideal = parse_ideal(args.ideal, ambient)
-    report = engine.reembed_check(ideal, args.point)
-    lines = [
-        f"variable: {report['variable']}",
-        f"invariant: {report['invariant']} -> {report['extended_invariant']}: "
-        + ("ok" if report["invariant_ok"] else "MISMATCH"),
-    ]
-    obj = {
-        "variable": report["variable"],
-        "invariant": [inv_mod.entry_str(e) for e in report["invariant"].entries],
-        "extended_invariant": [
-            inv_mod.entry_str(e) for e in report["extended_invariant"].entries
-        ],
-        "invariant_ok": report["invariant_ok"],
-        "applicable": report["applicable"],
-    }
-    if report["applicable"]:
-        lines.append(f"center: {'ok' if report['center_ok'] else 'MISMATCH'}")
-        lines.append(
-            f"root: {report['root']} -> {report['extended_root']}: "
-            + ("ok" if report["root_ok"] else "MISMATCH")
-        )
-        lines.append(
-            "restricted blowup: " + ("ok" if report["blowup_ok"] else "MISMATCH")
-        )
-        lines.append(
-            "transforms: " + ("ok" if report["transforms_ok"] else "MISMATCH")
-        )
-        lines.append("reembedding invariant: " + ("yes" if report["ok"] else "no"))
-        obj.update(
-            center_ok=report["center_ok"],
-            root=report["root"],
-            extended_root=report["extended_root"],
-            root_ok=report["root_ok"],
-            blowup_ok=report["blowup_ok"],
-            transforms_ok=report["transforms_ok"],
-            ok=report["ok"],
-        )
-    else:
-        lines.append("not applicable: no center at the point")
-    emit(args, lines, obj)
+    c = engine.reembed_check(parse_ideal(args.ideal, ambient), args.point)
+    r = Report()
+    r.item("variable", c["variable"])
+    inv, inv_text = _entries(c["invariant"].entries)
+    ext, ext_text = _entries(c["extended_invariant"].entries)
+    r.add(
+        f"invariant: {inv_text} -> {ext_text}: {_OK[c['invariant_ok']]}",
+        invariant=inv,
+        extended_invariant=ext,
+        invariant_ok=c["invariant_ok"],
+        applicable=c["applicable"],
+    )
+    if not c["applicable"]:
+        r.add("not applicable: no center at the point")
+        return r
+    keys = "center_ok root extended_root root_ok blowup_ok transforms_ok ok".split()
+    r.add(
+        f"center: {_OK[c['center_ok']]}",
+        f"root: {c['root']} -> {c['extended_root']}: {_OK[c['root_ok']]}",
+        f"restricted blowup: {_OK[c['blowup_ok']]}",
+        f"transforms: {_OK[c['transforms_ok']]}",
+        f"reembedding invariant: {_YES[c['ok']]}",
+        **{k: c[k] for k in keys},
+    )
+    return r
 
 
 # -- argument wiring --------------------------------------------------------
-
-
-def _add_ambient_opts(sub):
-    sub.add_argument(
-        "--ordinary", type=_names, default=(), help="comma-separated ordinary variables"
-    )
-    sub.add_argument(
-        "--monomial", type=_names, default=(), help="comma-separated monomial variables"
-    )
 
 
 def _add_point_opt(sub):
@@ -691,24 +633,25 @@ def build_parser() -> argparse.ArgumentParser:
     subs = top.add_subparsers(dest="command", required=True)
 
     def sub(name, fn, **kw):
+        """A subcommand with --json and the ambient options."""
         s = subs.add_parser(name, **kw)
         s.add_argument("--json", action="store_true", help="machine output")
+        for kind in (ORDINARY, MONOMIAL):
+            text = f"comma-separated {kind} variables"
+            s.add_argument(f"--{kind}", type=_names, default=(), help=text)
         s.set_defaults(func=fn)
         return s
 
     s = sub("newton", cmd_newton, help="Newton polyhedron of an ideal")
-    _add_ambient_opts(s)
     g = s.add_mutually_exclusive_group(required=True)
     g.add_argument("--ideal", help="generators")
     g.add_argument("--ideal-monomial", help="monomial generators")
 
     s = sub("blowup", cmd_blowup, help="multi-weighted blow-up of a monomial ideal")
-    _add_ambient_opts(s)
     s.add_argument("--ideal-monomial", required=True, help="monomial generators")
     _add_weight_opts(s)
 
     s = sub("transform", cmd_transform, help="transform an ideal under a blow-up")
-    _add_ambient_opts(s)
     s.add_argument("--ideal", required=True, help="ideal to transform")
     s.add_argument("--ideal-monomial", required=True, help="blow-up center")
     _add_weight_opts(s)
@@ -720,17 +663,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     s = sub("invariant", cmd_invariant, help="resolution invariant at a point")
-    _add_ambient_opts(s)
     s.add_argument("--ideal", required=True)
     _add_point_opt(s)
 
     s = sub("center", cmd_center, help="reduced center attached to the invariant")
-    _add_ambient_opts(s)
     s.add_argument("--ideal", required=True)
     _add_point_opt(s)
 
-    def resolve_opts(s):
-        _add_ambient_opts(s)
+    for mode in ("resolve", "principalize"):
+        s = sub(mode, cmd_resolve, help=f"{mode} by iterated blow-ups")
+        s.set_defaults(mode=mode)
         s.add_argument("--ideal", required=True)
         s.add_argument(
             "--mark",
@@ -745,16 +687,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="emit every intermediate ideal, pullback and multiplicity",
         )
 
-    s = sub("resolve", cmd_resolve, help="resolve by iterated blow-ups")
-    resolve_opts(s)
-    s.set_defaults(mode="resolve")
-
-    s = sub("principalize", cmd_resolve, help="principalize by iterated blow-ups")
-    resolve_opts(s)
-    s.set_defaults(mode="principalize")
-
     s = sub("nondegenerate", cmd_nondegenerate, help="Newton nondegeneracy test")
-    _add_ambient_opts(s)
     s.add_argument("--ideal", required=True, help="one polynomial")
 
     s = sub(
@@ -762,11 +695,9 @@ def build_parser() -> argparse.ArgumentParser:
         cmd_one_step,
         help="one-step resolution certificate for a nondegenerate polynomial",
     )
-    _add_ambient_opts(s)
     s.add_argument("--ideal", required=True, help="one polynomial")
 
     s = sub("reembed-check", cmd_reembed, help="re-embedding invariance check")
-    _add_ambient_opts(s)
     s.add_argument("--ideal", required=True)
     _add_point_opt(s)
 
@@ -776,10 +707,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.func(args)
+        report = args.func(args)
     except MwbError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    if args.json:
+        print(json.dumps(report.fields, indent=2))
+    else:
+        print("\n".join(report.lines))
     return 0
 
 

@@ -133,6 +133,7 @@ class ResolutionNode:
     center: Center | None = None
     center_ideal: CenterIdeal | None = None
     blowup: MultiWeightedBlowup | None = None
+    weak: PolyIdeal | None = None  # weak transform of ideal under blowup
     multiplicities: dict | None = None
     status: str | None = None
     scope: str | None = None
@@ -267,7 +268,7 @@ def _expand(node: ResolutionNode, mode: str, limit: int, parent_inv):
     node.blowup = b
 
     weak, mult = weak_transform(b, ideal)
-    node.multiplicities = mult
+    node.weak, node.multiplicities = weak, mult
     child_ideal = weak
     if mode == "resolve":  # the proper transform, as blowup's docstring argues
         child_ideal = groebner.saturate_at_variables(weak, mult)

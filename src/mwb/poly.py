@@ -37,6 +37,7 @@ dict-level product per variable, so no intermediate Polynomial is made.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -56,6 +57,11 @@ EVALUATE_BITS = 1 << 20
 # len(a) * len(b), checked before that multiplication expands; a power
 # checks each squaring step, of which there are at most 2 log2(k) + 1.
 TERM_BUDGET = 1 << 16
+# Bound on the bits of every numerator and denominator one multiplication of
+# * or ** may form, checked before it expands with coefficient_bits, so each
+# coefficient stays printable: str() refuses an int past 4300 digits, about
+# 14,000 bits.
+COEFF_BITS = 1 << 13
 
 
 @dataclass(frozen=True, slots=True)
@@ -326,13 +332,32 @@ def _mul_terms(a: dict, b: dict) -> dict:
     return t
 
 
+def coefficient_bits(terms: dict) -> tuple[int, int]:
+    """(n, d) such that, over the least common denominator D of the
+    coefficients, each coefficient is m/D with |m| < 2**n, and D < 2**d."""
+    if not terms:
+        return 0, 0
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    num = max(abs(c.numerator) * (den // c.denominator) for c in terms.values())
+    return num.bit_length(), den.bit_length()
+
+
 def _mul_within_budget(a: dict, b: dict) -> dict:
     """_mul_terms, refused before it expands when it would form more than
-    TERM_BUDGET term products."""
+    TERM_BUDGET term products, or a coefficient past COEFF_BITS.  Over the
+    denominator D_a * D_b each product coefficient has a numerator that sums
+    at most min(len(a), len(b)) products of numerators."""
     if len(a) * len(b) > TERM_BUDGET:
         raise MwbError(
             f"multiplying {len(a)} terms by {len(b)} terms forms "
             f"{len(a) * len(b)} term products, over the budget of {TERM_BUDGET}"
+        )
+    (na, da), (nb, db) = coefficient_bits(a), coefficient_bits(b)
+    bits = max(na + nb + min(len(a), len(b)).bit_length(), da + db)
+    if bits > COEFF_BITS:
+        raise MwbError(
+            f"multiplying coefficients of up to {max(na, da)} and {max(nb, db)} "
+            f"bits may form {bits}-bit coefficients, over the budget of {COEFF_BITS}"
         )
     return _mul_terms(a, b)
 

@@ -105,6 +105,24 @@ TRANSCRIPTS = {
     ],
 }
 
+# --json output of every transcript command, and of branches that no
+# transcript reaches.  They live under golden/json/, outside the *.txt glob
+# that the transcripts (and the benchmark's golden workload) read.
+JSON_PINS = {
+    f"json/{name}": [c + " --json" for c in commands]
+    for name, commands in TRANSCRIPTS.items()
+    if name != "reports_json.txt"
+}
+JSON_PINS["json/branches.txt"] = [
+    # total transform of a non-principal ideal: no factored line
+    f'mwb transform --ordinary x,y,z --ideal "{PAIR}"'
+    f' --ideal-monomial "{CENTER_Q}" --kind total --json',
+    # no center at the point
+    'mwb reembed-check --ordinary x,y --ideal "x^2 + y^3" --point 1,1 --json',
+    # degenerate: a witness face instead of a blow-up
+    'mwb one-step-check --monomial x,y --ideal "(x+y)^2" --json',
+]
+
 
 def run_cli(argv):
     """(exit code, stdout, stderr) of one in-process invocation."""
@@ -145,13 +163,23 @@ class TestTranscripts:
             path.write_text(text)
         assert path.read_text() == text
 
+    @pytest.mark.parametrize("name", sorted(JSON_PINS))
+    def test_json_pin(self, name):
+        text = render(JSON_PINS[name])
+        path = GOLDEN / name
+        if os.environ.get("MWB_REGEN"):
+            path.write_text(text)
+        assert path.read_text() == text
+
     def test_every_golden_file_is_claimed(self):
         on_disk = {p.name for p in GOLDEN.glob("*.txt")}
         assert on_disk == set(TRANSCRIPTS)
+        pinned = {f"json/{p.name}" for p in (GOLDEN / "json").glob("*.txt")}
+        assert pinned == set(JSON_PINS)
 
     def test_commands_in_files_match_the_table(self):
         # transcripts stay self-describing: the $ lines are the commands
-        for name, commands in TRANSCRIPTS.items():
+        for name, commands in {**TRANSCRIPTS, **JSON_PINS}.items():
             lines = (GOLDEN / name).read_text().splitlines()
             recorded = [l[2:] for l in lines if l.startswith("$ ")]
             assert recorded == commands
@@ -224,7 +252,8 @@ class TestJsonSchema:
         }
 
     def test_json_golden_blocks_validate(self):
-        for command in TRANSCRIPTS["reports_json.txt"]:
+        pinned = [c for commands in JSON_PINS.values() for c in commands]
+        for command in TRANSCRIPTS["reports_json.txt"] + pinned:
             argv = shlex.split(command)[1:]
             code, out, _ = run_cli(argv)
             assert code == 0
@@ -469,6 +498,36 @@ class TestBounded:
             "total: u^5 * (x'^5 + 5*x'^4*y' + 10*x'^3*y'^2 + 10*x'^2*y'^3"
             " + 5*x'*y'^4 + y'^5)"
         )
+
+    @pytest.mark.parametrize(
+        "ideal, message",
+        [
+            ("{long} x", "5000 digits"),
+            ("x^{long}", "5000 digits"),
+            ("x + 1/{long}", "5000 digits"),
+            ("(2)^15000 x", "8195-bit coefficients"),
+            ("(3/7)^9000 x + y", "over the budget of 8192"),
+            # coprime denominators of 2401 digits: their sum needs about 16,000 bits
+            ("x + 1/1{zeros}0 + 1/1{zeros}1", "coefficients need"),
+        ],
+        ids="coefficient exponent denominator power fraction-power sum".split(),
+    )
+    def test_long_literals_and_huge_coefficients_are_refused(self, ideal, message):
+        # int() refuses a 5000-digit literal, and str() a coefficient that
+        # long: the parser and the coefficient budget refuse them first
+        start = time.perf_counter()
+        ideal = ideal.format(long="7" * 5000, zeros="0" * 2399)
+        code, out, err = run_cli(["invariant", "--ordinary", "x,y", "--ideal", ideal])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and message in err
+        assert time.perf_counter() - start < 2
+
+    def test_the_largest_literal_and_coefficients_print(self):
+        long = "7" * cli.LITERAL_DIGITS
+        for ideal in (f"{long} x + y", f"x^2 + 1/{long} y", "(2)^8000 x + y"):
+            code, out, err = run_cli(["invariant", "--ordinary", "x,y", "--ideal", ideal])
+            assert (code, err) == (0, "")
+            assert "invariant: (1)" in out.splitlines()
 
     def test_deep_contact_chain(self):
         ideal = "x^4 - x^3 y^2 - 2 x y^3 - z, y^3 z^3"

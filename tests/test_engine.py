@@ -128,6 +128,20 @@ class TestQuartetResolutions:
             assert fmt_ideal(c.ideal) == ["y'^2*z' + z'^3 + x'^2"]
 
 
+    def test_nodes_keep_the_weak_transform_of_their_step(self):
+        # --trace formats each principal node's total transform from it
+        blown_up = 0
+        for mode, i in drop_corpus()[:10]:
+            for node in walk(resolve(i, mode=mode).root):
+                if node.blowup is None:
+                    assert node.weak is None
+                    continue
+                weak, mult = weak_transform(node.blowup, node.ideal)
+                assert (node.weak, node.multiplicities) == (weak, mult)
+                blown_up += 1
+        assert blown_up >= 10
+
+
 class TestPrincipalization:
     def test_point_ideal(self):
         a20 = ambient(ordinary="x,y")

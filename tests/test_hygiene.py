@@ -1,6 +1,6 @@
 """Source hygiene: every name a module of mwb imports is used in it, every
-private module-level name is used somewhere in the package, and records
-leave their value methods to dataclasses."""
+private module-level name is used somewhere in the package, records leave
+their value methods to dataclasses, and in the CLI only main prints."""
 
 import ast
 from pathlib import Path
@@ -162,3 +162,39 @@ def test_the_scan_sees_a_hand_written_record():
         ("Point", "__setattr__"),
         ("Point", "__eq__"),
     ]
+
+
+def printing_functions(tree):
+    """Names of the module's functions, main aside, that print: call print,
+    a .write method or a helper whose name holds 'emit'."""
+
+    def prints(call):
+        f = call.func
+        name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", "")
+        return name in ("print", "write") or "emit" in name
+
+    return sorted(
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name != "main"
+        if any(isinstance(n, ast.Call) and prints(n) for n in ast.walk(fn))
+    )
+
+
+def test_only_main_prints():
+    # each cmd_* handler returns one report; main prints it as text or JSON
+    tree = ast.parse((Path(mwb.__file__).parent / "cli.py").read_text())
+    names = [n.name for n in tree.body if isinstance(n, ast.FunctionDef)]
+    assert sum(name.startswith("cmd_") for name in names) >= 9
+    assert printing_functions(tree) == []
+
+
+def test_the_scan_sees_a_printing_handler():
+    tree = ast.parse(
+        "def emit(args, lines):\n    for l in lines:\n        print(l)\n"
+        "def cmd_a(args):\n    emit(args, ['a'])\n"
+        "def cmd_b(args):\n    sys.stdout.write('b')\n"
+        "def cmd_c(args):\n    return Report()\n"
+        "def main(argv=None):\n    print(cmd_c(argv))\n"
+    )
+    assert printing_functions(tree) == ["cmd_a", "cmd_b", "emit"]

@@ -11,6 +11,7 @@ from mwb.blowup import build_blowup
 from mwb.errors import AmbientMismatch, IncompleteSubstitution, MwbError
 from mwb.poly import (
     EVALUATE_BITS,
+    coefficient_bits,
     constant,
     derivative,
     format_polynomial,
@@ -129,6 +130,26 @@ def test_products_and_powers_stay_within_the_term_budget(monkeypatch):
     with pytest.raises(MwbError, match="3 terms by 5 terms"):
         b**6
     assert (a * 7).terms == {e: 7 for e in a.terms}
+
+
+def test_products_and_powers_stay_within_the_coefficient_budget(monkeypatch):
+    # over the common denominator D of each factor, a product's numerators
+    # sum at most min(len) products of numerators and its denominator divides
+    # D_a * D_b: both bounds are checked before the multiplication expands
+    monkeypatch.setattr("mwb.poly.COEFF_BITS", 16)
+    assert coefficient_bits(poly(A3, "1/2 x + 3/4 y").terms) == (2, 3)
+    assert coefficient_bits(poly(A3, "200 x - 3").terms) == (8, 1)
+    assert coefficient_bits({}) == (0, 0)
+    assert format_polynomial(poly(A3, "x + 3") * poly(A3, "x - 3")) == "x^2 - 9"
+    with pytest.raises(MwbError, match="8 and 8 bits may form 17-bit"):
+        constant(A3, 255) * constant(A3, 255)
+    with pytest.raises(MwbError, match="form 18-bit"):
+        poly(A3, "1/256 x") * poly(A3, "1/256 y")
+    # (2 x)^8 squares up to 16 x^4 and 256 x^8; ^16 would square 256 x^8
+    assert format_polynomial(poly(A3, "2 x") ** 8) == "256*x^8"
+    with pytest.raises(MwbError, match="9 and 9 bits may form 19-bit"):
+        poly(A3, "2 x") ** 16
+    assert (poly(A3, "200 x") * Fraction(1, 300)).terms == {(1, 0, 0): Fraction(2, 3)}
 
 
 def test_restrict_drops_the_variable():
