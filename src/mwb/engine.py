@@ -412,9 +412,14 @@ def blowup_equal(b1: MultiWeightedBlowup, b2: MultiWeightedBlowup) -> bool:
 
 def newton_nondegenerate(f: Polynomial):
     """Whether every face restriction of f cuts a nonsingular hypersurface
-    in the torus.  Returns (True, None) or (False, witness face)."""
+    in the torus.  Returns (True, None) or (False, witness face).  When f's
+    exponents are affinely independent every face passes (see
+    _faces_nondegenerate), and neither the polyhedron nor its faces are
+    built."""
     if f.is_zero():
         raise ZeroIdeal("the zero polynomial has no Newton polyhedron")
+    if affinely_independent(f.terms):
+        return True, None
     poly = newton_polyhedron(list(f.terms), f.ambient.n)
     return _faces_nondegenerate(f, faces(poly))
 
@@ -449,18 +454,19 @@ def _smooth_on_charts(ideal: PolyIdeal, name_sets) -> list[bool]:
     return verdicts
 
 
-def _face_label(amb: LogAmbient, face) -> str:
-    return ", ".join(format_monomial(amb, v) for v in face.vertices)
+def _face_label(names: dict, face) -> str:
+    """The face's vertices, looked up in names, which maps each vertex of
+    the polyhedron to its monomial, formatted once per check."""
+    return ", ".join(names[v] for v in face.vertices)
 
 
 def _faces_nondegenerate(f: Polynomial, face_list):
     """face_list holds the faces of f's own Newton polyhedron, so the
-    generators on a face are f's terms on it.  Affine independence passes
-    to subsets, so when f's exponents are independent every face
-    restriction passes the torus lemma and none is built."""
+    generators on a face are f's terms on it.  Callers test f's exponents
+    for affine independence first: it passes to subsets, so when they are
+    independent every face restriction passes the torus lemma and none
+    needs building."""
     amb = f.ambient
-    if affinely_independent(f.terms):
-        return True, None
     checked = set()
     for face in face_list:
         if face.generators in checked:
@@ -469,7 +475,8 @@ def _faces_nondegenerate(f: Polynomial, face_list):
         # on the torus (f_tau, x d/dx f_tau, ...) is the Jacobian ideal
         ftau = Polynomial(amb, {e: f.terms[e] for e in face.generators})
         if not _smooth_on_charts(PolyIdeal(amb, (ftau,)), [amb.names()])[0]:
-            return False, f"face spanned by {_face_label(amb, face)}"
+            names = {v: format_monomial(amb, v) for v in face.vertices}
+            return False, f"face spanned by {_face_label(names, face)}"
     return True, None
 
 
@@ -486,6 +493,15 @@ def one_step_check(f: Polynomial) -> dict:
     first derivation stage (groebner.chart_dimensions).  report["faces"]
     is keyed by a face's vertices, which faces can share; each label holds
     the AND of the checks of its faces, so "resolved" covers every face.
+
+    The orbit check is computed, not assumed.  In theory a term of the weak
+    transform survives on a face's orbit iff its generator is tight on
+    every defining facet, the tag test faces already applies, so the check
+    could be read off face.generators.  Computing it instead compares what
+    weak_transform built, over the fan _assemble built, with f's terms on
+    each face: a fault in either, or a fan that lost the facet order,
+    fails the check.  Each term of the weak transform is tagged once per
+    check (_orbit_terms), and each face's restriction is a scan of tags.
     """
     amb = f.ambient
     if any(flag != MONOMIAL for _, flag in amb.variables):
@@ -501,7 +517,10 @@ def one_step_check(f: Polynomial) -> dict:
 
     poly = newton_polyhedron(list(f.terms), amb.n)
     face_list = faces(poly)
-    nd, witness = _faces_nondegenerate(f, face_list)
+    if affinely_independent(f.terms):
+        nd, witness = True, None
+    else:
+        nd, witness = _faces_nondegenerate(f, face_list)
     report = {"nondegenerate": nd, "witness": witness}
     if not nd:
         report["resolved"] = False
@@ -520,38 +539,54 @@ def one_step_check(f: Polynomial) -> dict:
     charts = {c.label: ok for c, ok in zip(b.charts, smooth)}
     report["charts"] = charts
 
+    # f's exponents on the Cox ring; rename keeps the term order
+    on_cox = dict(zip(f.terms, rename(f, b.name_map, b.cox).terms))
+    tagged = _orbit_terms(fm, b)
+    names = {v: format_monomial(amb, v) for v in poly.vertices}
     orbit = {}
-    primed = {}  # f's terms on a face -> that restriction on the Cox ring
     for face in face_list:
-        active = face.generators
-        if active not in primed:
-            ftau = Polynomial(amb, {e: f.terms[e] for e in active})
-            primed[active] = rename(ftau, b.name_map, b.cox)
-        ok = _orbit_restriction(fm, b, face.defining) == primed[active]
-        label = _face_label(amb, face)
+        ftau = {on_cox[e]: f.terms[e] for e in face.generators}
+        defining = sum(1 << j for j in face.defining)
+        ok = _orbit_restriction(tagged, defining) == ftau
+        label = _face_label(names, face)
         orbit[label] = orbit.get(label, True) and ok
     report["faces"] = orbit
     report["resolved"] = all(charts.values()) and all(orbit.values())
     return report
 
 
-def _orbit_restriction(fm: Polynomial, b: MultiWeightedBlowup, defining) -> Polynomial:
-    """fm on the exceptional orbit of a face: the Cox variable of a ray in
-    defining, a tuple of the face's facet indices, goes to 0, that of any
-    other exceptional ray to 1, and a standard ray's variable stays.  Such
-    a map sends each term to one term or to zero, so it is read off the
-    exponents.  The fan keeps the facet order and ray_vars is the Cox
-    order, so facet j is ray j and its variable is exponent j."""
-    zero = set(defining)
-    one = set(b.fan.exceptional()) - zero
-    out: dict = {}
+def _orbit_terms(fm: Polynomial, b: MultiWeightedBlowup) -> list:
+    """Each term of fm on the Cox ring as (zero, image, c): zero is the
+    bitmask of the rays where its exponent is 0, image the exponent with
+    every exceptional coordinate set to 0.  The fan keeps the facet order
+    and ray_vars is the Cox order, so facet j is ray j and its variable is
+    exponent j."""
+    exceptional = set(b.fan.exceptional())
+    out = []
     for e, c in fm.terms.items():
-        if any(e[i] for i in zero):
+        zero = sum(1 << i for i, k in enumerate(e) if not k)
+        image = tuple(0 if i in exceptional else k for i, k in enumerate(e))
+        out.append((zero, image, c))
+    return out
+
+
+def _orbit_restriction(tagged: list, defining: int) -> dict:
+    """The terms of fm on the exceptional orbit of a face, from fm's
+    _orbit_terms and the bitmask of the face's defining facets: the Cox
+    variable of a ray in defining goes to 0, that of any other exceptional
+    ray to 1, and a standard ray's variable stays.  Such a map sends each
+    term to one term or to zero: a term survives iff its exponent is 0 on
+    every defining ray, and then it goes to its image."""
+    out: dict = {}
+    for zero, e, c in tagged:
+        if zero & defining != defining:
             continue
-        e = tuple(0 if i in one else k for i, k in enumerate(e))
-        nc = out.get(e, 0) + c
+        if e not in out:
+            out[e] = c
+            continue
+        nc = out[e] + c
         if nc:
             out[e] = nc
         else:
-            out.pop(e, None)
-    return Polynomial._trusted(b.cox, out)
+            del out[e]
+    return out

@@ -52,6 +52,7 @@ from .blowup import CenterIdeal, make_center
 from .errors import MwbError, NoRectifiableContact
 from .monomials import MonomialIdeal, monomial_ideal, newton
 from .poly import (
+    COEFF_BITS,
     ORDINARY,
     LogAmbient,
     PolyIdeal,
@@ -241,8 +242,15 @@ def maximal_contact(amb: LogAmbient, gens: list[Polynomial], point) -> Contact:
     for g in gens:
         for name, flag in amb.variables:
             if flag == ORDINARY and derivative(g, name).evaluate(point) != 0:
+                # a reduced basis element can carry coefficients past the
+                # budget that keeps them printable; name those by their bits
+                bits = max(
+                    max(c.numerator.bit_length(), c.denominator.bit_length())
+                    for c in g.terms.values()
+                )
+                shown = g if bits <= COEFF_BITS else f"with {bits}-bit coefficients"
                 raise NoRectifiableContact(
-                    f"order-one element {g} at {point_str(point)} is not in rectifiable shape"
+                    f"order-one element {shown} at {point_str(point)} is not in rectifiable shape"
                 )
     raise NoRectifiableContact(
         f"no contact candidate has ordinary order one at {point_str(point)}"

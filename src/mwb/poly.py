@@ -513,6 +513,16 @@ def format_monomial(ambient: LogAmbient, e: Vec) -> str:
     return "*".join(parts) if parts else "1"
 
 
+def _format_coeff(c: Fraction) -> str:
+    """str(c), or an error naming its bit length when str() refuses a
+    numerator or denominator that long (past sys.get_int_max_str_digits)."""
+    try:
+        return str(c)
+    except ValueError:
+        bits = max(c.numerator.bit_length(), c.denominator.bit_length())
+        raise MwbError(f"a {bits}-bit coefficient is too long to print") from None
+
+
 def format_polynomial(p: Polynomial) -> str:
     if p.is_zero():
         return "0"
@@ -520,11 +530,11 @@ def format_polynomial(p: Polynomial) -> str:
     for e, c in p.sorted_terms():
         mono = format_monomial(p.ambient, e)
         if mono == "1":
-            body = str(abs(c))
+            body = _format_coeff(abs(c))
         elif abs(c) == 1:
             body = mono
         else:
-            body = f"{abs(c)}*{mono}"
+            body = f"{_format_coeff(abs(c))}*{mono}"
         if not pieces:
             pieces.append(body if c > 0 else f"-{body}")
         else:

@@ -41,9 +41,20 @@ nonnegative orthant; its maximal cones biject with vertices of P and a ray
 rho lies in the cone of a vertex v exactly when the facet inequality of rho
 is tight at v, which is the vertex's incidence.
 
-All arithmetic is in exact integers, with no floats and no Fractions.  Face
-dimensions use Bareiss fraction-free elimination, whose intermediate
-entries are integer minors and whose divisions are exact.
+Face dimensions come from the grading of the face lattice, with no rank
+computation.  P is pointed and full-dimensional, so its face lattice is
+graded by dimension: every maximal chain of faces from P down to a face G
+has n - dim G steps.  Every facet of a face F is F cut by a facet of P, so
+each cover relation below F is one widening step, the closure of F's
+defining facets plus one more; every widening step goes strictly down.
+The longest chain of widening steps from P to G therefore has n - dim G
+steps.  A step adds at least one defining facet, so taking the faces in
+order of the size of their defining sets visits every face after all the
+faces one step above it.
+
+All arithmetic is in exact integers, with no floats and no Fractions.
+Affine independence uses Bareiss fraction-free elimination, whose
+intermediate entries are integer minors and whose divisions are exact.
 """
 
 from __future__ import annotations
@@ -240,48 +251,87 @@ class Face:
     dim: int
 
 
+def _mask(indices) -> int:
+    return sum(1 << i for i in indices)
+
+
+def _bits(mask: int):
+    """The indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def faces(p: NewtonPolyhedron) -> list[Face]:
     """All nonempty faces of P, the full polyhedron included, by decreasing
     dimension.  A lattice point a of P lies on the face iff every defining
     facet inequality is tight at a.
 
-    The vertices on a selection of facets, and the closure (the facets
-    tight at all of them), are read off p.incidence, and the generators on
-    the face off p.tags.  Each selection is closed once: a selection
-    reached again from another face is not pushed again, since its
-    closure, and all it leads to, is already known."""
+    Faces are reached from P one facet at a time, level by level in the
+    size of the defining set; the vertices on a selection, its free
+    directions and its closure are bitmask operations on p.incidence and
+    the facet normals, and the generators on a face are read off p.tags.
+    Each selection is closed once, and a face's dimension is n minus the
+    longest chain of widenings that reaches it (the module docstring)."""
     n = p.dim
-    tight = p.incidence
-    out: dict[tuple[int, ...], Face] = {}
-    todo = [frozenset()]
-    seen = set(todo)
-    while todo:
-        sel = todo.pop()
-        on = [k for k, t in enumerate(tight) if sel <= t]
-        if not on:
-            continue
-        free = [i for i in range(n) if all(p.facets[j].normal[i] == 0 for j in sel)]
-        # the closure: every facet tight on the whole face
-        defining = tuple(
-            j
-            for j in sorted(frozenset.intersection(*(tight[k] for k in on)))
-            if all(p.facets[j].normal[i] == 0 for i in free)
+    # bitmasks: the vertices on each facet, the facets tight at each vertex
+    # and generator, the coordinates in each facet normal's support and the
+    # facets whose normal is nonzero at each coordinate
+    on_facet = [0] * len(p.facets)
+    for k, t in enumerate(p.incidence):
+        for j in t:
+            on_facet[j] |= 1 << k
+    incidence = [_mask(t) for t in p.incidence]
+    tags = [_mask(t) for t in p.tags]
+    support = [_mask(i for i, x in enumerate(f.normal) if x) for f in p.facets]
+    touching = [_mask(j for j, s in enumerate(support) if s >> i & 1) for i in range(n)]
+
+    # the face of P itself: every vertex, every direction free, no facet
+    shape = {0: ((1 << len(p.vertices)) - 1, (1 << n) - 1)}
+    depth = {0: 0}
+    levels: list[list[int]] = [[] for _ in range(len(p.facets) + 1)]
+    levels[0].append(0)
+    closed: dict[int, int | None] = {}
+    for level in levels:
+        for face in level:
+            on, free = shape[face]
+            below = depth[face] + 1
+            for j, mask in enumerate(on_facet):
+                sel = face | 1 << j
+                if sel == face:
+                    continue
+                if sel not in closed:
+                    verts = on & mask
+                    if not verts:
+                        closed[sel] = None
+                        continue
+                    dirs = free & ~support[j]
+                    # the closure: every facet tight at every vertex on the
+                    # selection and zero on its free directions
+                    tight = -1
+                    for k in _bits(verts):
+                        tight &= incidence[k]
+                    for i in _bits(dirs):
+                        tight &= ~touching[i]
+                    closed[sel] = tight
+                    if tight not in shape:
+                        shape[tight] = verts, dirs
+                        levels[tight.bit_count()].append(tight)
+                sub = closed[sel]
+                if sub is not None and depth.get(sub, 0) < below:
+                    depth[sub] = below
+    out = [
+        Face(
+            tuple(_bits(face)),
+            tuple(p.vertices[k] for k in _bits(on)),
+            tuple(g for g, t in zip(p.generators, tags) if t & face == face),
+            tuple(_bits(free)),
+            n - depth[face],
         )
-        if defining in out:
-            continue
-        verts = tuple(p.vertices[k] for k in on)
-        span = [tuple(a - b for a, b in zip(v, verts[0])) for v in verts[1:]]
-        span += [_unit(i, n) for i in free]
-        dim = _rank(span) if span else 0
-        gens = tuple(g for g, t in zip(p.generators, p.tags) if t.issuperset(defining))
-        out[defining] = Face(defining, verts, gens, tuple(free), dim)
-        for j in range(len(p.facets)):
-            if j not in defining:
-                wider = frozenset((*defining, j))
-                if wider not in seen:
-                    seen.add(wider)
-                    todo.append(wider)
-    return sorted(out.values(), key=lambda f: (-f.dim, f.defining))
+        for face, (on, free) in shape.items()
+    ]
+    return sorted(out, key=lambda f: (-f.dim, f.defining))
 
 
 @dataclass(frozen=True)

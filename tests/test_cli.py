@@ -522,6 +522,25 @@ class TestBounded:
         assert err.startswith("error: ") and message in err
         assert time.perf_counter() - start < 2
 
+    @pytest.mark.parametrize(
+        "command, prints",
+        [("center", True), ("invariant", True), ("resolve", False), ("principalize", False)],
+    )
+    def test_derived_coefficients_past_the_print_limit(self, command, prints):
+        # both coefficients fit the budget, but the reduced basis the contact
+        # comes from divides them into coefficients of about 15,850 bits:
+        # the contact refusal names such an element by its bits, the center
+        # prints, and a tree whose report would print one is refused
+        start = time.perf_counter()
+        argv = [command, "--ordinary", "x,y", "--ideal", "(2)^8000 x^2 + y^3 + (3)^5000 x y"]
+        code, out, err = run_cli(argv)
+        if prints:
+            assert (code, err) == (0, "") and "center: (x, y)" in out.splitlines()
+        else:
+            assert (code, out) == (1, "")
+            assert err == "error: a 15850-bit coefficient is too long to print\n"
+        assert time.perf_counter() - start < 5
+
     def test_the_largest_literal_and_coefficients_print(self):
         long = "7" * cli.LITERAL_DIGITS
         for ideal in (f"{long} x + y", f"x^2 + 1/{long} y", "(2)^8000 x + y"):

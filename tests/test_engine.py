@@ -346,6 +346,28 @@ class TestOneStep:
         assert calls == {"newton_polyhedron": 1, "faces": 1}
         assert "total" not in report
 
+    def test_independent_exponents_build_no_faces(self, a33, monkeypatch):
+        # affinely independent exponents pass every face at once, so
+        # newton_nondegenerate builds neither the polyhedron nor its faces;
+        # dependent ones build each once
+        calls = {"newton_polyhedron": 0, "faces": 0}
+
+        def count(name):
+            original = getattr(engine, name)
+
+            def counting(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(engine, name, counting)
+
+        count("newton_polyhedron")
+        count("faces")
+        assert newton_nondegenerate(poly(a33, "x^2 + y^3 + z^5")) == (True, None)
+        assert calls == {"newton_polyhedron": 0, "faces": 0}
+        assert newton_nondegenerate(poly(a33, "x^2 + x y + y^2 + z^3")) == (True, None)
+        assert calls == {"newton_polyhedron": 1, "faces": 1}
+
     def test_every_face_check_counts(self, a33, monkeypatch):
         # faces that share their vertices share a label; a failing face
         # must fail the check even when a later face with its label passes
@@ -356,10 +378,12 @@ class TestOneStep:
         original = engine._orbit_restriction
         seen = []
 
-        def failing(fm, b, defining):
+        def failing(tagged, defining):
             seen.append(defining)
-            out = original(fm, b, defining)
-            return out + constant(b.cox, 1) if len(seen) == bad + 1 else out
+            out = original(tagged, defining)
+            if len(seen) == bad + 1:
+                out = {e: c + 1 for e, c in out.items()}
+            return out
 
         monkeypatch.setattr(engine, "_orbit_restriction", failing)
         report = one_step_check(f)
@@ -397,11 +421,11 @@ class TestOneStep:
                         images[v] = variable(b.cox, v)
                     else:
                         images[v] = constant(b.cox, 1)
+                mask = sum(1 << j for j in face.defining)
                 for g in (fm, random_polynomial(rng, b.cox, max_terms=8, max_entry=1)):
-                    got = engine._orbit_restriction(g, b, face.defining)
+                    got = engine._orbit_restriction(engine._orbit_terms(g, b), mask)
                     want = substitute(g, images, b.cox)
-                    assert got.ambient == want.ambient
-                    assert list(got.terms.items()) == list(want.terms.items())
+                    assert list(got.items()) == list(want.terms.items())
 
 
 class TestSupportCriterion:

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -30,7 +31,7 @@ from mwb.invariant import (
     reduced_center,
 )
 from mwb.monomials import monomial_ideal
-from mwb.poly import format_polynomial
+from mwb.poly import Polynomial, format_polynomial
 
 
 def inv_of(entries):
@@ -333,3 +334,13 @@ class TestPieces:
         a11 = ambient(ordinary="x", monomial="z")
         with pytest.raises(NoRectifiableContact):
             maximal_contact(a11, [poly(a11, "z")], (0, 0))
+
+    def test_refusal_names_an_unprintable_element_by_its_bits(self):
+        # x's coefficient in x + x y is not a constant, so x + x y has order
+        # one but is not rectifiable; an element with a coefficient past
+        # COEFF_BITS is named by its bit length, any other is printed
+        a20 = ambient(ordinary="x,y")
+        for c, shown in [(3, "3*x*y + x"), (2**20000, "with 20001-bit coefficients")]:
+            g = Polynomial(a20, {(1, 0): Fraction(1), (1, 1): Fraction(c)})
+            with pytest.raises(NoRectifiableContact, match=re.escape(f"element {shown} at")):
+                maximal_contact(a20, [g], (0, 0))

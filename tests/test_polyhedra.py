@@ -174,6 +174,49 @@ def fan_shaped_cases(seed, count):
             yield 4, gens
 
 
+def test_lattice_dimensions_match_the_rank_of_each_span(monkeypatch):
+    # faces reads dimensions off the face lattice with no rank call; the
+    # rank of the vertex differences and free directions is the definition.
+    # The agreement cases past 12 facets are too big for subset_faces, so
+    # each face is also checked against its dot-product description
+    def no_rank(rows):
+        raise AssertionError("faces computed a rank")
+
+    big = [
+        (n, gens)
+        for n, gens in agreement_cases(1012)
+        if n >= 4 and len(newton_polyhedron(gens, n).facets) > 12
+    ]
+    assert len(big) >= 5
+    checked = 0
+    for n, gens in [*big, *fan_shaped_cases(1502, 40)]:
+        p = newton_polyhedron(gens, n)
+        monkeypatch.setattr("mwb.polyhedra._rank", no_rank)
+        face_list = faces(p)
+        monkeypatch.undo()
+        assert len({f.defining for f in face_list}) == len(face_list)
+        for face in face_list:
+            on = face.vertices
+            span = [tuple(a - b for a, b in zip(v, on[0])) for v in on[1:]]
+            span += [tuple(int(j == i) for j in range(n)) for i in face.free]
+            assert face.dim == (oracles.rank(span) if span else 0), (gens, face)
+            facets = [p.facets[j] for j in face.defining]
+            assert on == tuple(
+                v for v in p.vertices if all(dot(f.normal, v) == f.level for f in facets)
+            )
+            assert face.free == tuple(
+                i for i in range(n) if all(f.normal[i] == 0 for f in facets)
+            )
+            assert face.defining == tuple(
+                j
+                for j, f in enumerate(p.facets)
+                if all(dot(f.normal, v) == f.level for v in on)
+                and all(f.normal[i] == 0 for i in face.free)
+            )
+            checked += 1
+    assert checked > 1000
+
+
 def test_fans_and_charts_match_the_dot_product_incidence():
     # the cones, every chart's inverted variables and every generator's
     # kept tag come from the double description tags; the definition is by
