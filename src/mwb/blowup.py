@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from operator import mul
+from operator import mul, sub
 from string import ascii_letters
 
 from .errors import EmptyCenter, HypothesisViolated, MwbError, ZeroIdeal
@@ -243,31 +243,29 @@ def _assemble(
     weights: list[int],
     root: int | None,
 ) -> MultiWeightedBlowup:
-    n = ambient.n
-    rays = fan.rays
     exc = fan.exceptional()
+    beta_rows = tuple(
+        tuple([w * x for x in r.direction]) for w, r in zip(weights, fan.rays)
+    )
 
-    # Cox variables: prime a source name iff its pullback is nontrivial
-    cox_vars = []
-    for i, (name, flag) in enumerate(ambient.variables):
-        nontrivial = weights[i] > 1 or any(rays[j].direction[i] for j in exc)
-        cox_vars.append((name + "'" if nontrivial else name, flag))
+    # Cox variables: prime a source name iff its pullback is nontrivial.
+    # Column i of beta_rows is w_i e_i plus the exceptional rays' entries,
+    # all >= 0, so x_i pulls back to its own variable alone iff it sums to 1
+    cox_vars = [
+        (name + "'" if sum(column) > 1 else name, flag)
+        for (name, flag), column in zip(ambient.variables, zip(*beta_rows))
+    ]
     cox_vars += [(name, EXCEPTIONAL) for name in _fresh_names(ambient, len(exc))]
     carried = {cox_vars[ambient.index(v)][0] for v in ambient.inverted}
     cox = LogAmbient(cox_vars, carried)
     ray_vars = cox.names()
-    beta_rows = tuple(
-        tuple(weights[j] * rays[j].direction[i] for i in range(n))
-        for j in range(len(rays))
-    )
 
     # every facet inequality holds on P, so the rays not tight at the
     # vertex, the ones not in its cone, are those with dot > level
     charts = []
     for ci, cone in enumerate(fan.maximal_cones):
-        tight = set(cone.rays)
-        inv = tuple(v for j, v in enumerate(ray_vars) if j not in tight)
-        charts.append(Chart(ci, cone.vertex, inv))
+        inverted = tuple([v for j, v in enumerate(ray_vars) if j not in cone.rays])
+        charts.append(Chart(ci, cone.vertex, inverted))
 
     return MultiWeightedBlowup(
         source=ambient,
@@ -359,41 +357,71 @@ def restrict_blowup(c: CenterIdeal, ambient: LogAmbient) -> MultiWeightedBlowup:
 # -- transforms -------------------------------------------------------------
 
 
-def _exponent_map(b: MultiWeightedBlowup, ideal: PolyIdeal, shift: Vec) -> PolyIdeal:
-    """Every term c x^e sent to c X^(B e - shift), B the matrix of beta_rows."""
-    if ideal.ambient.variables != b.source.variables:
-        raise MwbError("ideal does not live on the blow-up's source")
-    rows = tuple(zip(b.beta_rows, shift))
-    gens = []
-    for g in ideal.generators:
-        t = {tuple(sum(map(mul, r, e)) - k for r, k in rows): c for e, c in g.terms.items()}
-        gens.append(Polynomial._trusted(b.cox, t))
-    return PolyIdeal(b.cox, gens)
+def _cox_terms(b: MultiWeightedBlowup, ideal: PolyIdeal) -> list[list]:
+    """Each generator's terms c x^e as (B e, c) pairs, in term order, B the
+    matrix of beta_rows."""
+    rows = b.beta_rows
+    return [
+        [(tuple([sum(map(mul, r, e)) for r in rows]), c) for e, c in g.terms.items()]
+        for g in ideal.generators
+    ]
+
+
+def _column_minima(b: MultiWeightedBlowup, images: list[list]) -> dict:
+    """Positive-level ray index -> the least (B e)_rho over the terms."""
+    columns = list(zip(*[e for terms in images for e, _ in terms]))
+    return {j: min(columns[j]) for j in b.eplus()}
 
 
 def total_transform(b: MultiWeightedBlowup, ideal: PolyIdeal) -> PolyIdeal:
-    return _exponent_map(b, ideal, (0,) * b.cox.n)
+    """Every term c x^e sent to c X^(B e)."""
+    if ideal.ambient.variables != b.source.variables:
+        raise MwbError("ideal does not live on the blow-up's source")
+    cox = b.cox
+    return PolyIdeal(
+        cox, [Polynomial._trusted(cox, dict(terms)) for terms in _cox_terms(b, ideal)]
+    )
 
 
 def exceptional_multiplicities(b: MultiWeightedBlowup, ideal: PolyIdeal) -> dict:
     """w_rho * min over terms of <u_rho, e> on every positive-level ray: the
-    exceptional multiplicities of the total transform.  For u_rho >= 0 this
-    is w_rho * N_rho of the term ideal, its Newton polyhedron's support."""
+    exceptional multiplicities of the total transform, read off the column
+    minima of B e (see weak_transform)."""
     if ideal.is_zero():
         raise ZeroIdeal("multiplicities of the zero ideal")
-    return {b.ray_vars[j]: k_rho(b, j, ideal) for j in b.eplus()}
+    if ideal.ambient.variables != b.source.variables:
+        raise MwbError("polynomial does not live on the blow-up's source")
+    names = b.ray_vars
+    return {names[j]: k for j, k in _column_minima(b, _cox_terms(b, ideal)).items()}
 
 
 def weak_transform(
     b: MultiWeightedBlowup, ideal: PolyIdeal
 ) -> tuple[PolyIdeal, dict]:
     """Total transform divided by the exceptional multiplicities of the term
-    ideal.  Returns (transform, multiplicities keyed by Cox variable)."""
+    ideal.  Returns (transform, multiplicities keyed by Cox variable).
+
+    One pass: every term c x^e goes to c X^(B e) once, and the multiplicity
+    on a positive-level ray rho is the least entry of column rho over those
+    images, which the pass then subtracts.  That minimum is w_rho N_rho,
+    N_rho the support of the term ideal's Newton polyhedron P along u_rho:
+    (B e)_rho = w_rho u_rho . e, and u_rho >= 0, so u_rho . a is least over
+    P = conv(terms) + R^n_{>=0} at one of the terms, and no polyhedron is
+    built."""
     if ideal.is_zero():
         raise ZeroIdeal("weak transform of the zero ideal")
-    mult = exceptional_multiplicities(b, ideal)
-    shift = tuple(mult.get(v, 0) for v in b.ray_vars)
-    return _exponent_map(b, ideal, shift), mult
+    if ideal.ambient.variables != b.source.variables:
+        raise MwbError("polynomial does not live on the blow-up's source")
+    images = _cox_terms(b, ideal)
+    low = _column_minima(b, images)
+    names = b.ray_vars
+    shift = [low.get(j, 0) for j in range(len(names))]
+    cox = b.cox
+    gens = [
+        Polynomial._trusted(cox, {tuple(map(sub, e, shift)): c for e, c in terms})
+        for terms in images
+    ]
+    return PolyIdeal(cox, gens), {names[j]: k for j, k in low.items()}
 
 
 def proper_transform(b: MultiWeightedBlowup, ideal: PolyIdeal) -> PolyIdeal:

@@ -425,9 +425,11 @@ def newton_nondegenerate(f: Polynomial):
 
 
 def _support_verdict(g: Polynomial, names):
-    """Whether (g, Dg) is the unit ideal on the chart inverting names, when
-    g's exponents settle it (the module docstring's two lemmas); None when
-    they do not."""
+    """What g's exponents say of (g, Dg) on the chart inverting names (the
+    module docstring's two lemmas): False when g has no unit term there,
+    None when a variable that is not inverted is ordinary, and True when
+    the second lemma applies once g's exponents are affinely independent,
+    which _smooth_on_charts tests once for all its charts."""
     inverted = set(names)
     free = []
     for i, (n, flag) in enumerate(g.ambient.variables):
@@ -435,18 +437,21 @@ def _support_verdict(g: Polynomial, names):
             if flag == ORDINARY:
                 return None
             free.append(i)
-    if not any(all(e[i] == 0 for i in free) for e in g.terms):
-        return False
-    return True if affinely_independent(g.terms) else None
+    return any(all(e[i] == 0 for i in free) for e in g.terms)
 
 
-def _smooth_on_charts(ideal: PolyIdeal, name_sets) -> list[bool]:
+def _smooth_on_charts(ideal: PolyIdeal, name_sets, independent=None) -> list[bool]:
     """For each set of inverted names, whether the first derivation stage
     of the principal ideal (g) saturates to the unit ideal on that chart.
-    The support of g answers first; the charts it leaves open share one
-    chart_dimensions call."""
+    The support of g answers first: it is ranked at most once per call,
+    and not at all when the caller passes its affine independence; the
+    charts it leaves open share one chart_dimensions call."""
     (g,) = ideal.generators
     verdicts = [_support_verdict(g, names) for names in name_sets]
+    if True in verdicts and independent is None:
+        independent = affinely_independent(g.terms)
+    if not independent:
+        verdicts = [None if v else v for v in verdicts]
     undecided = [names for names, v in zip(name_sets, verdicts) if v is None]
     if undecided:
         dims = iter(groebner.chart_dimensions(d_leq(ideal, 1), undecided))
@@ -465,7 +470,8 @@ def _faces_nondegenerate(f: Polynomial, face_list):
     generators on a face are f's terms on it.  Callers test f's exponents
     for affine independence first: it passes to subsets, so when they are
     independent every face restriction passes the torus lemma and none
-    needs building."""
+    needs building.  They call this only when f's exponents are dependent,
+    so the face holding all of them is not ranked again."""
     amb = f.ambient
     checked = set()
     for face in face_list:
@@ -474,7 +480,10 @@ def _faces_nondegenerate(f: Polynomial, face_list):
         checked.add(face.generators)
         # on the torus (f_tau, x d/dx f_tau, ...) is the Jacobian ideal
         ftau = Polynomial(amb, {e: f.terms[e] for e in face.generators})
-        if not _smooth_on_charts(PolyIdeal(amb, (ftau,)), [amb.names()])[0]:
+        # the caller found f's own exponents dependent
+        independent = False if len(ftau.terms) == len(f.terms) else None
+        chart = [amb.names()]
+        if not _smooth_on_charts(PolyIdeal(amb, (ftau,)), chart, independent)[0]:
             names = {v: format_monomial(amb, v) for v in face.vertices}
             return False, f"face spanned by {_face_label(names, face)}"
     return True, None

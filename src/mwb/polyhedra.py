@@ -14,16 +14,20 @@ the extreme rays (u, -N), u != 0, of the cone of valid inequalities
 found by the double description method (Fukuda and Prodon, Double
 description method revisited, 1996): start from the simplicial cone of the
 first n + 1 constraints, add one generator's constraint at a time, keep the
-rays it does not cut off and join each cut pair whose tight constraint sets
-share a common face (the combinatorial adjacency test).
+rays it does not cut off and join each pair it separates that is adjacent.
 
-Each ray carries the set of constraint rows it is tight on, and these tags
-are exact.  A starting ray's tag is read off the inverse matrix; a kept ray
-gains the new row iff it is tight on it; a joined ray is a positive
-combination of its two parents, so it is tight on an earlier row iff both
-parents are, and it is tight on the new row by construction.  The final
-tags therefore give the incidence of facets and generators with no dot
-product, and the vertices follow from it:
+Each ray carries the set of constraint rows it is tight on as an int
+bitmask, bit r for row r, and these tags are exact.  A starting ray's tag
+is read off the inverse matrix; a kept ray gains the new row iff it is
+tight on it; a joined ray is a positive combination of its two parents, so
+it is tight on an earlier row iff both parents are, and it is tight on the
+new row by construction.  Adjacency is the combinatorial test on tags: two
+extreme rays are adjacent iff no third one is tight on every row both
+are, that is, with common = z_i & z_j, no other tag z has common & z ==
+common.  Adjacent rays of a cone in R^(n+1) span a face whose tight rows
+have rank n - 1, so common.bit_count() >= n - 1 is tested first, as a
+filter.  The final tags give the incidence of facets and generators with
+no dot product, and the vertices follow from it:
 
     a generator g is a vertex iff no other generator's set of tight
     facets contains g's own.
@@ -61,6 +65,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd
+from operator import mul
 
 from .errors import EmptyIdeal, ZeroVector
 
@@ -73,19 +78,19 @@ def dot(u: Vec, v: Vec) -> int:
 
 def exponent(v, n: int) -> Vec:
     """v as an int tuple of length n with no negative entry."""
-    e = tuple(int(x) for x in v)
+    e = tuple(map(int, v))
     if len(e) != n:
         raise ZeroVector(f"exponent {e!r} does not have {n} entries")
-    if any(x < 0 for x in e):
+    if min(e, default=0) < 0:
         raise ZeroVector(f"exponent {e!r} has a negative entry")
     return e
 
 
 def primitive(v: Vec) -> Vec:
     """v divided by the gcd of its entries; rejects the zero vector."""
-    g = 0
-    for x in v:
-        g = gcd(g, x)
+    g = gcd(*v)
+    if g == 1:
+        return tuple(v)
     if g == 0:
         raise ZeroVector(f"zero vector {v!r} has no primitive")
     return tuple(x // g for x in v)
@@ -175,55 +180,63 @@ def newton_polyhedron(gens, n: int) -> NewtonPolyhedron:
     if not gens:
         raise EmptyIdeal("newton polyhedron of no generators")
 
-    # constraint rows (e_i, 0), then (g, 1); the first n + 1 have the inverse
-    # [[I, 0], [-g_0, 1]], whose columns are the starting rays, each tagged
-    # with the rows it is tight on
-    rows = [_unit(i, n) + (0,) for i in range(n)] + [g + (1,) for g in gens]
-    every = frozenset(range(n + 1))
-    rays = [(_unit(i, n) + (-gens[0][i],), every - {i}) for i in range(n)]
-    rays.append(((0,) * n + (1,), every - {n}))
-    for r in range(n + 1, len(rows)):
-        vals = [dot(rows[r], x) for x, _ in rays]
-        kept = [(x, z | {r} if s == 0 else z) for (x, z), s in zip(rays, vals) if s >= 0]
-        cut = [j for j, t in enumerate(vals) if t < 0]
-        for i in (i for i, s in enumerate(vals) if s > 0):
-            for j in cut:
-                common = rays[i][1] & rays[j][1]
-                # adjacent iff no third ray is tight on every row both are tight on
-                if len(common) < n - 1 or any(
-                    common <= z for k, (_, z) in enumerate(rays) if k != i and k != j
-                ):
+    # constraint rows (e_i, 0), then (g, 1), row n + k for gens[k]; the first
+    # n + 1 have the inverse [[I, 0], [-g_0, 1]], whose columns are the
+    # starting rays, each tagged with the bitmask of the rows it is tight on
+    every = (1 << (n + 1)) - 1
+    rays = [_unit(i, n) + (-gens[0][i],) for i in range(n)]
+    rays.append((0,) * n + (1,))
+    tags = [every ^ (1 << i) for i in range(n + 1)]
+    for r, g in enumerate(gens[1:], n + 1):
+        vals = [sum(map(mul, g, x)) + x[n] for x in rays]
+        kept, kept_tags, pos, neg = [], [], [], []
+        for k, s in enumerate(vals):
+            if s < 0:
+                neg.append(k)
+                continue
+            if s > 0:
+                pos.append(k)
+            kept.append(rays[k])
+            kept_tags.append(tags[k] if s else tags[k] | 1 << r)
+        for i in pos:
+            zi = tags[i]
+            for j in neg:
+                common = zi & tags[j]
+                # adjacent iff no third ray is tight on every row both are
+                # tight on (i and j count themselves)
+                if common.bit_count() < n - 1 or [z & common for z in tags].count(common) > 2:
                     continue
                 s, t = vals[i], vals[j]
-                joined = tuple(s * b - t * a for a, b in zip(rays[i][0], rays[j][0]))
-                kept.append((primitive(joined), common | {r}))
-        rays = kept
+                kept.append(primitive([s * b - t * a for a, b in zip(rays[i], rays[j])]))
+                kept_tags.append(common | 1 << r)
+        rays, tags = kept, kept_tags
 
     # coordinate facets first, in coordinate order; then the exceptional
-    # ones, descending; each keeps its tag
-    tagged = sorted(
-        ((Facet(x[:n], -x[n]), z) for x, z in rays if any(x[:n])),
-        key=lambda fz: (fz[0].is_standard(), fz[0].normal),
+    # ones, descending (normals are distinct, so the tags never compare)
+    found = sorted(
+        ((sum(u) == 1, u, -x[n], z) for x, z in zip(rays, tags) if any(u := x[:n])),
         reverse=True,
     )
-    # the facets tight at each generator (row r), read off the tags
-    tight = [
-        frozenset(j for j, (_, z) in enumerate(tagged) if r in z)
-        for r in range(n, len(rows))
-    ]
+    # the facets tight at each generator, as bitmasks: facet j is tight at
+    # gens[k] iff its tag has row n + k
+    tight = [0] * len(gens)
+    for j, (_, _, _, z) in enumerate(found):
+        z >>= n
+        while z:
+            low = z & -z
+            tight[low.bit_length() - 1] |= 1 << j
+            z ^= low
     # a vertex is a generator whose tight set no other generator's contains
-    verts = [
-        k
-        for k, t in enumerate(tight)
-        if not any(t <= u for m, u in enumerate(tight) if m != k)
-    ]
+    # (its own always does)
+    verts = [k for k, t in enumerate(tight) if sum(t & u == t for u in tight) == 1]
+    sets = [frozenset(_bits(t)) for t in tight]
     return NewtonPolyhedron(
         n,
         tuple(gens[k] for k in verts),
-        tuple(f for f, _ in tagged),
-        tuple(tight[k] for k in verts),
+        tuple(Facet(u, level) for _, u, level, _ in found),
+        tuple(sets[k] for k in verts),
         tuple(gens),
-        tuple(tight),
+        tuple(sets),
     )
 
 
@@ -371,8 +384,10 @@ def normal_fan(p: NewtonPolyhedron) -> NormalFan:
     in lexicographically descending order (inherited from the facet list).
     Maximal cones biject with vertices and are listed by lexicographically
     descending vertex, as the vertices are; a cone's rays are its vertex's
-    incidence, the facets tight there, in ascending order.
+    incidence, the facets tight there, in ascending order.  The first n
+    facets are the coordinate ones, so they are the standard rays.
     """
-    rays = tuple(Ray(f.normal, f.level, f.is_standard()) for f in p.facets)
+    n = p.dim
+    rays = tuple(Ray(f.normal, f.level, j < n) for j, f in enumerate(p.facets))
     cones = tuple(Cone(v, tuple(sorted(t))) for v, t in zip(p.vertices, p.incidence))
     return NormalFan(p.dim, rays, cones)

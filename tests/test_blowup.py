@@ -479,3 +479,22 @@ def test_build_errors():
     b = build_blowup(mono3((2, 0, 0), (0, 2, 1), (0, 0, 3)), A3)
     with pytest.raises(MwbError):
         total_transform(b, ideal(A2, "x"))
+
+
+def test_transform_boundaries():
+    # the one-pass transforms keep the classes and messages of the
+    # per-ray valuations they replaced: an ideal over another ambient,
+    # same arity and other flags included, and the zero ideal
+    b = build_blowup(mono3((2, 0, 0), (0, 2, 1), (0, 0, 3)), A3)
+    elsewhere = "^polynomial does not live on the blow-up's source$"
+    for other in (ideal(A2, "x"), ideal(ambient(monomial="x,y,z"), "x y")):
+        for transform in (weak_transform, exceptional_multiplicities):
+            with pytest.raises(MwbError, match=elsewhere):
+                transform(b, other)
+        with pytest.raises(MwbError, match="^ideal does not live on the blow-up's source$"):
+            total_transform(b, other)
+    zero = ideal(A3, "0")
+    with pytest.raises(ZeroIdeal, match="^weak transform of the zero ideal$"):
+        weak_transform(b, zero)
+    with pytest.raises(ZeroIdeal, match="^multiplicities of the zero ideal$"):
+        exceptional_multiplicities(b, zero)

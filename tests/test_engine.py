@@ -304,14 +304,14 @@ class TestOneStep:
         assert report["nondegenerate"] and report["resolved"]
         fm, charts = report["weak"], report["blowup"].charts
         assert report["charts"] == {c.label: lift(fm, c.inverted) for c in charts}
-        open_faces = [
-            g for g in restrictions if engine._support_verdict(g, names) is None
-        ]
-        open_charts = [
-            frozenset(c.inverted)
-            for c in charts
-            if engine._support_verdict(fm, c.inverted) is None
-        ]
+
+        def undecided(g, inverted):
+            # True from the support needs g's exponents independent too
+            verdict = engine._support_verdict(g, inverted)
+            return verdict is None or (verdict and not affinely_independent(g.terms))
+
+        open_faces = [g for g in restrictions if undecided(g, names)]
+        open_charts = [frozenset(c.inverted) for c in charts if undecided(fm, c.inverted)]
         # x^2, x y, y^2 are collinear, so that face and the whole support
         # are affinely dependent, and every chart keeps all four terms of fm
         assert [str(g) for g in open_faces] == ["z^3 + x^2 + x*y + y^2", "x^2 + x*y + y^2"]
@@ -367,6 +367,30 @@ class TestOneStep:
         assert calls == {"newton_polyhedron": 0, "faces": 0}
         assert newton_nondegenerate(poly(a33, "x^2 + x y + y^2 + z^3")) == (True, None)
         assert calls == {"newton_polyhedron": 1, "faces": 1}
+
+    def test_no_point_set_is_ranked_twice(self, a33, monkeypatch):
+        # one check asks the support of the same weak transform about every
+        # chart, and f's own support about the whole torus when its face
+        # list starts with P; each point set is ranked once
+        original = engine.affinely_independent
+        ranked = []
+
+        def recording(points):
+            ranked.append(frozenset(points))
+            return original(points)
+
+        monkeypatch.setattr(engine, "affinely_independent", recording)
+        samples = nondegenerate_samples(7, 12) + [
+            poly(a33, "x^2 + x y + y^2 + z^3"),
+            poly(a33, "x^3 + x y + y^3 + z^2 + x z"),
+        ]
+        total = 0
+        for f in samples:
+            ranked.clear()
+            assert one_step_check(f)["resolved"]
+            assert len(ranked) == len(set(ranked)), format_polynomial(f)
+            total += len(ranked)
+        assert total > 2 * len(samples)
 
     def test_every_face_check_counts(self, a33, monkeypatch):
         # faces that share their vertices share a label; a failing face

@@ -159,6 +159,40 @@ def test_double_description_matches_subset_oracle():
     assert compared > 50
 
 
+def coplanar_cases(seed):
+    # every generator on the hyperplane sum(e) = d, some of them repeated.
+    # Affinely dependent generators let two rays share n - 1 tight rows
+    # without being adjacent; on the first four sets (found by search) a
+    # double description without the third-ray test adds a ray that is
+    # not extreme, and the random ones cover the cases where it does not
+    yield 4, [(0, 1, 1, 0), (1, 0, 0, 1), (0, 2, 0, 0), (1, 1, 0, 0), (0, 0, 1, 1), (0, 0, 2, 0)]
+    yield 5, [(2, 0, 0, 0, 0), (0, 0, 2, 0, 0), (0, 0, 0, 1, 1), (1, 0, 1, 0, 0), (0, 1, 0, 0, 1)]
+    yield 5, [(1, 0, 1, 0, 0), (0, 0, 0, 1, 1), (0, 0, 1, 0, 1), (0, 1, 0, 0, 1), (1, 0, 0, 1, 0)]
+    yield 5, [(0, 0, 1, 2, 0), (1, 0, 1, 0, 1), (0, 0, 1, 0, 2), (0, 1, 0, 2, 0), (0, 0, 1, 2, 0)]
+    rng = random.Random(seed)
+    for n, top in [(3, 7), (4, 6), (5, 5)]:
+        for _ in range(15):
+            d = rng.randint(2, 5)
+            gens = []
+            for _ in range(rng.randint(3, top)):
+                e = [0] * n
+                for _ in range(d):
+                    e[rng.randrange(n)] += 1
+                gens.append(tuple(e))
+            yield n, gens + rng.sample(gens, 2)
+
+
+def test_double_description_on_coplanar_generators():
+    compared = 0
+    for n, gens in coplanar_cases(2201):
+        p = newton_polyhedron(gens, n)
+        want = oracles.subset_newton_polyhedron(gens, n)
+        assert p == want, gens
+        assert (p.generators, p.tags) == (want.generators, want.tags), gens
+        compared += len(p.facets) > n + 1
+    assert compared > 30
+
+
 def fan_shaped_cases(seed, count):
     # four variables, an antichain of three or four generators with entries
     # up to 6, as the blowup_fan workload draws them
