@@ -143,7 +143,6 @@ class Chart:
     """One chart per maximal cone: its vertex and the chart's irrelevant
     (inverted) variables, i.e. the variables of the rays not in the cone."""
 
-    cone: int
     vertex: Vec
     inverted: tuple[str, ...]
 
@@ -263,9 +262,9 @@ def _assemble(
     # every facet inequality holds on P, so the rays not tight at the
     # vertex, the ones not in its cone, are those with dot > level
     charts = []
-    for ci, cone in enumerate(fan.maximal_cones):
+    for cone in fan.maximal_cones:
         inverted = tuple([v for j, v in enumerate(ray_vars) if j not in cone.rays])
-        charts.append(Chart(ci, cone.vertex, inverted))
+        charts.append(Chart(cone.vertex, inverted))
 
     return MultiWeightedBlowup(
         source=ambient,

@@ -499,9 +499,12 @@ def one_step_check(f: Polynomial) -> dict:
     ideal, so its faces, f's terms on each face and the fan of the blow-up
     all come from it.  The support of the weak transform settles most
     chart questions (_smooth_on_charts); the rest share one basis of the
-    first derivation stage (groebner.chart_dimensions).  report["faces"]
-    is keyed by a face's vertices, which faces can share; each label holds
-    the AND of the checks of its faces, so "resolved" covers every face.
+    first derivation stage (groebner.chart_dimensions).  That support is
+    f's under the injective map e -> B e - shift (B's standard rows are
+    w_i e_i), which keeps affine independence, so f is ranked once.
+    report["faces"] is keyed by a face's vertices, which faces can share;
+    each label holds the AND of the checks of its faces, so "resolved"
+    covers every face.
 
     The orbit check is computed, not assumed.  In theory a term of the weak
     transform survives on a face's orbit iff its generator is tight on
@@ -526,7 +529,8 @@ def one_step_check(f: Polynomial) -> dict:
 
     poly = newton_polyhedron(list(f.terms), amb.n)
     face_list = faces(poly)
-    if affinely_independent(f.terms):
+    independent = affinely_independent(f.terms)
+    if independent:
         nd, witness = True, None
     else:
         nd, witness = _faces_nondegenerate(f, face_list)
@@ -544,7 +548,7 @@ def one_step_check(f: Polynomial) -> dict:
     report["multiplicities"] = mult
     report["weak"] = fm
 
-    smooth = _smooth_on_charts(weak, [chart.inverted for chart in b.charts])
+    smooth = _smooth_on_charts(weak, [c.inverted for c in b.charts], independent)
     charts = {c.label: ok for c, ok in zip(b.charts, smooth)}
     report["charts"] = charts
 

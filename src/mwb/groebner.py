@@ -40,10 +40,9 @@ basis of the unit ideal under every order.
 
 Saturation of a principal ideal at a monomial is division, since k[x] is
 a UFD and each variable is prime: (g) : m^inf = (g / x^e), x^e the largest
-monomial in m's variables dividing g.  Elimination runs for every other
-ideal, and only there: adjoin w, add w*f - 1, eliminate w with a block
-order.  Products are saturated factor by factor (saturate_at_variables):
-one elimination at the whole product measured slower on the drop corpus.
+monomial in m's variables dividing g.  Products are saturated factor by
+factor (saturate_at_variables): one elimination at the whole product
+measured slower on the drop corpus.
 
 Chart questions need no saturated ideal.  Write R_f for k[x] with the
 named variables inverted (f their product).  Two theorems come first, in
@@ -52,23 +51,27 @@ named is a unit of R_f (k[x] is a UFD and each variable is prime, so the
 units of R_f are exactly these terms), and the ring is zero; otherwise a
 single generator is a nonzero nonunit of the affine domain R_f, which cuts
 the dimension by exactly one (Krull's principal ideal theorem; affine
-domains are catenary).  Every other ideal goes through the lift:
-(R/I)_f = R[w]/(I, w*f - 1), so dimension and codimension read one grevlex
-basis of it.  saturates_to_unit asks whether the dimension is negative,
-so it answers by the same theorems.
+domains are catenary).  saturates_to_unit and is_unit_ideal ask whether a
+dimension is negative, so they answer by the same theorems, and a basis
+stops at its first constant.
 
-chart_dimensions asks this for many name sets, as a blow-up's charts do,
-and dimension is its one-set case, so there is one lift path.  It grows
-one basis G of I in k[x] with extend, and for each name set gives every
-element of G a zero w exponent and extends that by w*f - 1.  This is
-sound because grevlex on (w, x) restricts to grevlex on x: a monomial free
-of w has the same degree in both rings, and grevlex breaks degree ties at
-the last variable that differs, which for two w-free monomials is an x.
-So the lift of G keeps its leads, the S-polynomial of two lifted elements
-is the lift of theirs, and its standard representation over G lifts too.
-G is then a Groebner basis of I k[w, x], so extending it by w*f - 1 gives
-a Groebner basis of the lift, whose leading-term ideal, and with it the
-dimension, does not depend on the basis it grew from.
+Every other saturation and chart question goes through one lift,
+(R/I)_f = R[w]/J with J = (I, w*f - 1): I : f^inf is J meet k[x], read
+off a basis of J under the order eliminating w (block == 1), and the
+dimension of (R/I)_f off a grevlex basis of J.  Both grow from one
+grevlex basis G of I in k[x] (extend), which _lift gives a zero w exponent
+and extend grows by w*f - 1.  This is sound for both orders because each
+restricts to grevlex on x: a monomial free of w has the same degree in
+both rings, grevlex breaks degree ties at the last variable that differs,
+which for two w-free monomials is an x, and the block order compares two
+w-free monomials by their x part alone.  So the lift of G keeps its leads,
+the S-polynomial of two lifted elements is the lift of theirs, and its
+standard representation over G lifts too: G is a Groebner basis of
+I k[w, x] under either order, and extending it by w*f - 1 gives one of
+the lift.  Neither answer depends on the basis it grew from: the reduced
+basis for an order is unique, and so is the leading-term ideal.
+chart_dimensions asks for many name sets, as a blow-up's charts do, and
+builds G once for all of them; dimension is its one-set case.
 
 Dimension is read off the leading-term ideal by maximal independent
 variable sets, which is exact for a degree-compatible order like grevlex.
@@ -204,10 +207,9 @@ def extend(basis: list[tuple], gens, block: int = 0) -> list[tuple]:
     return reducers
 
 
-def groebner_basis(ideal: PolyIdeal, block: int = 0) -> list[Polynomial]:
-    """Reduced monic basis, sorted by increasing leading monomial; every
-    element lists its terms in decreasing order, its lead first."""
-    elements = extend([], ideal.generators, block)
+def _reduce(elements, block: int) -> list[dict]:
+    """The reduced monic basis from a Groebner basis of (lead, monic terms)
+    pairs, as term dicts sorted by increasing lead, each lead first."""
     # minimal part: drop elements whose lead another lead properly divides;
     # no two leads are equal, since an entering element's lead drops any
     # equal one, and a remainder's lead is irreducible by the basis
@@ -221,24 +223,35 @@ def groebner_basis(ideal: PolyIdeal, block: int = 0) -> list[Polynomial]:
         r = kernel.normal_form(terms, kept[:i] + kept[i + 1 :], block)
         reduced.append((kernel.order_key(lead, block), r))
     reduced.sort(key=lambda kr: kr[0])
-    return [Polynomial._trusted(ideal.ambient, r) for _, r in reduced]
+    return [r for _, r in reduced]
+
+
+def groebner_basis(ideal: PolyIdeal, block: int = 0) -> list[Polynomial]:
+    """Reduced monic basis, sorted by increasing leading monomial; every
+    element lists its terms in decreasing order, its lead first."""
+    reduced = _reduce(extend([], ideal.generators, block), block)
+    return [Polynomial._trusted(ideal.ambient, r) for r in reduced]
 
 
 def normal_form(p: Polynomial, basis, block: int = 0) -> Polynomial:
-    pairs = [(leading_term(g, block)[0], g.terms) for g in basis if not g.is_zero()]
+    """The remainder of p against a list of polynomials, each made monic."""
+    leads = [(leading_term(g, block)[0], g.terms) for g in basis if not g.is_zero()]
+    pairs = [(lead, _monic_terms(terms, lead)) for lead, terms in leads]
     return Polynomial._trusted(p.ambient, kernel.normal_form(p.terms, pairs, block))
 
 
 def member(p: Polynomial, ideal: PolyIdeal | list, block: int = 0) -> bool:
-    basis = ideal if isinstance(ideal, list) else groebner_basis(ideal, block)
+    """Whether p lies in the ideal, given as a PolyIdeal or as a Groebner
+    basis for the order: the remainder against any basis decides it."""
     if p.is_zero():
         return True
-    return normal_form(p, basis, block).is_zero()
+    if isinstance(ideal, list):
+        return normal_form(p, ideal, block).is_zero()
+    return not kernel.normal_form(p.terms, extend([], ideal.generators, block), block)
 
 
 def is_unit_ideal(ideal: PolyIdeal) -> bool:
-    basis = groebner_basis(ideal)
-    return len(basis) == 1 and basis[0].is_constant()
+    return dimension(ideal) < 0
 
 
 def ideal_equal(i1: PolyIdeal, i2: PolyIdeal) -> bool:
@@ -247,16 +260,20 @@ def ideal_equal(i1: PolyIdeal, i2: PolyIdeal) -> bool:
     return groebner_basis(i1) == groebner_basis(i2)
 
 
-def _fresh_name(taken, base="w") -> str:
-    name = base
-    while name in taken:
-        name = name + "_"
-    return name
-
-
 def _lift_ambient(amb: LogAmbient) -> LogAmbient:
-    """k[w, x]: the ambient with a fresh ordinary variable w put first."""
-    return LogAmbient(((_fresh_name(amb.names()), ORDINARY),) + amb.variables)
+    """k[w, x]: the ambient with a fresh ordinary variable w put first, w
+    the first of w, w_, w__, ... that names no variable."""
+    w = "w"
+    while w in amb.names():
+        w += "_"
+    return LogAmbient(((w, ORDINARY),) + amb.variables)
+
+
+def _lift(basis: list[tuple]) -> list[tuple]:
+    """(lead, terms) pairs over k[x] as pairs over k[w, x], w exponent 0."""
+    return [
+        ((0,) + lead, {(0,) + e: c for e, c in terms.items()}) for lead, terms in basis
+    ]
 
 
 def _inverse_equation(scratch: LogAmbient, f_terms: dict) -> Polynomial:
@@ -266,20 +283,9 @@ def _inverse_equation(scratch: LogAmbient, f_terms: dict) -> Polynomial:
     return Polynomial._trusted(scratch, wf)
 
 
-def _rabinowitsch(ideal: PolyIdeal, f: Polynomial) -> tuple[str, PolyIdeal]:
-    """I + (w*f - 1) in k[w, x], with w a fresh variable put first."""
-    scratch = _lift_ambient(ideal.ambient)
-    lifted = [
-        Polynomial._trusted(scratch, {(0,) + e: c for e, c in g.terms.items()})
-        for g in ideal.generators
-    ]
-    lifted.append(_inverse_equation(scratch, f.terms))
-    return scratch.names()[0], PolyIdeal(scratch, lifted)
-
-
 def saturate(ideal: PolyIdeal, f: Polynomial) -> PolyIdeal:
-    """(I : f^inf): by division for a principal ideal and a monomial f, by
-    Rabinowitsch elimination of an auxiliary variable otherwise."""
+    """(I : f^inf): by division for a principal ideal and a monomial f,
+    otherwise by eliminating w from the lift (see the module docstring)."""
     if f.ambient != ideal.ambient:
         raise AmbientMismatch("saturation element over a different ambient")
     if f.is_zero():
@@ -288,11 +294,14 @@ def saturate(ideal: PolyIdeal, f: Polynomial) -> PolyIdeal:
     if len(ideal.generators) < 2 and len(f.terms) == 1:
         (m,) = f.terms
         return PolyIdeal(amb, [_divide_out(g, m) for g in ideal.generators])
-    w, lifted = _rabinowitsch(ideal, f)
-    basis = groebner_basis(lifted, block=1)
-    kept = [g for g in basis if g.degree_in(w) == 0]
-    back = [Polynomial(amb, {e[1:]: c for e, c in g.terms.items()}) for g in kept]
-    return PolyIdeal(amb, back)
+    lifted = _lift(extend([], ideal.generators))
+    grown = extend(lifted, [_inverse_equation(_lift_ambient(amb), f.terms)], block=1)
+    # under the order eliminating w, an element whose lead is free of w is
+    # free of w altogether
+    kept = [r for r in _reduce(grown, 1) if not next(iter(r))[0]]
+    return PolyIdeal(
+        amb, [Polynomial._trusted(amb, {e[1:]: c for e, c in r.items()}) for r in kept]
+    )
 
 
 def _divide_out(g: Polynomial, m) -> Polynomial:
@@ -323,15 +332,10 @@ def dimension(ideal: PolyIdeal, names=()) -> int:
 
 
 def chart_dimensions(ideal: PolyIdeal, name_sets) -> list[int]:
-    """dimension(ideal, names) for each names in name_sets.
-
-    Two theorems answer first, in this order, with no basis.  A generator
-    c*x^a with every variable of x^a named is a unit of R_f, so the ring is
-    zero: -1.  Otherwise a single generator is a nonzero nonunit of the
-    affine domain R_f, which cuts the dimension by exactly one (Krull's
-    principal ideal theorem; affine domains are catenary): n - 1.  Every
-    other name set has its dimension read off a basis of its lift, and all
-    lifts grow from one basis of I, built at the first of them."""
+    """dimension(ideal, names) for each names in name_sets: by the module
+    docstring's two theorems (a unit generator: -1; one generator: n - 1)
+    when they apply, and otherwise off a lift of one basis of I, built at
+    the first name set that needs it."""
     amb = ideal.ambient
     n = amb.n
     gens = ideal.generators
@@ -355,13 +359,7 @@ def chart_dimensions(ideal: PolyIdeal, name_sets) -> list[int]:
             out.append(dim)
             continue
         if lifted is None:
-            # a grevlex basis of I in k[x] is one of I in k[w, x]: see the
-            # module docstring
-            lifted = [
-                ((0,) + lead, {(0,) + e: c for e, c in terms.items()})
-                for lead, terms in basis
-            ]
-            scratch = _lift_ambient(amb)
+            lifted, scratch = _lift(basis), _lift_ambient(amb)
         grown = extend(lifted, [_inverse_equation(scratch, {tuple(f): Fraction(1)})])
         out.append(_leads_dimension([lead for lead, _ in grown], n + 1))
     return out

@@ -392,6 +392,24 @@ class TestOneStep:
             total += len(ranked)
         assert total > 2 * len(samples)
 
+    def test_one_rank_per_check(self, monkeypatch):
+        # the weak transform's exponents are f's under an injective affine
+        # map, so f's rank answers the charts too: a check of f with
+        # independent exponents ranks exactly one point set, f's own
+        original = engine.affinely_independent
+        ranked = []
+
+        def recording(points):
+            ranked.append(frozenset(points))
+            return original(points)
+
+        monkeypatch.setattr(engine, "affinely_independent", recording)
+        samples = nondegenerate_samples(4101, 18)
+        for f in samples:
+            ranked.clear()
+            assert one_step_check(f)["resolved"], format_polynomial(f)
+            assert ranked == [frozenset(f.terms)], format_polynomial(f)
+
     def test_every_face_check_counts(self, a33, monkeypatch):
         # faces that share their vertices share a label; a failing face
         # must fail the check even when a later face with its label passes

@@ -1,8 +1,10 @@
-"""Source hygiene: every name a module of mwb imports is used in it, every
-private module-level name is used somewhere in the package, records leave
-their value methods to dataclasses, and in the CLI only main prints."""
+"""Source hygiene: mwb imports only the standard library and itself, every
+name a module of mwb imports is used in it, every private module-level
+name is used somewhere in the package, records leave their value methods
+to dataclasses, and in the CLI only main prints."""
 
 import ast
+import sys
 from pathlib import Path
 
 import mwb
@@ -46,6 +48,46 @@ def test_the_walk_sees_an_unused_import():
         "x: b = os.path\n"
     )
     assert unused_imports(tree) == [(3, "d")]
+
+
+def foreign_imports(tree):
+    """(line, module) of each import that is neither relative, __future__,
+    nor a module of the standard library."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module]
+        else:
+            continue
+        for m in modules:
+            top = m.split(".")[0]
+            if top != "__future__" and top not in sys.stdlib_module_names:
+                found.append((node.lineno, m))
+    return found
+
+
+def test_only_the_standard_library_is_imported():
+    assert len(SOURCES) >= 10
+    found = {
+        p.name: hits
+        for p in SOURCES
+        if (hits := foreign_imports(ast.parse(p.read_text(), str(p))))
+    }
+    assert not found, found
+
+
+def test_the_scan_sees_a_foreign_import():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os.path, numpy as np\n"
+        "from . import kernel\n"
+        "from .poly import Polynomial\n"
+        "from fractions import Fraction\n"
+        "def f():\n    import sympy.core\n    from scipy import linalg\n"
+    )
+    assert foreign_imports(tree) == [(2, "numpy"), (7, "sympy.core"), (8, "scipy")]
 
 
 def definitions(body):

@@ -403,7 +403,7 @@ def test_trusted_results_pass_the_public_constructor(monkeypatch):
             results.append(groebner.monic(f, block))
             basis = [groebner.monic(h, block) for h in (g, f) if not h.is_zero()]
             results.append(groebner.normal_form(f * g + g, basis, block))
-            results += groebner._rabinowitsch(PolyIdeal(amb, (f, g)), f)[1].generators
+            results += groebner.saturate(PolyIdeal(amb, (f, g)), f).generators
             reduced.clear()
             groebner.groebner_basis(PolyIdeal(amb, (f, g, f * g + f)), block)
             results += [Polynomial._trusted(amb, s) for s in reduced]
