@@ -92,7 +92,7 @@ from .poly import (
     substitute,
     variable,
 )
-from .polyhedra import affinely_independent, faces, newton_polyhedron, normal_fan
+from .polyhedra import _bits, _lattice, affinely_independent, newton_polyhedron, normal_fan
 
 
 def depth_limit() -> int:
@@ -421,7 +421,7 @@ def newton_nondegenerate(f: Polynomial):
     if affinely_independent(f.terms):
         return True, None
     poly = newton_polyhedron(list(f.terms), f.ambient.n)
-    return _faces_nondegenerate(f, faces(poly))
+    return _faces_nondegenerate(f, poly, *_lattice(poly))
 
 
 def _support_verdict(g: Polynomial, names):
@@ -459,33 +459,34 @@ def _smooth_on_charts(ideal: PolyIdeal, name_sets, independent=None) -> list[boo
     return verdicts
 
 
-def _face_label(names: dict, face) -> str:
-    """The face's vertices, looked up in names, which maps each vertex of
-    the polyhedron to its monomial, formatted once per check."""
-    return ", ".join(names[v] for v in face.vertices)
+def _face_label(names: list, on: int) -> str:
+    """The vertices in the mask on, looked up in names, which holds the
+    polyhedron's vertices as monomials, formatted once per check."""
+    return ", ".join(names[k] for k in _bits(on))
 
 
-def _faces_nondegenerate(f: Polynomial, face_list):
-    """face_list holds the faces of f's own Newton polyhedron, so the
-    generators on a face are f's terms on it.  Callers test f's exponents
-    for affine independence first: it passes to subsets, so when they are
-    independent every face restriction passes the torus lemma and none
-    needs building.  They call this only when f's exponents are dependent,
-    so the face holding all of them is not ranked again."""
+def _faces_nondegenerate(f: Polynomial, poly, lattice, tags):
+    """poly is f's own Newton polyhedron and lattice, tags its _lattice,
+    so the generators on a face are f's terms on it.  Callers test f's
+    exponents for affine independence first: it passes to subsets, so when
+    they are independent every face restriction passes the torus lemma and
+    none needs building.  They call this only when f's exponents are
+    dependent, so the face holding all of them is not ranked again."""
     amb = f.ambient
     checked = set()
-    for face in face_list:
-        if face.generators in checked:
+    for defining, on, _, _ in lattice:
+        on_face = tuple(g for g, t in zip(poly.generators, tags) if t & defining == defining)
+        if on_face in checked:
             continue  # faces with the same terms share one certificate
-        checked.add(face.generators)
+        checked.add(on_face)
         # on the torus (f_tau, x d/dx f_tau, ...) is the Jacobian ideal
-        ftau = Polynomial(amb, {e: f.terms[e] for e in face.generators})
+        ftau = Polynomial(amb, {e: f.terms[e] for e in on_face})
         # the caller found f's own exponents dependent
-        independent = False if len(ftau.terms) == len(f.terms) else None
+        independent = False if len(on_face) == len(f.terms) else None
         chart = [amb.names()]
         if not _smooth_on_charts(PolyIdeal(amb, (ftau,)), chart, independent)[0]:
-            names = {v: format_monomial(amb, v) for v in face.vertices}
-            return False, f"face spanned by {_face_label(names, face)}"
+            names = [format_monomial(amb, v) for v in poly.vertices]
+            return False, f"face spanned by {_face_label(names, on)}"
     return True, None
 
 
@@ -496,23 +497,25 @@ def one_step_check(f: Polynomial) -> dict:
     exceptional orbit the weak transform restricts to the matching face of f.
 
     Each object is built once.  f's Newton polyhedron is that of its term
-    ideal, so its faces, f's terms on each face and the fan of the blow-up
-    all come from it.  The support of the weak transform settles most
-    chart questions (_smooth_on_charts); the rest share one basis of the
-    first derivation stage (groebner.chart_dimensions).  That support is
+    ideal, so its face lattice, f's terms on each face and the fan of the
+    blow-up all come from it.  The faces are read as bitmasks (_lattice)
+    and no Face record is built; the nondegeneracy witness search and the
+    orbit check share one lattice.  The support of the weak transform
+    settles most chart questions (_smooth_on_charts); the rest share one
+    basis of the first derivation stage (groebner.chart_dimensions).  That support is
     f's under the injective map e -> B e - shift (B's standard rows are
     w_i e_i), which keeps affine independence, so f is ranked once.
     report["faces"] is keyed by a face's vertices, which faces can share;
     each label holds the AND of the checks of its faces, so "resolved"
-    covers every face.
+    covers every face, and is formatted once per vertex set.
 
     The orbit check is computed, not assumed.  In theory a term of the weak
     transform survives on a face's orbit iff its generator is tight on
-    every defining facet, the tag test faces already applies, so the check
-    could be read off face.generators.  Computing it instead compares what
-    weak_transform built, over the fan _assemble built, with f's terms on
-    each face: a fault in either, or a fan that lost the facet order,
-    fails the check.  Each term of the weak transform is tagged once per
+    every defining facet, the tag test that picks f's terms on the face,
+    so the check could be read off the tags.  Computing it instead
+    compares what weak_transform built, over the fan _assemble built, with
+    f's terms on each face: a fault in either, or a fan that lost the
+    facet order, fails the check.  Each term of the weak transform is tagged once per
     check (_orbit_terms), and each face's restriction is a scan of tags.
     """
     amb = f.ambient
@@ -528,12 +531,12 @@ def one_step_check(f: Polynomial) -> dict:
             raise MwbError(f"{name} divides f")
 
     poly = newton_polyhedron(list(f.terms), amb.n)
-    face_list = faces(poly)
+    lattice, tags = _lattice(poly)
     independent = affinely_independent(f.terms)
     if independent:
         nd, witness = True, None
     else:
-        nd, witness = _faces_nondegenerate(f, face_list)
+        nd, witness = _faces_nondegenerate(f, poly, lattice, tags)
     report = {"nondegenerate": nd, "witness": witness}
     if not nd:
         report["resolved"] = False
@@ -552,18 +555,18 @@ def one_step_check(f: Polynomial) -> dict:
     charts = {c.label: ok for c, ok in zip(b.charts, smooth)}
     report["charts"] = charts
 
-    # f's exponents on the Cox ring; rename keeps the term order
+    # each term of f as (tag, exponent on the Cox ring, coefficient);
+    # rename keeps the term order
     on_cox = dict(zip(f.terms, rename(f, b.name_map, b.cox).terms))
+    terms = [(t, on_cox[g], f.terms[g]) for g, t in zip(poly.generators, tags)]
     tagged = _orbit_terms(fm, b)
-    names = {v: format_monomial(amb, v) for v in poly.vertices}
-    orbit = {}
-    for face in face_list:
-        ftau = {on_cox[e]: f.terms[e] for e in face.generators}
-        defining = sum(1 << j for j in face.defining)
+    orbit = {}  # vertex mask -> the AND of the checks of its faces
+    for defining, on, _, _ in lattice:
+        ftau = {e: c for t, e, c in terms if t & defining == defining}
         ok = _orbit_restriction(tagged, defining) == ftau
-        label = _face_label(names, face)
-        orbit[label] = orbit.get(label, True) and ok
-    report["faces"] = orbit
+        orbit[on] = orbit.get(on, True) and ok
+    names = [format_monomial(amb, v) for v in poly.vertices]
+    report["faces"] = {_face_label(names, on): ok for on, ok in orbit.items()}
     report["resolved"] = all(charts.values()) and all(orbit.values())
     return report
 

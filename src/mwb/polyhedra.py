@@ -56,6 +56,13 @@ steps.  A step adds at least one defining facet, so taking the faces in
 order of the size of their defining sets visits every face after all the
 faces one step above it.
 
+The lattice is built by one pass, _lattice, that works on bitmasks only and
+yields a row of masks per face: its defining facets, the vertices on it and
+its free directions, with its dimension.  It has two views.  Callers that
+only test faces, such as engine.one_step_check, read the masks: a
+generator lies on a face iff its tag contains the face's defining mask.
+faces(p) formats the same rows, in the same order, as Face records.
+
 All arithmetic is in exact integers, with no floats and no Fractions.
 Affine independence uses Bareiss fraction-free elimination, whose
 intermediate entries are integer minors and whose divisions are exact.
@@ -276,36 +283,46 @@ def _bits(mask: int):
         mask ^= low
 
 
-def faces(p: NewtonPolyhedron) -> list[Face]:
-    """All nonempty faces of P, the full polyhedron included, by decreasing
-    dimension.  A lattice point a of P lies on the face iff every defining
-    facet inequality is tight at a.
+def _lattice(p: NewtonPolyhedron) -> tuple[list[tuple[int, int, int, int]], list[int]]:
+    """The face lattice of P as bitmasks, and each generator's tag.
+
+    A row (defining, on, free, dim) per nonempty face, the full polyhedron
+    included: the facets defining it, the vertices on it, the coordinate
+    directions free in its recession cone, and its dimension.  Rows come
+    by decreasing dimension, then by defining facets as ascending index
+    tuples.  tags[k] is p.tags[k] as a mask, and generators[k] lies on a
+    face iff tags[k] & defining == defining.
 
     Faces are reached from P one facet at a time, level by level in the
     size of the defining set; the vertices on a selection, its free
     directions and its closure are bitmask operations on p.incidence and
-    the facet normals, and the generators on a face are read off p.tags.
-    Each selection is closed once, and a face's dimension is n minus the
-    longest chain of widenings that reaches it (the module docstring)."""
+    the facet normals.  Each selection is closed once, and a face's
+    dimension is n minus the longest chain of widenings that reaches it
+    (the module docstring)."""
     n = p.dim
-    # bitmasks: the vertices on each facet, the facets tight at each vertex
-    # and generator, the coordinates in each facet normal's support and the
+    # bitmasks: the facets tight at each vertex and generator, the vertices
+    # on each facet, the coordinates in each facet normal's support and the
     # facets whose normal is nonzero at each coordinate
+    incidence = [_mask(t) for t in p.incidence]
+    tags = [_mask(t) for t in p.tags]
     on_facet = [0] * len(p.facets)
     for k, t in enumerate(p.incidence):
         for j in t:
             on_facet[j] |= 1 << k
-    incidence = [_mask(t) for t in p.incidence]
-    tags = [_mask(t) for t in p.tags]
-    support = [_mask(i for i, x in enumerate(f.normal) if x) for f in p.facets]
-    touching = [_mask(j for j, s in enumerate(support) if s >> i & 1) for i in range(n)]
+    support = [0] * len(p.facets)
+    touching = [0] * n
+    for j, f in enumerate(p.facets):
+        for i, x in enumerate(f.normal):
+            if x:
+                support[j] |= 1 << i
+                touching[i] |= 1 << j
 
     # the face of P itself: every vertex, every direction free, no facet
     shape = {0: ((1 << len(p.vertices)) - 1, (1 << n) - 1)}
     depth = {0: 0}
     levels: list[list[int]] = [[] for _ in range(len(p.facets) + 1)]
     levels[0].append(0)
-    closed: dict[int, int | None] = {}
+    closed: dict[int, int | None] = {}  # selection -> its closure, None if empty
     for level in levels:
         for face in level:
             on, free = shape[face]
@@ -314,37 +331,54 @@ def faces(p: NewtonPolyhedron) -> list[Face]:
                 sel = face | 1 << j
                 if sel == face:
                     continue
-                if sel not in closed:
+                sub = closed.get(sel, -1)  # -1: not closed yet
+                if sub == -1:
                     verts = on & mask
                     if not verts:
                         closed[sel] = None
                         continue
                     dirs = free & ~support[j]
-                    # the closure: every facet tight at every vertex on the
-                    # selection and zero on its free directions
-                    tight = -1
-                    for k in _bits(verts):
-                        tight &= incidence[k]
-                    for i in _bits(dirs):
-                        tight &= ~touching[i]
-                    closed[sel] = tight
-                    if tight not in shape:
-                        shape[tight] = verts, dirs
-                        levels[tight.bit_count()].append(tight)
-                sub = closed[sel]
+                    # the closure, an AND starting from -1: every facet
+                    # tight at every vertex on the selection and zero on its
+                    # free directions (two _bits loops, inlined: they are
+                    # most of the lattice's time)
+                    rest = verts
+                    while rest:
+                        low = rest & -rest
+                        sub &= incidence[low.bit_length() - 1]
+                        rest ^= low
+                    rest = dirs
+                    while rest:
+                        low = rest & -rest
+                        sub &= ~touching[low.bit_length() - 1]
+                        rest ^= low
+                    closed[sel] = sub
+                    if sub not in shape:
+                        shape[sub] = verts, dirs
+                        levels[sub.bit_count()].append(sub)
                 if sub is not None and depth.get(sub, 0) < below:
                     depth[sub] = below
-    out = [
+    rows = [(face, on, free, n - depth[face]) for face, (on, free) in shape.items()]
+    rows.sort(key=lambda row: (-row[3], tuple(_bits(row[0]))))
+    return rows, tags
+
+
+def faces(p: NewtonPolyhedron) -> list[Face]:
+    """All nonempty faces of P, the full polyhedron included, by decreasing
+    dimension.  A lattice point a of P lies on the face iff every defining
+    facet inequality is tight at a.  These are _lattice's rows as records,
+    in its order, with the generators on each face read off p.tags."""
+    rows, tags = _lattice(p)
+    return [
         Face(
             tuple(_bits(face)),
             tuple(p.vertices[k] for k in _bits(on)),
             tuple(g for g, t in zip(p.generators, tags) if t & face == face),
             tuple(_bits(free)),
-            n - depth[face],
+            dim,
         )
-        for face, (on, free) in shape.items()
+        for face, on, free, dim in rows
     ]
-    return sorted(out, key=lambda f: (-f.dim, f.defining))
 
 
 @dataclass(frozen=True)

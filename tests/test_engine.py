@@ -15,7 +15,7 @@ from conftest import (
     poly,
     random_polynomial,
 )
-from mwb import engine, groebner, monomials
+from mwb import engine, groebner, monomials, polyhedra
 from mwb.blowup import build_blowup, weak_transform
 from mwb.engine import (
     blowup_equal,
@@ -34,8 +34,10 @@ from mwb.poly import (
     PolyIdeal,
     Polynomial,
     constant,
+    format_monomial,
     format_polynomial,
     monomial_saturation,
+    rename,
     substitute,
     variable,
 )
@@ -50,6 +52,41 @@ def walk(node):
     yield node
     for c in node.children:
         yield from walk(c)
+
+
+def record_nondegenerate(f, face_list):
+    """newton_nondegenerate's verdict and witness from Face records: each
+    distinct face polynomial through the support test and the lift."""
+    amb = f.ambient
+    checked = set()
+    for face in face_list:
+        if face.generators in checked:
+            continue
+        checked.add(face.generators)
+        ftau = Polynomial(amb, {e: f.terms[e] for e in face.generators})
+        if not engine._smooth_on_charts(PolyIdeal(amb, (ftau,)), [amb.names()])[0]:
+            return False, "face spanned by " + ", ".join(
+                format_monomial(amb, v) for v in face.vertices
+            )
+    return True, None
+
+
+def record_orbit(f, p, face_list, report):
+    """one_step_check's faces dict from Face records: each face's orbit
+    restriction of the weak transform against f's terms on the face,
+    keyed by the face's vertices, the checks of one key ANDed."""
+    b, amb = report["blowup"], f.ambient
+    on_cox = dict(zip(f.terms, rename(f, b.name_map, b.cox).terms))
+    tagged = engine._orbit_terms(report["weak"], b)
+    names = {v: format_monomial(amb, v) for v in p.vertices}
+    orbit = {}
+    for face in face_list:
+        ftau = {on_cox[e]: f.terms[e] for e in face.generators}
+        defining = sum(1 << j for j in face.defining)
+        ok = engine._orbit_restriction(tagged, defining) == ftau
+        label = ", ".join(names[v] for v in face.vertices)
+        orbit[label] = orbit.get(label, True) and ok
+    return orbit
 
 
 class TestQuartetResolutions:
@@ -326,8 +363,9 @@ class TestOneStep:
 
     def test_one_newton_polyhedron_per_check(self, a33, monkeypatch):
         # the nondegeneracy certificate, the orbit check and the blow-up's
-        # fan share f's polyhedron; the blow-up builds none of its own
-        calls = {"newton_polyhedron": 0, "faces": 0}
+        # fan share f's polyhedron and one face lattice, read as masks; the
+        # blow-up builds no polyhedron of its own and no Face record is made
+        calls = {"newton_polyhedron": 0, "_lattice": 0}
 
         def count(module, name):
             original = getattr(module, name)
@@ -338,19 +376,32 @@ class TestOneStep:
 
             monkeypatch.setattr(module, name, counting)
 
+        def no_record(*args):
+            raise AssertionError("a Face record was built")
+
         count(engine, "newton_polyhedron")
-        count(engine, "faces")
+        count(engine, "_lattice")
         count(monomials, "newton_polyhedron")
+        monkeypatch.setattr(polyhedra, "Face", no_record)
         report = one_step_check(poly(a33, F_TEXT))
         assert report["resolved"] and len(report["faces"]) == 7
-        assert calls == {"newton_polyhedron": 1, "faces": 1}
+        assert calls == {"newton_polyhedron": 1, "_lattice": 1}
         assert "total" not in report
+        # dependent exponents: the witness search shares the lattice too
+        f = poly(a33, "x^2 + x y + y^2 + z^3")
+        assert not affinely_independent(f.terms)
+        report = one_step_check(f)
+        assert report["resolved"] and report["witness"] is None
+        assert calls == {"newton_polyhedron": 2, "_lattice": 2}
+        report = one_step_check(poly(a33, "x^2 + 2 x y + y^2 + z^3"))
+        assert report["witness"] == "face spanned by x^2, y^2"
+        assert calls == {"newton_polyhedron": 3, "_lattice": 3}
 
     def test_independent_exponents_build_no_faces(self, a33, monkeypatch):
         # affinely independent exponents pass every face at once, so
-        # newton_nondegenerate builds neither the polyhedron nor its faces;
-        # dependent ones build each once
-        calls = {"newton_polyhedron": 0, "faces": 0}
+        # newton_nondegenerate builds neither the polyhedron nor its face
+        # lattice; dependent ones build each once
+        calls = {"newton_polyhedron": 0, "_lattice": 0}
 
         def count(name):
             original = getattr(engine, name)
@@ -362,11 +413,52 @@ class TestOneStep:
             monkeypatch.setattr(engine, name, counting)
 
         count("newton_polyhedron")
-        count("faces")
+        count("_lattice")
         assert newton_nondegenerate(poly(a33, "x^2 + y^3 + z^5")) == (True, None)
-        assert calls == {"newton_polyhedron": 0, "faces": 0}
+        assert calls == {"newton_polyhedron": 0, "_lattice": 0}
         assert newton_nondegenerate(poly(a33, "x^2 + x y + y^2 + z^3")) == (True, None)
-        assert calls == {"newton_polyhedron": 1, "faces": 1}
+        assert calls == {"newton_polyhedron": 1, "_lattice": 1}
+
+    def test_the_mask_view_matches_the_record_view(self):
+        # one_step_check reads the face lattice as bitmasks; the two loops
+        # below read it through faces(p) records, as the check once did, and
+        # are the oracle: the same verdict and witness, and the same faces
+        # dict, keys and order included.  The samples are the seeded
+        # trinomials, 300 random polynomials of up to five terms, many with
+        # dependent exponents, and 40 with a square on a segment, some of
+        # them degenerate
+        rng = random.Random(2401)
+        samples = [f for seed in (7, 4101, 5150, 31337) for f in nondegenerate_samples(seed, 18)]
+        drawn = 0
+        while drawn < 340:
+            n = rng.randint(2, 3)
+            amb = ambient(monomial=",".join("xyz"[:n]))
+            if drawn < 300:
+                f = random_polynomial(rng, amb, 5, 4)
+            else:  # a square on a segment: degenerate when that is a face
+                g = random_polynomial(rng, amb, 2, 2)
+                f = g * g + random_polynomial(rng, amb, 2, 4)
+            if (0,) * n in f.terms or any(all(e[i] for e in f.terms) for i in range(n)):
+                continue
+            samples.append(f)
+            drawn += 1
+        orbits = dependent = degenerate = 0
+        for f in samples:
+            report = one_step_check(f)
+            p = newton_polyhedron(list(f.terms), f.ambient.n)
+            face_list = faces(p)
+            want = record_nondegenerate(f, face_list)
+            assert (report["nondegenerate"], report["witness"]) == want, format_polynomial(f)
+            assert newton_nondegenerate(f) == want
+            degenerate += not want[0]
+            if not want[0]:
+                continue
+            got = list(report["faces"].items())
+            assert got == list(record_orbit(f, p, face_list, report).items()), format_polynomial(f)
+            orbits += 1
+            dependent += not affinely_independent(f.terms)
+        counts = orbits, dependent, degenerate
+        assert orbits >= 400 and dependent >= 170 and degenerate >= 8, counts
 
     def test_no_point_set_is_ranked_twice(self, a33, monkeypatch):
         # one check asks the support of the same weak transform about every

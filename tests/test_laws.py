@@ -3,16 +3,21 @@ implementation of it.
 
 The invariant is functorial for smooth morphisms and does not depend on
 coordinates, so at the origin of seeded hypersurfaces it must not move
-under a fresh ordinary variable or under swapping two variables of one
-flag.  A side may refuse (NoRectifiableContact and the like); a law only
-compares the pairs where both sides answer, and a floor on their number
-keeps the law from passing vacuously."""
+under a fresh ordinary variable, under swapping two variables of one flag,
+under x -> x + h with x ordinary and h a monomial in the other variables,
+or when f is multiplied by a unit c + m at the origin.  Under a fresh
+ordinary variable, resolve's tree keeps its order and its leaf count.  A
+side may refuse (NoRectifiableContact and the like); a law only compares
+the pairs where both sides answer, and a floor on their number keeps the
+law from passing vacuously."""
 
 import random
 
 from conftest import ambient, random_polynomial
 from mwb import LogAmbient, MwbError, PolyIdeal, Polynomial
+from mwb.engine import resolve
 from mwb.invariant import invariant_at
+from mwb.poly import constant, monomial, substitute, variable
 
 AMBIENTS = [
     ambient(ordinary="x,y"),
@@ -67,6 +72,30 @@ def with_swapped_variables(rng, f):
     return Polynomial(amb, {swapped(e): c for e, c in f.terms.items()})
 
 
+def shifted_monomial(rng, amb, skip):
+    """A seeded c * x^e with c != 0 and e nonzero, 0 at index skip if any."""
+    while True:
+        e = tuple(0 if i == skip else rng.randint(0, 2) for i in range(amb.n))
+        if any(e):
+            return monomial(amb, e, rng.choice([-2, -1, 1, 2]))
+
+
+def with_unit_twist(rng, f):
+    """f times c + m, a unit at the origin: c != 0 and m(0) = 0."""
+    amb = f.ambient
+    return f * (constant(amb, rng.choice([-3, -2, -1, 1, 2, 3])) + shifted_monomial(rng, amb, None))
+
+
+def with_shifted_variable(rng, f):
+    """f after x -> x + h, x a seeded ordinary variable and h a monomial in
+    the other variables; h(0) = 0, so the origin stays put."""
+    amb = f.ambient
+    x = rng.choice([i for i, (_, flag) in enumerate(amb.variables) if flag == "ordinary"])
+    images = {name: variable(amb, name) for name in amb.names()}
+    images[amb.names()[x]] += shifted_monomial(rng, amb, x)
+    return substitute(f, images, amb)
+
+
 def check_law(law, seed, floor):
     rng = random.Random(seed + 1)  # keeps the hypersurfaces independent of the law
     answered = 0
@@ -86,3 +115,27 @@ def test_a_fresh_variable_leaves_the_invariant():
 
 def test_swapping_two_variables_leaves_the_invariant():
     check_law(with_swapped_variables, 7, 83)
+
+
+def test_a_unit_twist_leaves_the_invariant():
+    check_law(with_unit_twist, 7, 74)
+
+
+def test_shifting_a_variable_leaves_the_invariant():
+    check_law(with_shifted_variable, 7, 82)
+
+
+def test_a_fresh_variable_keeps_the_tree():
+    # resolve's order and leaf count, where both trees resolve
+    rng = random.Random(8)
+    resolved = 0
+    for f in hypersurfaces(7):
+        g = with_fresh_variable(rng, f)
+        try:
+            trees = [resolve(PolyIdeal(h.ambient, (h,))) for h in (f, g)]
+        except MwbError:
+            continue
+        resolved += 1
+        got = [(t.order(), len(t.leaves())) for t in trees]
+        assert got[0] == got[1], (f, g, got)
+    assert resolved >= 73, resolved
