@@ -249,11 +249,20 @@ def _assemble(
 
     # Cox variables: prime a source name iff its pullback is nontrivial.
     # Column i of beta_rows is w_i e_i plus the exceptional rays' entries,
-    # all >= 0, so x_i pulls back to its own variable alone iff it sums to 1
-    cox_vars = [
-        (name + "'" if sum(column) > 1 else name, flag)
-        for (name, flag), column in zip(ambient.variables, zip(*beta_rows))
-    ]
+    # all >= 0, so x_i pulls back to its own variable alone iff it sums to 1.
+    # A primed name gains one more ' while another Cox variable holds it: a
+    # source name kept as is, or a name primed before it.  Exceptional names
+    # start with no source initial, so they hold none of these
+    primed = [sum(column) > 1 for column in zip(*beta_rows)]
+    taken = {name for name, p in zip(ambient.names(), primed) if not p}
+    cox_vars = []
+    for (name, flag), p in zip(ambient.variables, primed):
+        if p:
+            name += "'"
+            while name in taken:
+                name += "'"
+            taken.add(name)
+        cox_vars.append((name, flag))
     cox_vars += [(name, EXCEPTIONAL) for name in _fresh_names(ambient, len(exc))]
     carried = {cox_vars[ambient.index(v)][0] for v in ambient.inverted}
     cox = LogAmbient(cox_vars, carried)

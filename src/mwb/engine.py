@@ -92,7 +92,7 @@ from .poly import (
     substitute,
     variable,
 )
-from .polyhedra import _bits, _lattice, affinely_independent, newton_polyhedron, normal_fan
+from .polyhedra import _bits, affinely_independent, faces, newton_polyhedron, normal_fan
 
 
 def depth_limit() -> int:
@@ -421,7 +421,7 @@ def newton_nondegenerate(f: Polynomial):
     if affinely_independent(f.terms):
         return True, None
     poly = newton_polyhedron(list(f.terms), f.ambient.n)
-    return _faces_nondegenerate(f, poly, *_lattice(poly))
+    return _faces_nondegenerate(f, poly, faces(poly))
 
 
 def _support_verdict(g: Polynomial, names):
@@ -465,9 +465,9 @@ def _face_label(names: list, on: int) -> str:
     return ", ".join(names[k] for k in _bits(on))
 
 
-def _faces_nondegenerate(f: Polynomial, poly, lattice, tags):
-    """poly is f's own Newton polyhedron and lattice, tags its _lattice,
-    so the generators on a face are f's terms on it.  Callers test f's
+def _faces_nondegenerate(f: Polynomial, poly, lattice):
+    """poly is f's own Newton polyhedron and lattice its faces, so the
+    generators on a face (poly.tags) are f's terms on it.  Callers test f's
     exponents for affine independence first: it passes to subsets, so when
     they are independent every face restriction passes the torus lemma and
     none needs building.  They call this only when f's exponents are
@@ -475,7 +475,7 @@ def _faces_nondegenerate(f: Polynomial, poly, lattice, tags):
     amb = f.ambient
     checked = set()
     for defining, on, _, _ in lattice:
-        on_face = tuple(g for g, t in zip(poly.generators, tags) if t & defining == defining)
+        on_face = tuple(g for g, t in zip(poly.generators, poly.tags) if t & defining == defining)
         if on_face in checked:
             continue  # faces with the same terms share one certificate
         checked.add(on_face)
@@ -498,13 +498,13 @@ def one_step_check(f: Polynomial) -> dict:
 
     Each object is built once.  f's Newton polyhedron is that of its term
     ideal, so its face lattice, f's terms on each face and the fan of the
-    blow-up all come from it.  The faces are read as bitmasks (_lattice)
-    and no Face record is built; the nondegeneracy witness search and the
-    orbit check share one lattice.  The support of the weak transform
-    settles most chart questions (_smooth_on_charts); the rest share one
-    basis of the first derivation stage (groebner.chart_dimensions).  That support is
-    f's under the injective map e -> B e - shift (B's standard rows are
-    w_i e_i), which keeps affine independence, so f is ranked once.
+    blow-up all come from it.  The nondegeneracy witness search and the
+    orbit check share one list of face rows (faces).  The support of the
+    weak transform settles most chart questions (_smooth_on_charts); the
+    rest share one basis of the first derivation stage
+    (groebner.chart_dimensions).  That support is f's under the injective
+    map e -> B e - shift (B's standard rows are w_i e_i), which keeps
+    affine independence, so f is ranked once.
     report["faces"] is keyed by a face's vertices, which faces can share;
     each label holds the AND of the checks of its faces, so "resolved"
     covers every face, and is formatted once per vertex set.
@@ -531,12 +531,12 @@ def one_step_check(f: Polynomial) -> dict:
             raise MwbError(f"{name} divides f")
 
     poly = newton_polyhedron(list(f.terms), amb.n)
-    lattice, tags = _lattice(poly)
+    lattice = faces(poly)
     independent = affinely_independent(f.terms)
     if independent:
         nd, witness = True, None
     else:
-        nd, witness = _faces_nondegenerate(f, poly, lattice, tags)
+        nd, witness = _faces_nondegenerate(f, poly, lattice)
     report = {"nondegenerate": nd, "witness": witness}
     if not nd:
         report["resolved"] = False
@@ -558,7 +558,7 @@ def one_step_check(f: Polynomial) -> dict:
     # each term of f as (tag, exponent on the Cox ring, coefficient);
     # rename keeps the term order
     on_cox = dict(zip(f.terms, rename(f, b.name_map, b.cox).terms))
-    terms = [(t, on_cox[g], f.terms[g]) for g, t in zip(poly.generators, tags)]
+    terms = [(t, on_cox[g], f.terms[g]) for g, t in zip(poly.generators, poly.tags)]
     tagged = _orbit_terms(fm, b)
     orbit = {}  # vertex mask -> the AND of the checks of its faces
     for defining, on, _, _ in lattice:

@@ -235,6 +235,8 @@ def groebner_basis(ideal: PolyIdeal, block: int = 0) -> list[Polynomial]:
 
 def normal_form(p: Polynomial, basis, block: int = 0) -> Polynomial:
     """The remainder of p against a list of polynomials, each made monic."""
+    if any(g.ambient != p.ambient for g in basis):
+        raise AmbientMismatch("reducing against polynomials over a different ambient")
     leads = [(leading_term(g, block)[0], g.terms) for g in basis if not g.is_zero()]
     pairs = [(lead, _monic_terms(terms, lead)) for lead, terms in leads]
     return Polynomial._trusted(p.ambient, kernel.normal_form(p.terms, pairs, block))
@@ -243,10 +245,12 @@ def normal_form(p: Polynomial, basis, block: int = 0) -> Polynomial:
 def member(p: Polynomial, ideal: PolyIdeal | list, block: int = 0) -> bool:
     """Whether p lies in the ideal, given as a PolyIdeal or as a Groebner
     basis for the order: the remainder against any basis decides it."""
-    if p.is_zero():
-        return True
     if isinstance(ideal, list):
         return normal_form(p, ideal, block).is_zero()
+    if p.ambient != ideal.ambient:
+        raise AmbientMismatch("membership of a polynomial over a different ambient")
+    if p.is_zero():
+        return True
     return not kernel.normal_form(p.terms, extend([], ideal.generators, block), block)
 
 

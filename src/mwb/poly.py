@@ -406,10 +406,11 @@ def substitute(p: Polynomial, images: dict, target: LogAmbient) -> Polynomial:
 
 
 def rename(p: Polynomial, mapping: dict, target: LogAmbient) -> Polynomial:
-    """Variable-for-variable relabeling into the target ambient."""
-    perm = []
-    for n in p.ambient.names():
-        perm.append(target.index(mapping.get(n, n)))
+    """Variable-for-variable relabeling into the target ambient; two
+    variables sent to one are refused, as they would merge terms."""
+    perm = [target.index(mapping.get(n, n)) for n in p.ambient.names()]
+    if len(set(perm)) < len(perm):
+        raise MwbError("rename sends two variables to one target variable")
     t = {}
     for e, c in p.terms.items():
         e2 = [0] * target.n

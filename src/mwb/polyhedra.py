@@ -56,12 +56,13 @@ steps.  A step adds at least one defining facet, so taking the faces in
 order of the size of their defining sets visits every face after all the
 faces one step above it.
 
-The lattice is built by one pass, _lattice, that works on bitmasks only and
-yields a row of masks per face: its defining facets, the vertices on it and
-its free directions, with its dimension.  It has two views.  Callers that
-only test faces, such as engine.one_step_check, read the masks: a
-generator lies on a face iff its tag contains the face's defining mask.
-faces(p) formats the same rows, in the same order, as Face records.
+Incidence is kept in one form from the double description on: an int
+bitmask per vertex and per generator, bit j for facet j.  The lattice is
+one pass, faces(p), that works on these masks only and yields a row of
+masks per face: its defining facets, the vertices on it and its free
+directions, with its dimension.  A generator lies on a face iff its tag
+contains the face's defining mask, so callers such as
+engine.one_step_check read f's terms on a face off p.tags.
 
 All arithmetic is in exact integers, with no floats and no Fractions.
 Affine independence uses Bareiss fraction-free elimination, whose
@@ -154,17 +155,18 @@ class Facet:
 
 @dataclass(frozen=True)
 class NewtonPolyhedron:
-    """Vertices, facets and their incidence: incidence[k] is the set of
-    indices of the facets tight at vertices[k].  Every generator keeps its
-    tag as well, tags[k] being the facets tight at generators[k]; the
-    generators are not part of P's identity, so equality skips them."""
+    """Vertices, facets and their incidence: incidence[k] is the bitmask
+    of the facets tight at vertices[k], bit j for facet j.  Every generator
+    keeps its tag as well, tags[k] being the mask of the facets tight at
+    generators[k]; the generators are not part of P's identity, so
+    equality skips them."""
 
     dim: int
     vertices: tuple[Vec, ...]
     facets: tuple[Facet, ...]
-    incidence: tuple[frozenset[int], ...]
+    incidence: tuple[int, ...]
     generators: tuple[Vec, ...] = field(compare=False)
-    tags: tuple[frozenset[int], ...] = field(compare=False)
+    tags: tuple[int, ...] = field(compare=False)
 
     def __str__(self) -> str:
         ineqs = ", ".join(
@@ -179,7 +181,7 @@ def newton_polyhedron(gens, n: int) -> NewtonPolyhedron:
     Facets are listed with the coordinate facets first (in coordinate order),
     then the exceptional ones in lexicographically descending order of their
     primitive normals.  Generators are listed without repeats in
-    lexicographically descending order, each with the set of facet indices
+    lexicographically descending order, each with the bitmask of the facets
     tight at it, read off the double description tags; the vertices are a
     subset of them in the same order, and their tags are the incidence.
     """
@@ -236,14 +238,13 @@ def newton_polyhedron(gens, n: int) -> NewtonPolyhedron:
     # a vertex is a generator whose tight set no other generator's contains
     # (its own always does)
     verts = [k for k, t in enumerate(tight) if sum(t & u == t for u in tight) == 1]
-    sets = [frozenset(_bits(t)) for t in tight]
     return NewtonPolyhedron(
         n,
         tuple(gens[k] for k in verts),
         tuple(Facet(u, level) for _, u, level, _ in found),
-        tuple(sets[k] for k in verts),
+        tuple(tight[k] for k in verts),
         tuple(gens),
-        tuple(sets),
+        tuple(tight),
     )
 
 
@@ -259,22 +260,6 @@ def facet_level(p: NewtonPolyhedron, u: Vec) -> int:
     return min(dot(u, v) for v in p.vertices)
 
 
-@dataclass(frozen=True)
-class Face:
-    """A face of P: tight facets, the vertices and the generators on it,
-    free coordinate directions in its recession cone, and its dimension."""
-
-    defining: tuple[int, ...]
-    vertices: tuple[Vec, ...]
-    generators: tuple[Vec, ...]
-    free: tuple[int, ...]
-    dim: int
-
-
-def _mask(indices) -> int:
-    return sum(1 << i for i in indices)
-
-
 def _bits(mask: int):
     """The indices of the set bits of mask, ascending."""
     while mask:
@@ -283,15 +268,15 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _lattice(p: NewtonPolyhedron) -> tuple[list[tuple[int, int, int, int]], list[int]]:
-    """The face lattice of P as bitmasks, and each generator's tag.
+def faces(p: NewtonPolyhedron) -> list[tuple[int, int, int, int]]:
+    """All nonempty faces of P, the full polyhedron included, as bitmasks.
 
-    A row (defining, on, free, dim) per nonempty face, the full polyhedron
-    included: the facets defining it, the vertices on it, the coordinate
-    directions free in its recession cone, and its dimension.  Rows come
-    by decreasing dimension, then by defining facets as ascending index
-    tuples.  tags[k] is p.tags[k] as a mask, and generators[k] lies on a
-    face iff tags[k] & defining == defining.
+    A row (defining, on, free, dim) per face: the facets defining it, the
+    vertices on it, the coordinate directions free in its recession cone,
+    and its dimension.  Rows come by decreasing dimension, then by defining
+    facets as ascending index tuples.  A lattice point a of P lies on the
+    face iff every defining facet inequality is tight at a, so
+    p.generators[k] lies on it iff p.tags[k] & defining == defining.
 
     Faces are reached from P one facet at a time, level by level in the
     size of the defining set; the vertices on a selection, its free
@@ -300,14 +285,13 @@ def _lattice(p: NewtonPolyhedron) -> tuple[list[tuple[int, int, int, int]], list
     dimension is n minus the longest chain of widenings that reaches it
     (the module docstring)."""
     n = p.dim
-    # bitmasks: the facets tight at each vertex and generator, the vertices
-    # on each facet, the coordinates in each facet normal's support and the
-    # facets whose normal is nonzero at each coordinate
-    incidence = [_mask(t) for t in p.incidence]
-    tags = [_mask(t) for t in p.tags]
+    incidence = p.incidence
+    # bitmasks: the vertices on each facet, the coordinates in each facet
+    # normal's support and the facets whose normal is nonzero at each
+    # coordinate
     on_facet = [0] * len(p.facets)
-    for k, t in enumerate(p.incidence):
-        for j in t:
+    for k, t in enumerate(incidence):
+        for j in _bits(t):
             on_facet[j] |= 1 << k
     support = [0] * len(p.facets)
     touching = [0] * n
@@ -360,25 +344,8 @@ def _lattice(p: NewtonPolyhedron) -> tuple[list[tuple[int, int, int, int]], list
                     depth[sub] = below
     rows = [(face, on, free, n - depth[face]) for face, (on, free) in shape.items()]
     rows.sort(key=lambda row: (-row[3], tuple(_bits(row[0]))))
-    return rows, tags
+    return rows
 
-
-def faces(p: NewtonPolyhedron) -> list[Face]:
-    """All nonempty faces of P, the full polyhedron included, by decreasing
-    dimension.  A lattice point a of P lies on the face iff every defining
-    facet inequality is tight at a.  These are _lattice's rows as records,
-    in its order, with the generators on each face read off p.tags."""
-    rows, tags = _lattice(p)
-    return [
-        Face(
-            tuple(_bits(face)),
-            tuple(p.vertices[k] for k in _bits(on)),
-            tuple(g for g, t in zip(p.generators, tags) if t & face == face),
-            tuple(_bits(free)),
-            dim,
-        )
-        for face, on, free, dim in rows
-    ]
 
 
 @dataclass(frozen=True)
@@ -417,11 +384,12 @@ def normal_fan(p: NewtonPolyhedron) -> NormalFan:
     Rays are the facet normals, standard rays e_1..e_n first, exceptional rays
     in lexicographically descending order (inherited from the facet list).
     Maximal cones biject with vertices and are listed by lexicographically
-    descending vertex, as the vertices are; a cone's rays are its vertex's
-    incidence, the facets tight there, in ascending order.  The first n
-    facets are the coordinate ones, so they are the standard rays.
+    descending vertex, as the vertices are; a cone's rays are the set bits
+    of its vertex's incidence mask, the facets tight there, in ascending
+    order.  The first n facets are the coordinate ones, so they are the
+    standard rays.
     """
     n = p.dim
     rays = tuple(Ray(f.normal, f.level, j < n) for j, f in enumerate(p.facets))
-    cones = tuple(Cone(v, tuple(sorted(t))) for v, t in zip(p.vertices, p.incidence))
+    cones = tuple(Cone(v, tuple(_bits(t))) for v, t in zip(p.vertices, p.incidence))
     return NormalFan(p.dim, rays, cones)

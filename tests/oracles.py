@@ -37,7 +37,7 @@ from mwb.groebner import (
 )
 from mwb.invariant import INF, Center, Invariant, maximal_contact
 from mwb.monomials import MonomialIdeal, minimalize, newton
-from mwb.polyhedra import Face, Facet, NewtonPolyhedron, facet_level
+from mwb.polyhedra import Facet, NewtonPolyhedron, facet_level
 from mwb.poly import (
     LogAmbient,
     PolyIdeal,
@@ -391,7 +391,8 @@ def subset_newton_polyhedron(gens, n):
     every (n - 1)-subset of generator differences and coordinate directions,
     kept when its tight generators and free directions span a hyperplane.
     Same facet, vertex and generator order as the package; the tight facets
-    of each generator, vertices included, by dot products."""
+    of each generator, vertices included, by dot products, packed as the
+    package's bitmasks (bit j for facet j)."""
     gens = sorted(set(tuple(g) for g in gens), reverse=True)
     unit = [tuple(int(j == i) for j in range(n)) for i in range(n)]
     facets = [Facet(unit[i], min(g[i] for g in gens)) for i in range(n)]
@@ -416,11 +417,9 @@ def subset_newton_polyhedron(gens, n):
         span += [unit[i] for i in range(n) if u[i] == 0]
         if span and rank(span) == n - 1:
             facets.append(Facet(u, level))
-    tags = [
-        frozenset(j for j, f in enumerate(facets) if dot(f.normal, g) == f.level)
-        for g in gens
-    ]
-    verts = [k for k, t in enumerate(tags) if rank([facets[j].normal for j in t]) == n]
+    tight = [[j for j, f in enumerate(facets) if dot(f.normal, g) == f.level] for g in gens]
+    verts = [k for k, t in enumerate(tight) if rank([facets[j].normal for j in t]) == n]
+    tags = [_mask(t) for t in tight]
     return NewtonPolyhedron(
         n,
         tuple(gens[k] for k in verts),
@@ -431,9 +430,15 @@ def subset_newton_polyhedron(gens, n):
     )
 
 
+def _mask(indices):
+    return sum(1 << i for i in indices)
+
+
 def subset_faces(p):
     """Every face of P, one subset of facets at a time, in the package's
-    order: by decreasing dimension, then by defining facet set."""
+    order: by decreasing dimension, then by defining facet set.  Each face
+    is packed as the package's row (defining, on, free, dim) of bitmasks:
+    facet indices, vertex indices into p.vertices, coordinate indices."""
     n = p.dim
 
     def tight(f, v):
@@ -453,13 +458,14 @@ def subset_faces(p):
                 for j, f in enumerate(p.facets)
                 if all(tight(f, v) for v in on) and all(f.normal[i] == 0 for i in free)
             )
-            gens = tuple(
-                g for g in p.generators if all(tight(p.facets[j], g) for j in defining)
-            )
             span = [tuple(a - b for a, b in zip(v, on[0])) for v in on[1:]]
             span += [tuple(int(j == i) for j in range(n)) for i in free]
-            out[(on, free)] = Face(defining, on, gens, free, rank(span) if span else 0)
-    return sorted(out.values(), key=lambda f: (-f.dim, f.defining))
+            out[(on, free)] = defining, on, free, rank(span) if span else 0
+    rows = sorted(out.values(), key=lambda f: (-f[3], f[0]))
+    return [
+        (_mask(defining), _mask(p.vertices.index(v) for v in on), _mask(free), dim)
+        for defining, on, free, dim in rows
+    ]
 
 
 def elimination_saturate(ideal, f):

@@ -455,6 +455,17 @@ def test_weight_overrides():
         build_blowup(a, A3, weights={(3, 2, 2): 0})
 
 
+def test_primed_cox_names_are_distinct():
+    # x -> x' is held by the kept x', and x' -> x'' by the kept x''; each
+    # primed name gains primes until it is free, and kept names stay
+    amb = ambient(ordinary="x,x',x''")
+    b = build_blowup(monomial_ideal([(1, 0, 0), (0, 0, 1)], 3), amb)
+    assert b.name_map == {"x": "x''", "x'": "x'", "x''": "x'''"}
+    # nothing collides: the names are the plain primes
+    b = build_blowup(monomial_ideal([(1, 0), (0, 1)], 2), ambient(ordinary="x,x'"))
+    assert b.name_map == {"x": "x'", "x'": "x''"}
+
+
 def test_one_newton_polyhedron_per_blowup(monkeypatch):
     calls = []
 

@@ -348,6 +348,20 @@ class TestExitCodes:
         code, out, err = run_cli(["resolve", *ordinary, "--ideal", "u^2 + v^3"])
         assert (code, err) == (0, "")
 
+    def test_primed_cox_names_avoid_source_names(self):
+        # a primed Cox name that a source variable already holds gains one
+        # more prime; a source name that collides with nothing stays
+        argv = ["blowup", "--ordinary", "x,x',y", "--ideal-monomial", "x, y"]
+        code, out, err = run_cli(argv)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert {"pullback: x = x''*u", "pullback: x' = x'", "pullback: y = y'*u"} <= set(lines)
+        argv = ["resolve", "--ordinary", "x,y'", "--monomial", "y", "--ideal", "x^2 + y^3"]
+        code, out, err = run_cli(argv)
+        assert (code, err) == (0, "")
+        leaves = [line for line in out.splitlines() if ": leaf " in line]
+        assert leaves == ["root/x': leaf smooth [chart]", "root/y'': leaf smooth [chart]"]
+
     def test_reembed_off_the_locus_is_ok(self):
         for ideal, point in (("x^2 + y^3", "1,0"), ("1", "0,0")):
             argv = ["reembed-check", "--ordinary", "x,y", "--ideal", ideal, "--point", point]

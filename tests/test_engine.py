@@ -41,7 +41,7 @@ from mwb.poly import (
     substitute,
     variable,
 )
-from mwb.polyhedra import affinely_independent, faces, newton_polyhedron
+from mwb.polyhedra import _bits, affinely_independent, dot, faces, newton_polyhedron
 
 
 def fmt_ideal(i):
@@ -54,25 +54,39 @@ def walk(node):
         yield from walk(c)
 
 
+def record_faces(p):
+    """Each face of P from the subset oracle as (defining, vertices,
+    generators): the defining mask, the vertices on the face, and the
+    generators tight on every defining facet, by dot products."""
+    out = []
+    for defining, on, _, _ in oracles.subset_faces(p):
+        facets = [p.facets[j] for j in _bits(defining)]
+        gens = tuple(
+            g for g in p.generators if all(dot(t.normal, g) == t.level for t in facets)
+        )
+        out.append((defining, tuple(p.vertices[k] for k in _bits(on)), gens))
+    return out
+
+
 def record_nondegenerate(f, face_list):
-    """newton_nondegenerate's verdict and witness from Face records: each
+    """newton_nondegenerate's verdict and witness from record_faces: each
     distinct face polynomial through the support test and the lift."""
     amb = f.ambient
     checked = set()
-    for face in face_list:
-        if face.generators in checked:
+    for _, vertices, gens in face_list:
+        if gens in checked:
             continue
-        checked.add(face.generators)
-        ftau = Polynomial(amb, {e: f.terms[e] for e in face.generators})
+        checked.add(gens)
+        ftau = Polynomial(amb, {e: f.terms[e] for e in gens})
         if not engine._smooth_on_charts(PolyIdeal(amb, (ftau,)), [amb.names()])[0]:
             return False, "face spanned by " + ", ".join(
-                format_monomial(amb, v) for v in face.vertices
+                format_monomial(amb, v) for v in vertices
             )
     return True, None
 
 
 def record_orbit(f, p, face_list, report):
-    """one_step_check's faces dict from Face records: each face's orbit
+    """one_step_check's faces dict from record_faces: each face's orbit
     restriction of the weak transform against f's terms on the face,
     keyed by the face's vertices, the checks of one key ANDed."""
     b, amb = report["blowup"], f.ambient
@@ -80,11 +94,10 @@ def record_orbit(f, p, face_list, report):
     tagged = engine._orbit_terms(report["weak"], b)
     names = {v: format_monomial(amb, v) for v in p.vertices}
     orbit = {}
-    for face in face_list:
-        ftau = {on_cox[e]: f.terms[e] for e in face.generators}
-        defining = sum(1 << j for j in face.defining)
+    for defining, vertices, gens in face_list:
+        ftau = {on_cox[e]: f.terms[e] for e in gens}
         ok = engine._orbit_restriction(tagged, defining) == ftau
-        label = ", ".join(names[v] for v in face.vertices)
+        label = ", ".join(names[v] for v in vertices)
         orbit[label] = orbit.get(label, True) and ok
     return orbit
 
@@ -333,8 +346,10 @@ class TestOneStep:
 
         names = frozenset(a33.names())
         restrictions = []
-        for face in faces(newton_polyhedron(list(f.terms), a33.n)):
-            ftau = Polynomial(a33, {e: f.terms[e] for e in face.generators})
+        p = newton_polyhedron(list(f.terms), a33.n)
+        for defining, _, _, _ in faces(p):
+            on_face = [g for g, t in zip(p.generators, p.tags) if t & defining == defining]
+            ftau = Polynomial(a33, {e: f.terms[e] for e in on_face})
             if ftau not in restrictions:
                 restrictions.append(ftau)
         assert all(lift(ftau, names) for ftau in restrictions)
@@ -364,8 +379,9 @@ class TestOneStep:
     def test_one_newton_polyhedron_per_check(self, a33, monkeypatch):
         # the nondegeneracy certificate, the orbit check and the blow-up's
         # fan share f's polyhedron and one face lattice, read as masks; the
-        # blow-up builds no polyhedron of its own and no Face record is made
-        calls = {"newton_polyhedron": 0, "_lattice": 0}
+        # blow-up builds no polyhedron of its own, and no face record type
+        # is left to build
+        calls = {"newton_polyhedron": 0, "faces": 0}
 
         def count(module, name):
             original = getattr(module, name)
@@ -376,32 +392,29 @@ class TestOneStep:
 
             monkeypatch.setattr(module, name, counting)
 
-        def no_record(*args):
-            raise AssertionError("a Face record was built")
-
         count(engine, "newton_polyhedron")
-        count(engine, "_lattice")
+        count(engine, "faces")
         count(monomials, "newton_polyhedron")
-        monkeypatch.setattr(polyhedra, "Face", no_record)
+        assert not hasattr(polyhedra, "Face")
         report = one_step_check(poly(a33, F_TEXT))
         assert report["resolved"] and len(report["faces"]) == 7
-        assert calls == {"newton_polyhedron": 1, "_lattice": 1}
+        assert calls == {"newton_polyhedron": 1, "faces": 1}
         assert "total" not in report
         # dependent exponents: the witness search shares the lattice too
         f = poly(a33, "x^2 + x y + y^2 + z^3")
         assert not affinely_independent(f.terms)
         report = one_step_check(f)
         assert report["resolved"] and report["witness"] is None
-        assert calls == {"newton_polyhedron": 2, "_lattice": 2}
+        assert calls == {"newton_polyhedron": 2, "faces": 2}
         report = one_step_check(poly(a33, "x^2 + 2 x y + y^2 + z^3"))
         assert report["witness"] == "face spanned by x^2, y^2"
-        assert calls == {"newton_polyhedron": 3, "_lattice": 3}
+        assert calls == {"newton_polyhedron": 3, "faces": 3}
 
     def test_independent_exponents_build_no_faces(self, a33, monkeypatch):
         # affinely independent exponents pass every face at once, so
         # newton_nondegenerate builds neither the polyhedron nor its face
         # lattice; dependent ones build each once
-        calls = {"newton_polyhedron": 0, "_lattice": 0}
+        calls = {"newton_polyhedron": 0, "faces": 0}
 
         def count(name):
             original = getattr(engine, name)
@@ -413,16 +426,17 @@ class TestOneStep:
             monkeypatch.setattr(engine, name, counting)
 
         count("newton_polyhedron")
-        count("_lattice")
+        count("faces")
         assert newton_nondegenerate(poly(a33, "x^2 + y^3 + z^5")) == (True, None)
-        assert calls == {"newton_polyhedron": 0, "_lattice": 0}
+        assert calls == {"newton_polyhedron": 0, "faces": 0}
         assert newton_nondegenerate(poly(a33, "x^2 + x y + y^2 + z^3")) == (True, None)
-        assert calls == {"newton_polyhedron": 1, "_lattice": 1}
+        assert calls == {"newton_polyhedron": 1, "faces": 1}
 
     def test_the_mask_view_matches_the_record_view(self):
         # one_step_check reads the face lattice as bitmasks; the two loops
-        # below read it through faces(p) records, as the check once did, and
-        # are the oracle: the same verdict and witness, and the same faces
+        # below read the subset oracle's faces, with the generators on each
+        # by dot products, and are the reference: the same verdict and
+        # witness, and the same faces
         # dict, keys and order included.  The samples are the seeded
         # trinomials, 300 random polynomials of up to five terms, many with
         # dependent exponents, and 40 with a square on a segment, some of
@@ -446,7 +460,7 @@ class TestOneStep:
         for f in samples:
             report = one_step_check(f)
             p = newton_polyhedron(list(f.terms), f.ambient.n)
-            face_list = faces(p)
+            face_list = record_faces(p)
             want = record_nondegenerate(f, face_list)
             assert (report["nondegenerate"], report["witness"]) == want, format_polynomial(f)
             assert newton_nondegenerate(f) == want
@@ -507,7 +521,7 @@ class TestOneStep:
         # must fail the check even when a later face with its label passes
         f = poly(a33, F_TEXT)
         p = newton_polyhedron(list(f.terms), a33.n)
-        labels = [tuple(face.vertices) for face in faces(p)]
+        labels = [on for _, on, _, _ in faces(p)]
         bad = next(i for i, v in enumerate(labels) if v in labels[i + 1 :])
         original = engine._orbit_restriction
         seen = []
@@ -545,8 +559,8 @@ class TestOneStep:
             b = build_blowup(monomial_saturation(ideal_f), amb)
             fm = weak_transform(b, ideal_f)[0].generators[0]
             p = newton_polyhedron(list(f.terms), amb.n)
-            for face in faces(p):
-                defining = {p.facets[k].normal for k in face.defining}
+            for mask, _, _, _ in faces(p):
+                defining = {p.facets[k].normal for k in _bits(mask)}
                 images = {}
                 for ray, v in zip(b.fan.rays, b.ray_vars):
                     if ray.direction in defining:
@@ -555,7 +569,6 @@ class TestOneStep:
                         images[v] = variable(b.cox, v)
                     else:
                         images[v] = constant(b.cox, 1)
-                mask = sum(1 << j for j in face.defining)
                 for g in (fm, random_polynomial(rng, b.cox, max_terms=8, max_entry=1)):
                     got = engine._orbit_restriction(engine._orbit_terms(g, b), mask)
                     want = substitute(g, images, b.cox)

@@ -37,7 +37,7 @@ from mwb.poly import (
     monomial_saturation,
     variable,
 )
-from mwb.polyhedra import dot, faces, newton_polyhedron
+from mwb.polyhedra import _bits, dot, faces, newton_polyhedron
 
 A3 = ambient(ordinary="x,y,z")
 
@@ -224,8 +224,8 @@ def face_jacobians(f):
     face tau of its Newton polyhedron."""
     amb = f.ambient
     p = newton_polyhedron(list(f.terms), amb.n)
-    for face in faces(p):
-        tight = [p.facets[k] for k in face.defining]
+    for defining, _, _, _ in faces(p):
+        tight = [p.facets[k] for k in _bits(defining)]
         ftau = Polynomial(
             amb,
             {

@@ -10,7 +10,7 @@ from mwb.blowup import FractionalIdeal, build_blowup, rees_blowup
 from mwb.errors import EmptyIdeal, ZeroVector
 from mwb.monomials import monomial_ideal
 from mwb.poly import MONOMIAL, ORDINARY, LogAmbient
-from mwb.polyhedra import _rank, contains, dot, faces, facet_level, primitive
+from mwb.polyhedra import _bits, _rank, contains, dot, faces, facet_level, primitive
 
 EXPONENT = st.integers(min_value=0, max_value=6)
 
@@ -154,7 +154,15 @@ def test_double_description_matches_subset_oracle():
         p = newton_polyhedron(gens, n)
         assert p == oracles.subset_newton_polyhedron(gens, n), gens
         if len(p.facets) <= 12:
-            assert faces(p) == oracles.subset_faces(p), gens
+            face_list = faces(p)
+            assert face_list == oracles.subset_faces(p), gens
+            # the generators on each face, read off the tags, are those
+            # tight on every defining facet
+            for defining, _, _, _ in face_list:
+                facets = [p.facets[j] for j in _bits(defining)]
+                assert [g for g, t in zip(p.generators, p.tags) if t & defining == defining] == [
+                    g for g in p.generators if all(dot(f.normal, g) == f.level for f in facets)
+                ], gens
             compared += 1
     assert compared > 50
 
@@ -228,25 +236,30 @@ def test_lattice_dimensions_match_the_rank_of_each_span(monkeypatch):
         monkeypatch.setattr("mwb.polyhedra._rank", no_rank)
         face_list = faces(p)
         monkeypatch.undo()
-        assert len({f.defining for f in face_list}) == len(face_list)
+        assert len({row[0] for row in face_list}) == len(face_list)
         for face in face_list:
-            on = face.vertices
+            defining, on, free, dim = face
+            on = tuple(p.vertices[k] for k in _bits(on))
+            free = tuple(_bits(free))
             span = [tuple(a - b for a, b in zip(v, on[0])) for v in on[1:]]
-            span += [tuple(int(j == i) for j in range(n)) for i in face.free]
-            assert face.dim == (oracles.rank(span) if span else 0), (gens, face)
-            facets = [p.facets[j] for j in face.defining]
+            span += [tuple(int(j == i) for j in range(n)) for i in free]
+            assert dim == (oracles.rank(span) if span else 0), (gens, face)
+            facets = [p.facets[j] for j in _bits(defining)]
             assert on == tuple(
                 v for v in p.vertices if all(dot(f.normal, v) == f.level for f in facets)
             )
-            assert face.free == tuple(
+            assert free == tuple(
                 i for i in range(n) if all(f.normal[i] == 0 for f in facets)
             )
-            assert face.defining == tuple(
+            assert tuple(_bits(defining)) == tuple(
                 j
                 for j, f in enumerate(p.facets)
                 if all(dot(f.normal, v) == f.level for v in on)
-                and all(f.normal[i] == 0 for i in face.free)
+                and all(f.normal[i] == 0 for i in free)
             )
+            assert [g for g, t in zip(p.generators, p.tags) if t & defining == defining] == [
+                g for g in p.generators if all(dot(f.normal, g) == f.level for f in facets)
+            ], (gens, face)
             checked += 1
     assert checked > 1000
 
@@ -261,7 +274,9 @@ def test_fans_and_charts_match_the_dot_product_incidence():
         assert set(p.vertices) == oracles.hull_vertices(gens), gens
         assert p.generators == tuple(sorted(set(map(tuple, gens)), reverse=True))
         for g, t in zip(p.generators, p.tags):
-            assert t == {j for j, f in enumerate(p.facets) if dot(f.normal, g) == f.level}
+            assert set(_bits(t)) == {
+                j for j, f in enumerate(p.facets) if dot(f.normal, g) == f.level
+            }
         tight = {
             v: tuple(j for j, f in enumerate(p.facets) if dot(f.normal, v) == f.level)
             for v in p.vertices
@@ -385,14 +400,14 @@ def test_normal_fan_cones_match_vertices():
 def test_faces_cover_vertex_subsets():
     p = newton_polyhedron([(2, 0, 0), (0, 2, 1), (0, 0, 3)], 3)
     fs = faces(p)
-    vertex_sets = {f.vertices for f in fs}
+    vertex_sets = {tuple(p.vertices[k] for k in _bits(on)) for _, on, _, _ in fs}
     # every vertex spans a zero-dimensional face; the whole polyhedron too
     for v in p.vertices:
         assert any(set(vs) == {v} for vs in vertex_sets)
     assert any(set(vs) == set(p.vertices) for vs in vertex_sets)
-    for f in fs:
-        for v in f.vertices:
-            assert all(dot(p.facets[k].normal, v) == p.facets[k].level for k in f.defining)
+    for defining, on, _, _ in fs:
+        for v in (p.vertices[k] for k in _bits(on)):
+            assert all(dot(p.facets[k].normal, v) == p.facets[k].level for k in _bits(defining))
 
 
 @given(exponents(2, 5))

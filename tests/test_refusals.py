@@ -28,7 +28,7 @@ from mwb import (
     rees_blowup,
     resolve,
 )
-from mwb.poly import restrict
+from mwb.poly import rename, restrict
 from mwb.polyhedra import facet_level
 
 XY = ambient(ordinary="x,y")
@@ -78,6 +78,12 @@ CASES = [
         lambda: poly(XY, "x + y").evaluate([1]),
         MwbError,
         "point arity does not match ambient",
+    ),
+    (
+        "rename sending two variables to one",
+        lambda: rename(poly(XY, "x + y"), {"y": "x"}, ambient(ordinary="x")),
+        MwbError,
+        "rename sends two variables to one target variable",
     ),
     (
         "restrict value on the wrong ambient",
@@ -192,6 +198,18 @@ CASES = [
         lambda: groebner.saturate(ideal(XY, "x"), poly(XYZ, "y")),
         AmbientMismatch,
         "saturation element over a different ambient",
+    ),
+    (
+        "member across ambients",
+        lambda: groebner.member(poly(ambient(ordinary="y,x"), "y"), ideal(XY, "x")),
+        AmbientMismatch,
+        "membership of a polynomial over a different ambient",
+    ),
+    (
+        "normal_form across ambients",
+        lambda: groebner.normal_form(poly(XY, "x"), [poly(XYZ, "x")]),
+        AmbientMismatch,
+        "reducing against polynomials over a different ambient",
     ),
     (
         "saturate at zero",
