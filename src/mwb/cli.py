@@ -18,6 +18,8 @@ direction that is no exceptional ray, is a domain error: the library
 checks it, and the CLI does not check it again.  An integer literal longer
 than LITERAL_DIGITS, or an input whose coefficients pass poly.COEFF_BITS, is
 a domain error too, so every coefficient that parses can be printed.
+When stdout closes before the report is written (a pipe into `head`), the
+exit code is CLOSED_OUTPUT, 141, with no traceback and no `error:` line.
 
 Each cmd_* handler returns one Report: it adds each fact once, as JSON fields
 and the text lines that show them, and main prints the lines or dumps the
@@ -29,6 +31,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass, field
@@ -72,6 +75,9 @@ _TOKEN = re.compile(
 # keep every literal within the coefficient budget, and int() within
 # Python's 4300-digit conversion limit.
 LITERAL_DIGITS = COEFF_BITS * 3 // 10
+# What main returns when stdout closes early: the status a shell reports
+# for a writer that SIGPIPE ends, 128 + 13.
+CLOSED_OUTPUT = 141
 
 
 def tokenize(text: str) -> list[tuple[str, str]]:
@@ -711,10 +717,15 @@ def main(argv=None) -> int:
     except MwbError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    if args.json:
-        print(json.dumps(report.fields, indent=2))
-    else:
-        print("\n".join(report.lines))
+    text = json.dumps(report.fields, indent=2) if args.json else "\n".join(report.lines)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone (mwb ... | head): send the unwritten rest to
+        # devnull, so the interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return CLOSED_OUTPUT
     return 0
 
 

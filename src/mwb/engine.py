@@ -9,9 +9,14 @@ recurses into the charts.
 Terminal tests come in two honesty scopes.  "chart" means a point-free
 certificate on the whole chart: for a hypersurface, the first derivation
 stage saturated at the chart's inverted variables is the unit ideal; for
-principalization, the ideal itself saturates to the unit ideal.  When only
-the marked points can be certified (smooth there, or the ideal does not
-vanish there), the leaf is honest about it with scope "marked-points".
+principalization, the ideal itself saturates to the unit ideal.  The
+chart's origin (inverted variables 1, the rest 0) is asked before any
+basis: when every generator of that ideal vanishes there, it is a point
+of the chart where the ideal is not the unit ideal, so the certificate
+fails with no Groebner lift (groebner.saturates_to_unit_on_charts), and
+the node goes on to its invariant and its blow-up.  When only the marked
+points can be certified (smooth there, or the ideal does not vanish
+there), the leaf is honest about it with scope "marked-points".
 
 The first derivation stage (g, Dg) of a hypersurface is often settled by
 g's exponents alone (Kouchnirenko, Polyedres de Newton et nombres de
@@ -39,8 +44,9 @@ x_j d/dx_j, and D_j x^a = a_j x^a.
 When every variable is inverted this is the torus lemma for a face
 polynomial: f_tau is nonsingular in the torus when its exponents are
 affinely independent.  Anything else, a variable that is neither inverted
-nor logarithmic included, goes to the Groebner lift, and all charts of one
-g left undecided share one groebner.chart_dimensions call.
+nor logarithmic included, goes to groebner.saturates_to_unit_on_charts:
+the chart origin answers where (g, Dg) vanishes there, and the charts of
+one g it leaves open share one groebner.chart_dimensions call.
 
 Every produced center is re-checked against the blow-up it induces
 (center_consistency), and a child whose worst invariant fails to drop
@@ -445,7 +451,7 @@ def _smooth_on_charts(ideal: PolyIdeal, name_sets, independent=None) -> list[boo
     of the principal ideal (g) saturates to the unit ideal on that chart.
     The support of g answers first: it is ranked at most once per call,
     and not at all when the caller passes its affine independence; the
-    charts it leaves open share one chart_dimensions call."""
+    charts it leaves open go to one saturates_to_unit_on_charts call."""
     (g,) = ideal.generators
     verdicts = [_support_verdict(g, names) for names in name_sets]
     if True in verdicts and independent is None:
@@ -454,8 +460,8 @@ def _smooth_on_charts(ideal: PolyIdeal, name_sets, independent=None) -> list[boo
         verdicts = [None if v else v for v in verdicts]
     undecided = [names for names, v in zip(name_sets, verdicts) if v is None]
     if undecided:
-        dims = iter(groebner.chart_dimensions(d_leq(ideal, 1), undecided))
-        verdicts = [next(dims) < 0 if v is None else v for v in verdicts]
+        units = iter(groebner.saturates_to_unit_on_charts(d_leq(ideal, 1), undecided))
+        verdicts = [next(units) if v is None else v for v in verdicts]
     return verdicts
 
 
@@ -501,10 +507,10 @@ def one_step_check(f: Polynomial) -> dict:
     blow-up all come from it.  The nondegeneracy witness search and the
     orbit check share one list of face rows (faces).  The support of the
     weak transform settles most chart questions (_smooth_on_charts); the
-    rest share one basis of the first derivation stage
-    (groebner.chart_dimensions).  That support is f's under the injective
-    map e -> B e - shift (B's standard rows are w_i e_i), which keeps
-    affine independence, so f is ranked once.
+    rest go to one groebner.saturates_to_unit_on_charts call, which builds
+    at most one basis of the first derivation stage.  That support is f's
+    under the injective map e -> B e - shift (B's standard rows are
+    w_i e_i), which keeps affine independence, so f is ranked once.
     report["faces"] is keyed by a face's vertices, which faces can share;
     each label holds the AND of the checks of its faces, so "resolved"
     covers every face, and is formatted once per vertex set.

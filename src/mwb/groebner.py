@@ -13,15 +13,16 @@ from [] with its minimal part interreduced.  Pairs wait in a heap keyed
 (order_key(lcm), i, j), i < j the elements' entry indices, so the pair
 with the smallest lcm goes first and ties go to the oldest pair: the
 selection of a sorted scan over every pending pair.  It fixes the order
-of the work, so every count repeats from run to run.  S-polynomials that
-vanish before reduction (two monomials) are not reduced.  Entering an
-element h updates the pending pairs the way of Gebauer and Moller (On an
+of the work, so every count repeats from run to run.  An S-polynomial
+that vanishes before reduction is not reduced.  Entering an element h
+updates the pending pairs the way of Gebauer and Moller (On an
 installation of Buchberger's algorithm, J. Symb. Comp. 1988):
 
 - new pairs (g, h) are grouped by lcm; a class whose lcm another class's
   lcm properly divides goes (chain criterion), a class holding a pair with
-  coprime leads goes (Buchberger's criterion, which clears the class),
-  and every other class keeps one pair, the one with the oldest g;
+  coprime leads goes (Buchberger's criterion, which clears the class), so
+  does a class holding a pair of two monomials, and every other class
+  keeps one pair, the one with the oldest g;
 - an old pair (i, j) goes when lead(h) divides its lcm L and L is neither
   lcm(lead(i), lead(h)) nor lcm(lead(j), lead(h));
 - every basis element whose lead lead(h) divides leaves the basis that
@@ -29,7 +30,12 @@ installation of Buchberger's algorithm, J. Symb. Comp. 1988):
 
 A skipped pair's S-polynomial has a standard representation through the
 pairs that are reduced, so what the run builds is a Groebner basis of the
-ideal, as the all-pairs run's is.  Why the output cannot change: its
+ideal, as the all-pairs run's is.  A class goes on the strength of one
+pair (g, h) whose S-polynomial is a sum of basis multiples each below the
+class's lcm L: then so is that of every other pair (g', h) of the class,
+as S(g', h) = S(g, h) - m S(g, g') with m = L / lcm(lead g, lead g').
+Coprime leads give such a sum, and so does the S-polynomial of two
+monomials, which is 0, the empty sum.  Why the output cannot change: its
 minimal part with tails reduced is the reduced monic basis, which is
 unique for the order; each element is a normal form, so its terms come
 in decreasing order, lead first; and bases are sorted by lead.  Nor do
@@ -51,9 +57,17 @@ named is a unit of R_f (k[x] is a UFD and each variable is prime, so the
 units of R_f are exactly these terms), and the ring is zero; otherwise a
 single generator is a nonzero nonunit of the affine domain R_f, which cuts
 the dimension by exactly one (Krull's principal ideal theorem; affine
-domains are catenary).  saturates_to_unit and is_unit_ideal ask whether a
-dimension is negative, so they answer by the same theorems, and a basis
-stops at its first constant.
+domains are catenary).
+
+The yes/no questions (saturates_to_unit, its many-chart form
+saturates_to_unit_on_charts, is_unit_ideal) look for a point before a
+basis.  The chart's origin puts the named variables at 1 and the rest at
+0, so a term there is its coefficient when every variable it involves is
+named and 0 otherwise.  When every generator vanishes there, the origin
+is a point of V(I) where f = 1, so (R/I)_f is not the zero ring and
+I : f^inf is not the unit ideal; no basis is built.  Otherwise they ask
+whether chart_dimensions finds a negative dimension, by the theorems
+above or a basis that stops at its first constant.
 
 Every other saturation and chart question goes through one lift,
 (R/I)_f = R[w]/J with J = (I, w*f - 1): I : f^inf is J meet k[x], read
@@ -143,17 +157,20 @@ def _s_polynomial(a, b, lcm) -> dict:
 def _update(h: int, elements, live: list[int], pairs: dict, heap: list, block: int):
     """Enter element h: the Gebauer-Moller update of the pending pairs and
     of the basis indices in live."""
-    mh = elements[h][0]
+    mh, th = elements[h]
     lcm, divides = kernel.mono_lcm, kernel.mono_divides
-    classes: dict = {}  # lcm -> [oldest g with that lcm, whether any is coprime]
+    monomial = len(th) == 1
+    # lcm -> [oldest g with that lcm, whether a pair of the class needs no
+    # reduction: coprime leads, or two monomials]
+    classes: dict = {}
     for g in live:
-        mg = elements[g][0]
+        mg, tg = elements[g]
         L = lcm(mg, mh)
-        coprime = L == kernel.mono_mul(mg, mh)
+        settled = (monomial and len(tg) == 1) or L == kernel.mono_mul(mg, mh)
         c = classes.get(L)
         if c is None:
-            classes[L] = [g, coprime]
-        elif coprime:
+            classes[L] = [g, settled]
+        elif settled:
             c[1] = True
     for (i, j), L in list(pairs.items()):
         if (
@@ -162,8 +179,8 @@ def _update(h: int, elements, live: list[int], pairs: dict, heap: list, block: i
             and L != lcm(elements[j][0], mh)
         ):
             del pairs[i, j]
-    for L, (g, coprime) in classes.items():
-        if coprime or any(L2 != L and divides(L2, L) for L2 in classes):
+    for L, (g, settled) in classes.items():
+        if settled or any(L2 != L and divides(L2, L) for L2 in classes):
             continue
         pairs[g, h] = L
         heapq.heappush(heap, (kernel.order_key(L, block), g, h))
@@ -255,7 +272,7 @@ def member(p: Polynomial, ideal: PolyIdeal | list, block: int = 0) -> bool:
 
 
 def is_unit_ideal(ideal: PolyIdeal) -> bool:
-    return dimension(ideal) < 0
+    return saturates_to_unit(ideal, ())
 
 
 def ideal_equal(i1: PolyIdeal, i2: PolyIdeal) -> bool:
@@ -318,7 +335,32 @@ def _divide_out(g: Polynomial, m) -> Polynomial:
 def saturates_to_unit(ideal: PolyIdeal, names) -> bool:
     """Whether I : (prod names)^inf is the unit ideal, without computing the
     saturation: whether the localized ring is the zero ring."""
-    return dimension(ideal, names) < 0
+    return saturates_to_unit_on_charts(ideal, [names])[0]
+
+
+def saturates_to_unit_on_charts(ideal: PolyIdeal, name_sets) -> list[bool]:
+    """saturates_to_unit(ideal, names) for each names in name_sets: False
+    when every generator vanishes at the chart's origin (the named
+    variables 1, the rest 0), and otherwise whether chart_dimensions, one
+    call for all the sets left, finds the zero ring."""
+    amb = ideal.ambient
+    out = []
+    for names in name_sets:
+        f = [0] * amb.n
+        for name in names:
+            f[amb.index(name)] = 1
+        # a term's value there is its coefficient when every variable it
+        # involves is inverted, and 0 otherwise
+        values = (
+            sum(c for e, c in g.terms.items() if all(f[i] or not k for i, k in enumerate(e)))
+            for g in ideal.generators
+        )
+        out.append(None if any(values) else False)
+    asked = [names for names, v in zip(name_sets, out) if v is None]
+    if asked:
+        dims = iter(chart_dimensions(ideal, asked))
+        out = [next(dims) < 0 if v is None else v for v in out]
+    return out
 
 
 def saturate_at_variables(ideal: PolyIdeal, names) -> PolyIdeal:

@@ -407,8 +407,14 @@ def substitute(p: Polynomial, images: dict, target: LogAmbient) -> Polynomial:
 
 def rename(p: Polynomial, mapping: dict, target: LogAmbient) -> Polynomial:
     """Variable-for-variable relabeling into the target ambient; two
-    variables sent to one are refused, as they would merge terms."""
-    perm = [target.index(mapping.get(n, n)) for n in p.ambient.names()]
+    variables sent to one are refused, as they would merge terms, and so is
+    a mapping key that names no source variable, as a misspelt one would
+    relabel nothing."""
+    names = p.ambient.names()
+    for n in mapping:
+        if n not in names:
+            raise MwbError(f"rename maps {n}, which names no source variable")
+    perm = [target.index(mapping.get(n, n)) for n in names]
     if len(set(perm)) < len(perm):
         raise MwbError("rename sends two variables to one target variable")
     t = {}

@@ -21,6 +21,7 @@ from test_polyhedra import random_cases
 
 import mwb.engine
 import oracles
+from mwb import groebner
 from mwb.blowup import (
     FractionalIdeal,
     assemble_center,
@@ -308,6 +309,37 @@ def test_newton_nondegeneracy_and_one_step_resolution():
     assert witness == "face spanned by x^2, y^2"
     for sample in nondegenerate_samples(9005, 50):
         assert one_step_check(sample)["resolved"]
+
+
+def test_the_chart_origin_refutes_only_what_the_lift_refutes(monkeypatch):
+    # every yes/no chart question of the drop corpus and the golden
+    # commands whose generators all vanish at the chart's origin (inverted
+    # variables 1, the rest 0) is answered "not the unit ideal", and the
+    # Rabinowitsch lift, built by renaming, gives a nonnegative dimension
+    asked = {}
+    original = groebner.saturates_to_unit_on_charts
+
+    def recording(ideal, name_sets):
+        answers = original(ideal, name_sets)
+        for names, unit in zip(name_sets, answers):
+            asked[ideal, frozenset(names)] = unit
+        return answers
+
+    monkeypatch.setattr(groebner, "saturates_to_unit_on_charts", recording)
+    for kind, i in drop_corpus():
+        resolve(i, mode=kind)
+    for commands in TRANSCRIPTS.values():
+        render(commands)
+    monkeypatch.undo()
+    witnessed = 0
+    for (i, names), unit in asked.items():
+        origin = [int(n in names) for n in i.ambient.names()]
+        if all(g.evaluate(origin) == 0 for g in i.generators):
+            assert not unit, (i, names)
+            lift = oracles.rabinowitsch_by_rename(i, monomial(i.ambient, origin))
+            assert oracles.basis_dimension(lift) >= 0, (i, names)
+            witnessed += 1
+    assert witnessed >= 20 and True in asked.values()
 
 
 def test_oracle_suites_agree_with_the_package():

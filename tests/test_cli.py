@@ -136,6 +136,14 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def child_env(**extra):
+    """The environment for an mwb child process that imports the same mwb
+    as this process, installed or not."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
 def run_line(command):
     words = shlex.split(command)
     assert words[0] == "mwb"
@@ -187,17 +195,13 @@ class TestTranscripts:
     def test_reports_are_stable_across_hash_seeds(self):
         command = TRANSCRIPTS["reports_json.txt"][0]
         argv = shlex.split(command)[1:]
-        # the child imports the same mwb as this process, installed or not
-        src = str(Path(cli.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         outs = []
         for seed in ("0", "1"):
-            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
             r = subprocess.run(
                 [sys.executable, "-m", "mwb.cli", *argv],
                 capture_output=True,
                 text=True,
-                env=env,
+                env=child_env(PYTHONHASHSEED=seed),
             )
             assert r.returncode == 0
             outs.append(r.stdout)
@@ -361,6 +365,25 @@ class TestExitCodes:
         assert (code, err) == (0, "")
         leaves = [line for line in out.splitlines() if ": leaf " in line]
         assert leaves == ["root/x': leaf smooth [chart]", "root/y'': leaf smooth [chart]"]
+
+    def test_closed_output_is_no_traceback(self):
+        # the read end is closed before the child starts, so its first
+        # write to stdout fails with a broken pipe
+        argv = ["resolve", "--ordinary", "x,y,z", "--ideal", "x^2 + y^2 z^2", "--json"]
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            r = subprocess.run(
+                [sys.executable, "-m", "mwb.cli", *argv, "--trace"],
+                stdout=write,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=child_env(),
+            )
+        finally:
+            os.close(write)
+        assert (r.returncode, r.stderr) == (cli.CLOSED_OUTPUT, "")
+        assert cli.CLOSED_OUTPUT == 141
 
     def test_reembed_off_the_locus_is_ok(self):
         for ideal, point in (("x^2 + y^3", "1,0"), ("1", "0,0")):

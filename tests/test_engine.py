@@ -640,6 +640,29 @@ def test_principal_resolutions_eliminate_nothing(monkeypatch):
     assert 1 in blocks
 
 
+def test_a_singular_chart_origin_builds_no_basis(monkeypatch):
+    # where (g, Dg) vanishes at a chart's origin, that point shows the
+    # chart is not smooth, so the question never reaches chart_dimensions
+    lifted = []
+    original = groebner.chart_dimensions
+
+    def recording(ideal, name_sets):
+        lifted.extend((ideal, frozenset(names)) for names in name_sets)
+        return original(ideal, name_sets)
+
+    monkeypatch.setattr(groebner, "chart_dimensions", recording)
+    tree = resolve(ideal(ambient(ordinary="x,y"), "x^2 + y^3"))
+    singular = []
+    for node in tree.nodes():
+        assert not node.changes  # so node.ideal is the ideal that was asked about
+        stage = d_leq(node.ideal, 1)
+        if all(g.evaluate(chart_origin(node.ambient)) == 0 for g in stage.generators):
+            singular.append((stage, frozenset(node.ambient.inverted)))
+    assert all(leaf.status == "smooth" for leaf in tree.leaves())
+    assert singular and lifted
+    assert not set(singular) & set(lifted)
+
+
 class TestSmallHelpers:
     def test_chart_origin(self):
         assert chart_origin(ambient(ordinary="x,y")) == (0, 0)

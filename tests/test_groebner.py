@@ -476,6 +476,93 @@ def test_groebner_basis_matches_the_all_pairs_oracle():
     assert {(0, False), (1, False), (2, True), (3, False), (3, True)} <= kinds
 
 
+def count_s_polynomials(monkeypatch) -> list:
+    """Patch _s_polynomial to record the lcm of each S-polynomial formed."""
+    formed = []
+    original = groebner._s_polynomial
+
+    def recording(a, b, lcm):
+        formed.append(lcm)
+        return original(a, b, lcm)
+
+    monkeypatch.setattr(groebner, "_s_polynomial", recording)
+    return formed
+
+
+def test_monomial_generators_form_no_s_polynomial(monkeypatch):
+    # the S-polynomial of two monomials is 0, so their lcm class goes as a
+    # coprime one does: no pair of them is formed, whether the monomials
+    # come as generators or as a basis being extended
+    formed = count_s_polynomials(monkeypatch)
+    rng = random.Random(3019)
+    for _ in range(30):
+        amb = random_log_ambient(rng, rng.randint(2, 4))
+        gens = [
+            Polynomial(amb, {tuple(rng.randint(0, 3) for _ in range(amb.n)): rng.choice((1, -3))})
+            for _ in range(rng.randint(2, 5))
+        ]
+        block = rng.randint(0, amb.n)
+        half = rng.randint(0, len(gens))
+        basis = groebner.extend(groebner.extend([], gens[:half], block), gens[half:], block)
+        want = oracles.all_pairs_groebner_basis(PolyIdeal(amb, tuple(gens)), block)
+        assert interreduced(amb, basis, block) == want, (gens, block)
+    amb = ambient(ordinary="x,y")
+    groebner.extend([], ideal(amb, "x^2, x y, y^3").generators)
+    assert formed == []
+
+
+def mixed_generators(rng, amb):
+    """One to four generators, each a single term or a random polynomial
+    with equal odds."""
+    gens = []
+    for _ in range(rng.randint(1, 4)):
+        if rng.random() < 0.5:
+            e = tuple(rng.randint(0, 2) for _ in range(amb.n))
+            gens.append(Polynomial(amb, {e: rng.choice((1, 2, Fraction(-1, 3)))}))
+        else:
+            gens.append(random_polynomial(rng, amb, max_terms=5 - amb.n, max_entry=2))
+    return gens
+
+
+def test_mixed_monomial_inputs_match_the_all_pairs_oracle(monkeypatch):
+    # monomials among polynomials: dropping a class for one pair of two
+    # monomials drops the other pairs of that lcm too, and every basis,
+    # reduced or grown one generator at a time, is still the oracle's.  In
+    # the two fixed inputs the class of x y holds the monomial pair
+    # (x, x y) and the pair (y + z, x y), whose S-polynomial x z reduces to
+    # 0 by x: no S-polynomial is formed, whichever of x and y + z is older
+    formed = count_s_polynomials(monkeypatch)
+    amb = ambient(ordinary="x,y,z")
+    for text in ("x, y + z, x y", "y + z, x, x y"):
+        i = ideal(amb, text)
+        basis = groebner.extend([], i.generators)
+        assert formed == [] and len(basis) == 3
+        assert groebner_basis(i) == oracles.all_pairs_groebner_basis(i) == [
+            poly(amb, "z + y"),
+            poly(amb, "x"),
+        ]
+    rng = random.Random(3021)
+    rem_rng = random.Random(3121)
+    monomial_pairs = 0
+    for _ in range(40):
+        amb = random_log_ambient(rng, rng.randint(2, 4))
+        i = PolyIdeal(amb, tuple(mixed_generators(rng, amb)))
+        monomial_pairs += sum(len(g.terms) == 1 for g in i.generators) >= 2
+        for block in range(amb.n + 1):
+            want = [list(g.terms.items()) for g in oracles.all_pairs_groebner_basis(i, block)]
+            got = groebner_basis(i, block)
+            assert [list(g.terms.items()) for g in got] == want, (i, block)
+            grown = []
+            for g in i.generators:
+                grown = groebner.extend(grown, [g], block)
+            assert [list(g.terms.items()) for g in interreduced(amb, grown, block)] == want
+            p = random_polynomial(rem_rng, amb, max_terms=4, max_entry=3)
+            r = groebner.monic_remainder(p, grown, block)
+            r0 = groebner.monic_remainder(p, oracles.lead_pairs(got), block)
+            assert list(r.terms.items()) == list(r0.terms.items()), (i, block, p)
+    assert monomial_pairs >= 10 and formed
+
+
 def test_rabinowitsch_lift_matches_polynomial_arithmetic():
     # the lift built from term dicts (_lift_ambient, _lift and
     # _inverse_equation) against renaming and arithmetic, on ambients that

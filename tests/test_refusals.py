@@ -86,6 +86,12 @@ CASES = [
         "rename sends two variables to one target variable",
     ),
     (
+        "rename with a key that names no source variable",
+        lambda: rename(poly(XY, "x + y"), {"q": "x"}, XY),
+        MwbError,
+        "rename maps q, which names no source variable",
+    ),
+    (
         "restrict value on the wrong ambient",
         lambda: restrict(poly(XY, "x + y"), "x", poly(XY, "y")),
         AmbientMismatch,
