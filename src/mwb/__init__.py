@@ -22,9 +22,7 @@ from .blowup import (
     equivalent,
     exceptional_multiplicities,
     factored_morphism,
-    k_rho,
     make_center,
-    monomial_valuation,
     proper_transform,
     rees_blowup,
     rees_weights,
@@ -67,7 +65,6 @@ from .invariant import (
     compare,
     d_leq,
     invariant_at,
-    is_smooth_toroidal,
     logord_at,
     max_logord,
     maximal_contact,

@@ -55,7 +55,7 @@ from string import ascii_letters
 from .errors import EmptyCenter, HypothesisViolated, MwbError, ZeroIdeal
 from .monomials import MonomialIdeal, minimalize, monomial_ideal, newton
 from .poly import EXCEPTIONAL, ORDINARY, LogAmbient, PolyIdeal, Polynomial
-from .polyhedra import NormalFan, Vec, dot, normal_fan
+from .polyhedra import NormalFan, Vec, normal_fan
 from . import groebner
 
 # -- fractional ideals ------------------------------------------------------
@@ -88,6 +88,7 @@ class FractionalIdeal:
 
 
 def equivalent(f1: FractionalIdeal, f2: FractionalIdeal) -> bool:
+    """Pins that a^{1/l} and closure(a^c)^{1/(c l)} give the same blow-up."""
     return f1.canonical() == f2.canonical()
 
 
@@ -148,7 +149,8 @@ class Chart:
 
     @property
     def label(self) -> str:
-        return "".join(self.inverted)
+        """The inverted names, or 1, the empty product, if there are none."""
+        return "".join(self.inverted) or "1"
 
 
 @dataclass(frozen=True)
@@ -206,15 +208,6 @@ class MultiWeightedBlowup:
 
     def eplus(self) -> list[int]:
         return self.fan.positive_level()
-
-    def declared_exceptional(self) -> list[str]:
-        """Standard rays with positive level: no Cox variable of their own,
-        but they carry exceptional multiplicities all the same."""
-        return [
-            self.ray_vars[i]
-            for i, r in enumerate(self.fan.rays)
-            if r.standard and r.level > 0
-        ]
 
     def chart_ambient(self, chart: Chart) -> LogAmbient:
         return self.cox.with_inverted(chart.inverted)
@@ -442,29 +435,12 @@ def proper_transform(b: MultiWeightedBlowup, ideal: PolyIdeal) -> PolyIdeal:
     return groebner.saturate_at_variables(weak, mult)
 
 
-def monomial_valuation(b: MultiWeightedBlowup, ray: int, p: Polynomial) -> int:
-    """min over terms of sum_i e_i * w_rho * u_rho[i], the order of the
-    pullback along the ray's divisor."""
-    if p.is_zero():
-        raise ZeroIdeal("valuation of the zero polynomial")
-    if p.ambient.variables != b.source.variables:
-        raise MwbError("polynomial does not live on the blow-up's source")
-    row = b.beta_rows[ray]
-    return min(dot(row, e) for e in p.terms)
-
-
-def k_rho(b: MultiWeightedBlowup, ray: int, ideal: PolyIdeal) -> int:
-    if ideal.is_zero():
-        raise ZeroIdeal("valuation of the zero ideal")
-    return min(monomial_valuation(b, ray, g) for g in ideal.generators)
-
-
 # -- root bookkeeping -------------------------------------------------------
 
 
 def factored_morphism(b: MultiWeightedBlowup) -> dict:
-    """The two-stage description of a root-l blow-up: the pullback of the
-    coordinates plus the image of t^{-1}, the product over positive-level
+    """Pins the two-stage description of a root-l blow-up: the pullback of
+    the coordinates plus the image of t^{-1}, the product over positive-level
     rays of var_rho^{N_rho / gcd(l, N_rho)}."""
     if b.root is None:
         raise MwbError("factored morphism needs a Rees root")
@@ -476,9 +452,9 @@ def factored_morphism(b: MultiWeightedBlowup) -> dict:
 
 
 def canonical_stack_rays(ideal: MonomialIdeal, root: int) -> frozenset:
-    """Rays of the stack-theoretic fan in Z^(n+1): the coordinate rays
-    (padded by 0) plus ((l/g) u_rho, N_rho/g) for each positive-level ray,
-    g = gcd(l, N_rho)."""
+    """Pins the stack-theoretic fan of a root-l blow-up, rays in Z^(n+1):
+    the coordinate rays (padded by 0) plus ((l/g) u_rho, N_rho/g) for each
+    positive-level ray, g = gcd(l, N_rho)."""
     fan = normal_fan(newton(ideal))
     n = ideal.dim
     out = set()

@@ -425,18 +425,3 @@ def center_display(center: Center, ambient: LogAmbient) -> str:
         parts.append(f"({inner})" + (f"^{{1/{root}}}" if root != 1 else ""))
     return "(" + ", ".join(parts) + ")"
 
-
-# -- smoothness -------------------------------------------------------------
-
-
-def is_smooth_toroidal(ideal: PolyIdeal, point) -> bool:
-    """The vanishing locus is smooth and meets the toroidal boundary like a
-    coordinate subspace: the invariant at the point is (1, ..., 1) of length
-    equal to the codimension."""
-    if ideal.is_zero():
-        return True
-    inv, _ = invariant_at(ideal, point)
-    if inv.entries == (Fraction(0),):
-        return True
-    codim = groebner.codimension(ideal, sorted(ideal.ambient.inverted))
-    return inv.entries == (Fraction(1),) * codim

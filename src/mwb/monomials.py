@@ -1,4 +1,4 @@
-"""Monomial ideals in N^n: minimal generators, closure, membership.
+"""Monomial ideals in N^n: minimal generators and integral closure.
 
 A monomial ideal is stored by its minimal generating exponent vectors.  The
 zero ideal has no generators; the unit ideal is generated by the origin.
@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import EmptyIdeal, MwbError, ZeroVector
+from .errors import EmptyIdeal, MwbError
 from .polyhedra import NewtonPolyhedron, Vec, contains, exponent, newton_polyhedron
 
 
@@ -41,43 +41,6 @@ class MonomialIdeal:
 
 def monomial_ideal(gens, n: int) -> MonomialIdeal:
     return MonomialIdeal(n, minimalize(exponent(g, n) for g in gens))
-
-
-def member(a: Vec, ideal: MonomialIdeal) -> bool:
-    """x^a lies in the ideal iff some generator divides it."""
-    return any(divides(g, a) for g in ideal.gens)
-
-
-def add(i1: MonomialIdeal, i2: MonomialIdeal) -> MonomialIdeal:
-    if i1.dim != i2.dim:
-        raise ZeroVector("monomial ideals in different ambient dimensions")
-    return MonomialIdeal(i1.dim, minimalize(i1.gens + i2.gens))
-
-
-def product(i1: MonomialIdeal, i2: MonomialIdeal) -> MonomialIdeal:
-    if i1.dim != i2.dim:
-        raise ZeroVector("monomial ideals in different ambient dimensions")
-    sums = [
-        tuple(a + b for a, b in zip(g, h)) for g in i1.gens for h in i2.gens
-    ]
-    return MonomialIdeal(i1.dim, minimalize(sums))
-
-
-def power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
-    if k < 0:
-        raise MwbError("negative power of a monomial ideal")
-    out = MonomialIdeal(ideal.dim, ((0,) * ideal.dim,))
-    for _ in range(k):
-        out = product(out, ideal)
-    return out
-
-
-def shift(ideal: MonomialIdeal, m: Vec) -> MonomialIdeal:
-    """Multiply by the single monomial x^m."""
-    m = exponent(m, ideal.dim)
-    return MonomialIdeal(
-        ideal.dim, tuple(tuple(a + b for a, b in zip(g, m)) for g in ideal.gens)
-    )
 
 
 def newton(ideal: MonomialIdeal) -> NewtonPolyhedron:

@@ -173,9 +173,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return not self.terms or set(self.terms) == {(0,) * self.ambient.n}
-
     # -- arithmetic ---------------------------------------------------------
 
     def _check(self, other: "Polynomial"):

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import sys
@@ -36,6 +37,17 @@ def ideal(amb, text):
 
 def poly(amb, text):
     return parse_polynomial(text, amb)
+
+
+def monomial_power(a, k):
+    """a^k for k >= 1: the sums of k generators of a."""
+    sums = [tuple(map(sum, zip(*gens))) for gens in itertools.product(a.gens, repeat=k)]
+    return monomial_ideal(sums, a.dim)
+
+
+def monomial_shift(a, m):
+    """x^m a."""
+    return monomial_ideal([tuple(map(sum, zip(g, m))) for g in a.gens], a.dim)
 
 
 @pytest.fixture(scope="session")

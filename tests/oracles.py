@@ -37,7 +37,7 @@ from mwb.groebner import (
 )
 from mwb.invariant import INF, Center, Invariant, maximal_contact
 from mwb.monomials import MonomialIdeal, minimalize, newton
-from mwb.polyhedra import Facet, NewtonPolyhedron, facet_level
+from mwb.polyhedra import Facet, NewtonPolyhedron
 from mwb.poly import (
     LogAmbient,
     PolyIdeal,
@@ -45,7 +45,6 @@ from mwb.poly import (
     constant,
     log_derivation,
     monomial,
-    monomial_saturation,
     rename,
     restrict,
     substitute,
@@ -546,11 +545,12 @@ def substitution_total_transform(b, ideal):
 
 
 def polyhedron_multiplicities(b, ideal):
-    """w_rho N_rho on every positive-level ray, N_rho read off the Newton
-    polyhedron of the term ideal."""
-    p = newton(monomial_saturation(ideal))
+    """w_rho N_rho on every positive-level ray, N_rho the support of the
+    term ideal's Newton polyhedron along u_rho: u_rho >= 0, so its minimum
+    over the polyhedron is its minimum over the terms."""
+    terms = [e for g in ideal.generators for e in g.terms]
     return {
-        b.ray_vars[j]: b.weights[j] * facet_level(p, b.fan.rays[j].direction)
+        b.ray_vars[j]: b.weights[j] * support_min(b.fan.rays[j].direction, terms)
         for j in b.eplus()
     }
 
@@ -637,7 +637,7 @@ def all_pairs_groebner_basis(ideal, block=0):
         r = nf(qi * G[i] - qj * G[j], range(len(G)))
         if not r.is_zero():
             r = monic(r, block)
-            if r.is_constant():
+            if set(r.terms) == {(0,) * amb.n}:
                 return [r]
             G.append(r)
             lms.append(leading_term(r, block)[0])

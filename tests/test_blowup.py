@@ -7,6 +7,8 @@ from conftest import (
     ambient,
     drop_corpus,
     ideal,
+    monomial_power,
+    monomial_shift,
     poly,
     random_monomial_gens,
     random_polynomial,
@@ -22,9 +24,7 @@ from mwb.blowup import (
     equivalent,
     exceptional_multiplicities,
     factored_morphism,
-    k_rho,
     make_center,
-    monomial_valuation,
     proper_transform,
     rees_blowup,
     rees_weights,
@@ -34,7 +34,7 @@ from mwb.blowup import (
 )
 from mwb.errors import HypothesisViolated, MwbError, ZeroIdeal
 from mwb.groebner import ideal_equal, is_unit_ideal, member, saturate_at_variables
-from mwb.monomials import monomial_ideal, newton, power, shift
+from mwb.monomials import monomial_ideal, newton
 from mwb.polyhedra import dot, normal_fan
 from mwb.poly import PolyIdeal, format_polynomial
 
@@ -49,6 +49,12 @@ def mono3(*gens):
 
 def cox_ideal(b, text):
     return ideal(b.cox, text)
+
+
+def declared_exceptional(b):
+    """Cox variables of the standard rays with positive level: no variable
+    of their own, but exceptional multiplicities all the same."""
+    return [b.ray_vars[i] for i, r in enumerate(b.fan.rays) if r.standard and r.level > 0]
 
 
 def test_single_ray_structure():
@@ -148,13 +154,9 @@ def test_total_transform_divisibility():
     i1, i2 = b.cox.index("u1"), b.cox.index("u2")
     assert min(e[i1] for e in g.terms) == 4
     assert min(e[i2] for e in g.terms) == 0
-    f = poly(A3, "x^2 + y^2 + z^2")
-    assert monomial_valuation(b, 3, f) == 4
-    assert monomial_valuation(b, 4, f) == 0
-    assert exceptional_multiplicities(b, ideal(A3, "x^2 + y^2 + z^2")) == {
-        "u1": 4,
-        "u2": 0,
-    }
+    f = ideal(A3, "x^2 + y^2 + z^2")
+    assert weak_transform(b, f)[1] == {"u1": 4, "u2": 0}
+    assert exceptional_multiplicities(b, f) == {"u1": 4, "u2": 0}
 
 
 def test_weak_transform_of_the_blown_up_ideal():
@@ -241,7 +243,7 @@ def _transform_cases(monkeypatch):
         amb = ambient(ordinary=",".join("xyzw"[:k]), monomial=",".join("xyzw"[k:]))
         a = monomial_ideal(random_monomial_gens(rng, 4, max_entry=4, max_gens=4), 4)
         if rng.random() < 0.5:
-            a = shift(a, tuple(rng.randint(0, 1) for _ in range(4)))
+            a = monomial_shift(a, tuple(rng.randint(0, 1) for _ in range(4)))
         if rng.random() < 0.5:
             b = rees_blowup(FractionalIdeal(a, rng.randint(1, 6)), amb)
         else:
@@ -258,7 +260,7 @@ def _transform_cases(monkeypatch):
 
 def test_transforms_agree_with_substitution(monkeypatch):
     cases = _transform_cases(monkeypatch)
-    assert any(b.declared_exceptional() for b, _ in cases)
+    assert any(declared_exceptional(b) for b, _ in cases)
     assert any(len(set(b.weights)) > 1 for b, _ in cases)
     for b, i in cases:
         assert b.ray_vars == b.cox.names()
@@ -277,45 +279,12 @@ def test_transforms_agree_with_substitution(monkeypatch):
 
 
 def test_k_rho_worked_values():
+    # the multiplicity along each positive-level ray, read off the weak
+    # transform: u1 is the ray (3, 2, 2) of level 6, u2 (1, 0, 2) of level 2
     b = build_blowup(mono3((2, 0, 0), (0, 2, 1), (0, 0, 3)), A3)
-    a = ideal(A3, "x^2, y^2 z, z^3")
-    assert k_rho(b, 3, a) == 6
-    assert k_rho(b, 4, a) == 2
-    assert k_rho(b, 3, ideal(A3, "x^2 + y^2 + z^2")) == 4
-    assert k_rho(b, 4, ideal(A3, "x^2 + y^2 + z^2")) == 0
-    assert k_rho(b, 3, ideal(A3, "1")) == 0
-    with pytest.raises(ZeroIdeal):
-        k_rho(b, 3, ideal(A3, "0"))
-
-
-def test_k_rho_identity_against_oracle():
-    # on the blown-up ideal itself, k_rho is the rescaled facet level
-    rng = random.Random(7001)
-    samples = 0
-    while samples < 100:
-        n = rng.randrange(2, 4)
-        amb = ambient(ordinary=",".join("xyz"[:n]))
-        gens = [
-            tuple(rng.randrange(0, 5) for _ in range(n))
-            for _ in range(rng.randrange(1, 4))
-        ]
-        if not any(any(g) for g in gens):
-            continue
-        a = monomial_ideal(gens, n)
-        root = rng.choice((1, 2, 3))
-        b = rees_blowup(FractionalIdeal(a, root), amb)
-        text = ", ".join(
-            " ".join(f"{v}^{k}" for v, k in zip(amb.names(), g) if k) or "1"
-            for g in a.gens
-        )
-        pa = ideal(amb, text)
-        for j in b.eplus():
-            r = b.fan.rays[j]
-            assert k_rho(b, j, pa) == b.weights[j] * r.level
-            assert k_rho(b, j, pa) == oracles.valuation(
-                b.weights[j], r.direction, pa
-            )
-        samples += 1
+    assert weak_transform(b, ideal(A3, "x^2, y^2 z, z^3"))[1] == {"u1": 6, "u2": 2}
+    assert weak_transform(b, ideal(A3, "x^2 + y^2 + z^2"))[1] == {"u1": 4, "u2": 0}
+    assert weak_transform(b, ideal(A3, "1"))[1] == {"u1": 0, "u2": 0}
 
 
 def test_rees_weights_formula():
@@ -335,7 +304,7 @@ def test_fractional_ideal_equivalence():
     small = FractionalIdeal(mono3((2, 0, 0), (0, 3, 0), (0, 0, 3)), 6)
     assert equivalent(big, small)
     assert big.canonical() == (((2, 0, 0), (0, 3, 0), (0, 0, 3)), 6)
-    assert equivalent(small, FractionalIdeal(power(small.base, 3), 18))
+    assert equivalent(small, FractionalIdeal(monomial_power(small.base, 3), 18))
     other = FractionalIdeal(mono3((2, 0, 0), (0, 3, 0), (0, 0, 4)), 6)
     assert not equivalent(small, other)
     with pytest.raises(MwbError):
@@ -404,7 +373,7 @@ def test_restrict_blowup():
 def test_shift_leaves_the_blowup_alone():
     a = mono3((2, 0, 0), (0, 2, 1), (0, 0, 3))
     base = build_blowup(a, A3)
-    shifted = build_blowup(shift(a, (1, 0, 0)), A3)
+    shifted = build_blowup(monomial_shift(a, (1, 0, 0)), A3)
     assert [r.direction for r in shifted.fan.rays] == [
         r.direction for r in base.fan.rays
     ]
@@ -416,8 +385,8 @@ def test_shift_leaves_the_blowup_alone():
     assert [c.inverted for c in shifted.charts] == [
         c.inverted for c in base.charts
     ]
-    assert base.declared_exceptional() == []
-    assert shifted.declared_exceptional() == ["x'"]
+    assert declared_exceptional(base) == []
+    assert declared_exceptional(shifted) == ["x'"]
     assert shifted.eplus() == [0, 3, 4]
     assert shifted.fan.exceptional() == [3, 4]
 

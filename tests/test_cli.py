@@ -366,6 +366,17 @@ class TestExitCodes:
         leaves = [line for line in out.splitlines() if ": leaf " in line]
         assert leaves == ["root/x': leaf smooth [chart]", "root/y'': leaf smooth [chart]"]
 
+    def test_a_chart_that_inverts_nothing_is_named_1(self):
+        # a principal monomial center has one chart, which inverts nothing;
+        # its label is 1, the empty product, in the chart list and in paths
+        argv = ["blowup", "--ordinary", "x,y", "--ideal-monomial", "x"]
+        code, out, err = run_cli(argv)
+        assert (code, err) == (0, "")
+        assert "chart 1: vertex x, inverted ()" in out.splitlines()
+        code, out, err = run_cli(["resolve", "--ordinary", "x,y", "--ideal", "x^3"])
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == "root/1: leaf smooth [chart]"
+
     def test_closed_output_is_no_traceback(self):
         # the read end is closed before the child starts, so its first
         # write to stdout fails with a broken pipe

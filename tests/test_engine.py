@@ -214,8 +214,8 @@ class TestPrincipalization:
         assert str(deeper.invariant) == "(1)"
         assert deeper.multiplicities == {"x'": 1}
         (leaf,) = deeper.children
-        assert leaf.label == ""
-        assert leaf.path == "root/y'/"
+        assert leaf.label == "1"
+        assert leaf.path == "root/y'/1"
         assert leaf.status == "principal"
         assert fmt_ideal(leaf.ideal) == ["x'", "y'"]
 

@@ -1,7 +1,8 @@
 """Source hygiene: mwb imports only the standard library and itself, every
 name a module of mwb imports is used in it, every private module-level
-name is used somewhere in the package, records leave their value methods
-to dataclasses, and in the CLI only main prints."""
+name is used somewhere in the package, every public one too or it names
+its reason, records leave their value methods to dataclasses, and in the
+CLI only main prints."""
 
 import ast
 import sys
@@ -130,13 +131,21 @@ def references(tree, skip=None):
     return out
 
 
-def unreferenced_private_names(trees):
-    """(module, name) of each private definition that no module reads
-    outside the definition itself."""
+def public_definitions(tree):
+    """(name, node) of each module-level function, class or constant whose
+    name does not start with an underscore."""
+    for name, node in definitions(tree.body):
+        if not name.startswith("_"):
+            yield name, node
+
+
+def unreferenced_names(trees, defined):
+    """(module, name) of each definition that defined(tree) yields and that
+    no module reads outside the definition itself."""
     everywhere = {mod: references(tree) for mod, tree in trees.items()}
     found = []
     for mod, tree in trees.items():
-        for name, node in private_definitions(tree):
+        for name, node in defined(tree):
             used = name in references(tree, node) or any(
                 name in refs for other, refs in everywhere.items() if other != mod
             )
@@ -148,7 +157,7 @@ def unreferenced_private_names(trees):
 def test_every_private_name_is_referenced():
     trees = {p.name: ast.parse(p.read_text(), str(p)) for p in SOURCES}
     assert sum(len(list(private_definitions(t))) for t in trees.values()) >= 20
-    assert unreferenced_private_names(trees) == []
+    assert unreferenced_names(trees, private_definitions) == []
 
 
 def test_the_scan_sees_an_unreferenced_private_name():
@@ -162,7 +171,58 @@ def test_the_scan_sees_an_unreferenced_private_name():
         "b.py": ast.parse("from a import _used\nimport a\nx = a._Kept\n"),
     }
     # _loop only calls itself
-    assert unreferenced_private_names(trees) == [("a.py", "_loop")]
+    assert unreferenced_names(trees, private_definitions) == [("a.py", "_loop")]
+
+
+TRACED = "wrapped by name in perfbench/spans.py LAYERS, until ROADMAP item 5b"
+PINNED = "a statement of the paper, pinned by tests/test_blowup.py"
+INPUT = "builds an input for library callers and the tests"
+
+# Public names that no other module of mwb reads (__init__'s re-exports are
+# not reads), each with its reason; the scan must find exactly these.
+UNREFERENCED_PUBLIC = {
+    "polyhedra.facet_level": TRACED,
+    "blowup.exceptional_multiplicities": TRACED,
+    "invariant.logord_at": TRACED,
+    "invariant.max_logord": TRACED,
+    "invariant.minimal_tuples": TRACED,
+    "monomials.integral_closure": TRACED,
+    "monomials.closure_member": TRACED,
+    "groebner.member": TRACED,
+    "groebner.is_unit_ideal": TRACED,
+    "engine.principalize": TRACED,
+    "kernel.COMPILED": "read by perfbench/worker.py as the report's kernel lane",
+    "blowup.equivalent": PINNED,
+    "blowup.canonical_stack_rays": PINNED,
+    "blowup.factored_morphism": PINNED,
+    "poly.constant": INPUT,
+    "cli.parse_polynomial": INPUT,
+}
+
+
+def test_every_public_name_is_referenced():
+    # a stale entry fails too: the allowlist is the unreferenced set
+    trees = {
+        p.stem: ast.parse(p.read_text(), str(p)) for p in SOURCES if p.name != "__init__.py"
+    }
+    assert sum(len(list(public_definitions(t))) for t in trees.values()) >= 100
+    found = {f"{mod}.{name}" for mod, name in unreferenced_names(trees, public_definitions)}
+    assert found == set(UNREFERENCED_PUBLIC)
+
+
+def test_the_scan_sees_an_unreferenced_public_name():
+    trees = {
+        "a": ast.parse(
+            "LIMIT = 3\n"
+            "def loop(n):\n    return loop(n - 1) if n else LIMIT\n"
+            "def used():\n    pass\n"
+            "class Kept:\n    pass\n"
+            "def _private():\n    pass\n"
+        ),
+        "b": ast.parse("from a import used\nimport a\nx = a.Kept\n"),
+    }
+    # loop only calls itself, and b's x is read nowhere
+    assert unreferenced_names(trees, public_definitions) == [("a", "loop"), ("b", "x")]
 
 
 def hand_written_value_methods(tree):

@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from conftest import F_TEXT, ambient, ideal, poly, random_polynomial
-from mwb import PolyIdeal
+from mwb import PolyIdeal, engine
 from mwb.blowup import center_to_blowup, proper_transform
 from mwb.errors import MwbError, NoRectifiableContact
 from mwb.groebner import ideal_equal
@@ -22,7 +22,6 @@ from mwb.invariant import (
     compare,
     d_leq,
     invariant_at,
-    is_smooth_toroidal,
     logord_at,
     max_logord,
     maximal_contact,
@@ -312,12 +311,18 @@ class TestPieces:
             assert sorted(minimal_tuples(b)) == sorted(pure)
 
     def test_smoothness(self, a30):
-        assert is_smooth_toroidal(ideal(a30, "x"), ORIGIN3)
-        assert is_smooth_toroidal(ideal(a30, "x + y^2, z"), ORIGIN3)
-        assert not is_smooth_toroidal(ideal(a30, "x^2"), ORIGIN3)
-        assert not is_smooth_toroidal(ideal(a30, "x y"), ORIGIN3)
+        # the engine's leaf test at the root: a hypersurface is smooth on
+        # the whole chart, two generators at their marked point
+        def root(amb, text):
+            node = engine.resolve(ideal(amb, text)).root
+            return node.status, node.scope
+
+        assert root(a30, "x") == ("smooth", "chart")
+        assert root(a30, "x + y^2, z") == ("smooth", "marked-points")
+        assert root(a30, "x^2") == (None, None)
+        assert root(a30, "x y") == (None, None)
         mixed = ambient(ordinary="x,y", monomial="z")
-        assert not is_smooth_toroidal(ideal(mixed, "z"), ORIGIN3)
+        assert root(mixed, "z") == (None, None)
 
     def test_contact_from_the_reduced_basis(self):
         # on x = 0 the pair of weight 1/2 is y^3 + y: order one at the

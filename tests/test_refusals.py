@@ -17,11 +17,9 @@ from mwb import (
     ZeroIdeal,
     ZeroVector,
     assemble_center,
-    build_blowup,
     groebner,
     make_center,
     monomial_ideal,
-    monomial_valuation,
     monomials,
     newton_nondegenerate,
     one_step_check,
@@ -35,7 +33,6 @@ XY = ambient(ordinary="x,y")
 XYZ = ambient(ordinary="x,y,z")
 MXY = ambient(monomial="x,y")
 SQUARE = monomial_ideal([(1, 0), (0, 1)], 2)
-LINE = monomial_ideal([(1,)], 1)
 
 
 def zero(amb):
@@ -104,24 +101,6 @@ CASES = [
         "generator over a different ambient",
     ),
     (
-        "monomials.add across dimensions",
-        lambda: monomials.add(SQUARE, LINE),
-        ZeroVector,
-        "monomial ideals in different ambient dimensions",
-    ),
-    (
-        "monomials.product across dimensions",
-        lambda: monomials.product(SQUARE, LINE),
-        ZeroVector,
-        "monomial ideals in different ambient dimensions",
-    ),
-    (
-        "monomials.power negative",
-        lambda: monomials.power(SQUARE, -1),
-        MwbError,
-        "negative power of a monomial ideal",
-    ),
-    (
         "monomials.newton of the zero ideal",
         lambda: monomials.newton(monomial_ideal([], 2)),
         EmptyIdeal,
@@ -156,18 +135,6 @@ CASES = [
         lambda: rees_blowup(FractionalIdeal(SQUARE, 2), XYZ),
         MwbError,
         "ideal arity does not match the ambient",
-    ),
-    (
-        "monomial_valuation of zero",
-        lambda: monomial_valuation(build_blowup(SQUARE, XY), 2, zero(XY)),
-        ZeroIdeal,
-        "valuation of the zero polynomial",
-    ),
-    (
-        "monomial_valuation on the wrong ambient",
-        lambda: monomial_valuation(build_blowup(SQUARE, XY), 2, poly(MXY, "x")),
-        MwbError,
-        "polynomial does not live on the blow-up's source",
     ),
     (
         "resolve unknown mode",
