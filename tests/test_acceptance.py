@@ -349,35 +349,34 @@ def test_oracle_suites_agree_with_the_package():
 
     # the weak transform's multiplicity k_rho on the blown-up ideal itself
     # is the rescaled facet level, and the valuation oracle's
-    for seed in (9102, 7001):
-        rng = random.Random(seed)
-        samples = 0
-        while samples < 100:
-            n = rng.randrange(2, 4)
-            amb = ambient(ordinary=",".join("xyz"[:n]))
-            gens = [
-                tuple(rng.randrange(0, 5) for _ in range(n))
-                for _ in range(rng.randrange(1, 4))
-            ]
-            if not any(any(g) for g in gens):
-                continue
-            a = monomial_ideal(gens, n)
-            root = rng.choice((1, 2, 3))
-            b = rees_blowup(FractionalIdeal(a, root), amb)
-            text = ", ".join(
-                " ".join(f"{v}^{k}" for v, k in zip(amb.names(), g) if k) or "1"
-                for g in a.gens
+    rng = random.Random(9102)
+    samples = 0
+    while samples < 100:
+        n = rng.randrange(2, 4)
+        amb = ambient(ordinary=",".join("xyz"[:n]))
+        gens = [
+            tuple(rng.randrange(0, 5) for _ in range(n))
+            for _ in range(rng.randrange(1, 4))
+        ]
+        if not any(any(g) for g in gens):
+            continue
+        a = monomial_ideal(gens, n)
+        root = rng.choice((1, 2, 3))
+        b = rees_blowup(FractionalIdeal(a, root), amb)
+        text = ", ".join(
+            " ".join(f"{v}^{k}" for v, k in zip(amb.names(), g) if k) or "1"
+            for g in a.gens
+        )
+        pa = ideal(amb, text)
+        mult = weak_transform(b, pa)[1]
+        for j in b.eplus():
+            r = b.fan.rays[j]
+            assert (
+                mult[b.ray_vars[j]]
+                == b.weights[j] * r.level
+                == oracles.valuation(b.weights[j], r.direction, pa)
             )
-            pa = ideal(amb, text)
-            mult = weak_transform(b, pa)[1]
-            for j in b.eplus():
-                r = b.fan.rays[j]
-                assert (
-                    mult[b.ray_vars[j]]
-                    == b.weights[j] * r.level
-                    == oracles.valuation(b.weights[j], r.direction, pa)
-                )
-            samples += 1
+        samples += 1
 
     # integral-closure membership against the hull oracle
     rng = random.Random(9103)

@@ -287,6 +287,38 @@ def test_k_rho_worked_values():
     assert weak_transform(b, ideal(A3, "1"))[1] == {"u1": 0, "u2": 0}
 
 
+def test_k_rho_identity_against_oracle():
+    # on the blown-up ideal itself, the weak transform's multiplicity k_rho
+    # along each positive-level ray is the rescaled facet level
+    rng = random.Random(7001)
+    samples = 0
+    while samples < 100:
+        n = rng.randrange(2, 4)
+        amb = ambient(ordinary=",".join("xyz"[:n]))
+        gens = [
+            tuple(rng.randrange(0, 5) for _ in range(n))
+            for _ in range(rng.randrange(1, 4))
+        ]
+        if not any(any(g) for g in gens):
+            continue
+        a = monomial_ideal(gens, n)
+        root = rng.choice((1, 2, 3))
+        b = rees_blowup(FractionalIdeal(a, root), amb)
+        text = ", ".join(
+            " ".join(f"{v}^{k}" for v, k in zip(amb.names(), g) if k) or "1"
+            for g in a.gens
+        )
+        pa = ideal(amb, text)
+        mult = weak_transform(b, pa)[1]
+        for j in b.eplus():
+            r = b.fan.rays[j]
+            assert mult[b.ray_vars[j]] == b.weights[j] * r.level
+            assert mult[b.ray_vars[j]] == oracles.valuation(
+                b.weights[j], r.direction, pa
+            )
+        samples += 1
+
+
 def test_rees_weights_formula():
     fan = normal_fan(newton(monomial_ideal([(4, 0), (0, 6)], 2)))
     assert [(r.direction, r.level) for r in fan.rays] == [
