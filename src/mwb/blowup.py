@@ -46,7 +46,6 @@ combine coordinate powers with a monomial part and use the same rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul, sub
@@ -185,7 +184,7 @@ class MultiWeightedBlowup:
         prod_rho var_rho^(w_rho u_rho[i]), whose exponent is column i of
         beta_rows."""
         return {
-            name: Polynomial._trusted(self.cox, {column: Fraction(1)})
+            name: Polynomial._trusted(self.cox, {column: 1})
             for name, column in zip(self.source.names(), zip(*self.beta_rows))
         }
 

@@ -66,9 +66,10 @@ from .polyhedra import newton_polyhedron
 
 # -- expression parsing -----------------------------------------------------
 
+_NAME = r"[A-Za-z][A-Za-z0-9_]*'*"
 _TOKEN = re.compile(
     r"\s*(?:(?P<frac>\d+/\d+)|(?P<int>\d+)"
-    r"|(?P<name>[A-Za-z][A-Za-z0-9_]*'*)"
+    rf"|(?P<name>{_NAME})"
     r"|(?P<op>[-+*^(),]))"
 )
 # A literal of d digits is below 10**d < 2**(10 d / 3), so this many digits
@@ -124,7 +125,7 @@ class _Parser:
         if self.peek() == ("op", "-"):
             self.take()
             sign = -1
-        p = self.term() * Fraction(sign)
+        p = self.term() * sign
         while self.peek()[0] == "op" and self.peek()[1] in "+-":
             _, op = self.take()
             q = self.term()
@@ -151,12 +152,12 @@ class _Parser:
                 raise MwbError(f"coefficient {val} has a zero denominator")
             return self._const(Fraction(num, den))
         if kind == "int":
-            return self._const(Fraction(int(val)))
+            return self._const(int(val))
         if kind == "name":
             i = self.ambient.index(val)
             e = [0] * self.ambient.n
             e[i] = self._power()
-            return Polynomial(self.ambient, {tuple(e): Fraction(1)})
+            return Polynomial(self.ambient, {tuple(e): 1})
         if (kind, val) == ("op", "("):
             p = self.expr()
             if self.take() != ("op", ")"):
@@ -173,7 +174,7 @@ class _Parser:
             return int(val)
         return 1
 
-    def _const(self, c: Fraction) -> Polynomial:
+    def _const(self, c) -> Polynomial:
         return Polynomial(self.ambient, {(0,) * self.ambient.n: c})
 
     def end(self, polys: list[Polynomial]) -> list[Polynomial]:
@@ -226,8 +227,13 @@ def inferred_names(text: str) -> list[str]:
 
 
 def _names(value: str) -> list[str]:
-    """--ordinary, --monomial: comma-separated names."""
-    return [v.strip() for v in value.split(",") if v.strip()]
+    """--ordinary, --monomial: comma-separated names, each one that the
+    expression parser reads as one name, so that an ideal can use it."""
+    names = [v.strip() for v in value.split(",") if v.strip()]
+    for v in names:
+        if not re.fullmatch(_NAME, v):
+            raise argparse.ArgumentTypeError(f"{v!r} is not a variable name")
+    return names
 
 
 def _point(value: str) -> tuple:

@@ -94,6 +94,7 @@ from .poly import (
     Polynomial,
     format_monomial,
     monomial_saturation,
+    rational,
     rename,
     substitute,
     variable,
@@ -116,10 +117,7 @@ def depth_limit() -> int:
 def chart_origin(ambient: LogAmbient) -> tuple:
     """The most degenerate point of a chart: inverted variables at 1,
     everything else at 0."""
-    return tuple(
-        Fraction(1) if n in ambient.inverted else Fraction(0)
-        for n in ambient.names()
-    )
+    return tuple(1 if n in ambient.inverted else 0 for n in ambient.names())
 
 
 # -- the tree ---------------------------------------------------------------
@@ -194,7 +192,7 @@ def resolve(
                 f"marked point has {len(p)} coordinates, the ambient has {amb.n}"
             )
         if p not in marked:
-            marked.append(tuple(Fraction(x) for x in p))
+            marked.append(tuple(rational(x) for x in p))
     root = ResolutionNode("root", "root", amb, ideal, 0, tuple(marked))
     _expand(root, mode, limit, None)
     return ResolutionTree(mode, root)
@@ -305,7 +303,7 @@ def _apply_change(ideal: PolyIdeal, marked: list, contact: Contact):
     new_ideal = PolyIdeal(
         amb, [substitute(g, images, amb) for g in ideal.generators]
     )
-    shifted = [q[:i] + (q[i] - lift.evaluate(q),) + q[i + 1 :] for q in marked]
+    shifted = [q[:i] + (rational(q[i] - lift.evaluate(q)),) + q[i + 1 :] for q in marked]
     return new_ideal, shifted
 
 
@@ -314,7 +312,7 @@ def _child_marked(node, b: MultiWeightedBlowup, chart, amb: LogAmbient):
     # in source order, then the exceptional ones, which the lift sets to 1
     pts = [chart_origin(amb)]
     source_names = node.ambient.names()
-    ones = (Fraction(1),) * (amb.n - len(source_names))
+    ones = (1,) * (amb.n - len(source_names))
     for q in node.marked:
         cand = q + ones
         if any(cand[amb.index(v)] == 0 for v in amb.inverted):
@@ -345,7 +343,7 @@ def reembed_check(ideal: PolyIdeal, point=None) -> dict:
     amb = ideal.ambient
     if point is None:
         point = chart_origin(amb)
-    point = tuple(Fraction(x) for x in point)
+    point = tuple(rational(x) for x in point)
     inv0, c0 = invariant_at(ideal, point)
 
     base = "x0"
@@ -354,7 +352,7 @@ def reembed_check(ideal: PolyIdeal, point=None) -> dict:
     ext = LogAmbient(((base, ORDINARY),) + amb.variables, amb.inverted)
     lifted = [rename(g, {}, ext) for g in ideal.generators]
     extended = PolyIdeal(ext, [variable(ext, base)] + lifted)
-    epoint = (Fraction(0),) + point
+    epoint = (0,) + point
     inv1, c1 = invariant_at(extended, epoint)
     off_locus = inv0.entries == (Fraction(0),)
 

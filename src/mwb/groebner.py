@@ -116,11 +116,15 @@ def leading_term(p: Polynomial, block: int = 0):
 
 
 def _monic_terms(terms: dict, lead) -> dict:
+    """terms divided by the coefficient of lead, each quotient an int when
+    it is integral."""
     lc = terms[lead]
     if lc == 1:
         return terms
+    if lc == -1:
+        return {e: -c for e, c in terms.items()}
     inv = Fraction(1) / lc
-    return {e: c * inv for e, c in terms.items()}
+    return {e: kernel.exact(c * inv) for e, c in terms.items()}
 
 
 def monic(p: Polynomial, block: int = 0) -> Polynomial:
@@ -147,6 +151,8 @@ def _s_polynomial(a, b, lcm) -> dict:
     for e, c in itertools.islice(tb.items(), 1, None):
         m = kernel.mono_mul(qb, e)
         nc = s.get(m, 0) - c
+        if type(nc) is Fraction:
+            nc = kernel.exact(nc)
         if nc:
             s[m] = nc
         else:
@@ -207,7 +213,7 @@ def extend(basis: list[tuple], gens, block: int = 0) -> list[tuple]:
     for g in gens:
         lead, lc = leading_term(g, block)
         if not enter(lead, _monic_terms({lead: lc, **g.terms}, lead)):
-            return [(lead, {lead: Fraction(1)})]
+            return [(lead, {lead: 1})]
     reducers = [elements[g] for g in live]
     while heap:
         _, i, j = heapq.heappop(heap)
@@ -219,7 +225,7 @@ def extend(basis: list[tuple], gens, block: int = 0) -> list[tuple]:
         if r:
             lead = next(iter(r))
             if not enter(lead, _monic_terms(r, lead)):
-                return [(lead, {lead: Fraction(1)})]
+                return [(lead, {lead: 1})]
             reducers = [elements[g] for g in live]
     return reducers
 
@@ -300,7 +306,7 @@ def _lift(basis: list[tuple]) -> list[tuple]:
 def _inverse_equation(scratch: LogAmbient, f_terms: dict) -> Polynomial:
     """w*f - 1 on the lift, f given by its terms over k[x]."""
     wf = {(1,) + e: c for e, c in f_terms.items()}
-    wf[(0,) * scratch.n] = Fraction(-1)
+    wf[(0,) * scratch.n] = -1
     return Polynomial._trusted(scratch, wf)
 
 
@@ -406,7 +412,7 @@ def chart_dimensions(ideal: PolyIdeal, name_sets) -> list[int]:
             continue
         if lifted is None:
             lifted, scratch = _lift(basis), _lift_ambient(amb)
-        grown = extend(lifted, [_inverse_equation(scratch, {tuple(f): Fraction(1)})])
+        grown = extend(lifted, [_inverse_equation(scratch, {tuple(f): 1})])
         out.append(_leads_dimension([lead for lead, _ in grown], n + 1))
     return out
 

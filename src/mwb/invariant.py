@@ -60,6 +60,7 @@ from .poly import (
     derivative,
     format_monomial,
     log_derivation,
+    rational,
     restrict,
     strip_inverted_units,
 )
@@ -114,10 +115,19 @@ def compare(u: Invariant, v: Invariant) -> int:
 
 def log_order(g: Polynomial, point):
     """Log order of g at the point: the order there of its terms that no
-    vanishing log variable divides, INF when every term has one.  Those
-    terms' order is their least total degree at the origin, and elsewhere
-    the least k with a k-th partial derivative not vanishing at the point;
-    inverted-variable units are stripped first."""
+    vanishing log variable divides, INF when every term has one;
+    inverted-variable units are stripped first.  At the origin that order
+    is the least total degree of those terms.
+
+    Elsewhere the terms are grouped by their exponent m on the coordinates
+    where the point is zero, g = sum over m of x^m h_m, each h_m free of
+    those coordinates.  Moving the point to the origin shifts only the
+    other coordinates, so every monomial of x^m h_m(x + p) has the same
+    part m, and no two groups can cancel: the order is the least
+    |m| + ord_p(h_m).  ord_p(h_m) is 0 when h_m(p) != 0, one evaluation,
+    and otherwise the least k with a k-th partial derivative of h_m not
+    vanishing at p.  Groups go by increasing |m|, and none is looked at
+    once |m| reaches the least order found."""
     amb = g.ambient
     vanishing = [
         i for i, (_, flag) in enumerate(amb.variables) if flag != ORDINARY and not point[i]
@@ -126,25 +136,45 @@ def log_order(g: Polynomial, point):
     if not free:
         return INF
     g, _ = strip_inverted_units(Polynomial._trusted(amb, free))
-    if not any(point):
+    zero = [i for i, x in enumerate(point) if not x]
+    if len(zero) == amb.n:
         return min(sum(e) for e in g.terms)
+    groups: dict = {}
+    for e, c in g.terms.items():
+        h = groups.setdefault(tuple(e[i] for i in zero), {})
+        h[tuple(k if x else 0 for k, x in zip(e, point))] = c
+    best = INF
+    for m, h in sorted(groups.items(), key=lambda mh: sum(mh[0])):
+        base = sum(m)
+        if base >= best:
+            break
+        best = base + _order_at(Polynomial._trusted(amb, h), point, best - base)
+    return best
+
+
+def _order_at(h: Polynomial, point, bound):
+    """The least k with a k-th partial derivative of h not vanishing at the
+    point, or bound when no k below bound has one."""
+    names = h.ambient.names()
     # partials in nondecreasing variable order, each multi-index once
-    layer = [(g, 0)]
+    layer = [(h, 0)]
     for k in itertools.count():
+        if k >= bound:
+            return bound
         if any(p.evaluate(point) for p, _ in layer):
             return k
         layer = [
             (d, j)
             for p, i in layer
-            for j in range(i, amb.n)
-            if (d := derivative(p, amb.names()[j])).terms
+            for j in range(i, len(names))
+            if (d := derivative(p, names[j])).terms
         ]
 
 
 def logord_at(ideal: PolyIdeal, point):
     """min m with D^{<=m}(I) not vanishing at the point, the least log order
     of a generator; INF for the zero ideal and for a monomial one."""
-    point = tuple(Fraction(x) for x in point)
+    point = tuple(rational(x) for x in point)
     return min((log_order(g, point) for g in ideal.generators), default=INF)
 
 
@@ -195,7 +225,7 @@ class Contact:
 def maximal_contact(amb: LogAmbient, gens: list[Polynomial], point) -> Contact:
     """A rectifiable maximal contact among candidates of order at least one
     at the point."""
-    point = tuple(Fraction(x) for x in point)
+    point = tuple(rational(x) for x in point)
 
     # tier 1: unit monomial times a single ordinary coordinate; ties go to
     # the earliest ambient variable, not to candidate order
@@ -235,7 +265,7 @@ def maximal_contact(amb: LogAmbient, gens: list[Polynomial], point) -> Contact:
             c0 = lin[(0,) * amb.n]
             sub = amb.drop(name)
             shift = Polynomial(
-                sub, {e[:i] + e[i + 1 :]: -c / c0 for e, c in rest.items()}
+                sub, {e[:i] + e[i + 1 :]: Fraction(-c) / c0 for e, c in rest.items()}
             )
             return Contact(name, shift if not shift.is_zero() else None)
 
@@ -343,7 +373,7 @@ class Center:
 
 def invariant_at(ideal: PolyIdeal, point) -> tuple[Invariant, Center | None]:
     amb0 = ideal.ambient
-    point = tuple(Fraction(x) for x in point)
+    point = tuple(rational(x) for x in point)
     if len(point) != amb0.n:
         raise MwbError(f"point has {len(point)} coordinates, the ambient has {amb0.n}")
 
@@ -361,12 +391,13 @@ def invariant_at(ideal: PolyIdeal, point) -> tuple[Invariant, Center | None]:
             break
         entries.append(a)
         kept = coefficient_ideal(family, a, point)
+        least = 1 / a
         try:
-            contact = maximal_contact(amb, [g for g, d in kept if d == 1 / a], point)
+            contact = maximal_contact(amb, [g for g, d in kept if d == least], point)
         except NoRectifiableContact:
             # the order-one element may show only in the reduced basis of
             # the pairs of weight at least 1/a, the weight-1/a ideal
-            heavy = PolyIdeal(amb, [g for g, d in kept if d >= 1 / a])
+            heavy = PolyIdeal(amb, [g for g, d in kept if d >= least])
             contact = maximal_contact(amb, groebner.groebner_basis(heavy), point)
         contacts.append(contact)
         i = amb.index(contact.name)

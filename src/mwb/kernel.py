@@ -1,6 +1,11 @@
 """Monomial kernel: exponent arithmetic, term orders, normal-form reduction.
 
-Exponents are plain int tuples, coefficients arbitrary Fractions.  Orders:
+Exponents are plain int tuples.  Coefficients are exact rationals in one
+form: an int when integral, a Fraction only when the denominator exceeds
+1.  Sums, differences and products of ints stay ints; a result with a
+Fraction operand goes through exact, which turns an integral Fraction back
+into an int.  No coefficient is ever divided with / between two ints,
+which would make a float: a true division builds a Fraction first.  Orders:
 block == 0 is graded reverse lexicographic; block == k > 0 eliminates the
 first k variables (grevlex on that block first, then grevlex on the rest).
 
@@ -13,11 +18,17 @@ is no longer pending are skipped when popped.
 """
 
 import heapq
+from fractions import Fraction
 from operator import add, le
 
 from .errors import BadOrder
 
 COMPILED = False  # the benchmark's report header reads this as the kernel lane
+
+
+def exact(q):
+    """q, an int or a Fraction, as an int when its denominator is 1."""
+    return q.numerator if q.denominator == 1 else q
 
 
 def grevlex_key(e):
@@ -98,15 +109,13 @@ def normal_form(f, basis, block):
             if m == t:
                 continue  # cancels against the popped leading term
             old = work.get(m)
-            if old is None:
-                nc = -c * c2
-                if nc:
-                    work[m] = nc
+            nc = -c * c2 if old is None else old - c * c2
+            if type(nc) is Fraction:
+                nc = exact(nc)
+            if nc:
+                if old is None:
                     heapq.heappush(heap, (_descending_key(m, block), m))
+                work[m] = nc
             else:
-                nc = old - c * c2
-                if nc:
-                    work[m] = nc
-                else:
-                    del work[m]
+                del work[m]  # only a pending term can cancel
     return out

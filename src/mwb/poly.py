@@ -10,8 +10,13 @@ Chart-local rings appear as an ambient plus a set of formally inverted
 variable names (the chart's irrelevant monomial); inversion never changes
 arithmetic here, it only licenses unit-stripping and saturation upstream.
 
-Coefficients are exact Fractions; exponent vectors are int tuples aligned
-with the variable order.
+Coefficients are exact rationals: an int when integral, a Fraction only
+when the denominator exceeds 1, so the common coefficients (+-1, +-2) and
+the chart points (0 and 1) make no Fraction at all.  Every operation keeps
+that form: a sum, difference or product with a Fraction operand is passed
+through kernel.exact, and a true division of coefficients builds a
+Fraction first, so no float can appear.  Exponent vectors are int tuples
+aligned with the variable order.
 
 LogAmbient, Polynomial and PolyIdeal are frozen slotted dataclasses, so
 equality, hashing and immutability are declared, not written.  Each keeps
@@ -21,7 +26,8 @@ terms are a dict.
 The public constructor Polynomial(ambient, terms) validates and copies its
 input: every exponent passes polyhedra.exponent (an int tuple of the
 ambient's length with no negative entry), every coefficient becomes an
-exact Fraction, and zero terms are dropped, after the exponent check.
+exact rational in that form, and zero terms are dropped, after the
+exponent check.
 Polynomial._trusted(ambient, terms) takes a term dict as it is.  It
 serves only results that the package built from validated operands
 (sums, negations, products, powers, substitutions, renamings, unit
@@ -111,11 +117,15 @@ class LogAmbient:
         return self.flag(name) != ORDINARY
 
     def drop(self, name: str) -> "LogAmbient":
+        # removing a variable keeps the names distinct, the flags known and
+        # the inverted names in the ambient: nothing to validate again
         i = self.index(name)
-        return LogAmbient(
-            self.variables[:i] + self.variables[i + 1 :],
-            self.inverted - {name},
-        )
+        variables = self.variables[:i] + self.variables[i + 1 :]
+        out = object.__new__(LogAmbient)
+        object.__setattr__(out, "variables", variables)
+        object.__setattr__(out, "inverted", self.inverted - {name})
+        object.__setattr__(out, "_index", {n: j for j, (n, _) in enumerate(variables)})
+        return out
 
     def with_inverted(self, names) -> "LogAmbient":
         return LogAmbient(self.variables, self.inverted | set(names))
@@ -131,20 +141,33 @@ class LogAmbient:
         return f"LogAmbient({self.describe()})"
 
 
-def _coeff(c) -> Fraction:
-    if isinstance(c, Fraction):
+def _coeff(c) -> int | Fraction:
+    """A coefficient in the package's form: an int when integral, else a
+    Fraction; anything but an int or a Fraction is refused."""
+    if type(c) is int:
         return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else Fraction(c)
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
     raise MwbError(f"coefficient {c!r} is not rational")
+
+
+def rational(x) -> int | Fraction:
+    """A point coordinate in the coefficients' form, from anything Fraction
+    reads: an int when integral, else a Fraction."""
+    if type(x) is int:
+        return x
+    return kernel.exact(Fraction(x))
 
 
 @dataclass(frozen=True, slots=True)
 class Polynomial:
-    """Term dict {exponent tuple: nonzero Fraction} over a LogAmbient."""
+    """Term dict {exponent tuple: nonzero coefficient} over a LogAmbient;
+    a coefficient is an int when integral, else a Fraction."""
 
     ambient: LogAmbient
-    terms: dict[Vec, Fraction]
+    terms: dict[Vec, int | Fraction]
 
     def __init__(self, ambient: LogAmbient, terms):
         clean = {}
@@ -162,7 +185,8 @@ class Polynomial:
         """Wrap a term dict without validating or copying it.
 
         Only for dicts built from validated operands: int exponent tuples
-        of length ambient.n with no negative entry, nonzero Fractions."""
+        of length ambient.n with no negative entry, nonzero coefficients,
+        each an int when integral and a Fraction otherwise."""
         p = object.__new__(cls)
         object.__setattr__(p, "ambient", ambient)
         object.__setattr__(p, "terms", terms)
@@ -201,7 +225,7 @@ class Polynomial:
             if not c0:
                 return Polynomial._trusted(self.ambient, {})
             return Polynomial._trusted(
-                self.ambient, {e: c * c0 for e, c in self.terms.items()}
+                self.ambient, {e: kernel.exact(c * c0) for e, c in self.terms.items()}
             )
         self._check(other)
         return Polynomial._trusted(
@@ -230,7 +254,7 @@ class Polynomial:
         i = self.ambient.index(name)
         return max(e[i] for e in self.terms)
 
-    def evaluate(self, point) -> Fraction:
+    def evaluate(self, point) -> int | Fraction:
         """Value at a rational point; a power x^k with |x| not 0 or 1 whose
         numerator or denominator would pass EVALUATE_BITS bits raises."""
         point = [_coeff(x) for x in point]
@@ -238,7 +262,7 @@ class Polynomial:
             raise MwbError("point arity does not match ambient")
         bits = [max(x.numerator.bit_length(), x.denominator.bit_length())
                 if x not in (0, 1, -1) else 0 for x in point]
-        total = Fraction(0)
+        total = 0
         for e, c in self.terms.items():
             v = c
             for x, b, k in zip(point, bits, e):
@@ -250,7 +274,7 @@ class Polynomial:
                         )
                     v *= x**k
             total += v
-        return total
+        return kernel.exact(total)
 
     def sorted_terms(self):
         return sorted(
@@ -278,7 +302,7 @@ def monomial(ambient: LogAmbient, e: Vec, c=1) -> Polynomial:
 def variable(ambient: LogAmbient, name: str) -> Polynomial:
     e = [0] * ambient.n
     e[ambient.index(name)] = 1
-    return Polynomial(ambient, {tuple(e): Fraction(1)})
+    return Polynomial(ambient, {tuple(e): 1})
 
 
 # -- derivations ------------------------------------------------------------
@@ -287,7 +311,10 @@ def variable(ambient: LogAmbient, name: str) -> Polynomial:
 def derivative(p: Polynomial, name: str) -> Polynomial:
     """Plain partial derivative d/dx, regardless of flag."""
     i = p.ambient.index(name)
-    t = {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in p.terms.items() if e[i]}
+    t = {
+        e[:i] + (e[i] - 1,) + e[i + 1 :]: kernel.exact(c * e[i])
+        for e, c in p.terms.items() if e[i]
+    }
     return Polynomial._trusted(p.ambient, t)
 
 
@@ -297,9 +324,10 @@ def log_derivation(p: Polynomial, name: str) -> Polynomial:
     if p.ambient.is_log(name):
         i = p.ambient.index(name)
         return Polynomial._trusted(
-            p.ambient, {e: c * e[i] for e, c in p.terms.items() if e[i]}
+            p.ambient, {e: kernel.exact(c * e[i]) for e, c in p.terms.items() if e[i]}
         )
     return derivative(p, name)
+
 
 
 # -- substitution and reindexing --------------------------------------------
@@ -309,6 +337,8 @@ def _add_into(acc: dict, terms: dict) -> None:
     """Add a term dict into acc in place, dropping terms that cancel."""
     for e, c in terms.items():
         nc = acc.get(e, 0) + c
+        if type(nc) is Fraction:
+            nc = kernel.exact(nc)
         if nc:
             acc[e] = nc
         else:
@@ -317,11 +347,13 @@ def _add_into(acc: dict, terms: dict) -> None:
 
 def _mul_terms(a: dict, b: dict) -> dict:
     """Product of two term dicts, zero terms dropped."""
-    t: dict[Vec, Fraction] = {}
+    t: dict[Vec, int | Fraction] = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
             m = kernel.mono_mul(e1, e2)
             nc = t.get(m, 0) + c1 * c2
+            if type(nc) is Fraction:
+                nc = kernel.exact(nc)
             if nc:
                 t[m] = nc
             else:
@@ -362,7 +394,7 @@ def _mul_within_budget(a: dict, b: dict) -> dict:
 def _pow_terms(terms: dict, k: int, one: Vec, mul=_mul_terms) -> dict:
     """k-th power of a term dict by repeated squaring, each product by mul;
     one is the zero exponent of its ambient."""
-    out = {one: Fraction(1)}
+    out = {one: 1}
     while k:
         if k & 1:
             out = mul(out, terms)
@@ -387,7 +419,7 @@ def substitute(p: Polynomial, images: dict, target: LogAmbient) -> Polynomial:
             )
     one = (0,) * target.n
     powers: list[dict[int, dict]] = [{} for _ in names]  # per variable, by k
-    out: dict[Vec, Fraction] = {}
+    out: dict[Vec, int | Fraction] = {}
     for e, c in p.terms.items():
         t = {one: c}
         for i, k in enumerate(e):

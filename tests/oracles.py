@@ -11,12 +11,13 @@ building the saturated ideal, dimensions from every variable set against
 a basis's leading terms, Rabinowitsch lifts by renaming and
 Polynomial arithmetic, coefficient ideals by every mixed product over the
 minimal tuples, the invariant by the derivative tower and the factorial
-coefficient ideal, substitution by Polynomial powers and products, normal
-forms by scanning every pending term for the largest, blow-up transforms
-by substituting the pullback images and dividing out the exceptional
-monomial, multiplicities from the term ideal's Newton polyhedron.  The
-implementations are deliberately naive; their job is to disagree loudly,
-not to be fast.
+coefficient ideal, log orders by shifting the point to the origin and
+reading the least degree, substitution by Polynomial powers and products,
+normal forms by scanning every pending term for the largest, blow-up
+transforms by substituting the pullback images and dividing out the
+exceptional monomial, multiplicities from the term ideal's Newton
+polyhedron.  The implementations are deliberately naive; their job is to
+disagree loudly, not to be fast.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from mwb.invariant import INF, Center, Invariant, maximal_contact
 from mwb.monomials import MonomialIdeal, minimalize, newton
 from mwb.polyhedra import Facet, NewtonPolyhedron
 from mwb.poly import (
+    ORDINARY,
     LogAmbient,
     PolyIdeal,
     Polynomial,
@@ -536,6 +538,27 @@ def naive_substitute(p, images, target):
                 t = t * pw(i, k)
         out = out + t
     return out
+
+
+def taylor_log_order(g, point):
+    """Log order at the point by the Taylor shift: drop the terms that a log
+    variable vanishing at the point divides, divide out the largest
+    monomial in the inverted variables, apply x -> x + p, and take the
+    least total degree; INF when no term is left."""
+    amb = g.ambient
+    vanishing = [flag != ORDINARY and x == 0 for (_, flag), x in zip(amb.variables, point)]
+    terms = {
+        e: c for e, c in g.terms.items() if not any(k and v for k, v in zip(e, vanishing))
+    }
+    if not terms:
+        return INF
+    low = [
+        min(e[i] for e in terms) if name in amb.inverted else 0
+        for i, name in enumerate(amb.names())
+    ]
+    h = Polynomial(amb, {tuple(map(int.__sub__, e, low)): c for e, c in terms.items()})
+    images = {n: variable(amb, n) + constant(amb, x) for n, x in zip(amb.names(), point)}
+    return min(sum(e) for e in naive_substitute(h, images, amb).terms)
 
 
 def substitution_total_transform(b, ideal):

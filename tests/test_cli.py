@@ -481,6 +481,10 @@ class TestExitCodes:
               "--point", "1e1000000,0"], "--point"),
             (["resolve", "--ordinary", "x,y", "--ideal", "x^2 + y^3", "--mark", "1E5,0"],
              "--mark"),
+            (["blowup", "--ordinary", "1,y", "--ideal-monomial", "y"], "--ordinary"),
+            (["resolve", "--monomial", "x,y z", "--ideal", "x"], "--monomial"),
+            (["invariant", "--ordinary", "x,2y", "--ideal", "x"], "--ordinary"),
+            (["newton", "--monomial", "x^2", "--ideal", "x"], "--monomial"),
         ],
         ids=(
             "weight-syntax rees-and-weights mark-zero-denominator point-zero-denominator"
@@ -488,6 +492,7 @@ class TestExitCodes:
             " weight-not-numeric invariant-empty-point center-empty-point"
             " reembed-empty-point empty-weights weights-no-direction"
             " weight-direction-repeated point-exponent mark-exponent"
+            " ordinary-integer monomial-two-names ordinary-digit-first monomial-power"
         ).split(),
     )
     def test_malformed_value_is_two(self, argv, option):

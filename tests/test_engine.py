@@ -1,7 +1,6 @@
 """Resolution driver: worked trees, the drop law, and the one-step checks."""
 
 import random
-from fractions import Fraction
 
 import oracles
 import pytest
@@ -28,7 +27,7 @@ from mwb.engine import (
     resolve,
 )
 from mwb.errors import DepthExceeded, MwbError
-from mwb.invariant import compare, d_leq, invariant_at
+from mwb.invariant import compare, d_leq
 from mwb.monomials import newton
 from mwb.poly import (
     PolyIdeal,

@@ -13,15 +13,14 @@ from mwb.errors import MwbError, NoRectifiableContact
 from mwb.groebner import ideal_equal
 from mwb.invariant import (
     INF,
-    Center,
     CLOSURE_BUDGET,
-    Contact,
     Invariant,
     center_display,
     coefficient_ideal,
     compare,
     d_leq,
     invariant_at,
+    log_order,
     logord_at,
     max_logord,
     maximal_contact,
@@ -29,8 +28,7 @@ from mwb.invariant import (
     monomial_part,
     reduced_center,
 )
-from mwb.monomials import monomial_ideal
-from mwb.poly import Polynomial, format_polynomial
+from mwb.poly import Polynomial, constant, format_polynomial, variable
 
 
 def inv_of(entries):
@@ -223,6 +221,41 @@ class TestPieces:
         assert logord_at(ideal(a30, "1"), ORIGIN3) == 0
         # away from the vanishing locus the order drops to zero
         assert logord_at(ideal(a30, "x + 1"), ORIGIN3) == 0
+
+    def test_log_order_matches_the_taylor_shift(self):
+        # log_order groups the terms by their exponent on the point's zero
+        # coordinates; the oracle shifts the point to the origin instead
+        worked = [
+            (ambient(ordinary="x,y,z"), "x (y - 1)^2 + z^3", (0, 1, 0), 3),
+            (ambient(ordinary="x,y", monomial="z"), "z x + (y - 2)^2 x", (0, 2, 0), 3),
+            (ambient(ordinary="x", monomial="y", inverted=("y",)), "y^2 x^2 + y^3 x^3", (0, 1), 2),
+            (ambient(ordinary="x,y"), "(x - 1/2)^2 (y + 1)", (Fraction(1, 2), -1), 3),
+        ]
+        for amb, text, point, order in worked:
+            g = poly(amb, text)
+            assert log_order(g, point) == oracles.taylor_log_order(g, point) == order
+        rng = random.Random(2811)
+        values = (0, 0, 1, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3))
+        shapes = (("x,y", ""), ("x", "y,z"), ("x,y,z", ""), ("", "x,y"), ("x,y", "z"))
+        vanishing = 0
+        for _ in range(160):
+            ordinary, monomial = rng.choice(shapes)
+            amb = ambient(ordinary, monomial)
+            amb = amb.with_inverted(rng.sample(amb.names(), rng.randrange(0, 2)))
+            point = tuple(
+                rng.choice(values[2:] if n in amb.inverted else values) for n in amb.names()
+            )
+            g = random_polynomial(rng, amb, 4, 3)
+            if rng.random() < 0.5:
+                # move g's origin to the point, so that it vanishes there
+                images = {
+                    n: variable(amb, n) - constant(amb, x) for n, x in zip(amb.names(), point)
+                }
+                g = oracles.naive_substitute(g, images, amb)
+            order = log_order(g, point)
+            assert order == oracles.taylor_log_order(g, point), (g, point)
+            vanishing += order not in (0, INF) and any(point)
+        assert vanishing > 30
 
     def test_max_logord(self, a30, a33):
         assert max_logord(ideal(a33, "x^2")) is INF

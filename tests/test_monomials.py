@@ -3,7 +3,7 @@ import random
 from hypothesis import given, strategies as st
 
 import oracles
-from mwb import MonomialIdeal, integral_closure, monomial_ideal
+from mwb import integral_closure, monomial_ideal
 from mwb.monomials import closure_member, divides, minimalize, newton
 
 EXPONENT = st.integers(min_value=0, max_value=5)

@@ -1,13 +1,15 @@
 import random
+import shlex
 from dataclasses import fields
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import ambient, ideal, poly
-from mwb import LogAmbient, Polynomial, PolyIdeal, groebner, monomial_ideal
-from mwb.blowup import build_blowup
+from conftest import ambient, drop_corpus, ideal, poly
+from mwb import LogAmbient, Polynomial, PolyIdeal, cli, engine, groebner, monomial_ideal
+from mwb.blowup import build_blowup, total_transform, weak_transform
 from mwb.errors import AmbientMismatch, IncompleteSubstitution, MwbError
 from mwb.poly import (
     EVALUATE_BITS,
@@ -40,6 +42,7 @@ def polys(draw, amb, max_terms=4):
     return Polynomial(amb, {e: c for e, c in terms.items() if c})
 
 
+GOLDEN = Path(__file__).parent / "golden"
 A2 = ambient(ordinary="x", monomial="y")
 A3 = ambient(ordinary="x,y,z")
 
@@ -52,6 +55,22 @@ def test_describe_strings():
     )
     amb = ambient(ordinary="x", monomial="z", inverted=("z",))
     assert amb.describe() == "A^{2;1}(x ordinary, z monomial*)"
+
+
+def test_drop_matches_the_validating_constructor():
+    # drop builds its ambient without the constructor's checks; it must be
+    # the ambient the constructor builds, inverted names included
+    amb = ambient(ordinary="x,y", monomial="z,w", inverted=("y", "w"))
+    for name in amb.names():
+        i = amb.index(name)
+        built = LogAmbient(amb.variables[:i] + amb.variables[i + 1 :], amb.inverted - {name})
+        dropped = amb.drop(name)
+        assert dropped == built and hash(dropped) == hash(built)
+        assert dropped.variables == built.variables
+        assert dropped.inverted == built.inverted
+        assert [dropped.index(n) for n in built.names()] == list(range(built.n))
+        with pytest.raises(MwbError):
+            dropped.index(name)
 
 
 def test_with_inverted_unions():
@@ -357,14 +376,92 @@ def test_restriction_by_exponents_matches_substitution():
     assert {(k, z) for k in flags for z in (True, False)} <= kinds
 
 
+def assert_rational_form(c):
+    """c is an int when integral and a Fraction otherwise: never a float, a
+    bool or a Fraction with denominator 1."""
+    assert type(c) in (int, Fraction), repr(c)
+    assert type(c) is (int if c.denominator == 1 else Fraction), repr(c)
+
+
 def assert_validated(p):
     """p is what the public constructor makes of its own terms."""
     n = p.ambient.n
     assert Polynomial(p.ambient, p.terms).terms == p.terms
     for e, c in p.terms.items():
-        assert type(c) is Fraction and c != 0
+        assert_rational_form(c)
+        assert c != 0
         assert type(e) is tuple and len(e) == n
         assert all(type(x) is int and x >= 0 for x in e)
+
+
+def golden_results():
+    """Every polynomial of the golden resolve, principalize and transform
+    commands' results, and every tree they build; each transcript block
+    starts with a "$ mwb ..." line."""
+    commands = set()
+    for path in GOLDEN.rglob("*.txt"):
+        for line in path.read_text().splitlines():
+            argv = shlex.split(line)[2:] if line.startswith("$ mwb ") else []
+            if argv and argv[0] in ("resolve", "principalize", "transform"):
+                commands.add(tuple(argv))
+    polys, trees = [], []
+    for argv in sorted(commands):
+        args = cli.build_parser().parse_args(argv)
+        if argv[0] == "transform":
+            amb = cli.build_ambient(args)
+            b = cli.make_blowup(args, amb)
+            source = cli.parse_ideal(args.ideal, amb)
+            weak, mult = weak_transform(b, source)
+            proper = groebner.saturate_at_variables(weak, mult)
+            for result in (total_transform(b, source), weak, proper):
+                polys += result.generators
+            polys += b.pullback.values()
+        else:
+            amb = cli.build_ambient(args, args.ideal)
+            source = cli.parse_ideal(args.ideal, amb)
+            marks = tuple(args.mark or ())
+            trees.append(engine.resolve(source, mode=args.mode, marks=marks))
+    assert len(trees) >= 5 and len(polys) > 20
+    return polys, trees
+
+
+def tree_results(tree):
+    """The polynomials and points of a resolution tree: node ideals, weak
+    and proper transforms, contact shifts, reduced bases, marked points."""
+    polys, points = [], []
+    for node in tree.nodes():
+        polys += node.ideal.generators
+        polys += groebner.groebner_basis(node.ideal)
+        if node.weak is not None:
+            polys += node.weak.generators
+            proper = groebner.saturate_at_variables(node.weak, node.multiplicities)
+            polys += proper.generators
+        contacts = node.changes + (node.center.contacts if node.center else ())
+        polys += [c.shift for c in contacts if c.shift is not None]
+        points += node.marked
+        if node.worst_point is not None:
+            points.append(node.worst_point)
+    return polys, points
+
+
+def test_results_keep_integral_coefficients_as_ints():
+    # the drop corpus and the golden commands, walked through every result
+    # they make: an integral coefficient or coordinate is an int, any other
+    # a Fraction, and none is a float
+    polys, trees = golden_results()
+    trees += [engine.resolve(i, mode=mode) for mode, i in drop_corpus()]
+    points = []
+    for tree in trees:
+        more, pts = tree_results(tree)
+        polys += more
+        points += pts
+    for p in polys:
+        assert_validated(p)
+    assert any(type(c) is Fraction for p in polys for c in p.terms.values())
+    for q in points:
+        for x in q:
+            assert_rational_form(x)
+    assert any(x == 1 for q in points for x in q)
 
 
 def test_trusted_results_pass_the_public_constructor(monkeypatch):
