@@ -45,22 +45,21 @@ combine coordinate powers with a monomial part and use the same rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul, sub
-from string import ascii_letters
 
 from .errors import EmptyCenter, HypothesisViolated, MwbError, ZeroIdeal
 from .monomials import MonomialIdeal, minimalize, monomial_ideal, newton
 from .poly import EXCEPTIONAL, ORDINARY, LogAmbient, PolyIdeal, Polynomial
 from .polyhedra import NormalFan, Vec, normal_fan
+from .record import record
 from . import groebner
 
 # -- fractional ideals ------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FractionalIdeal:
     """A formal root a^{1/root} of a monomial ideal."""
 
@@ -94,7 +93,7 @@ def equivalent(f1: FractionalIdeal, f2: FractionalIdeal) -> bool:
 # -- centers ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CenterIdeal:
     """j = (x_1^{e_1}, ..., x_k^{e_k}) + a with Rees root lcm(e_i).
 
@@ -138,7 +137,7 @@ def assemble_center(c: CenterIdeal, ambient: LogAmbient) -> MonomialIdeal:
 # -- the blow-up record -----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Chart:
     """One chart per maximal cone: its vertex and the chart's irrelevant
     (inverted) variables, i.e. the variables of the rays not in the cone."""
@@ -152,7 +151,7 @@ class Chart:
         return "".join(self.inverted) or "1"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MultiWeightedBlowup:
     """The Cox data of a blow-up.  The fan lists the n standard rays first,
     in coordinate order, then the exceptional ones, and the Cox variables
@@ -212,7 +211,7 @@ class MultiWeightedBlowup:
         return self.cox.with_inverted(chart.inverted)
 
 
-_FRESH_LETTERS = "uvwstE" + ascii_letters
+_FRESH_LETTERS = "uvwstEabcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
 def _fresh_names(source: LogAmbient, count: int) -> list[str]:

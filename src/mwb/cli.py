@@ -34,7 +34,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import engine, invariant as inv_mod
@@ -63,6 +62,7 @@ from .poly import (
     monomial_saturation,
 )
 from .polyhedra import newton_polyhedron
+from .record import field, record
 
 # -- expression parsing -----------------------------------------------------
 
@@ -300,7 +300,7 @@ def make_blowup(args, ambient: LogAmbient) -> MultiWeightedBlowup:
 # -- reports ----------------------------------------------------------------
 
 
-@dataclass
+@record
 class Report:
     """One subcommand's output: JSON fields and text lines, each fact
     added once as both.  main prints the lines or dumps the fields."""

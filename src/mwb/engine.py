@@ -57,7 +57,6 @@ recursing forever; MWB_DEPTH_LIMIT (default 16) caps the tree height.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import groebner
@@ -100,6 +99,7 @@ from .poly import (
     variable,
 )
 from .polyhedra import _bits, affinely_independent, faces, newton_polyhedron, normal_fan
+from .record import field, record
 
 
 def depth_limit() -> int:
@@ -123,7 +123,7 @@ def chart_origin(ambient: LogAmbient) -> tuple:
 # -- the tree ---------------------------------------------------------------
 
 
-@dataclass
+@record
 class ResolutionNode:
     label: str
     path: str
@@ -147,7 +147,7 @@ class ResolutionNode:
         return self.status is not None
 
 
-@dataclass
+@record
 class ResolutionTree:
     mode: str
     root: ResolutionNode

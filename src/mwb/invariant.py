@@ -44,7 +44,6 @@ import functools
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import groebner
@@ -64,6 +63,7 @@ from .poly import (
     restrict,
     strip_inverted_units,
 )
+from .record import record
 
 INF = float("inf")
 
@@ -77,7 +77,7 @@ CLOSURE_BUDGET = 2000
 
 
 @functools.total_ordering
-@dataclass(frozen=True)
+@record(frozen=True)
 class Invariant:
     entries: tuple
 
@@ -213,7 +213,7 @@ def max_logord(ideal: PolyIdeal):
 # -- maximal contact --------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Contact:
     """A rectified maximal contact: the coordinate, and for triangular
     contacts the shift s with x = (new coordinate) + s."""
@@ -357,7 +357,7 @@ def monomial_part(pairs) -> list[tuple[Fraction, ...]]:
 # -- the invariant recursion ------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Center:
     """The center attached to an invariant at a point: rectified contacts
     with their orders a_i, and the monomial part Q at original-ambient

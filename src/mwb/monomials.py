@@ -10,10 +10,10 @@ vertex-wise maxima, so a box walk suffices to enumerate them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import EmptyIdeal, MwbError
 from .polyhedra import NewtonPolyhedron, Vec, contains, exponent, newton_polyhedron
+from .record import record
 
 
 def divides(a: Vec, b: Vec) -> bool:
@@ -30,7 +30,7 @@ def minimalize(gens) -> tuple[Vec, ...]:
     return tuple(sorted(out, reverse=True))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MonomialIdeal:
     dim: int
     gens: tuple[Vec, ...]

@@ -18,10 +18,11 @@ through kernel.exact, and a true division of coefficients builds a
 Fraction first, so no float can appear.  Exponent vectors are int tuples
 aligned with the variable order.
 
-LogAmbient, Polynomial and PolyIdeal are frozen slotted dataclasses, so
-equality, hashing and immutability are declared, not written.  Each keeps
-a validating __init__ of its own; Polynomial keeps its __hash__, since its
-terms are a dict.
+LogAmbient, Polynomial and PolyIdeal are frozen slotted records (see
+record), so equality, hashing and immutability are declared, not written.
+Each keeps a validating __init__ of its own; Polynomial keeps its
+__hash__, since its terms are a dict.  LogAmbient keeps its names tuple
+and its name -> position index as fields that equality skips.
 
 The public constructor Polynomial(ambient, terms) validates and copies its
 input: every exponent passes polyhedra.exponent (an int tuple of the
@@ -44,13 +45,13 @@ dict-level product per variable, so no intermediate Polynomial is made.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import kernel
 from .errors import AmbientMismatch, IncompleteSubstitution, MwbError
 from .monomials import MonomialIdeal, minimalize
 from .polyhedra import Vec, exponent
+from .record import field, record
 
 ORDINARY = "ordinary"
 MONOMIAL = "monomial"
@@ -70,13 +71,14 @@ TERM_BUDGET = 1 << 16
 COEFF_BITS = 1 << 13
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class LogAmbient:
     """Ordered named variables with log flags and chart inversions."""
 
     variables: tuple[tuple[str, str], ...]
     inverted: frozenset[str]
     _index: dict[str, int] = field(compare=False, repr=False)
+    _names: tuple[str, ...] = field(compare=False, repr=False)
 
     def __init__(self, variables, inverted=()):
         variables = tuple((str(n), str(f)) for n, f in variables)
@@ -91,7 +93,8 @@ class LogAmbient:
             raise MwbError(f"inverted variables {sorted(inverted)} not in ambient")
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "inverted", inverted)
-        object.__setattr__(self, "_index", {n: i for i, (n, _) in enumerate(variables)})
+        object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
+        object.__setattr__(self, "_names", tuple(names))
 
     @property
     def n(self) -> int:
@@ -102,7 +105,7 @@ class LogAmbient:
         return sum(1 for _, f in self.variables if f != ORDINARY)
 
     def names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.variables)
+        return self._names
 
     def index(self, name: str) -> int:
         try:
@@ -124,7 +127,9 @@ class LogAmbient:
         out = object.__new__(LogAmbient)
         object.__setattr__(out, "variables", variables)
         object.__setattr__(out, "inverted", self.inverted - {name})
-        object.__setattr__(out, "_index", {n: j for j, (n, _) in enumerate(variables)})
+        names = self._names[:i] + self._names[i + 1 :]
+        object.__setattr__(out, "_index", {n: j for j, n in enumerate(names)})
+        object.__setattr__(out, "_names", names)
         return out
 
     def with_inverted(self, names) -> "LogAmbient":
@@ -161,7 +166,7 @@ def rational(x) -> int | Fraction:
     return kernel.exact(Fraction(x))
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Polynomial:
     """Term dict {exponent tuple: nonzero coefficient} over a LogAmbient;
     a coefficient is an int when integral, else a Fraction."""
@@ -497,7 +502,7 @@ def strip_inverted_units(p: Polynomial) -> tuple[Polynomial, Vec]:
 # -- ideals -----------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class PolyIdeal:
     """Finitely generated ideal; zero generators are dropped, order kept."""
 

@@ -71,11 +71,11 @@ intermediate entries are integer minors and whose divisions are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
 from operator import mul
 
 from .errors import EmptyIdeal, ZeroVector
+from .record import field, record
 
 Vec = tuple[int, ...]
 
@@ -142,7 +142,7 @@ def affinely_independent(points) -> bool:
     return _rank(rows) == len(rows)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Facet:
     """Inward facet inequality  normal . a >= level  with primitive normal."""
 
@@ -153,7 +153,7 @@ class Facet:
         return sum(self.normal) == 1
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NewtonPolyhedron:
     """Vertices, facets and their incidence: incidence[k] is the bitmask
     of the facets tight at vertices[k], bit j for facet j.  Every generator
@@ -348,7 +348,7 @@ def faces(p: NewtonPolyhedron) -> list[tuple[int, int, int, int]]:
 
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Ray:
     """A ray of the normal fan: a facet normal with its level."""
 
@@ -357,7 +357,7 @@ class Ray:
     standard: bool
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Cone:
     """A maximal cone, recorded by its vertex and the tight ray indices."""
 
@@ -365,7 +365,7 @@ class Cone:
     rays: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NormalFan:
     dim: int
     rays: tuple[Ray, ...]

@@ -1,10 +1,12 @@
-"""Source hygiene: mwb imports only the standard library and itself, every
-name a module of mwb or of its tests imports is used in it, every private
+"""Source hygiene: mwb imports only the standard library and itself, and
+its import loads neither dataclasses, inspect nor typing; every name a
+module of mwb or of its tests imports is used in it, every private
 module-level name is used somewhere in the package, every public one too
-or it names its reason, records leave their value methods to dataclasses,
+or it names its reason, records leave their value methods to mwb.record,
 and in the CLI only main prints."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -50,6 +52,26 @@ def test_the_walk_sees_an_unused_import():
         "x: b = os.path\n"
     )
     assert unused_imports(tree) == [(3, "d")]
+
+
+# Modules whose import costs more than the work of most commands: dataclasses
+# brings inspect, ast, dis and tokenize with it, and typing is as heavy.
+HEAVY = ("dataclasses", "inspect", "typing")
+
+
+def test_importing_mwb_loads_no_heavy_module():
+    # -S keeps site (and whatever its .pth files import) out of the count
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import mwb, mwb.cli\n"
+        f"print(' '.join(m for m in {HEAVY!r} if m in sys.modules))\n"
+    )
+    src = str(Path(mwb.__file__).parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code, src], capture_output=True, text=True, check=True
+    )
+    assert done.stdout.split() == []
 
 
 def foreign_imports(tree):
@@ -228,7 +250,7 @@ def test_the_scan_sees_an_unreferenced_public_name():
 
 def hand_written_value_methods(tree):
     """(class, name) of each class body that assigns __slots__ or defines
-    __setattr__ or __eq__ itself; a dataclass declares those.  An explicit
+    __setattr__ or __eq__ itself; a record declares those.  An explicit
     __hash__ is allowed: a record whose field is a dict needs one."""
     return [
         (cls.name, name)
@@ -239,7 +261,7 @@ def hand_written_value_methods(tree):
     ]
 
 
-def test_records_are_dataclasses():
+def test_records_declare_their_value_methods():
     found = {
         p.name: hits
         for p in SOURCES
@@ -255,7 +277,7 @@ def test_the_scan_sees_a_hand_written_record():
         "    def __setattr__(self, *a):\n        raise AttributeError\n"
         "    def __eq__(self, other):\n        return self.x == other.x\n"
         "    def __hash__(self):\n        return hash(self.x)\n"
-        "@dataclass(frozen=True, slots=True)\n"
+        "@record(frozen=True, slots=True)\n"
         "class Kept:\n"
         "    x: int\n"
         "    def __hash__(self):\n        return 0\n"

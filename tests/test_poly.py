@@ -1,6 +1,5 @@
 import random
 import shlex
-from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -264,7 +263,7 @@ def test_value_types_compare_hash_and_freeze():
         assert repr(a) == text
         assert not hasattr(a, "__dict__")
         with pytest.raises(AttributeError):
-            setattr(a, fields(a)[0].name, None)
+            setattr(a, type(a).__record_fields__[0].name, None)
     assert amb != amb.with_inverted(("x",))
     assert amb != LogAmbient(amb.variables)
     assert f != Polynomial(amb, {(2, 0): 3})
