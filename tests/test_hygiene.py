@@ -55,7 +55,7 @@ def test_the_walk_sees_an_unused_import():
 
 
 # Modules whose import costs more than the work of most commands: dataclasses
-# brings inspect, ast, dis and tokenize with it, and typing is as heavy.
+# brings inspect, ast, dis and tokenize with it, and typing takes several ms.
 HEAVY = ("dataclasses", "inspect", "typing")
 
 
