@@ -4,10 +4,11 @@ Everything runs through the kernel's normal-form loop; orders are grevlex
 (block == 0) or a block elimination order putting the first k variables in
 front (block == k).
 
-extend grows a Groebner basis held as (lead, terms) pairs: the lead is
-found once, when an element enters, and its terms are monic and list the
-lead first (a remainder from kernel.normal_form already does).  The given
-basis goes in live with no pairs among its elements, so callers adding
+grow grows a Groebner basis held as (lead, terms) pairs, the terms monic
+and listing the lead first, as a kernel.normal_form remainder does: the
+derivative closure hands its remainders over as they are, and extend,
+the entry for Polynomials, finds each lead by one scan.  The given basis
+goes in live with no pairs among its elements, so callers adding
 generators grow one basis, never rebuild it; groebner_basis is extend
 from [] with its minimal part interreduced.  Pairs wait in a heap keyed
 (order_key(lcm), i, j), i < j the elements' entry indices, so the pair
@@ -117,21 +118,21 @@ def leading_term(p: Polynomial, block: int = 0):
 
 def _monic_terms(terms: dict, lead) -> dict:
     """terms divided by the coefficient of lead, each quotient an int when
-    it is integral."""
+    it is integral: exact floor division when that coefficient is an int
+    dividing every coefficient, and one Fraction inverse otherwise."""
     lc = terms[lead]
     if lc == 1:
         return terms
     if lc == -1:
         return {e: -c for e, c in terms.items()}
+    if type(lc) is int and all(type(c) is int and not c % lc for c in terms.values()):
+        return {e: c // lc for e, c in terms.items()}
     inv = Fraction(1) / lc
     return {e: kernel.exact(c * inv) for e, c in terms.items()}
 
 
 def monic(p: Polynomial, block: int = 0) -> Polynomial:
-    lm, lc = leading_term(p, block)
-    if lc == 1:
-        return p
-    return Polynomial._trusted(p.ambient, _monic_terms(p.terms, lm))
+    return Polynomial._trusted(p.ambient, _monic_terms(p.terms, leading_term(p, block)[0]))
 
 
 def monic_remainder(p: Polynomial, pairs, block: int = 0) -> Polynomial:
@@ -194,25 +195,33 @@ def _update(h: int, elements, live: list[int], pairs: dict, heap: list, block: i
 
 
 def extend(basis: list[tuple], gens, block: int = 0) -> list[tuple]:
-    """A Groebner basis of basis + gens, basis being one already, as
-    (lead, monic terms) pairs listing the lead first; neither reduced nor
-    sorted, and [(1, {1: 1})] once a constant turns up."""
+    """grow's basis, the Polynomials gens entering by the lead a scan finds."""
+    return grow(basis, (_element(g, block) for g in gens), block)
+
+
+def _element(g: Polynomial, block: int) -> tuple:
+    lead, lc = leading_term(g, block)
+    return lead, _monic_terms({lead: lc, **g.terms}, lead)
+
+
+def grow(basis: list[tuple], new, block: int = 0) -> list[tuple]:
+    """A Groebner basis of basis + new, basis being one already, held as
+    new is, monic (lead, terms) pairs listing the lead first; neither
+    reduced nor sorted, and [(1, {1: 1})] once a constant turns up."""
     elements = list(basis)  # (lead, monic terms, lead first), by entry
     live = list(range(len(elements)))  # indices of the basis that reduces
     pairs: dict = {}  # pending (i, j) -> lcm of the two leads
     heap: list = []  # (order_key(lcm), i, j); entries not in pairs are stale
 
-    def enter(lead, terms) -> bool:
-        """Add a monic element unless it is a constant; False if it is."""
+    def enter(lead, terms) -> bool:  # False for a constant, which is not added
         if not any(lead):
             return False
         elements.append((lead, terms))
         _update(len(elements) - 1, elements, live, pairs, heap, block)
         return True
 
-    for g in gens:
-        lead, lc = leading_term(g, block)
-        if not enter(lead, _monic_terms({lead: lc, **g.terms}, lead)):
+    for lead, terms in new:
+        if not enter(lead, terms):
             return [(lead, {lead: 1})]
     reducers = [elements[g] for g in live]
     while heap:
@@ -260,8 +269,7 @@ def normal_form(p: Polynomial, basis, block: int = 0) -> Polynomial:
     """The remainder of p against a list of polynomials, each made monic."""
     if any(g.ambient != p.ambient for g in basis):
         raise AmbientMismatch("reducing against polynomials over a different ambient")
-    leads = [(leading_term(g, block)[0], g.terms) for g in basis if not g.is_zero()]
-    pairs = [(lead, _monic_terms(terms, lead)) for lead, terms in leads]
+    pairs = [_element(g, block) for g in basis if not g.is_zero()]
     return Polynomial._trusted(p.ambient, kernel.normal_form(p.terms, pairs, block))
 
 

@@ -24,6 +24,12 @@ each generator, and each step
     kept pairs of weight at least 1/a; then restricts every kept pair to
     it.
 
+Weights are integers over one denominator: (g, n) weighs n/D, starting
+at n = D = 1.  A level finds the least o/n, o = logord_p(g), by
+cross-multiplying, reads a = o D / n, then multiplies every n and D by o:
+no weight moves, and 1/a = n / (o D) is the integer step n over the new
+D, so the closure's heap keys and weight tests are int operations.
+
 The entries are the a_i themselves, nondecreasing rationals.  An empty
 family ends the recursion.  A family whose orders are all infinite is
 monomial in the log variables near p and ends it with an infinity: its
@@ -68,8 +74,8 @@ from .record import record
 INF = float("inf")
 
 # Pairs one derivative closure may take before the recursion gives up with
-# an error.  (x^200) on A^1 takes 200; no other closure of the test suite or
-# the benchmark takes more than 34.
+# an error.  (x^200) on A^1 takes 200; no other closure of the test suite
+# takes more than 153, nor one of the benchmark more than 18.
 CLOSURE_BUDGET = 2000
 
 
@@ -89,10 +95,7 @@ class Invariant:
 
 
 def entry_str(e) -> str:
-    if e == INF:
-        return "inf"
-    f = Fraction(e)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    return "inf" if e == INF else str(Fraction(e))
 
 
 def point_str(point) -> str:
@@ -105,9 +108,7 @@ def compare(u: Invariant, v: Invariant) -> int:
     for a, b in zip(u.entries, v.entries):
         if a != b:
             return -1 if a < b else 1
-    if len(u.entries) == len(v.entries):
-        return 0
-    return 1 if len(u.entries) < len(v.entries) else -1
+    return (len(u.entries) < len(v.entries)) - (len(u.entries) > len(v.entries))
 
 
 # -- log order ---------------------------------------------------------------
@@ -232,10 +233,7 @@ def maximal_contact(amb: LogAmbient, gens: list[Polynomial], point) -> Contact:
     tier1 = set()
     for g in gens:
         s, _ = strip_inverted_units(g)
-        if len(s.terms) != 1:
-            continue
-        (e, _c), = s.terms.items()
-        if sum(e) != 1:
+        if len(s.terms) != 1 or sum(e := next(iter(s.terms))) != 1:
             continue
         i = e.index(1)
         name, flag = amb.variables[i]
@@ -249,12 +247,9 @@ def maximal_contact(amb: LogAmbient, gens: list[Polynomial], point) -> Contact:
         if flag != ORDINARY:
             continue
         for g in gens:
-            if g.evaluate(point) != 0:
+            if g.evaluate(point) != 0 or g.degree_in(name) != 1:
                 continue
-            if g.degree_in(name) != 1:
-                continue
-            lin = {}
-            rest = {}
+            lin, rest = {}, {}
             for e, c in g.terms.items():
                 if e[i] == 1:
                     lin[e[:i] + (0,) + e[i + 1 :]] = c
@@ -263,9 +258,8 @@ def maximal_contact(amb: LogAmbient, gens: list[Polynomial], point) -> Contact:
             if set(lin) != {(0,) * amb.n}:
                 continue  # coefficient of x must be a constant
             c0 = lin[(0,) * amb.n]
-            sub = amb.drop(name)
             shift = Polynomial(
-                sub, {e[:i] + e[i + 1 :]: Fraction(-c) / c0 for e, c in rest.items()}
+                amb.drop(name), {e[:i] + e[i + 1 :]: Fraction(-c) / c0 for e, c in rest.items()}
             )
             return Contact(name, shift if not shift.is_zero() else None)
 
@@ -299,21 +293,20 @@ def minimal_tuples(b: int) -> list[tuple[int, ...]]:
     return [tuple(f // (b - j) if k == j else 0 for k in range(b)) for j in range(b)]
 
 
-def coefficient_ideal(pairs, a, point) -> list[tuple[Polynomial, Fraction]]:
-    """The family closed under log derivations at entry a, pruned: each
-    kept pair (g, delta) adds (D g, delta - 1/a) while that weight is
-    positive.  Pairs are taken by descending weight, then degree, and a
-    pair is kept as its monic remainder against a Groebner basis of the
-    pairs already kept, which groebner.extend grows by each kept remainder.
-    Raises MwbError after CLOSURE_BUDGET pairs; the point only names where
-    in that message."""
+def coefficient_ideal(pairs, step: int, point) -> list[tuple[Polynomial, int]]:
+    """The family closed under log derivations, pruned, with weights and
+    step = 1/a integers over one denominator: a kept pair (g, n) adds
+    (D g, n - step) while that is positive.  Pairs are taken by descending
+    weight, then degree, and kept as their monic remainder against a
+    Groebner basis of the pairs already kept, which groebner.grow grows by
+    each, lead first.  Raises MwbError after CLOSURE_BUDGET pairs; the
+    point only names where in that message."""
     amb = pairs[0][0].ambient
-    step = 1 / a
     seq = itertools.count()
-    heap = [(-d, max(map(sum, g.terms)), next(seq), g) for g, d in pairs]
+    heap = [(-n, max(map(sum, g.terms)), next(seq), g) for g, n in pairs]
     heapq.heapify(heap)
-    kept: list[tuple[Polynomial, Fraction]] = []
-    basis: list[tuple] = []  # groebner.extend's pairs
+    kept: list[tuple[Polynomial, int]] = []
+    basis: list[tuple] = []  # groebner.grow's pairs
     taken = 0
     while heap:
         taken += 1
@@ -328,7 +321,7 @@ def coefficient_ideal(pairs, a, point) -> list[tuple[Polynomial, Fraction]]:
         if not r.terms:
             continue
         kept.append((r, -neg))
-        basis = groebner.extend(basis, [r])
+        basis = groebner.grow(basis, [(next(iter(r.terms)), r.terms)])
         if -neg > step:
             for name in amb.names():
                 dr = log_derivation(r, name)
@@ -337,18 +330,19 @@ def coefficient_ideal(pairs, a, point) -> list[tuple[Polynomial, Fraction]]:
     return kept
 
 
-def monomial_part(pairs) -> list[tuple[Fraction, ...]]:
-    """The points m/delta of a family whose log orders are all infinite, m
-    over its terms' exponents with ordinary and inverted coordinates set to
-    zero.  Their Newton polyhedron is the family's monomial part."""
+def monomial_part(pairs, den: int) -> list[tuple[Fraction, ...]]:
+    """The points m/delta of a family of pairs (g, n), delta = n/den, whose
+    log orders are all infinite, m over the exponents of g with ordinary and
+    inverted coordinates set to zero.  Their Newton polyhedron is the
+    family's monomial part."""
     amb = pairs[0][0].ambient
     keep = [
         flag != ORDINARY and name not in amb.inverted for name, flag in amb.variables
     ]
     return sorted(
         {
-            tuple(x / d if k else Fraction(0) for x, k in zip(e, keep))
-            for g, d in pairs
+            tuple(Fraction(x * den, n) if k else Fraction(0) for x, k in zip(e, keep))
+            for g, n in pairs
             for e in g.terms
         }
     )
@@ -378,34 +372,36 @@ def invariant_at(ideal: PolyIdeal, point) -> tuple[Invariant, Center | None]:
         raise MwbError(f"point has {len(point)} coordinates, the ambient has {amb0.n}")
 
     amb = amb0
-    family = [(g, Fraction(1)) for g in ideal.generators]
+    family, den = [(g, 1) for g in ideal.generators], 1  # (g, n) weighs n / den
     entries: list = []
     contacts: list[Contact] = []
     while family:
-        a = min(log_order(g, point) / d for g, d in family)
-        if a == 0:
+        o, least = INF, 1  # the least o/n of the level, INF when none is finite
+        for g, n in family:
+            og = log_order(g, point)
+            if og * least < o * n:
+                o, least = og, n
+        if o == 0:
             if not entries:
                 return Invariant((Fraction(0),)), None
             raise MwbError("restriction does not vanish at the point")
-        if a == INF:
+        if o == INF:
             break
-        entries.append(a)
-        kept = coefficient_ideal(family, a, point)
-        least = 1 / a
+        entries.append(Fraction(o * den, least))
+        den *= o  # now 1/a = least / den
+        kept = coefficient_ideal([(g, n * o) for g, n in family], least, point)
         try:
-            contact = maximal_contact(amb, [g for g, d in kept if d == least], point)
+            contact = maximal_contact(amb, [g for g, n in kept if n == least], point)
         except NoRectifiableContact:
             # the order-one element may show only in the reduced basis of
             # the pairs of weight at least 1/a, the weight-1/a ideal
-            heavy = PolyIdeal(amb, [g for g, d in kept if d >= least])
+            heavy = PolyIdeal(amb, [g for g, n in kept if n >= least])
             contact = maximal_contact(amb, groebner.groebner_basis(heavy), point)
         contacts.append(contact)
         i = amb.index(contact.name)
-        family = []
-        for g, d in kept:
-            r = restrict(g, contact.name, contact.shift)
-            if r.terms:
-                family.append((r, d))
+        family = [
+            (r, n) for g, n in kept if (r := restrict(g, contact.name, contact.shift)).terms
+        ]
         amb = amb.drop(contact.name)
         point = point[:i] + point[i + 1 :]
 
@@ -416,17 +412,15 @@ def invariant_at(ideal: PolyIdeal, point) -> tuple[Invariant, Center | None]:
     q = MonomialIdeal(amb0.n, ())
     if family:
         entries.append(INF)
-        pos = [amb0.index(n) for n in amb.names()]
-        points = []
-        for p in monomial_part(family):
-            full = [Fraction(0)] * amb0.n
-            for i, x in zip(pos, p):
-                full[i] = x
-            points.append(full)
-        den = math.lcm(*(x.denominator for p in points for x in p))
-        verts = newton(monomial_ideal([[x * den for x in p] for p in points], amb0.n)).vertices
-        scale = math.lcm(scale, *(Fraction(x, den).denominator for v in verts for x in v))
-        q = MonomialIdeal(amb0.n, tuple(tuple(x * scale // den for x in v) for v in verts))
+        pos = {amb0.index(name): j for j, name in enumerate(amb.names())}
+        points = [
+            [p[pos[i]] if i in pos else Fraction(0) for i in range(amb0.n)]
+            for p in monomial_part(family, den)
+        ]
+        lcd = math.lcm(*(x.denominator for p in points for x in p))
+        verts = newton(monomial_ideal([[x * lcd for x in p] for p in points], amb0.n)).vertices
+        scale = math.lcm(scale, *(Fraction(x, lcd).denominator for v in verts for x in v))
+        q = MonomialIdeal(amb0.n, tuple(tuple(x * scale // lcd for x in v) for v in verts))
     return Invariant(tuple(entries)), Center(tuple(contacts), orders, q, scale)
 
 
@@ -448,9 +442,7 @@ def reduced_center(center: Center, ambient: LogAmbient) -> tuple[CenterIdeal, in
 def center_display(center: Center, ambient: LogAmbient) -> str:
     """Reduced fractional form: (x^{1/w_1}, ..., Q^{1/root})."""
     c, root, weights = reduced_center(center, ambient)
-    parts = []
-    for (name, _e), w in zip(c.ordinary, weights):
-        parts.append(name if w == 1 else f"{name}^{{1/{w}}}")
+    parts = [name if w == 1 else f"{name}^{{1/{w}}}" for (name, _e), w in zip(c.ordinary, weights)]
     if not center.q.is_zero():
         inner = ", ".join(format_monomial(ambient, g) for g in center.q.gens)
         parts.append(f"({inner})" + (f"^{{1/{root}}}" if root != 1 else ""))

@@ -173,3 +173,28 @@ def drop_corpus():
     cases.append(("principalize", ideal(a3, "x y, z^2")))
     cases.append(("resolve", ideal(a2, "x^2 + x y^2")))
     return cases
+
+
+# The frontier hypersurfaces of the roadmap: 24 inputs on each ambient,
+# drawn from one shared generator, an input with a constant term redrawn.
+FRONTIER_AMBIENTS = (
+    {"ordinary": "x,y"},
+    {"ordinary": "x,y,z"},
+    {"ordinary": "x", "monomial": "y,z"},
+    {"ordinary": "x,y", "monomial": "z"},
+    {"monomial": "x,y,z"},
+)
+
+
+def frontier(seed, max_entry):
+    rng = random.Random(seed)
+    cases = []
+    for kw in FRONTIER_AMBIENTS:
+        amb = ambient(**kw)
+        drawn = 0
+        while drawn < 24:
+            f = random_polynomial(rng, amb, 3, max_entry)
+            if (0,) * amb.n not in f.terms:
+                cases.append(PolyIdeal(amb, (f,)))
+                drawn += 1
+    return cases

@@ -11,7 +11,8 @@ building the saturated ideal, dimensions from every variable set against
 a basis's leading terms, Rabinowitsch lifts by renaming and
 Polynomial arithmetic, coefficient ideals by every mixed product over the
 minimal tuples, the invariant by the derivative tower and the factorial
-coefficient ideal, log orders by shifting the point to the origin and
+coefficient ideal, the invariant's derivative closure with its weights as
+Fractions, log orders by shifting the point to the origin and
 reading the least degree, substitution by Polynomial powers and products,
 normal forms by scanning every pending term for the largest, blow-up
 transforms by substituting the pullback images and dividing out the
@@ -23,21 +24,31 @@ disagree loudly, not to be fast.
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import math
 from fractions import Fraction
 
 from mwb import kernel
-from mwb.errors import IncompleteSubstitution, MwbError
+from mwb.errors import IncompleteSubstitution, MwbError, NoRectifiableContact
 from mwb.groebner import (
+    extend,
     groebner_basis,
     is_unit_ideal,
     leading_term,
     monic,
     monic_remainder,
 )
-from mwb.invariant import INF, Center, Invariant, maximal_contact
-from mwb.monomials import MonomialIdeal, minimalize, newton
+from mwb.invariant import (
+    CLOSURE_BUDGET,
+    INF,
+    Center,
+    Invariant,
+    log_order,
+    maximal_contact,
+    point_str,
+)
+from mwb.monomials import MonomialIdeal, minimalize, monomial_ideal, newton
 from mwb.polyhedra import Facet, NewtonPolyhedron
 from mwb.poly import (
     ORDINARY,
@@ -47,6 +58,7 @@ from mwb.poly import (
     constant,
     log_derivation,
     monomial,
+    rational,
     rename,
     restrict,
     substitute,
@@ -350,6 +362,96 @@ def tower_invariant(ideal, point):
         work = product_coefficient_ideal(levels, b, sub) if any(levels) else PolyIdeal(sub, ())
         i = amb.index(contact.name)
         point = point[:i] + point[i + 1 :]
+
+
+def fraction_closure(pairs, a, point):
+    """The derivative closure with Fraction weights: each kept pair
+    (g, delta) adds (D g, delta - 1/a) while that weight is positive, taken
+    by descending weight, then degree, each kept as its monic remainder
+    against the basis extend grows from the kept Polynomials."""
+    amb = pairs[0][0].ambient
+    step = 1 / a
+    seq = itertools.count()
+    heap = [(-d, max(map(sum, g.terms)), next(seq), g) for g, d in pairs]
+    heapq.heapify(heap)
+    kept, basis = [], []
+    taken = 0
+    while heap:
+        taken += 1
+        if taken > CLOSURE_BUDGET:
+            ideal = PolyIdeal(amb, [g for g, _ in pairs])
+            raise MwbError(
+                f"derivative closure of {ideal} at {point_str(point)}"
+                f" exceeds {CLOSURE_BUDGET} pairs"
+            )
+        neg, _, _, g = heapq.heappop(heap)
+        r = monic_remainder(g, basis)
+        if not r.terms:
+            continue
+        kept.append((r, -neg))
+        basis = extend(basis, [r])
+        if -neg > step:
+            for name in amb.names():
+                dr = log_derivation(r, name)
+                if dr.terms:
+                    heapq.heappush(heap, (neg + step, max(map(sum, dr.terms)), next(seq), dr))
+    return kept
+
+
+def fraction_weight_invariant(ideal, point):
+    """The invariant recursion with Fraction weights delta, starting at 1:
+    the entry a is the least log order over delta, the closure runs at
+    weight step 1/a (fraction_closure), the contact comes from the pairs of
+    weight 1/a or else the reduced basis of those of weight at least 1/a,
+    and a family of infinite orders ends it with the Newton polyhedron of
+    its points m/delta.  Returns the package's (Invariant, Center)."""
+    amb0 = amb = ideal.ambient
+    point = tuple(rational(x) for x in point)
+    family = [(g, Fraction(1)) for g in ideal.generators]
+    entries, contacts = [], []
+    while family:
+        a = min(log_order(g, point) / d for g, d in family)
+        if a == 0:
+            if not entries:
+                return Invariant((Fraction(0),)), None
+            raise MwbError("restriction does not vanish at the point")
+        if a == INF:
+            break
+        entries.append(a)
+        kept = fraction_closure(family, a, point)
+        try:
+            contact = maximal_contact(amb, [g for g, d in kept if d == 1 / a], point)
+        except NoRectifiableContact:
+            heavy = PolyIdeal(amb, [g for g, d in kept if d >= 1 / a])
+            contact = maximal_contact(amb, groebner_basis(heavy), point)
+        contacts.append(contact)
+        i = amb.index(contact.name)
+        family = [(restrict(g, contact.name, contact.shift), d) for g, d in kept]
+        family = [(g, d) for g, d in family if g.terms]
+        amb = amb.drop(contact.name)
+        point = point[:i] + point[i + 1 :]
+    if not entries and not family:
+        return Invariant(()), None
+    orders = tuple(entries)
+    scale = math.lcm(*(x.denominator for x in orders))
+    q = MonomialIdeal(amb0.n, ())
+    if family:
+        entries.append(INF)
+        keep = [flag != ORDINARY and name not in amb.inverted for name, flag in amb.variables]
+        pos = [amb0.index(name) for name in amb.names()]
+        points = set()
+        for g, d in family:
+            for e in g.terms:
+                full = [Fraction(0)] * amb0.n
+                for i, x, k in zip(pos, e, keep):
+                    full[i] = x / d if k else Fraction(0)
+                points.add(tuple(full))
+        den = math.lcm(*(x.denominator for p in points for x in p))
+        scaled = [[x * den for x in p] for p in sorted(points)]
+        verts = newton(monomial_ideal(scaled, amb0.n)).vertices
+        scale = math.lcm(scale, *(Fraction(x, den).denominator for v in verts for x in v))
+        q = MonomialIdeal(amb0.n, tuple(tuple(x * scale // den for x in v) for v in verts))
+    return Invariant(tuple(entries)), Center(tuple(contacts), orders, q, scale)
 
 
 def det(rows):

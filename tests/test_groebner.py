@@ -38,6 +38,7 @@ from mwb.poly import (
     variable,
 )
 from mwb.polyhedra import _bits, dot, faces, newton_polyhedron
+from test_poly import assert_rational_form
 
 A3 = ambient(ordinary="x,y,z")
 
@@ -618,3 +619,32 @@ def test_monic_scales_leading_coefficient():
     m = monic(f)
     assert leading_term(m)[1] == 1
     assert format_polynomial(m) == "x^2 + 2*y"
+
+
+def test_monic_terms_divide_exactly():
+    # an int lead coefficient dividing every coefficient divides by floor
+    # division, any other through a Fraction inverse: the same values as
+    # c * (1 / lc) either way, an int exactly when integral, in the given
+    # term order
+    lead = (2, 0)
+    cases = [
+        {lead: 1, (1, 1): 4, (0, 1): Fraction(1, 3)},
+        {lead: -1, (1, 1): 4, (0, 1): Fraction(-2, 3)},
+        {lead: 3, (1, 1): 6, (0, 1): -9},  # divides every coefficient
+        {lead: 3, (1, 1): 6, (0, 1): 4},  # divides only some
+        {lead: -4, (1, 1): 8, (0, 1): -12},  # negative, divides every one
+        {lead: -4, (1, 1): 6, (0, 1): 2},  # negative, divides none
+        {lead: 2, (1, 1): Fraction(1, 2), (0, 1): 4},  # a Fraction coefficient
+        {lead: Fraction(2, 3), (1, 1): 4, (0, 1): Fraction(1, 3)},  # Fraction lead
+        {lead: Fraction(-1, 2), (0, 1): Fraction(-1, 2)},
+    ]
+    for terms in cases:
+        out = groebner._monic_terms(terms, lead)
+        inv = Fraction(1) / terms[lead]
+        assert list(out) == list(terms)
+        assert out == {e: c * inv for e, c in terms.items()}
+        for c in out.values():
+            assert_rational_form(c)
+    # pinned: floor division by 3, and a Fraction where 3 does not divide 4
+    assert groebner._monic_terms(cases[2], lead) == {lead: 1, (1, 1): 2, (0, 1): -3}
+    assert groebner._monic_terms(cases[3], lead) == {lead: 1, (1, 1): 2, (0, 1): Fraction(4, 3)}

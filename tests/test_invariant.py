@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from conftest import F_TEXT, ambient, ideal, poly, random_polynomial
+from conftest import F_TEXT, ambient, drop_corpus, frontier, ideal, poly, random_polynomial
 from mwb import PolyIdeal, engine
 from mwb.blowup import center_to_blowup, proper_transform
 from mwb.errors import MwbError, NoRectifiableContact
@@ -14,6 +14,7 @@ from mwb.groebner import ideal_equal
 from mwb.invariant import (
     INF,
     CLOSURE_BUDGET,
+    Center,
     Invariant,
     center_display,
     coefficient_ideal,
@@ -29,6 +30,7 @@ from mwb.invariant import (
     reduced_center,
 )
 from mwb.poly import Polynomial, constant, format_polynomial, variable
+from test_poly import golden_results
 
 
 def inv_of(entries):
@@ -302,36 +304,80 @@ class TestPieces:
                 assert ideal_equal(d_leq(i, m), PolyIdeal(amb, tower.level(m)))
 
     def test_monomial_part(self, a31):
-        # ordinary exponents drop out, and a weight divides the rest
+        # ordinary exponents drop out, and a weight divides the rest; a
+        # pair (g, n) weighs n over the given denominator
         x_z2, z3, z = (poly(a31, t) for t in ("x z^2", "z^3", "z"))
-        pts = monomial_part([(x_z2 + z3, Fraction(1)), (z, Fraction(1, 2))])
+        pts = monomial_part([(x_z2 + z3, 2), (z, 1)], 2)
         assert pts == [(0, 0, 2), (0, 0, 3)]
-        assert monomial_part([(z3, Fraction(3, 2))]) == [(0, 0, 2)]
+        assert monomial_part([(z3, 3)], 2) == [(0, 0, 2)]
         # inverted variables are units on the chart and get stripped
         inv = ambient(ordinary="x", monomial="y", inverted=("y",))
-        assert monomial_part([(poly(inv, "x^2 y^3 + y"), Fraction(1))]) == [(0, 0)]
+        assert monomial_part([(poly(inv, "x^2 y^3 + y"), 1)], 1) == [(0, 0)]
 
     def test_coefficient_ideal(self):
         a20 = ambient(ordinary="x,y")
         f = poly(a20, "x^2 + y^3")
-        kept = coefficient_ideal([(f, Fraction(1))], Fraction(2), (0, 0))
-        assert [(format_polynomial(g), d) for g, d in kept] == [
-            ("y^3 + x^2", 1),
-            ("x", Fraction(1, 2)),
-            ("y^2", Fraction(1, 2)),
+        # weights and the step 1/a are integers over one denominator: at
+        # a = 2 the weights 1 and 1/2 are 2 and 1 over 2, and the step is 1
+        kept = coefficient_ideal([(f, 2)], 1, (0, 0))
+        assert [(format_polynomial(g), n) for g, n in kept] == [
+            ("y^3 + x^2", 2),
+            ("x", 1),
+            ("y^2", 1),
         ]
         # a pair the kept ones of at least its weight generate is left out
-        kept = coefficient_ideal(
-            [(f, Fraction(1)), (poly(a20, "x^3"), Fraction(1, 2))], Fraction(2), (0, 0)
-        )
+        kept = coefficient_ideal([(f, 2), (poly(a20, "x^3"), 1)], 1, (0, 0))
         assert len(kept) == 3
-        # a power of x takes one pair per derivative, so the budget stops it
+        # a power of x takes one pair per derivative, so the budget stops it;
+        # at a = big the weight 1 is big over big, and the step 1
         a1 = ambient(ordinary="x")
         big = CLOSURE_BUDGET + 5
         with pytest.raises(MwbError, match="exceeds"):
-            coefficient_ideal([(poly(a1, f"x^{big}"), Fraction(1))], Fraction(big), (0,))
-        x200 = [(poly(a1, "x^200"), Fraction(1))]
-        assert len(coefficient_ideal(x200, Fraction(200), (0,))) == 200
+            coefficient_ideal([(poly(a1, f"x^{big}"), big)], 1, (0,))
+        x200 = [(poly(a1, "x^200"), 200)]
+        assert len(coefficient_ideal(x200, 1, (0,))) == 200
+
+    def test_integer_weights_match_the_fraction_weight_oracle(self, monkeypatch):
+        # every point the engine computes an invariant at, over the drop
+        # corpus, the golden resolve and principalize commands and the
+        # roadmap's seed-104 frontier: the same Invariant and Center as the
+        # recursion with Fraction weights, or the same refusal
+        calls = []
+        original = engine.invariant_at
+
+        def recording(ideal, point):
+            calls.append((ideal, point))
+            return original(ideal, point)
+
+        monkeypatch.setattr(engine, "invariant_at", recording)
+        golden_results()
+        for mode, i in drop_corpus():
+            engine.resolve(i, mode=mode)
+        refused = 0
+        for i in frontier(104, 4):
+            try:
+                engine.resolve(i, limit=16)
+            except MwbError:
+                refused += 1
+        assert refused == 20 and len(calls) > 300
+
+        def outcome(compute, ideal, point):
+            try:
+                return compute(ideal, point)
+            except MwbError as e:
+                return type(e), str(e)
+
+        centers = []
+        for ideal, point in calls:
+            got = outcome(original, ideal, point)
+            assert got == outcome(oracles.fraction_weight_invariant, ideal, point), (
+                ideal,
+                point,
+            )
+            centers.append(got[1])
+        # monomial parts and refusals are among the compared outcomes
+        assert any(type(c) is Center and c.q.gens for c in centers)
+        assert any(type(c) is str for c in centers)
 
     def test_minimal_tuples_match_oracle(self):
         # the pure tuples: minimal ones with a single nonzero entry
