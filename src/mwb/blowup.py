@@ -41,6 +41,43 @@ Root data: a fractional ideal a^{1/l} is blown up with the ray weights
 w_rho = l / gcd(l, N_rho) (gcd(l, 0) read as l), which depends only on the
 equivalence class of a^{1/l} under (a, l) ~ (closure(a^c), c*l).  Centers
 combine coordinate powers with a monomial part and use the same rule.
+
+A center with no monomial part, J = (x_1^{e_1}, ..., x_k^{e_k}) over k
+distinct variables, is the weighted blow-up of Abramovich, Temkin and
+Wlodarczyk (arXiv:1906.07106), and its fan is built in closed form, with
+no double description.  Write S for the center's variables, g_i = e_i u_i
+for the generators (u_i the unit vectors) and L = lcm(e_i).
+
+  Theorem.  P_J = {a >= 0 : sum_{i in S} a_i / e_i >= 1}.  When k >= 2 its
+  facets are a_j >= 0 for every j and sum_{i in S} (L / e_i) a_i >= L,
+  whose normal is primitive; when k = 1 they are a_j >= 0 for j != i and
+  a_i >= e_i.  The vertices are the generators, and the facets tight at
+  g_i are every coordinate facet but i's, plus the exceptional one (when
+  k = 1, all n facets).
+
+  Proof.  Call the right side Q.  Each g_i lies in Q, and Q is convex and
+  closed under adding R^n_{>=0}, so P_J is inside Q.  For a in Q let
+  s = sum_{i in S} a_i / e_i >= 1 and t_i = a_i / (e_i s), which sum to 1.
+  Then c = sum t_i g_i lies in conv(g_i), and a - c = (s - 1) c plus the
+  coordinates of a off S, which is >= 0, so a lies in P_J.  The normal
+  (L / e_i) is primitive: for each prime p, the e_i of largest p-adic
+  valuation leaves L / e_i prime to p.  Each listed inequality cuts a face
+  of dimension n - 1: the exceptional one holds the k affinely independent
+  g_i and the n - k directions u_j, j not in S; a_j >= 0 holds the g_l,
+  l != j, and every direction u_l, l != j.  When k = 1, a_i >= e_i makes
+  a_i >= 0 redundant, and the only vertex g_i is tight on all n facets.
+  When k >= 2, g_i is tight on a_j >= 0 for j != i and on the exceptional
+  facet, and not on a_i >= 0 since e_i > 0; these n normals are independent
+  (the exceptional one has entry L / e_i at i), so g_i is a vertex, and
+  every vertex is a generator.  The rays of the normal fan are the facet
+  normals, and the maximal cone of a vertex holds the rays tight there.
+
+So the rays are the n standard rays (level e_i on the center variable when
+k = 1, else 0) and, when k >= 2, the exceptional ray (L / e_i on S, 0
+elsewhere) at level L; the cones follow the generators in minimalize order,
+which is normal_fan's descending vertex order, with their rays ascending,
+as normal_fan lists them.  Centers with a monomial part go through
+rees_blowup.
 """
 
 from __future__ import annotations
@@ -52,7 +89,7 @@ from operator import mul, sub
 from .errors import EmptyCenter, HypothesisViolated, MwbError, ZeroIdeal
 from .monomials import MonomialIdeal, minimalize, monomial_ideal, newton
 from .poly import EXCEPTIONAL, ORDINARY, LogAmbient, PolyIdeal, Polynomial
-from .polyhedra import NormalFan, Vec, normal_fan
+from .polyhedra import Cone, NormalFan, Ray, Vec, _unit, normal_fan
 from .record import record
 from . import groebner
 
@@ -108,9 +145,13 @@ class CenterIdeal:
 
 def make_center(ordinary, monomial: MonomialIdeal, root: int | None = None) -> CenterIdeal:
     ordinary = tuple((str(n), int(e)) for n, e in ordinary)
+    seen = set()
     for n, e in ordinary:
         if e < 1:
             raise MwbError(f"center exponent {e} on {n} must be positive")
+        if n in seen:
+            raise MwbError(f"center names the variable {n} twice")
+        seen.add(n)
     if root is None:
         root = lcm(*[e for _, e in ordinary]) if ordinary else 1
     if not ordinary and monomial.is_zero():
@@ -320,9 +361,34 @@ def rees_blowup(frac: FractionalIdeal, ambient: LogAmbient) -> MultiWeightedBlow
     )
 
 
+def _weighted_fan(j: MonomialIdeal) -> NormalFan:
+    """The normal fan of j = (x_i^{e_i}) over distinct variables, in closed
+    form (the module docstring's theorem): its rays and cones in
+    normal_fan's order."""
+    n = j.dim
+    powers = [(g.index(max(g)), max(g)) for g in j.gens]  # (i, e_i)
+    rays = [Ray(_unit(i, n), 0, True) for i in range(n)]
+    if len(powers) == 1:
+        ((i, e),) = powers
+        rays[i] = Ray(_unit(i, n), e, True)
+        return NormalFan(n, tuple(rays), (Cone(j.gens[0], tuple(range(n))),))
+    top = lcm(*[e for _, e in powers])
+    u = [0] * n
+    for i, e in powers:
+        u[i] = top // e
+    rays.append(Ray(tuple(u), top, False))
+    cones = tuple(Cone(g, tuple([r for r in range(n + 1) if r != i])) for g, (i, _) in zip(j.gens, powers))
+    return NormalFan(n, tuple(rays), cones)
+
+
 def center_to_blowup(c: CenterIdeal, ambient: LogAmbient) -> MultiWeightedBlowup:
-    j = assemble_center(c, ambient)
-    return rees_blowup(FractionalIdeal(j, c.root), ambient)
+    """The center's blow-up: a weighted center's fan in closed form, any
+    other center's through rees_blowup."""
+    frac = FractionalIdeal(assemble_center(c, ambient), c.root)
+    if not c.monomial.is_zero():
+        return rees_blowup(frac, ambient)
+    fan = _weighted_fan(frac.base)
+    return _assemble(ambient, frac.base, fan, rees_weights(fan, frac.root), frac.root)
 
 
 def restrict_blowup(c: CenterIdeal, ambient: LogAmbient) -> MultiWeightedBlowup:

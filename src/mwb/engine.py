@@ -48,6 +48,15 @@ nor logarithmic included, goes to groebner.saturates_to_unit_on_charts:
 the chart origin answers where (g, Dg) vanishes there, and the charts of
 one g it leaves open share one groebner.chart_dimensions call.
 
+The charts of one blow-up are certified together, with one call
+(_certified) before any child expands, and each child is handed its
+verdict; only the root certifies itself.  This is exact: sibling charts
+carry the same generator terms over the same Cox variables, and their
+ambients differ only in the inverted names.  d_leq reads the variables'
+flags, not the inversions, and _support_verdict, the chart-origin test
+and chart_dimensions read the inverted names only through the name sets
+they are passed, so each chart's verdict is the one its own ambient gives.
+
 Every produced center is re-checked against the blow-up it induces
 (center_consistency), and a child whose worst invariant fails to drop
 strictly below the parent's raises InvariantNotDropped rather than
@@ -194,7 +203,7 @@ def resolve(
         if p not in marked:
             marked.append(tuple(rational(x) for x in p))
     root = ResolutionNode("root", "root", amb, ideal, 0, tuple(marked))
-    _expand(root, mode, limit, None)
+    _expand(root, mode, limit, None, _certified(ideal, mode, [sorted(amb.inverted)])[0])
     return ResolutionTree(mode, root)
 
 
@@ -202,23 +211,29 @@ def principalize(ideal: PolyIdeal, limit: int | None = None) -> ResolutionTree:
     return resolve(ideal, "principalize", limit)
 
 
-def _expand(node: ResolutionNode, mode: str, limit: int, parent_inv):
-    ideal = node.ideal
-    inverted = sorted(node.ambient.inverted)
-
-    # chart-scope certificates first: point-free when they hold
+def _certified(ideal: PolyIdeal, mode: str, name_sets) -> list[bool]:
+    """For each set of inverted names, whether the chart-scope certificate
+    holds on that chart: for principalize, the ideal saturates to the unit
+    ideal; for resolve, it is zero, or a hypersurface whose first
+    derivation stage does.  Only the name sets are read, not the ideal's
+    own inversions, so one call serves every chart of a blow-up."""
     if mode == "principalize":
-        if groebner.saturates_to_unit(ideal, inverted):
-            node.status, node.scope = "principal", "chart"
-            return
-    else:
-        if ideal.is_zero():
-            node.status, node.scope = "smooth", "chart"
-            return
-        if len(ideal.generators) == 1 and _smooth_on_charts(ideal, [inverted])[0]:
-            node.status, node.scope = "smooth", "chart"
-            return
+        return groebner.saturates_to_unit_on_charts(ideal, name_sets)
+    if ideal.is_zero():
+        return [True] * len(name_sets)
+    if len(ideal.generators) == 1:
+        return _smooth_on_charts(ideal, name_sets)
+    return [False] * len(name_sets)
 
+
+def _expand(node: ResolutionNode, mode: str, limit: int, parent_inv, certified: bool):
+    # the chart-scope certificate, point-free, was asked by the caller
+    if certified:
+        node.status = "principal" if mode == "principalize" else "smooth"
+        node.scope = "chart"
+        return
+
+    ideal = node.ideal
     pts = [(p,) + invariant_at(ideal, p) for p in node.marked]
     worst_p, worst_inv, worst_center = max(pts, key=lambda t: t[1])
     node.invariant = worst_inv
@@ -237,7 +252,7 @@ def _expand(node: ResolutionNode, mode: str, limit: int, parent_inv):
         # smooth at every marked point on the locus, in the chart's codimension
         on_locus = {inv.entries for _, inv, _ in pts} - {(Fraction(0),)}
         if not on_locus or on_locus == {
-            (Fraction(1),) * groebner.codimension(ideal, inverted)
+            (Fraction(1),) * groebner.codimension(ideal, sorted(node.ambient.inverted))
         }:
             node.status, node.scope = "smooth", "marked-points"
             return
@@ -277,9 +292,11 @@ def _expand(node: ResolutionNode, mode: str, limit: int, parent_inv):
     if mode == "resolve":  # the proper transform, as blowup's docstring argues
         child_ideal = groebner.saturate_at_variables(weak, mult)
 
-    for chart in b.charts:
-        amb = b.chart_ambient(chart)
-        gens = [Polynomial(amb, g.terms) for g in child_ideal.generators]
+    # the charts share child_ideal's terms, so one call certifies them all
+    ambients = [b.chart_ambient(chart) for chart in b.charts]
+    verdicts = _certified(child_ideal, mode, [sorted(amb.inverted) for amb in ambients])
+    for chart, amb, certified in zip(b.charts, ambients, verdicts):
+        gens = [Polynomial._trusted(amb, g.terms) for g in child_ideal.generators]
         child = ResolutionNode(
             chart.label,
             f"{node.path}/{chart.label}",
@@ -289,7 +306,7 @@ def _expand(node: ResolutionNode, mode: str, limit: int, parent_inv):
             _child_marked(node, b, chart, amb),
         )
         node.children.append(child)
-        _expand(child, mode, limit, worst_inv)
+        _expand(child, mode, limit, worst_inv, certified)
 
 
 def _apply_change(ideal: PolyIdeal, marked: list, contact: Contact):

@@ -34,8 +34,9 @@ serves only results that the package built from validated operands
 (sums, negations, products, powers, substitutions, renamings, unit
 stripping, derivations, monic rescalings, Rabinowitsch lifts,
 S-polynomials, normal forms, orbit restrictions, restrictions to a
-coordinate hyperplane and blow-up pullbacks), where those properties hold
-by construction.
+coordinate hyperplane, blow-up pullbacks and the generators of a chart
+child, a transform's terms over the chart's ambient), where those
+properties hold by construction.
 
 substitute works on raw term dicts: each image's powers are built once by
 repeated squaring and every term of the source is expanded with one

@@ -35,7 +35,7 @@ from mwb.blowup import (
 from mwb.errors import HypothesisViolated, MwbError, ZeroIdeal
 from mwb.groebner import ideal_equal, is_unit_ideal, member, saturate_at_variables
 from mwb.monomials import monomial_ideal, newton
-from mwb.polyhedra import dot, normal_fan
+from mwb.polyhedra import _bits, dot, normal_fan
 from mwb.poly import PolyIdeal, format_polynomial
 
 A3 = ambient(ordinary="x,y,z")
@@ -376,6 +376,84 @@ def test_monomial_center_keeps_full_levels():
     assert center_consistency(b, c, a33) == []
     with pytest.raises(MwbError):
         factored_morphism(build_blowup(c.monomial, a33))
+
+
+def test_center_names_each_variable_once():
+    # (x^2, x^3) assembles to (x^2), so a root of 6 would weigh x by 3
+    with pytest.raises(MwbError, match="twice"):
+        make_center([("x", 2), ("x", 3)], NONE2)
+    with pytest.raises(MwbError, match="twice"):
+        make_center([("x", 1), ("y", 2), ("x", 1)], NONE2, 2)
+
+
+def weighted_fan_agrees(c, amb):
+    """The closed-form fan of a center with no monomial part against the
+    double description (normal_fan, and the whole blow-up of rees_blowup)
+    and the subset oracle: facet normals, levels and order, the vertices
+    and the rays tight at each."""
+    j = assemble_center(c, amb)
+    b = center_to_blowup(c, amb)
+    assert b.fan == normal_fan(newton(j)), c
+    assert b == rees_blowup(FractionalIdeal(j, c.root), amb), c
+    p = oracles.subset_newton_polyhedron(j.gens, amb.n)
+    assert [(r.direction, r.level, r.standard) for r in b.fan.rays] == [
+        (f.normal, f.level, k < amb.n) for k, f in enumerate(p.facets)
+    ], c
+    assert [(cone.vertex, cone.rays) for cone in b.fan.maximal_cones] == [
+        (v, tuple(_bits(t))) for v, t in zip(p.vertices, p.incidence)
+    ], c
+    assert center_consistency(b, c, amb) == [], c
+    return b
+
+
+def test_weighted_center_fan_in_closed_form(monkeypatch):
+    rng = random.Random(3101)
+    singles = 0
+    for _ in range(120):
+        n = rng.randint(1, 5)
+        r = rng.randint(0, n)
+        amb = ambient(
+            ordinary=",".join("xyzwv"[:r]), monomial=",".join("xyzwv"[r:n])
+        )
+        k = rng.randint(1, n)
+        names = rng.sample(amb.names(), k)
+        c = make_center([(x, rng.randint(1, 9)) for x in names], monomial_ideal([], n))
+        b = weighted_fan_agrees(c, amb)
+        exc = b.fan.exceptional()
+        if k == 1:
+            # one standard ray at a positive level, and no exceptional ray
+            (i,) = [amb.index(x) for x in names]
+            assert exc == [] and b.eplus() == [i]
+            assert b.fan.rays[i].level == c.ordinary[0][1]
+            singles += 1
+        else:
+            assert len(exc) == 1 and b.fan.rays[exc[0]].level == c.root
+    assert singles >= 10
+
+    # no Newton polyhedron is built for such a center
+    def refuse(_):
+        raise AssertionError("a weighted center built a Newton polyhedron")
+
+    monkeypatch.setattr("mwb.blowup.newton", refuse)
+    center_to_blowup(make_center([("x", 4), ("y", 6)], NONE2), A2)
+
+
+def test_drop_corpus_weighted_centers_match_the_double_description(monkeypatch):
+    seen = []
+    original = engine.center_to_blowup
+
+    def recording(c, amb):
+        seen.append((c, amb))
+        return original(c, amb)
+
+    monkeypatch.setattr(engine, "center_to_blowup", recording)
+    for mode, i in drop_corpus():
+        engine.resolve(i, mode)
+    monkeypatch.undo()
+    pure = [(c, amb) for c, amb in seen if c.monomial.is_zero()]
+    assert len(pure) > 20 and len(pure) < len(seen)
+    for c, amb in pure:
+        weighted_fan_agrees(c, amb)
 
 
 def test_center_consistency_detects_mismatch():

@@ -645,8 +645,13 @@ def test_a_singular_chart_origin_builds_no_basis(monkeypatch):
     lifted = []
     original = groebner.chart_dimensions
 
+    # sibling charts are asked in one call on the blow-up's Cox ambient,
+    # so a question is keyed by its generators' terms and its names
+    def key(stage, names):
+        return tuple(tuple(g.terms.items()) for g in stage.generators), frozenset(names)
+
     def recording(ideal, name_sets):
-        lifted.extend((ideal, frozenset(names)) for names in name_sets)
+        lifted.extend(key(ideal, names) for names in name_sets)
         return original(ideal, name_sets)
 
     monkeypatch.setattr(groebner, "chart_dimensions", recording)
@@ -656,10 +661,74 @@ def test_a_singular_chart_origin_builds_no_basis(monkeypatch):
         assert not node.changes  # so node.ideal is the ideal that was asked about
         stage = d_leq(node.ideal, 1)
         if all(g.evaluate(chart_origin(node.ambient)) == 0 for g in stage.generators):
-            singular.append((stage, frozenset(node.ambient.inverted)))
+            singular.append(key(stage, node.ambient.inverted))
     assert all(leaf.status == "smooth" for leaf in tree.leaves())
     assert singular and lifted
     assert not set(singular) & set(lifted)
+
+
+def fresh_certificate(ideal, mode):
+    """The chart-scope certificate of one node on its own ambient, asked
+    with the single-chart calls."""
+    inverted = sorted(ideal.ambient.inverted)
+    if mode == "principalize":
+        return groebner.saturates_to_unit(ideal, inverted)
+    if ideal.is_zero():
+        return True
+    return len(ideal.generators) == 1 and engine._smooth_on_charts(ideal, [inverted])[0]
+
+
+def test_one_certificate_call_per_blowup(monkeypatch):
+    # the root certifies itself, and each blow-up certifies all its charts
+    # in one call before the children expand: _smooth_on_charts for a
+    # hypersurface, saturates_to_unit_on_charts under principalize.  The
+    # children's verdicts are those of a fresh certificate on each child
+    calls = []
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counting(ideal, name_sets, *rest):
+            calls.append(len(name_sets))
+            return original(ideal, name_sets, *rest)
+
+        monkeypatch.setattr(module, name, counting)
+
+    runs = children = 0
+    for _, i in drop_corpus():
+        for mode in ("resolve", "principalize"):
+            monkeypatch.undo()
+            if mode == "principalize":
+                count(groebner, "saturates_to_unit_on_charts")
+            else:
+                count(engine, "_smooth_on_charts")
+            calls.clear()
+            try:
+                tree = resolve(i, mode)
+            except MwbError:
+                continue
+            blown = [n for n in tree.nodes() if n.blowup is not None]
+            if mode == "resolve" and len(i.generators) > 1:
+                assert calls == []
+            else:
+                assert calls == [1] + [len(n.blowup.charts) for n in blown], (mode, str(i))
+            monkeypatch.undo()
+            for node in blown:
+                sibling = node.weak
+                if mode == "resolve":
+                    sibling = groebner.saturate_at_variables(sibling, node.multiplicities)
+                for child in node.children:
+                    amb = child.ambient
+                    own = PolyIdeal(amb, [Polynomial(amb, g.terms) for g in sibling.generators])
+                    if not child.changes:
+                        assert own == child.ideal
+                    want = fresh_certificate(own, mode)
+                    assert (child.scope == "chart") == want, (mode, child.path)
+                    if want:
+                        assert child.status == ("smooth" if mode == "resolve" else "principal")
+                    children += 1
+            runs += 1
+    assert runs >= 50 and children > 100
 
 
 class TestSmallHelpers:
