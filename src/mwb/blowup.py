@@ -143,7 +143,8 @@ class CenterIdeal:
     root: int
 
 
-def make_center(ordinary, monomial: MonomialIdeal, root: int | None = None) -> CenterIdeal:
+def make_center(ordinary, monomial: MonomialIdeal) -> CenterIdeal:
+    """The center with root lcm(e_i), or 1 when there is no ordinary part."""
     ordinary = tuple((str(n), int(e)) for n, e in ordinary)
     seen = set()
     for n, e in ordinary:
@@ -152,11 +153,9 @@ def make_center(ordinary, monomial: MonomialIdeal, root: int | None = None) -> C
         if n in seen:
             raise MwbError(f"center names the variable {n} twice")
         seen.add(n)
-    if root is None:
-        root = lcm(*[e for _, e in ordinary]) if ordinary else 1
     if not ordinary and monomial.is_zero():
         raise EmptyCenter("center with no ordinary part and zero monomial part")
-    return CenterIdeal(ordinary, monomial, root)
+    return CenterIdeal(ordinary, monomial, lcm(*[e for _, e in ordinary]))
 
 
 def assemble_center(c: CenterIdeal, ambient: LogAmbient) -> MonomialIdeal:
@@ -400,7 +399,7 @@ def restrict_blowup(c: CenterIdeal, ambient: LogAmbient) -> MultiWeightedBlowup:
     if not c.ordinary:
         raise MwbError("restriction needs an ordinary center element")
     (name, e1), rest = c.ordinary[0], c.ordinary[1:]
-    rest_root = lcm(*[e for _, e in rest]) if rest else 1
+    rest_root = lcm(*[e for _, e in rest])
     if rest_root % e1 != 0:
         raise HypothesisViolated(
             f"first exponent {e1} does not divide lcm of the rest ({rest_root})"
@@ -415,8 +414,7 @@ def restrict_blowup(c: CenterIdeal, ambient: LogAmbient) -> MultiWeightedBlowup:
     mono = monomial_ideal(
         [g[:i] + g[i + 1 :] for g in c.monomial.gens], c.monomial.dim - 1
     )
-    restricted = make_center(rest, mono, rest_root)
-    return center_to_blowup(restricted, sub)
+    return center_to_blowup(make_center(rest, mono), sub)
 
 
 # -- transforms -------------------------------------------------------------
@@ -430,12 +428,6 @@ def _cox_terms(b: MultiWeightedBlowup, ideal: PolyIdeal) -> list[list]:
         [(tuple([sum(map(mul, r, e)) for r in rows]), c) for e, c in g.terms.items()]
         for g in ideal.generators
     ]
-
-
-def _column_minima(b: MultiWeightedBlowup, images: list[list]) -> dict:
-    """Positive-level ray index -> the least (B e)_rho over the terms."""
-    columns = list(zip(*[e for terms in images for e, _ in terms]))
-    return {j: min(columns[j]) for j in b.eplus()}
 
 
 def total_transform(b: MultiWeightedBlowup, ideal: PolyIdeal) -> PolyIdeal:
@@ -454,10 +446,7 @@ def exceptional_multiplicities(b: MultiWeightedBlowup, ideal: PolyIdeal) -> dict
     minima of B e (see weak_transform)."""
     if ideal.is_zero():
         raise ZeroIdeal("multiplicities of the zero ideal")
-    if ideal.ambient.variables != b.source.variables:
-        raise MwbError("polynomial does not live on the blow-up's source")
-    names = b.ray_vars
-    return {names[j]: k for j, k in _column_minima(b, _cox_terms(b, ideal)).items()}
+    return weak_transform(b, ideal)[1]
 
 
 def weak_transform(
@@ -478,7 +467,8 @@ def weak_transform(
     if ideal.ambient.variables != b.source.variables:
         raise MwbError("polynomial does not live on the blow-up's source")
     images = _cox_terms(b, ideal)
-    low = _column_minima(b, images)
+    columns = list(zip(*[e for terms in images for e, _ in terms]))
+    low = {j: min(columns[j]) for j in b.eplus()}
     names = b.ray_vars
     shift = [low.get(j, 0) for j in range(len(names))]
     cox = b.cox

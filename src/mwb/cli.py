@@ -4,8 +4,10 @@ Polynomials are written in a small expression language: integer or p/q
 coefficients, variables with optional ^exponent, parentheses, + - and
 multiplication (explicit * or juxtaposition with whitespace).  Ideals are
 comma-separated expression lists.  Ambients are declared with --ordinary
-and --monomial (ordinary variables first); `newton` can instead infer
-variables from the generators in order of first appearance.
+and --monomial (ordinary variables first).  When both are left out, every
+subcommand but `transform` infers the variables from its input, all
+ordinary, in order of first appearance; `transform` exits 1 and asks for
+them.
 
 Option values are typed by argparse: names for --ordinary and --monomial,
 tuples of Fractions for --point and --mark, a direction -> weight map for

@@ -433,10 +433,8 @@ def reduced_center(center: Center, ambient: LogAmbient) -> tuple[CenterIdeal, in
     lcm(a_i * scale), and the cosmetic weights w_i = root / (a_i * scale)."""
     exps = [int(a * center.scale) for a in center.orders]
     names = [c.name for c in center.contacts]
-    root = math.lcm(*exps) if exps else 1
-    c = make_center(list(zip(names, exps)), center.q, root)
-    weights = tuple(root // e for e in exps)
-    return c, root, weights
+    c = make_center(list(zip(names, exps)), center.q)
+    return c, c.root, tuple(c.root // e for e in exps)
 
 
 def center_display(center: Center, ambient: LogAmbient) -> str:

@@ -18,11 +18,12 @@ through kernel.exact, and a true division of coefficients builds a
 Fraction first, so no float can appear.  Exponent vectors are int tuples
 aligned with the variable order.
 
-LogAmbient, Polynomial and PolyIdeal are frozen slotted records (see
-record), so equality, hashing and immutability are declared, not written.
-Each keeps a validating __init__ of its own; Polynomial keeps its
-__hash__, since its terms are a dict.  LogAmbient keeps its names tuple
-and its name -> position index as fields that equality skips.
+LogAmbient, Polynomial and PolyIdeal are frozen records (see record), so
+equality, hashing and immutability are declared, not written.  Each keeps
+a validating __init__ of its own; Polynomial keeps its __hash__, since its
+terms are a dict.  LogAmbient keeps its names tuple and its name ->
+position index as plain attributes that its constructors set, outside
+the fields that equality and hashing read.
 
 The public constructor Polynomial(ambient, terms) validates and copies its
 input: every exponent passes polyhedra.exponent (an int tuple of the
@@ -52,7 +53,7 @@ from . import kernel
 from .errors import AmbientMismatch, IncompleteSubstitution, MwbError
 from .monomials import MonomialIdeal, minimalize
 from .polyhedra import Vec, exponent
-from .record import field, record
+from .record import record
 
 ORDINARY = "ordinary"
 MONOMIAL = "monomial"
@@ -72,14 +73,12 @@ TERM_BUDGET = 1 << 16
 COEFF_BITS = 1 << 13
 
 
-@record(frozen=True, slots=True)
+@record(frozen=True)
 class LogAmbient:
     """Ordered named variables with log flags and chart inversions."""
 
     variables: tuple[tuple[str, str], ...]
     inverted: frozenset[str]
-    _index: dict[str, int] = field(compare=False, repr=False)
-    _names: tuple[str, ...] = field(compare=False, repr=False)
 
     def __init__(self, variables, inverted=()):
         variables = tuple((str(n), str(f)) for n, f in variables)
@@ -167,7 +166,7 @@ def rational(x) -> int | Fraction:
     return kernel.exact(Fraction(x))
 
 
-@record(frozen=True, slots=True)
+@record(frozen=True)
 class Polynomial:
     """Term dict {exponent tuple: nonzero coefficient} over a LogAmbient;
     a coefficient is an int when integral, else a Fraction."""
@@ -503,7 +502,7 @@ def strip_inverted_units(p: Polynomial) -> tuple[Polynomial, Vec]:
 # -- ideals -----------------------------------------------------------------
 
 
-@record(frozen=True, slots=True)
+@record(frozen=True)
 class PolyIdeal:
     """Finitely generated ideal; zero generators are dropped, order kept."""
 

@@ -14,7 +14,7 @@ The generated bodies have the bytecode dataclasses writes (before 3.13),
 so constructing, comparing and hashing a record costs the same:
 - __init__(self, <fields>) assigns each field, with object.__setattr__
   when frozen, and then calls self.__post_init__() if the class has one;
-- __repr__ gives Name(field=value, ...) over the repr=True fields;
+- __repr__ gives Name(field=value, ...) over the fields;
 - __eq__ compares the tuples of the compare=True fields when
   other.__class__ is self.__class__, and returns NotImplemented otherwise;
 - a frozen record hashes the tuple of its compare=True fields, and
@@ -23,13 +23,12 @@ so constructing, comparing and hashing a record costs the same:
 A method the class body defines itself (__init__, __repr__, __hash__) is
 kept.
 
-The options are only those the records use: record(frozen=, slots=) and
-field(default=, default_factory=, compare=, repr=), plus a plain class
-attribute as a field's default.  slots=True rebuilds the class with
-__slots__ holding the field names, as dataclasses does.  Not supported:
+The options are only those the records use: record(frozen=) and
+field(default_factory=, compare=), plus a plain class attribute as a
+field's default.  Every field is shown by __repr__, and a record keeps
+its instance __dict__: no record is built with __slots__.  Not supported:
 inheritance between records, ordering methods, keyword-only fields,
-ClassVar and InitVar annotations, a recursion guard in __repr__, and
-pickling of frozen slotted records.
+ClassVar and InitVar annotations, and a recursion guard in __repr__.
 """
 
 import sys
@@ -41,39 +40,35 @@ _HAS_DEFAULT_FACTORY = object()
 class Field:
     """One field of a record: its name and the options field() took."""
 
-    def __init__(self, default=MISSING, default_factory=MISSING, compare=True, repr=True):
+    def __init__(self, default=MISSING, default_factory=MISSING, compare=True):
         self.name = None
         self.default = default
         self.default_factory = default_factory
         self.compare = compare
-        self.repr = repr
 
 
-def field(*, default=MISSING, default_factory=MISSING, compare=True, repr=True):
+def field(*, default_factory=MISSING, compare=True):
     """Options for one field, given as its class attribute."""
-    return Field(default, default_factory, compare, repr)
+    return Field(default_factory=default_factory, compare=compare)
 
 
-def record(cls=None, /, *, frozen=False, slots=False):
-    """Class decorator: @record, or @record(frozen=True, slots=True)."""
+def record(cls=None, /, *, frozen=False):
+    """Class decorator: @record, or @record(frozen=True)."""
     if cls is None:
-        return lambda cls: _build(cls, frozen, slots)
-    return _build(cls, frozen, slots)
+        return lambda cls: _build(cls, frozen)
+    return _build(cls, frozen)
 
 
 def _fields(cls) -> list:
     """The class's fields in annotation order; a Field class attribute is
-    replaced by its default, or removed when it has none."""
+    removed, a plain one is the field's default."""
     out = []
     for name in cls.__dict__.get("__annotations__", {}):
         given = cls.__dict__.get(name, MISSING)
         f = given if isinstance(given, Field) else Field(given)
         f.name = name
         if isinstance(given, Field):
-            if f.default is MISSING:
-                delattr(cls, name)
-            else:
-                setattr(cls, name, f.default)
+            delattr(cls, name)
         out.append(f)
     return out
 
@@ -115,22 +110,12 @@ def _init_lines(fields, frozen: bool, has_post_init: bool, env: dict) -> list:
     return [f"def __init__({','.join(params)}):", *(body or ["pass"])]
 
 
-def _build(cls, frozen: bool, slots: bool):
+def _build(cls, frozen: bool):
     fields = _fields(cls)
-    own = dict(cls.__dict__)
-    if slots:
-        for f in fields:
-            own.pop(f.name, None)
-        own.pop("__dict__", None)
-        own.pop("__weakref__", None)
-        own["__slots__"] = tuple(f.name for f in fields)
-        qualname = cls.__qualname__
-        cls = type(cls)(cls.__name__, cls.__bases__, own)
-        cls.__qualname__ = qualname
-
+    own = cls.__dict__
     env = {"__record_object__": object, "__record_HAS_DEFAULT_FACTORY__": _HAS_DEFAULT_FACTORY}
     compared = [f for f in fields if f.compare]
-    shown = ", ".join(f"{f.name}={{self.{f.name}!r}}" for f in fields if f.repr)
+    shown = ", ".join(f"{f.name}={{self.{f.name}!r}}" for f in fields)
     methods = {
         "__init__": _init_lines(fields, frozen, "__post_init__" in own, env),
         "__repr__": [

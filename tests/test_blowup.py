@@ -369,7 +369,7 @@ def test_cusp_center_blowup():
 
 def test_monomial_center_keeps_full_levels():
     a33 = ambient(monomial="x,y,z")
-    c = make_center([], mono3((2, 0, 0), (0, 2, 1), (0, 0, 3)), 1)
+    c = make_center([], mono3((2, 0, 0), (0, 2, 1), (0, 0, 3)))
     b = center_to_blowup(c, a33)
     fm = factored_morphism(b)
     assert fm["t_inverse"] == {"u1": 6, "u2": 2}
@@ -383,7 +383,7 @@ def test_center_names_each_variable_once():
     with pytest.raises(MwbError, match="twice"):
         make_center([("x", 2), ("x", 3)], NONE2)
     with pytest.raises(MwbError, match="twice"):
-        make_center([("x", 1), ("y", 2), ("x", 1)], NONE2, 2)
+        make_center([("x", 1), ("y", 2), ("x", 1)], NONE2)
 
 
 def weighted_fan_agrees(c, amb):
@@ -458,8 +458,8 @@ def test_drop_corpus_weighted_centers_match_the_double_description(monkeypatch):
 
 def test_center_consistency_detects_mismatch():
     b = build_blowup(mono3((2, 0, 0), (0, 2, 1), (0, 0, 3)), A3)
-    bad = make_center([("x", 1)], monomial_ideal([], 3), 1)
-    b_for_bad = center_to_blowup(make_center([("x", 1)], monomial_ideal([], 3)), A3)
+    bad = make_center([("x", 1)], monomial_ideal([], 3))
+    b_for_bad = center_to_blowup(bad, A3)
     assert center_consistency(b_for_bad, bad, A3) == []
     assert center_consistency(b, bad, A3) != []
 
@@ -473,10 +473,10 @@ def test_restrict_blowup():
     with pytest.raises(HypothesisViolated):
         restrict_blowup(make_center([("x", 2), ("y", 3)], NONE2), A2)
     with pytest.raises(MwbError):
-        restrict_blowup(make_center([], monomial_ideal([(1, 0)], 2), 1), A2)
+        restrict_blowup(make_center([], monomial_ideal([(1, 0)], 2)), A2)
     with pytest.raises(MwbError):
         restrict_blowup(
-            make_center([("x", 1)], monomial_ideal([(2, 1)], 2), 1), A2
+            make_center([("x", 1)], monomial_ideal([(2, 1)], 2)), A2
         )
 
 

@@ -14,8 +14,8 @@ from conftest import (
     poly,
     random_polynomial,
 )
-from mwb import engine, groebner, monomials, polyhedra
-from mwb.blowup import build_blowup, weak_transform
+from mwb import cli, engine, groebner, monomials, polyhedra
+from mwb.blowup import build_blowup, proper_transform, weak_transform
 from mwb.engine import (
     blowup_equal,
     chart_origin,
@@ -26,7 +26,7 @@ from mwb.engine import (
     reembed_check,
     resolve,
 )
-from mwb.errors import DepthExceeded, MwbError
+from mwb.errors import DepthExceeded, InvariantNotDropped, MwbError
 from mwb.invariant import compare, d_leq
 from mwb.monomials import newton
 from mwb.poly import (
@@ -247,6 +247,21 @@ class TestDropLaw:
             runs += 1
         assert runs == len(corpus)
 
+    def test_an_invariant_that_does_not_drop_is_refused(self, a31, monkeypatch, capsys):
+        # every point reports the root's invariant, so the first child that
+        # is not certified on its chart repeats its parent's
+        i = ideal(a31, F_TEXT)
+        root_inv = engine.invariant_at(i, chart_origin(a31))[0]
+        original = engine.invariant_at
+        monkeypatch.setattr(engine, "invariant_at", lambda j, p: (root_inv, original(j, p)[1]))
+        with pytest.raises(InvariantNotDropped) as refused:
+            resolve(i)
+        assert str(refused.value) == "root/z': invariant (2, inf) did not drop below (2, inf)"
+        argv = ["resolve", "--ordinary", "x,y", "--monomial", "z", "--ideal", F_TEXT]
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {refused.value}\n"
+
     def test_depth_limit(self):
         a20 = ambient(ordinary="x,y")
         with pytest.raises(DepthExceeded):
@@ -255,15 +270,32 @@ class TestDropLaw:
 
 
 class TestReembedding:
-    def test_reports_ok(self, a30):
+    def test_reports_ok(self, a30, monkeypatch):
+        # reembed_check reads transforms_ok off blowup_ok; this keeps the
+        # cross-check it no longer makes: the proper transforms under the
+        # original blow-up and the restricted one agree term for term
+        built = []
+
+        def recording(make):
+            def made(c, amb):
+                built.append(make(c, amb))
+                return built[-1]
+
+            return made
+
+        monkeypatch.setattr(engine, "center_to_blowup", recording(engine.center_to_blowup))
+        monkeypatch.setattr(engine, "restrict_blowup", recording(engine.restrict_blowup))
         a20 = ambient(ordinary="x,y")
-        for i in (ideal(a20, "x^2 + y^3"), ideal(a30, F_TEXT)):
+        inputs = [ideal(a20, "x^2 + y^3"), ideal(a30, F_TEXT)] + [i for _, i in drop_corpus()]
+        for i in inputs:
+            built.clear()
             report = reembed_check(i)
-            assert report["ok"]
+            assert report["ok"] and report["applicable"]
             assert report["invariant_ok"]
             assert str(report["extended_invariant"]).startswith("(1, ")
-            if report["applicable"]:
-                assert report["blowup_ok"] and report["transforms_ok"]
+            assert report["blowup_ok"] and report["transforms_ok"]
+            b0, br = built
+            assert proper_transform(b0, i) == proper_transform(br, i), str(i)
 
     def test_extended_invariant_literal(self):
         a20 = ambient(ordinary="x,y")

@@ -197,7 +197,7 @@ def test_the_scan_sees_an_unreferenced_private_name():
     assert unreferenced_names(trees, private_definitions) == [("a.py", "_loop")]
 
 
-TRACED = "wrapped by name in perfbench/spans.py LAYERS, until ROADMAP item 5b"
+TRACED = "wrapped by name in perfbench/spans.py LAYERS, until ROADMAP item 7b"
 PINNED = "a statement of the paper, pinned by tests/test_blowup.py"
 INPUT = "builds an input for library callers and the tests"
 
@@ -206,6 +206,7 @@ INPUT = "builds an input for library callers and the tests"
 UNREFERENCED_PUBLIC = {
     "polyhedra.facet_level": TRACED,
     "blowup.exceptional_multiplicities": TRACED,
+    "blowup.proper_transform": TRACED,
     "invariant.logord_at": TRACED,
     "invariant.max_logord": TRACED,
     "invariant.minimal_tuples": TRACED,
@@ -213,6 +214,7 @@ UNREFERENCED_PUBLIC = {
     "monomials.closure_member": TRACED,
     "groebner.member": TRACED,
     "groebner.is_unit_ideal": TRACED,
+    "groebner.ideal_equal": TRACED,
     "engine.principalize": TRACED,
     "kernel.COMPILED": "read by perfbench/worker.py as the report's kernel lane",
     "blowup.equivalent": PINNED,
@@ -277,7 +279,7 @@ def test_the_scan_sees_a_hand_written_record():
         "    def __setattr__(self, *a):\n        raise AttributeError\n"
         "    def __eq__(self, other):\n        return self.x == other.x\n"
         "    def __hash__(self):\n        return hash(self.x)\n"
-        "@record(frozen=True, slots=True)\n"
+        "@record(frozen=True)\n"
         "class Kept:\n"
         "    x: int\n"
         "    def __hash__(self):\n        return 0\n"

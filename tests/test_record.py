@@ -1,7 +1,7 @@
 """mwb.record against dataclasses: every record of the package gets a
 dataclasses twin built from the same annotations and options, and the two
-must agree on repr, ==, hash, NotImplemented across classes, frozen
-refusal and slots, on instances taken from real runs."""
+must agree on repr, ==, hash, NotImplemented across classes and frozen
+refusal, on instances taken from real runs."""
 
 import dataclasses
 import dis
@@ -15,40 +15,38 @@ from mwb import blowup, cli, engine, invariant, monomials, poly, polyhedra
 from mwb.errors import MwbError
 from mwb.record import MISSING, field, record
 
-# Each record with its options: (class, frozen, slots, methods its class
-# body defines itself, which the record keeps).
+# Each record with its option: (class, frozen, methods its class body
+# defines itself, which the record keeps).
 RECORDS = [
-    (poly.LogAmbient, True, True, {"__init__", "__repr__"}),
-    (poly.Polynomial, True, True, {"__init__", "__repr__", "__hash__"}),
-    (poly.PolyIdeal, True, True, {"__init__", "__repr__"}),
-    (polyhedra.Facet, True, False, set()),
-    (polyhedra.NewtonPolyhedron, True, False, set()),
-    (polyhedra.Ray, True, False, set()),
-    (polyhedra.Cone, True, False, set()),
-    (polyhedra.NormalFan, True, False, set()),
-    (monomials.MonomialIdeal, True, False, set()),
-    (blowup.FractionalIdeal, True, False, set()),
-    (blowup.CenterIdeal, True, False, set()),
-    (blowup.Chart, True, False, set()),
-    (blowup.MultiWeightedBlowup, True, False, set()),
-    (invariant.Invariant, True, False, set()),
-    (invariant.Contact, True, False, set()),
-    (invariant.Center, True, False, set()),
-    (engine.ResolutionNode, False, False, set()),
-    (engine.ResolutionTree, False, False, set()),
-    (cli.Report, False, False, set()),
+    (poly.LogAmbient, True, {"__init__", "__repr__"}),
+    (poly.Polynomial, True, {"__init__", "__repr__", "__hash__"}),
+    (poly.PolyIdeal, True, {"__init__", "__repr__"}),
+    (polyhedra.Facet, True, set()),
+    (polyhedra.NewtonPolyhedron, True, set()),
+    (polyhedra.Ray, True, set()),
+    (polyhedra.Cone, True, set()),
+    (polyhedra.NormalFan, True, set()),
+    (monomials.MonomialIdeal, True, set()),
+    (blowup.FractionalIdeal, True, set()),
+    (blowup.CenterIdeal, True, set()),
+    (blowup.Chart, True, set()),
+    (blowup.MultiWeightedBlowup, True, set()),
+    (invariant.Invariant, True, set()),
+    (invariant.Contact, True, set()),
+    (invariant.Center, True, set()),
+    (engine.ResolutionNode, False, set()),
+    (engine.ResolutionTree, False, set()),
+    (cli.Report, False, set()),
 ]
 GENERATED = {"__init__", "__repr__", "__eq__", "__hash__", "__setattr__", "__delattr__"}
-CLASS_ONLY = {
-    "__dict__", "__weakref__", "__slots__", "__record_fields__", "__module__", "__annotations__"
-}
+CLASS_ONLY = {"__dict__", "__weakref__", "__record_fields__", "__module__", "__annotations__"}
 
 
-def twin(cls, frozen, slots, own):
+def twin(cls, frozen, own):
     """The dataclass that the same declaration would have made."""
     specs = []
     for f in cls.__record_fields__:
-        options = {"compare": f.compare, "repr": f.repr}
+        options = {"compare": f.compare}
         if f.default is not MISSING:
             options["default"] = f.default
         if f.default_factory is not MISSING:
@@ -60,9 +58,7 @@ def twin(cls, frozen, slots, own):
         for k, v in vars(cls).items()
         if k not in names and k not in CLASS_ONLY and (k not in GENERATED or k in own)
     }
-    return dataclasses.make_dataclass(
-        cls.__name__, specs, namespace=namespace, frozen=frozen, slots=slots
-    )
+    return dataclasses.make_dataclass(cls.__name__, specs, namespace=namespace, frozen=frozen)
 
 
 def copy_as(cls, x, names):
@@ -122,16 +118,15 @@ def test_the_table_lists_every_record():
     assert declared == {cls for cls, *_ in RECORDS}
 
 
-@pytest.mark.parametrize("cls, frozen, slots, own", RECORDS, ids=[r[0].__name__ for r in RECORDS])
-def test_a_record_behaves_as_its_dataclass_twin(samples, cls, frozen, slots, own):
-    twin_cls = twin(cls, frozen, slots, own)
+@pytest.mark.parametrize("cls, frozen, own", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_a_record_behaves_as_its_dataclass_twin(samples, cls, frozen, own):
+    twin_cls = twin(cls, frozen, own)
     names = [f.name for f in cls.__record_fields__]
     xs = samples[cls][:6]
     ts = [copy_as(twin_cls, x, names) for x in xs]
     assert len(xs) >= 2
     for x, t in zip(xs, ts):
         assert repr(x) == repr(t)
-        assert hasattr(x, "__dict__") == hasattr(t, "__dict__") == (not slots)
         # equal to a copy of itself, and never to the twin: another class
         assert x == copy_as(cls, x, names) and t == copy_as(twin_cls, x, names)
         assert x.__eq__(t) is NotImplemented and t.__eq__(x) is NotImplemented
@@ -170,11 +165,11 @@ def opcodes(fn):
     return [(i.opname, None if i.opname in loads else i.argval) for i in dis.get_instructions(fn)]
 
 
-@pytest.mark.parametrize("cls, frozen, slots, own", RECORDS, ids=[r[0].__name__ for r in RECORDS])
-def test_generated_methods_have_the_dataclass_bytecode(cls, frozen, slots, own):
+@pytest.mark.parametrize("cls, frozen, own", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_generated_methods_have_the_dataclass_bytecode(cls, frozen, own):
     # so a record constructs, compares and hashes at a dataclass's cost;
     # from 3.13 dataclasses compares field by field, record keeps tuples
-    twin_cls = twin(cls, frozen, slots, own)
+    twin_cls = twin(cls, frozen, own)
     checked = {"__init__", "__hash__"} | ({"__eq__"} if sys.version_info < (3, 13) else set())
     for name in checked - own:
         if getattr(cls, name) is not None:
@@ -205,10 +200,10 @@ def test_post_init_still_refuses():
         blowup.FractionalIdeal(gens, 0)
 
 
-@record(frozen=True, slots=True)
+@record(frozen=True)
 class Point:
     x: int
-    y: int = field(compare=False, repr=False)
+    y: int = field(compare=False)
 
 
 @record
@@ -223,8 +218,8 @@ class Bag:
 
 def test_options_land_as_dataclasses_place_them():
     p = Point(1, 2)
-    assert repr(p) == "Point(x=1)" and p == Point(1, 3) and hash(p) == hash((1,))
-    assert Point.__slots__ == ("x", "y") and not hasattr(p, "__dict__")
+    assert repr(p) == "Point(x=1, y=2)" and p == Point(1, 3) and hash(p) == hash((1,))
+    assert vars(p) == {"x": 1, "y": 2} and "y" not in vars(Point)
     assert Point.__init__.__qualname__ == "Point.__init__"
     b = Bag("abc")
     assert (b.size, b.items, Bag.size) == (3, [], 0)
