@@ -261,9 +261,7 @@ def _fresh_names(source: LogAmbient, count: int) -> list[str]:
     letter = next((c for c in _FRESH_LETTERS if c not in taken_initials), None)
     if letter is None:
         raise MwbError("every letter is the initial of a source variable")
-    if count == 1:
-        return [letter]
-    return [f"{letter}{i + 1}" for i in range(count)]
+    return [letter] if count == 1 else [f"{letter}{i + 1}" for i in range(count)]
 
 
 def _assemble(
@@ -275,7 +273,10 @@ def _assemble(
 ) -> MultiWeightedBlowup:
     exc = fan.exceptional()
     beta_rows = tuple(
-        tuple([w * x for x in r.direction]) for w, r in zip(weights, fan.rays)
+        [
+            r.direction if w == 1 else tuple([w * x for x in r.direction])
+            for w, r in zip(weights, fan.rays)
+        ]
     )
 
     # Cox variables: prime a source name iff its pullback is nontrivial.
@@ -303,7 +304,8 @@ def _assemble(
     # vertex, the ones not in its cone, are those with dot > level
     charts = []
     for cone in fan.maximal_cones:
-        inverted = tuple([v for j, v in enumerate(ray_vars) if j not in cone.rays])
+        tight = set(cone.rays)
+        inverted = tuple([v for j, v in enumerate(ray_vars) if j not in tight])
         charts.append(Chart(cone.vertex, inverted))
 
     return MultiWeightedBlowup(

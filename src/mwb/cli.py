@@ -5,9 +5,10 @@ coefficients, variables with optional ^exponent, parentheses, + - and
 multiplication (explicit * or juxtaposition with whitespace).  Ideals are
 comma-separated expression lists.  Ambients are declared with --ordinary
 and --monomial (ordinary variables first).  When both are left out, every
-subcommand but `transform` infers the variables from its input, all
-ordinary, in order of first appearance; `transform` exits 1 and asks for
-them.
+subcommand but `transform` infers the variables from its input, in order
+of first appearance: all monomial for `one-step-check`, the only ambient
+it accepts, and all ordinary for the others; `transform` exits 1 and asks
+for them.
 
 Option values are typed by argparse: names for --ordinary and --monomial,
 tuples of Fractions for --point and --mark, a direction -> weight map for
@@ -221,10 +222,6 @@ def parse_monomial_ideal(text: str, ambient: LogAmbient) -> MonomialIdeal:
     return MonomialIdeal(ambient.n, minimalize(gens))
 
 
-def inferred_names(text: str) -> list[str]:
-    return list(dict.fromkeys(v for kind, v in tokenize(text) if kind == "name"))
-
-
 # -- option values ----------------------------------------------------------
 
 
@@ -279,16 +276,17 @@ def _weights(value: str) -> dict:
     return out
 
 
-def build_ambient(args, gens_text: str | None = None) -> LogAmbient:
-    ordinary = args.ordinary
-    if not ordinary and not args.monomial:
+def build_ambient(args, gens_text: str | None = None, flag: str = ORDINARY) -> LogAmbient:
+    """The declared ambient, or gens_text's variables with the given flag."""
+    if not args.ordinary and not args.monomial:
         if gens_text is None:
             raise MwbError("declare variables with --ordinary and/or --monomial")
-        ordinary = inferred_names(gens_text)
-        if not ordinary:
+        names = list(dict.fromkeys(v for kind, v in tokenize(gens_text) if kind == "name"))
+        if not names:
             raise MwbError("no variables found in the input")
+        return LogAmbient([(n, flag) for n in names])
     return LogAmbient(
-        [(n, ORDINARY) for n in ordinary] + [(n, MONOMIAL) for n in args.monomial]
+        [(n, ORDINARY) for n in args.ordinary] + [(n, MONOMIAL) for n in args.monomial]
     )
 
 
@@ -440,8 +438,9 @@ def cmd_transform(args) -> Report:
     r = Report()
     r.item("kind", args.kind)
     principal = len(ideal.generators) == 1
-    if principal or args.kind != "total":
-        weak, mult = weak_transform(b, ideal)  # ZeroIdeal on (0)
+    weak, mult = ideal, {}  # (0) is its own proper transform; weak_transform refuses it
+    if args.kind == "weak" or not ideal.is_zero() and (principal or args.kind == "proper"):
+        weak, mult = weak_transform(b, ideal)
         if principal:
             total_text = format_factored(b, weak.generators[0], mult)
     r.item("total", total, total_text)
@@ -551,9 +550,9 @@ def cmd_resolve(args) -> Report:
     return tree_report(tree, trace=args.trace)
 
 
-def _one_polynomial(args, refusal: str) -> Polynomial:
+def _one_polynomial(args, refusal: str, flag: str = ORDINARY) -> Polynomial:
     """The one generator of --ideal; refusal is the error for any other count."""
-    ambient = build_ambient(args, args.ideal)
+    ambient = build_ambient(args, args.ideal, flag)
     ideal = parse_ideal(args.ideal, ambient)
     if len(ideal.generators) != 1:
         raise MwbError(refusal)
@@ -572,7 +571,7 @@ def cmd_nondegenerate(args) -> Report:
 
 
 def cmd_one_step(args) -> Report:
-    f = _one_polynomial(args, "the one-step certificate takes one polynomial")
+    f = _one_polynomial(args, "the one-step certificate takes one polynomial", MONOMIAL)
     report = engine.one_step_check(f)
     r = Report()
     r.item("polynomial", format_polynomial(f))

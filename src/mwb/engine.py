@@ -614,14 +614,9 @@ def _orbit_restriction(tagged: list, defining: int) -> dict:
     every defining ray, and then it goes to its image."""
     out: dict = {}
     for zero, e, c in tagged:
-        if zero & defining != defining:
-            continue
-        if e not in out:
-            out[e] = c
-            continue
-        nc = out[e] + c
-        if nc:
-            out[e] = nc
-        else:
-            del out[e]
+        if zero & defining == defining:
+            if nc := out.get(e, 0) + c:
+                out[e] = nc
+            else:
+                del out[e]
     return out

@@ -81,20 +81,19 @@ class LogAmbient:
     inverted: frozenset[str]
 
     def __init__(self, variables, inverted=()):
-        variables = tuple((str(n), str(f)) for n, f in variables)
-        names = [n for n, _ in variables]
-        if len(set(names)) != len(names):
-            raise MwbError(f"duplicate variable names in {names}")
+        variables = tuple([(str(n), str(f)) for n, f in variables])
+        names = tuple([n for n, _ in variables])
+        index = {n: i for i, n in enumerate(names)}
+        if len(index) != len(names):
+            raise MwbError(f"duplicate variable names in {list(names)}")
         for n, f in variables:
             if f not in _FLAGS:
                 raise MwbError(f"unknown flag {f!r} for variable {n}")
-        inverted = frozenset(str(v) for v in inverted)
-        if not inverted <= set(names):
+        inverted = frozenset(map(str, inverted))
+        if not inverted <= index.keys():
             raise MwbError(f"inverted variables {sorted(inverted)} not in ambient")
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "inverted", inverted)
-        object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
-        object.__setattr__(self, "_names", tuple(names))
+        d = self.__dict__
+        d["variables"], d["inverted"], d["_index"], d["_names"] = variables, inverted, index, names
 
     @property
     def n(self) -> int:
@@ -124,12 +123,11 @@ class LogAmbient:
         # the inverted names in the ambient: nothing to validate again
         i = self.index(name)
         variables = self.variables[:i] + self.variables[i + 1 :]
-        out = object.__new__(LogAmbient)
-        object.__setattr__(out, "variables", variables)
-        object.__setattr__(out, "inverted", self.inverted - {name})
         names = self._names[:i] + self._names[i + 1 :]
-        object.__setattr__(out, "_index", {n: j for j, n in enumerate(names)})
-        object.__setattr__(out, "_names", names)
+        out = object.__new__(LogAmbient)
+        d = out.__dict__
+        d["variables"], d["inverted"] = variables, self.inverted - {name}
+        d["_index"], d["_names"] = {n: j for j, n in enumerate(names)}, names
         return out
 
     def with_inverted(self, names) -> "LogAmbient":
@@ -182,8 +180,8 @@ class Polynomial:
             c = _coeff(c)
             if c:
                 clean[e] = c
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "terms", clean)
+        d = self.__dict__
+        d["ambient"], d["terms"] = ambient, clean
 
     @classmethod
     def _trusted(cls, ambient: LogAmbient, terms: dict) -> "Polynomial":
@@ -193,8 +191,8 @@ class Polynomial:
         of length ambient.n with no negative entry, nonzero coefficients,
         each an int when integral and a Fraction otherwise."""
         p = object.__new__(cls)
-        object.__setattr__(p, "ambient", ambient)
-        object.__setattr__(p, "terms", terms)
+        d = p.__dict__
+        d["ambient"], d["terms"] = ambient, terms
         return p
 
     # -- predicates ---------------------------------------------------------
@@ -280,11 +278,6 @@ class Polynomial:
                     v *= x**k
             total += v
         return kernel.exact(total)
-
-    def sorted_terms(self):
-        return sorted(
-            self.terms.items(), key=lambda t: kernel.grevlex_key(t[0]), reverse=True
-        )
 
     def __str__(self):
         return format_polynomial(self)
@@ -516,8 +509,8 @@ class PolyIdeal:
                 raise AmbientMismatch("generator over a different ambient")
             if not g.is_zero():
                 gens.append(g)
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "generators", tuple(gens))
+        d = self.__dict__
+        d["ambient"], d["generators"] = ambient, tuple(gens)
 
     def is_zero(self) -> bool:
         return not self.generators
@@ -568,7 +561,7 @@ def format_polynomial(p: Polynomial) -> str:
     if p.is_zero():
         return "0"
     pieces = []
-    for e, c in p.sorted_terms():
+    for e, c in sorted(p.terms.items(), key=lambda t: kernel.grevlex_key(t[0]), reverse=True):
         mono = format_monomial(p.ambient, e)
         if mono == "1":
             body = _format_coeff(abs(c))

@@ -15,6 +15,8 @@ found by the double description method (Fukuda and Prodon, Double
 description method revisited, 1996): start from the simplicial cone of the
 first n + 1 constraints, add one generator's constraint at a time, keep the
 rays it does not cut off and join each pair it separates that is adjacent.
+Rays are int lists while the passes run, each valued on the new row as it
+is sorted, and become tuples once, as facet normals.
 
 Each ray carries the set of constraint rows it is tight on as an int
 bitmask, bit r for row r, and these tags are exact.  A starting ray's tag
@@ -26,8 +28,9 @@ extreme rays are adjacent iff no third one is tight on every row both
 are, that is, with common = z_i & z_j, no other tag z has common & z ==
 common.  Adjacent rays of a cone in R^(n+1) span a face whose tight rows
 have rank n - 1, so common.bit_count() >= n - 1 is tested first, as a
-filter.  The final tags give the incidence of facets and generators with
-no dot product, and the vertices follow from it:
+filter; the count of tags that contain common then stops at the third.
+The final tags give the incidence of facets and generators with no dot
+product, and the vertices follow from it:
 
     a generator g is a vertex iff no other generator's set of tight
     facets contains g's own.
@@ -193,39 +196,45 @@ def newton_polyhedron(gens, n: int) -> NewtonPolyhedron:
     # n + 1 have the inverse [[I, 0], [-g_0, 1]], whose columns are the
     # starting rays, each tagged with the bitmask of the rows it is tight on
     every = (1 << (n + 1)) - 1
-    rays = [_unit(i, n) + (-gens[0][i],) for i in range(n)]
-    rays.append((0,) * n + (1,))
+    rays = [[*_unit(i, n), -x] for i, x in enumerate(gens[0])] + [[0] * n + [1]]
     tags = [every ^ (1 << i) for i in range(n + 1)]
     for r, g in enumerate(gens[1:], n + 1):
-        vals = [sum(map(mul, g, x)) + x[n] for x in rays]
+        g += (1,)  # the row (g, 1)
         kept, kept_tags, pos, neg = [], [], [], []
-        for k, s in enumerate(vals):
+        for x, z in zip(rays, tags):
+            s = sum(map(mul, g, x))
             if s < 0:
-                neg.append(k)
+                neg.append((s, x, z))
                 continue
             if s > 0:
-                pos.append(k)
-            kept.append(rays[k])
-            kept_tags.append(tags[k] if s else tags[k] | 1 << r)
-        for i in pos:
-            zi = tags[i]
-            for j in neg:
-                common = zi & tags[j]
-                # adjacent iff no third ray is tight on every row both are
-                # tight on (i and j count themselves)
-                if common.bit_count() < n - 1 or [z & common for z in tags].count(common) > 2:
+                pos.append((s, x, z))
+            kept.append(x)
+            kept_tags.append(z if s else z | 1 << r)
+        for s, xi, zi in pos:
+            for t, xj, zj in neg:
+                common = zi & zj
+                if common.bit_count() < n - 1:
                     continue
-                s, t = vals[i], vals[j]
-                kept.append(primitive([s * b - t * a for a, b in zip(rays[i], rays[j])]))
-                kept_tags.append(common | 1 << r)
+                # adjacent iff no third ray is tight on every row both are
+                # tight on (i and j count themselves); no third, no break
+                count = 0
+                for z in tags:
+                    if z & common == common:
+                        count += 1
+                        if count == 3:
+                            break
+                else:
+                    x = [s * b - t * a for a, b in zip(xi, xj)]
+                    if (d := gcd(*x)) != 1:  # primitive refuses the zero row
+                        x = [a // d for a in x] if d else primitive(x)
+                    kept.append(x)
+                    kept_tags.append(common | 1 << r)
         rays, tags = kept, kept_tags
 
     # coordinate facets first, in coordinate order; then the exceptional
     # ones, descending (normals are distinct, so the tags never compare)
-    found = sorted(
-        ((sum(u) == 1, u, -x[n], z) for x, z in zip(rays, tags) if any(u := x[:n])),
-        reverse=True,
-    )
+    found = [(sum(u) == 1, u, -x[n], z) for x, z in zip(rays, tags) if any(u := tuple(x[:n]))]
+    found.sort(reverse=True)
     # the facets tight at each generator, as bitmasks: facet j is tight at
     # gens[k] iff its tag has row n + k
     tight = [0] * len(gens)
@@ -237,12 +246,12 @@ def newton_polyhedron(gens, n: int) -> NewtonPolyhedron:
             z ^= low
     # a vertex is a generator whose tight set no other generator's contains
     # (its own always does)
-    verts = [k for k, t in enumerate(tight) if sum(t & u == t for u in tight) == 1]
+    verts = [k for k, t in enumerate(tight) if sum([t & u == t for u in tight]) == 1]
     return NewtonPolyhedron(
         n,
-        tuple(gens[k] for k in verts),
-        tuple(Facet(u, level) for _, u, level, _ in found),
-        tuple(tight[k] for k in verts),
+        tuple([gens[k] for k in verts]),
+        tuple([Facet(u, level) for _, u, level, _ in found]),
+        tuple([tight[k] for k in verts]),
         tuple(gens),
         tuple(tight),
     )
@@ -390,6 +399,7 @@ def normal_fan(p: NewtonPolyhedron) -> NormalFan:
     standard rays.
     """
     n = p.dim
-    rays = tuple(Ray(f.normal, f.level, j < n) for j, f in enumerate(p.facets))
-    cones = tuple(Cone(v, tuple(_bits(t))) for v, t in zip(p.vertices, p.incidence))
-    return NormalFan(p.dim, rays, cones)
+    rays = tuple([Ray(f.normal, f.level, j < n) for j, f in enumerate(p.facets)])
+    js = range(len(rays))
+    cones = [Cone(v, tuple([j for j in js if t >> j & 1])) for v, t in zip(p.vertices, p.incidence)]
+    return NormalFan(n, rays, tuple(cones))

@@ -1,27 +1,29 @@
 """Value records: the one class decorator behind every record of mwb.
 
 Each mwb command is a fresh process, so the import of the package is part
-of every command's time, and dataclasses made up about half of it.
-Importing dataclasses pulls in inspect, ast, dis and tokenize (11-24 ms on
-a 2-core x86 container with Python 3.11.7), and each decoration compiles
-every generated method with an exec of its own (about 1 ms per class, 19
-classes).  record writes the same methods from one exec per class (about
-0.45 ms) and imports only sys.  On that machine, with bytecode cached,
-`import mwb, mwb.cli` fell from 52 to 28 ms (medians of 16 alternating
-probes), and from 117 to 86 ms with bytecode writes off.
+of every command's time.  Importing dataclasses pulls in inspect, ast, dis
+and tokenize (11-24 ms on a 2-core x86 container with Python 3.11.7), and
+each decoration compiles its methods with an exec per method.  record
+imports only sys and writes a class's methods from one exec (about 0.45
+ms): `import mwb, mwb.cli` fell from 52 to 28 ms on that machine.
 
-The generated bodies have the bytecode dataclasses writes (before 3.13),
-so constructing, comparing and hashing a record costs the same:
-- __init__(self, <fields>) assigns each field, with object.__setattr__
-  when frozen, and then calls self.__post_init__() if the class has one;
+The generated methods:
+- __init__(self, <fields>) assigns each field and then calls
+  self.__post_init__() if the class has one.  A frozen record reads
+  self.__dict__ once and stores each field in it, where dataclasses calls
+  object.__setattr__ once per field: Facet((1, 2, 0, 1), 5) takes about
+  290 ns instead of 450 ns.  The instance then holds a dict of its own,
+  64 bytes more, that Python 3.11 reads about 17 ns slower per attribute
+  than inline values;
 - __repr__ gives Name(field=value, ...) over the fields;
 - __eq__ compares the tuples of the compare=True fields when
   other.__class__ is self.__class__, and returns NotImplemented otherwise;
 - a frozen record hashes the tuple of its compare=True fields, and
   assigning or deleting any attribute raises AttributeError; a record that
   is not frozen is unhashable.
-A method the class body defines itself (__init__, __repr__, __hash__) is
-kept.
+Apart from a frozen record's __init__, the bodies have the bytecode
+dataclasses writes (before 3.13), so they cost the same.  A method the
+class body defines itself (__init__, __repr__, __hash__) is kept.
 
 The options are only those the records use: record(frozen=) and
 field(default_factory=, compare=), plus a plain class attribute as a
@@ -88,7 +90,7 @@ def _tuple(owner: str, fields) -> str:
 def _init_lines(fields, frozen: bool, has_post_init: bool, env: dict) -> list:
     """The lines of __init__, head first; each default and factory it reads
     is added to env under the name the lines use."""
-    params, body = ["self"], []
+    params, body = ["self"], ["__record_dict__=self.__dict__"] if frozen else []
     for f in fields:
         value = f.name
         dflt = f"__record_dflt_{f.name}__"
@@ -101,10 +103,7 @@ def _init_lines(fields, frozen: bool, has_post_init: bool, env: dict) -> list:
             params.append(f"{f.name}={dflt}")
         else:
             params.append(f.name)
-        if frozen:
-            body.append(f"__record_object__.__setattr__(self,{f.name!r},{value})")
-        else:
-            body.append(f"self.{f.name}={value}")
+        body.append(f"__record_dict__[{f.name!r}]={value}" if frozen else f"self.{f.name}={value}")
     if has_post_init:
         body.append("self.__post_init__()")
     return [f"def __init__({','.join(params)}):", *(body or ["pass"])]
@@ -113,7 +112,7 @@ def _init_lines(fields, frozen: bool, has_post_init: bool, env: dict) -> list:
 def _build(cls, frozen: bool):
     fields = _fields(cls)
     own = cls.__dict__
-    env = {"__record_object__": object, "__record_HAS_DEFAULT_FACTORY__": _HAS_DEFAULT_FACTORY}
+    env = {"__record_HAS_DEFAULT_FACTORY__": _HAS_DEFAULT_FACTORY}
     compared = [f for f in fields if f.compare]
     shown = ", ".join(f"{f.name}={{self.{f.name}!r}}" for f in fields)
     methods = {

@@ -656,6 +656,31 @@ class TestFlags:
         _, out, _ = run_cli(["newton", "--ideal", "y^2 + x^3"])
         assert "A^{2;0}(y ordinary, x ordinary)" in out
 
+    @pytest.mark.parametrize("extra", [[], ["--json"]], ids=["text", "json"])
+    def test_one_step_check_infers_monomial_variables(self, extra):
+        # a fully monomial ambient is the only one it accepts
+        ideal = ["--ideal", "x^2 + y^2 z + z^3"]
+        inferred = run_cli(["one-step-check", *ideal, *extra])
+        declared = run_cli(["one-step-check", "--monomial", "x,y,z", *ideal, *extra])
+        assert inferred == declared
+        assert inferred[0] == 0 and inferred[2] == ""
+
+    def test_proper_transform_of_the_zero_ideal_is_zero(self):
+        argv = ["transform", "--ordinary", "x,y", "--ideal", "0", "--ideal-monomial", "x,y"]
+        code, out, err = run_cli(argv + ["--kind", "proper"])
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["kind: proper", "total: (0)", "proper: (0)"]
+        code, out, _ = run_cli(argv + ["--kind", "proper", "--json"])
+        obj = json.loads(out)
+        assert code == 0
+        assert obj == {"kind": "proper", "total": [], "proper": [], "multiplicities": {}}
+        schema = {"$defs": SCHEMA["$defs"], "$ref": "#/$defs/transform"}
+        jsonschema.Draft202012Validator(schema).validate(obj)
+        # the weak transform of (0) is still refused
+        code, out, err = run_cli(argv + ["--kind", "weak"])
+        assert (code, out) == (1, "")
+        assert err == "error: weak transform of the zero ideal\n"
+
     def test_center_monomial_part_is_its_newton_vertices(self):
         # the family also has the point y^2, from its pair (y, 1/2); it lies
         # inside the Newton polyhedron of y^{4/3}, z^3 and is not printed

@@ -301,6 +301,30 @@ def test_fans_and_charts_match_the_dot_product_incidence():
                 assert chart.inverted == want, gens
 
 
+def test_blowups_hold_only_tuple_rows():
+    # the double description runs on int lists; none of them may reach a
+    # frozen record, which would then neither hash nor stay fixed
+    rng = random.Random(1503)
+    for n, gens in [*agreement_cases(1012), *fan_shaped_cases(1502, 40)]:
+        amb = LogAmbient([(f"x{i}", ORDINARY) for i in range(n)])
+        ideal = monomial_ideal(gens, n)
+        p = newton_polyhedron(gens, n)
+        hash(p)
+        assert all(type(f.normal) is tuple for f in p.facets), gens
+        for b in (
+            build_blowup(ideal, amb),
+            rees_blowup(FractionalIdeal(ideal, rng.randint(1, 6)), amb),
+        ):
+            rows = [r.direction for r in b.fan.rays]
+            rows += [c.rays for c in b.fan.maximal_cones]
+            rows += [c.inverted for c in b.charts]
+            rows += b.beta_rows
+            assert all(type(row) is tuple for row in rows), gens
+            assert type(b.beta_rows) is tuple
+            hash(b.fan)
+            hash(b)
+
+
 def test_eight_generator_hull_in_four_variables():
     gens = [
         (6, 0, 0, 0),

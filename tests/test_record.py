@@ -167,13 +167,25 @@ def opcodes(fn):
 
 @pytest.mark.parametrize("cls, frozen, own", RECORDS, ids=[r[0].__name__ for r in RECORDS])
 def test_generated_methods_have_the_dataclass_bytecode(cls, frozen, own):
-    # so a record constructs, compares and hashes at a dataclass's cost;
-    # from 3.13 dataclasses compares field by field, record keeps tuples
+    # so a record compares and hashes at a dataclass's cost; from 3.13
+    # dataclasses compares field by field, record keeps tuples.  A frozen
+    # record's __init__ is pinned below instead
     twin_cls = twin(cls, frozen, own)
-    checked = {"__init__", "__hash__"} | ({"__eq__"} if sys.version_info < (3, 13) else set())
+    checked = {"__hash__"} | ({"__eq__"} if sys.version_info < (3, 13) else set())
+    if not frozen:
+        checked.add("__init__")
     for name in checked - own:
         if getattr(cls, name) is not None:
             assert opcodes(getattr(cls, name)) == opcodes(getattr(twin_cls, name)), name
+    if frozen and "__init__" not in own:
+        # dataclasses calls object.__setattr__ once per field; a frozen
+        # record reads the instance dict once and stores each field in it,
+        # keyed by the field's name, in field order
+        code = list(dis.get_instructions(cls.__init__))
+        assert not any(i.argval == "__setattr__" for i in code)
+        assert [i.argval for i in code].count("__dict__") == 1
+        stored = [a.argval for a, b in zip(code, code[1:]) if b.opname == "STORE_SUBSCR"]
+        assert stored == [f.name for f in cls.__record_fields__]
 
 
 def test_records_of_different_classes_never_compare_equal(samples):
