@@ -21,8 +21,10 @@ each generator, and each step
     Rees algebra;
   * takes a maximal contact among the kept pairs of weight 1/a, which have
     order at least one, or else among the reduced basis of the ideal of the
-    kept pairs of weight at least 1/a; then restricts every kept pair to
-    it.
+    kept pairs of weight at least 1/a: the closure's basis once the last of
+    them is taken, interreduced (pairs go by descending weight, derivatives
+    are lighter, and the reduced basis is unique); then restricts every
+    kept pair to it.
 
 Weights are integers over one denominator: (g, n) weighs n/D, starting
 at n = D = 1.  A level finds the least o/n, o = logord_p(g), by
@@ -293,20 +295,21 @@ def minimal_tuples(b: int) -> list[tuple[int, ...]]:
     return [tuple(f // (b - j) if k == j else 0 for k in range(b)) for j in range(b)]
 
 
-def coefficient_ideal(pairs, step: int, point) -> list[tuple[Polynomial, int]]:
+def coefficient_ideal(pairs, step: int, point) -> tuple[list[tuple[Polynomial, int]], list]:
     """The family closed under log derivations, pruned, with weights and
     step = 1/a integers over one denominator: a kept pair (g, n) adds
-    (D g, n - step) while that is positive.  Pairs are taken by descending
-    weight, then degree, and kept as their monic remainder against a
-    Groebner basis of the pairs already kept, which groebner.grow grows by
-    each, lead first.  Raises MwbError after CLOSURE_BUDGET pairs; the
-    point only names where in that message."""
+    (D g, n - step) while that is positive.  Pairs go by descending weight,
+    then degree, and are kept as their monic remainder against a Groebner
+    basis of the kept ones, which groebner.grow grows by each, lead first.
+    Returns the kept pairs and that basis after the last one of weight at
+    least step.  Raises MwbError after CLOSURE_BUDGET pairs, naming the point."""
     amb = pairs[0][0].ambient
     seq = itertools.count()
     heap = [(-n, max(map(sum, g.terms)), next(seq), g) for g, n in pairs]
     heapq.heapify(heap)
     kept: list[tuple[Polynomial, int]] = []
     basis: list[tuple] = []  # groebner.grow's pairs
+    heavy = basis  # basis after the last kept pair of weight at least step
     taken = 0
     while heap:
         taken += 1
@@ -322,12 +325,14 @@ def coefficient_ideal(pairs, step: int, point) -> list[tuple[Polynomial, int]]:
             continue
         kept.append((r, -neg))
         basis = groebner.grow(basis, [(next(iter(r.terms)), r.terms)])
+        if -neg >= step:
+            heavy = basis
         if -neg > step:
             for name in amb.names():
                 dr = log_derivation(r, name)
                 if dr.terms:
                     heapq.heappush(heap, (neg + step, max(map(sum, dr.terms)), next(seq), dr))
-    return kept
+    return kept, heavy
 
 
 def monomial_part(pairs, den: int) -> list[tuple[Fraction, ...]]:
@@ -389,14 +394,13 @@ def invariant_at(ideal: PolyIdeal, point) -> tuple[Invariant, Center | None]:
             break
         entries.append(Fraction(o * den, least))
         den *= o  # now 1/a = least / den
-        kept = coefficient_ideal([(g, n * o) for g, n in family], least, point)
+        kept, heavy = coefficient_ideal([(g, n * o) for g, n in family], least, point)
         try:
             contact = maximal_contact(amb, [g for g, n in kept if n == least], point)
         except NoRectifiableContact:
-            # the order-one element may show only in the reduced basis of
-            # the pairs of weight at least 1/a, the weight-1/a ideal
-            heavy = PolyIdeal(amb, [g for g, n in kept if n >= least])
-            contact = maximal_contact(amb, groebner.groebner_basis(heavy), point)
+            # the order-one element may show only in the weight-1/a ideal's reduced basis
+            reduced = [Polynomial._trusted(amb, r) for r in groebner._reduce(heavy, 0)]
+            contact = maximal_contact(amb, reduced, point)
         contacts.append(contact)
         i = amb.index(contact.name)
         family = [

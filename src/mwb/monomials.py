@@ -12,12 +12,9 @@ from __future__ import annotations
 import itertools
 
 from .errors import EmptyIdeal, MwbError
+from .kernel import mono_divides
 from .polyhedra import NewtonPolyhedron, Vec, contains, exponent, newton_polyhedron
 from .record import record
-
-
-def divides(a: Vec, b: Vec) -> bool:
-    return all(x <= y for x, y in zip(a, b))
 
 
 def minimalize(gens) -> tuple[Vec, ...]:
@@ -25,8 +22,8 @@ def minimalize(gens) -> tuple[Vec, ...]:
     gens = sorted(set(tuple(g) for g in gens))
     out: list[Vec] = []
     for g in gens:
-        if not any(divides(h, g) for h in out):
-            out = [h for h in out if not divides(g, h)] + [g]
+        if not any(mono_divides(h, g) for h in out):
+            out = [h for h in out if not mono_divides(g, h)] + [g]
     return tuple(sorted(out, reverse=True))
 
 

@@ -171,12 +171,6 @@ class NewtonPolyhedron:
     generators: tuple[Vec, ...] = field(compare=False)
     tags: tuple[int, ...] = field(compare=False)
 
-    def __str__(self) -> str:
-        ineqs = ", ".join(
-            f"{f.normal}>= {f.level}".replace(">=", " . a >= ") for f in self.facets
-        )
-        return f"NewtonPolyhedron(n={self.dim}, vertices={list(self.vertices)}, {ineqs})"
-
 
 def newton_polyhedron(gens, n: int) -> NewtonPolyhedron:
     """Hull of the given exponent vectors plus the nonnegative orthant.

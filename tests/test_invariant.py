@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from conftest import F_TEXT, ambient, drop_corpus, frontier, ideal, poly, random_polynomial
-from mwb import PolyIdeal, engine
+from mwb import PolyIdeal, engine, groebner, invariant
 from mwb.blowup import center_to_blowup, proper_transform
 from mwb.errors import MwbError, NoRectifiableContact
 from mwb.groebner import ideal_equal
@@ -29,7 +29,7 @@ from mwb.invariant import (
     monomial_part,
     reduced_center,
 )
-from mwb.poly import Polynomial, constant, format_polynomial, variable
+from mwb.poly import LogAmbient, Polynomial, constant, format_polynomial, variable
 from test_poly import golden_results
 
 
@@ -319,15 +319,21 @@ class TestPieces:
         f = poly(a20, "x^2 + y^3")
         # weights and the step 1/a are integers over one denominator: at
         # a = 2 the weights 1 and 1/2 are 2 and 1 over 2, and the step is 1
-        kept = coefficient_ideal([(f, 2)], 1, (0, 0))
+        kept, _ = coefficient_ideal([(f, 2)], 1, (0, 0))
         assert [(format_polynomial(g), n) for g, n in kept] == [
             ("y^3 + x^2", 2),
             ("x", 1),
             ("y^2", 1),
         ]
         # a pair the kept ones of at least its weight generate is left out
-        kept = coefficient_ideal([(f, 2), (poly(a20, "x^3"), 1)], 1, (0, 0))
+        kept, _ = coefficient_ideal([(f, 2), (poly(a20, "x^3"), 1)], 1, (0, 0))
         assert len(kept) == 3
+        # the basis returned stands after the last pair of weight at least
+        # the step: at step 2, (x^2, 4) adds (x, 2), and (y, 1) stays out
+        pairs = [(poly(a20, "x^2"), 4), (poly(a20, "y"), 1)]
+        kept, heavy = coefficient_ideal(pairs, 2, (0, 0))
+        assert [(format_polynomial(g), n) for g, n in kept] == [("x^2", 4), ("x", 2), ("y", 1)]
+        assert heavy == [((1, 0), {(1, 0): 1})]
         # a power of x takes one pair per derivative, so the budget stops it;
         # at a = big the weight 1 is big over big, and the step 1
         a1 = ambient(ordinary="x")
@@ -335,7 +341,7 @@ class TestPieces:
         with pytest.raises(MwbError, match="exceeds"):
             coefficient_ideal([(poly(a1, f"x^{big}"), big)], 1, (0,))
         x200 = [(poly(a1, "x^200"), 200)]
-        assert len(coefficient_ideal(x200, 1, (0,))) == 200
+        assert len(coefficient_ideal(x200, 1, (0,))[0]) == 200
 
     def test_integer_weights_match_the_fraction_weight_oracle(self, monkeypatch):
         # every point the engine computes an invariant at, over the drop
@@ -413,6 +419,61 @@ class TestPieces:
         assert str(inv) == "(2, 2)"
         assert [c.name for c in ctr.contacts] == ["x", "y"]
         assert inv == oracles.tower_invariant(i, (0, 0))[0]
+
+    def test_the_fallback_basis_is_the_reduced_basis(self, monkeypatch):
+        # at every fallback on the seed-104 frontier, the interreduced
+        # closure basis is, term for term, groebner_basis of the kept pairs
+        # of weight at least 1/a built afresh
+        levels, seen = [], []
+        closure, contact = invariant.coefficient_ideal, invariant.maximal_contact
+
+        def closing(pairs, step, point):
+            kept, heavy = closure(pairs, step, point)
+            levels.append([kept, step, 0])
+            return kept, heavy
+
+        def contacting(amb, gens, point):
+            level = levels[-1]
+            level[2] += 1
+            if level[2] == 2:
+                kept, step, _ = level
+                fresh = PolyIdeal(amb, [g for g, n in kept if n >= step])
+                want = [list(g.terms.items()) for g in groebner.groebner_basis(fresh)]
+                assert [list(g.terms.items()) for g in gens] == want
+                seen.append(amb)
+            return contact(amb, gens, point)
+
+        monkeypatch.setattr(invariant, "coefficient_ideal", closing)
+        monkeypatch.setattr(invariant, "maximal_contact", contacting)
+        for i in frontier(104, 4):
+            try:
+                engine.resolve(i, limit=16)
+            except MwbError:
+                pass
+        assert len(seen) == 43  # 23 contacts rescued, 20 refused
+
+    def test_a_fallback_builds_no_second_basis(self, monkeypatch):
+        # a node of `resolve --ordinary x,y,z` on -x^5*y^3*z - 2*x^3*y^3*z^3
+        # + 3*x^4*y^4 + 3*x^3*y*z^4 + 3*x^2*y^3 whose contact comes from the
+        # fallback; a second Buchberger run from the generators ran for
+        # minutes there
+        def refused(*args):
+            raise AssertionError("groebner_basis called")
+
+        monkeypatch.setattr(groebner, "groebner_basis", refused)
+        amb = LogAmbient(
+            [("x'", "ordinary"), ("y'", "ordinary"), ("z'", "ordinary"), ("u", "exceptional")],
+            ("y'",),
+        )
+        i = ideal(
+            amb,
+            "x'^5*y'^3*z'*u^13 - 3*x'^4*y'^4*u^12 + 2*x'^3*y'^3*z'^3*u^7"
+            " - 3*x'^3*y'*z'^4 - 3*x'^2*y'^3",
+        )
+        assert amb.describe() == "A^{4;1}(x' ordinary, y' ordinary*, z' ordinary, u exceptional)"
+        inv, ctr = invariant_at(i, (0, 1, 0, 0))
+        assert str(inv) == "(2)"
+        assert [c.name for c in ctr.contacts] == ["x'"]
 
     def test_no_rectifiable_contact(self):
         a11 = ambient(ordinary="x", monomial="z")
