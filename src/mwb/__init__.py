@@ -16,12 +16,9 @@ from .blowup import (
     MultiWeightedBlowup,
     assemble_center,
     build_blowup,
-    canonical_stack_rays,
     center_consistency,
     center_to_blowup,
-    equivalent,
     exceptional_multiplicities,
-    factored_morphism,
     make_center,
     proper_transform,
     rees_blowup,
@@ -83,7 +80,6 @@ from .poly import (
     format_monomial,
     format_polynomial,
     log_derivation,
-    monomial,
     monomial_saturation,
     rename,
     restrict,

@@ -38,9 +38,13 @@ carry over.  The multiplicity on rho is the least (B e)_rho over the terms
 polyhedron built); the weak transform subtracts it in the same pass.
 
 Root data: a fractional ideal a^{1/l} is blown up with the ray weights
-w_rho = l / gcd(l, N_rho) (gcd(l, 0) read as l), which depends only on the
-equivalence class of a^{1/l} under (a, l) ~ (closure(a^c), c*l).  Centers
-combine coordinate powers with a monomial part and use the same rule.
+w_rho = l / gcd(l, N_rho) (gcd(l, 0) read as l).  Replacing (a, l) by
+(closure(a^c), c*l) scales every level and vertex by c, so the ray
+directions, the weights, the Cox data and the charts' inverted variables
+depend only on the equivalence class of a^{1/l}.  The reduced fractions
+N_rho / l = (N_rho w_rho / l) / w_rho, one per ray, fix P_a / l and so
+name the class.  Centers combine coordinate powers with a monomial part
+and use the same rule.
 
 A center with no monomial part, J = (x_1^{e_1}, ..., x_k^{e_k}) over k
 distinct variables, is the weighted blow-up of Abramovich, Temkin and
@@ -108,23 +112,6 @@ class FractionalIdeal:
             raise MwbError(f"root {self.root} must be positive")
         if self.base.is_zero():
             raise ZeroIdeal("fractional power of the zero ideal")
-
-    def canonical(self) -> tuple[tuple[Vec, ...], int]:
-        """Vertices of the Newton polyhedron and the root, divided by their
-        common gcd.  Two fractional ideals generate the same Rees algebra
-        iff their canonical forms agree, closure passing included; no
-        closure generators are ever enumerated."""
-        verts = newton(self.base).vertices
-        g = self.root
-        for v in verts:
-            for x in v:
-                g = gcd(g, x)
-        return tuple(tuple(x // g for x in v) for v in verts), self.root // g
-
-
-def equivalent(f1: FractionalIdeal, f2: FractionalIdeal) -> bool:
-    """Pins that a^{1/l} and closure(a^c)^{1/(c l)} give the same blow-up."""
-    return f1.canonical() == f2.canonical()
 
 
 # -- centers ----------------------------------------------------------------
@@ -351,9 +338,10 @@ def rees_weights(fan: NormalFan, root: int) -> list[int]:
 def rees_blowup(frac: FractionalIdeal, ambient: LogAmbient) -> MultiWeightedBlowup:
     """Blow-up of a^{1/l}: ray weights l/gcd(l, N_rho) on every ray.
 
-    Depends only on the canonical form of a^{1/l}: replacing (a, l) by
-    (closure(a^c), c*l) scales every level by c and leaves the weights and
-    the fan unchanged."""
+    Depends only on the equivalence class of a^{1/l}: replacing (a, l) by
+    (closure(a^c), c*l) scales every level by c and leaves the weights,
+    beta_rows, the Cox ambient and the charts' inverted variables unchanged,
+    as tests/test_blowup.py::test_fractional_ideal_equivalence checks."""
     if frac.base.dim != ambient.n:
         raise MwbError("ideal arity does not match the ambient")
     fan = normal_fan(newton(frac.base))
@@ -489,38 +477,6 @@ def proper_transform(b: MultiWeightedBlowup, ideal: PolyIdeal) -> PolyIdeal:
         return total_transform(b, ideal)
     weak, mult = weak_transform(b, ideal)
     return groebner.saturate_at_variables(weak, mult)
-
-
-# -- root bookkeeping -------------------------------------------------------
-
-
-def factored_morphism(b: MultiWeightedBlowup) -> dict:
-    """Pins the two-stage description of a root-l blow-up: the pullback of
-    the coordinates plus the image of t^{-1}, the product over positive-level
-    rays of var_rho^{N_rho / gcd(l, N_rho)}."""
-    if b.root is None:
-        raise MwbError("factored morphism needs a Rees root")
-    t_inv = {}
-    for j in b.eplus():
-        g = gcd(b.root, b.fan.rays[j].level)
-        t_inv[b.ray_vars[j]] = b.fan.rays[j].level // g
-    return {"pullback": dict(b.pullback), "t_inverse": t_inv}
-
-
-def canonical_stack_rays(ideal: MonomialIdeal, root: int) -> frozenset:
-    """Pins the stack-theoretic fan of a root-l blow-up, rays in Z^(n+1):
-    the coordinate rays (padded by 0) plus ((l/g) u_rho, N_rho/g) for each
-    positive-level ray, g = gcd(l, N_rho)."""
-    fan = normal_fan(newton(ideal))
-    n = ideal.dim
-    out = set()
-    for i in range(n):
-        out.add(tuple(1 if j == i else 0 for j in range(n)) + (0,))
-    for j in fan.positive_level():
-        r = fan.rays[j]
-        g = gcd(root, r.level)
-        out.add(tuple((root // g) * x for x in r.direction) + (r.level // g,))
-    return frozenset(out)
 
 
 # -- consistency checks -----------------------------------------------------

@@ -183,15 +183,13 @@ class ResolutionTree:
 def resolve(
     ideal: PolyIdeal,
     mode: str = "resolve",
-    limit: int | None = None,
     marks: tuple = (),
 ) -> ResolutionTree:
     if mode not in ("resolve", "principalize"):
         raise MwbError(f"unknown mode {mode!r}")
     if mode == "principalize" and ideal.is_zero():
         raise ZeroIdeal("the zero ideal cannot become the unit ideal")
-    if limit is None:
-        limit = depth_limit()
+    limit = depth_limit()
     amb = ideal.ambient
     marked = [chart_origin(amb)]
     for p in marks:
@@ -206,8 +204,8 @@ def resolve(
     return ResolutionTree(mode, root)
 
 
-def principalize(ideal: PolyIdeal, limit: int | None = None) -> ResolutionTree:
-    return resolve(ideal, "principalize", limit)
+def principalize(ideal: PolyIdeal) -> ResolutionTree:
+    return resolve(ideal, "principalize")
 
 
 def _certified(ideal: PolyIdeal, mode: str, name_sets) -> list[bool]:

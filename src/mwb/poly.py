@@ -293,10 +293,6 @@ def constant(ambient: LogAmbient, c) -> Polynomial:
     return Polynomial(ambient, {(0,) * ambient.n: _coeff(c)})
 
 
-def monomial(ambient: LogAmbient, e: Vec, c=1) -> Polynomial:
-    return Polynomial(ambient, {tuple(e): _coeff(c)})
-
-
 def variable(ambient: LogAmbient, name: str) -> Polynomial:
     e = [0] * ambient.n
     e[ambient.index(name)] = 1

@@ -57,7 +57,6 @@ from mwb.poly import (
     Polynomial,
     constant,
     log_derivation,
-    monomial,
     rational,
     rename,
     restrict,
@@ -757,8 +756,8 @@ def all_pairs_groebner_basis(ideal, block=0):
         L = kernel.mono_lcm(lms[i], lms[j])
         if L == kernel.mono_mul(lms[i], lms[j]):
             continue
-        qi = monomial(amb, kernel.mono_div(L, lms[i]))
-        qj = monomial(amb, kernel.mono_div(L, lms[j]))
+        qi = Polynomial(amb, {kernel.mono_div(L, lms[i]): 1})
+        qj = Polynomial(amb, {kernel.mono_div(L, lms[j]): 1})
         r = nf(qi * G[i] - qj * G[j], range(len(G)))
         if not r.is_zero():
             r = monic(r, block)

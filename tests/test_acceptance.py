@@ -26,6 +26,7 @@ from mwb.blowup import (
     FractionalIdeal,
     assemble_center,
     build_blowup,
+    center_to_blowup,
     proper_transform,
     rees_blowup,
     total_transform,
@@ -41,7 +42,6 @@ from mwb.poly import (
     Polynomial,
     constant,
     format_polynomial,
-    monomial,
     substitute,
     variable,
 )
@@ -335,7 +335,7 @@ def test_the_chart_origin_refutes_only_what_the_lift_refutes(monkeypatch):
         origin = [int(n in names) for n in i.ambient.names()]
         if all(g.evaluate(origin) == 0 for g in i.generators):
             assert not unit, (i, names)
-            lift = oracles.rabinowitsch_by_rename(i, monomial(i.ambient, origin))
+            lift = oracles.rabinowitsch_by_rename(i, Polynomial(i.ambient, {tuple(origin): 1}))
             assert oracles.basis_dimension(lift) >= 0, (i, names)
             witnessed += 1
     assert witnessed >= 20 and True in asked.values()
@@ -420,7 +420,7 @@ def order_three_four_samples(seed, count):
         for f in leads:
             for a in rng.sample(range(3), 2):
                 e = (0, rng.randint(1, 2), rng.randint(0, 2))
-                f = f + rng.choice((-2, -1, 1, 3)) * x**a * monomial(amb, e)
+                f = f + rng.choice((-2, -1, 1, 3)) * x**a * Polynomial(amb, {e: 1})
             gens.append(f)
         out.append((PolyIdeal(amb, gens), point))
     return out
@@ -435,12 +435,15 @@ def point_outcome(i, p):
 
 
 def canonical_center(center, amb):
-    """The center's Rees class: FractionalIdeal.canonical of its reduced
-    form, independent of the scale the center is stored at."""
+    """The center's Rees class, independent of the scale the center is
+    stored at: per ray of its blow-up, the direction u, the weight w and
+    N w / l.  The reduced fraction N / l, which these two give, fixes P / l,
+    so the class; the fan and Cox data alone do not: (x^2, y^3)^{1/6} and
+    (x^4, y^6)^{1/6} share them."""
     if center is None:
         return None
-    cid, root, _ = reduced_center(center, amb)
-    return FractionalIdeal(assemble_center(cid, amb), root).canonical()
+    b = center_to_blowup(reduced_center(center, amb)[0], amb)
+    return [(r.direction, w, r.level * w // b.root) for r, w in zip(b.fan.rays, b.weights)]
 
 
 def random_vanishing_ideals(seed, count):

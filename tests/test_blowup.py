@@ -18,12 +18,9 @@ from mwb.blowup import (
     FractionalIdeal,
     assemble_center,
     build_blowup,
-    canonical_stack_rays,
     center_consistency,
     center_to_blowup,
-    equivalent,
     exceptional_multiplicities,
-    factored_morphism,
     make_center,
     proper_transform,
     rees_blowup,
@@ -331,18 +328,42 @@ def test_rees_weights_formula():
     assert rees_weights(fan, 5) == [1, 1, 5]
 
 
+def rees_class(frac):
+    """The part of a^{1/l}'s blow-up that does not scale with (a, l)."""
+    b = rees_blowup(frac, A3)
+    return b.beta_rows, b.cox, [c.inverted for c in b.charts]
+
+
 def test_fractional_ideal_equivalence():
+    # (a, l) ~ (closure(a^c), c l) scales levels and vertices by c and
+    # leaves the rest of the blow-up alone
     big = FractionalIdeal(mono3((480, 0, 0), (0, 720, 0), (0, 0, 720)), 1440)
     small = FractionalIdeal(mono3((2, 0, 0), (0, 3, 0), (0, 0, 3)), 6)
-    assert equivalent(big, small)
-    assert big.canonical() == (((2, 0, 0), (0, 3, 0), (0, 0, 3)), 6)
-    assert equivalent(small, FractionalIdeal(monomial_power(small.base, 3), 18))
+    assert rees_class(big) == rees_class(small)
+    assert rees_class(small) == rees_class(FractionalIdeal(monomial_power(small.base, 3), 18))
+    b_big, b_small = rees_blowup(big, A3), rees_blowup(small, A3)
+    assert ([c.vertex for c in b_small.charts], b_small.root) == (
+        [(2, 0, 0), (0, 3, 0), (0, 0, 3)],
+        6,
+    )
+    assert [c.vertex for c in b_big.charts] == [
+        tuple(240 * x for x in c.vertex) for c in b_small.charts
+    ]
+    assert [r.level for r in b_big.fan.rays] == [240 * r.level for r in b_small.fan.rays]
     other = FractionalIdeal(mono3((2, 0, 0), (0, 3, 0), (0, 0, 4)), 6)
-    assert not equivalent(small, other)
+    assert rees_class(small) != rees_class(other)
     with pytest.raises(MwbError):
         FractionalIdeal(small.base, 0)
     with pytest.raises(ZeroIdeal):
         FractionalIdeal(monomial_ideal([], 3), 2)
+
+
+def t_inverse(b):
+    """The image of t^{-1} in the two-stage description of a root-l
+    blow-up: var_rho^{N_rho / gcd(l, N_rho)} over the positive-level rays,
+    N_rho / gcd(l, N_rho) being N_rho w_rho / l."""
+    rays = b.fan.rays
+    return {b.ray_vars[j]: rays[j].level * b.weights[j] // b.root for j in b.eplus()}
 
 
 def test_cusp_center_blowup():
@@ -362,8 +383,7 @@ def test_cusp_center_blowup():
         "x": "x'*u^3",
         "y": "y'*u^2",
     }
-    fm = factored_morphism(b)
-    assert fm["t_inverse"] == {"u": 1}
+    assert t_inverse(b) == {"u": 1}
     assert center_consistency(b, c, A2) == []
 
 
@@ -371,11 +391,9 @@ def test_monomial_center_keeps_full_levels():
     a33 = ambient(monomial="x,y,z")
     c = make_center([], mono3((2, 0, 0), (0, 2, 1), (0, 0, 3)))
     b = center_to_blowup(c, a33)
-    fm = factored_morphism(b)
-    assert fm["t_inverse"] == {"u1": 6, "u2": 2}
+    assert t_inverse(b) == {"u1": 6, "u2": 2}
     assert center_consistency(b, c, a33) == []
-    with pytest.raises(MwbError):
-        factored_morphism(build_blowup(c.monomial, a33))
+    assert build_blowup(c.monomial, a33).root is None
 
 
 def test_center_names_each_variable_once():
@@ -457,11 +475,35 @@ def test_drop_corpus_weighted_centers_match_the_double_description(monkeypatch):
 
 
 def test_center_consistency_detects_mismatch():
+    # each center against its own blow-up, then against another, so that
+    # every message is met
     b = build_blowup(mono3((2, 0, 0), (0, 2, 1), (0, 0, 3)), A3)
     bad = make_center([("x", 1)], monomial_ideal([], 3))
     b_for_bad = center_to_blowup(bad, A3)
     assert center_consistency(b_for_bad, bad, A3) == []
-    assert center_consistency(b, bad, A3) != []
+    assert center_consistency(b, bad, A3) == [
+        "ray (3, 2, 2): 1 * u[0] != level 6",
+        "ray (3, 2, 2) meets ordinary non-center y",
+        "ray (3, 2, 2) meets ordinary non-center z",
+        "ray (1, 0, 2): 1 * u[0] != level 2",
+        "ray (1, 0, 2) meets ordinary non-center z",
+    ]
+    # root 6 against level 2
+    cusp = make_center([("x", 2), ("y", 3)], NONE2)
+    assert center_consistency(center_to_blowup(cusp, A2), cusp, A2) == []
+    assert center_consistency(build_blowup(monomial_ideal([(1, 0), (0, 2)], 2), A2), cusp, A2) == [
+        "root 6 does not divide level 2 of (2, 1)",
+        "ray (2, 1): 2 * u[0] != level 2",
+        "ray (2, 1): 3 * u[1] != level 2",
+    ]
+    # (x y, x z) = x (y, z): the standard ray of x has level 1 and is no
+    # exceptional ray
+    amb = ambient(ordinary="y", monomial="x,z")
+    mixed = make_center([("y", 1)], monomial_ideal([(0, 1, 1)], 3))
+    assert center_consistency(center_to_blowup(mixed, amb), mixed, amb) == []
+    assert center_consistency(build_blowup(mono3((1, 1, 0), (0, 1, 1)), amb), mixed, amb) == [
+        "positive-level rays differ from exceptional rays"
+    ]
 
 
 def test_restrict_blowup():
@@ -501,9 +543,21 @@ def test_shift_leaves_the_blowup_alone():
     assert shifted.fan.exceptional() == [3, 4]
 
 
+def stack_rays(a, root):
+    """The stack-theoretic fan of the root-l blow-up, rays in Z^(n+1), read
+    off rees_blowup: the coordinate rays padded by 0, and for each
+    positive-level ray its row w_rho u_rho = (l/g) u_rho, g = gcd(l, N_rho),
+    padded by N_rho / g."""
+    b = rees_blowup(FractionalIdeal(a, root), A3)
+    out = {tuple(1 if j == i else 0 for j in range(a.dim)) + (0,) for i in range(a.dim)}
+    for j in b.eplus():
+        out.add(b.beta_rows[j] + (b.fan.rays[j].level * b.weights[j] // root,))
+    return frozenset(out)
+
+
 def test_canonical_stack_rays():
     a = mono3((2, 0, 0), (0, 2, 1), (0, 0, 3))
-    assert canonical_stack_rays(a, 1) == frozenset(
+    assert stack_rays(a, 1) == frozenset(
         {
             (1, 0, 0, 0),
             (0, 1, 0, 0),
@@ -512,7 +566,7 @@ def test_canonical_stack_rays():
             (1, 0, 2, 2),
         }
     )
-    assert canonical_stack_rays(a, 2) == frozenset(
+    assert stack_rays(a, 2) == frozenset(
         {
             (1, 0, 0, 0),
             (0, 1, 0, 0),

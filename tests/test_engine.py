@@ -262,10 +262,12 @@ class TestDropLaw:
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: {refused.value}\n"
 
-    def test_depth_limit(self):
+    def test_depth_limit(self, monkeypatch):
         a20 = ambient(ordinary="x,y")
+        monkeypatch.setenv("MWB_DEPTH_LIMIT", "0")
         with pytest.raises(DepthExceeded):
-            resolve(ideal(a20, "x^2 + y^3"), limit=0)
+            resolve(ideal(a20, "x^2 + y^3"))
+        monkeypatch.delenv("MWB_DEPTH_LIMIT")
         assert depth_limit() == 16
 
 

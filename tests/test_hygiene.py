@@ -137,20 +137,31 @@ def private_definitions(tree):
             yield name, node
 
 
-def references(tree, skip=None):
-    """Names read in the tree outside the node skip: bare names, attribute
-    names and the names a from-import binds."""
+def references(tree, modules, skip=None):
+    """What the tree reads outside the node skip, as (module, name) pairs:
+    (None, name) for a bare name it loads, (m, name) for a name it imports
+    from the module m, or reads as an attribute of a name bound to m (import
+    m, from . import m as k).  An attribute of anything else, and a local
+    that shares a spelling, reads no module's name."""
     inside = {id(n) for n in ast.walk(skip)} if skip else set()
-    out = set()
+    bound, out = {}, set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.ImportFrom):
+            source = (n.module or "").split(".")[-1]
+            for a in n.names:
+                if source in modules:
+                    out.add((source, a.name))
+                elif a.name in modules:
+                    bound[a.asname or a.name] = a.name
+        elif isinstance(n, ast.Import):
+            bound.update((a.asname or a.name, a.name) for a in n.names if a.name in modules)
     for n in ast.walk(tree):
         if id(n) in inside:
             continue
-        if isinstance(n, ast.Name):
-            out.add(n.id)
-        elif isinstance(n, ast.Attribute):
-            out.add(n.attr)
-        elif isinstance(n, ast.ImportFrom):
-            out.update(a.name for a in n.names)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out.add((None, n.id))
+        elif isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id in bound:
+            out.add((bound[n.value.id], n.attr))
     return out
 
 
@@ -164,13 +175,14 @@ def public_definitions(tree):
 
 def unreferenced_names(trees, defined):
     """(module, name) of each definition that defined(tree) yields and that
-    no module reads outside the definition itself."""
-    everywhere = {mod: references(tree) for mod, tree in trees.items()}
+    no module reads: its own module loads it nowhere outside the definition
+    itself, and no other module imports it or reads it off the module."""
+    everywhere = {mod: references(tree, trees) for mod, tree in trees.items()}
     found = []
     for mod, tree in trees.items():
         for name, node in defined(tree):
-            used = name in references(tree, node) or any(
-                name in refs for other, refs in everywhere.items() if other != mod
+            used = (None, name) in references(tree, trees, node) or any(
+                (mod, name) in refs for other, refs in everywhere.items() if other != mod
             )
             if not used:
                 found.append((mod, name))
@@ -178,31 +190,30 @@ def unreferenced_names(trees, defined):
 
 
 def test_every_private_name_is_referenced():
-    trees = {p.name: ast.parse(p.read_text(), str(p)) for p in SOURCES}
+    trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in SOURCES}
     assert sum(len(list(private_definitions(t))) for t in trees.values()) >= 20
     assert unreferenced_names(trees, private_definitions) == []
 
 
 def test_the_scan_sees_an_unreferenced_private_name():
     trees = {
-        "a.py": ast.parse(
+        "a": ast.parse(
             "_LIMIT = 3\n"
             "def _loop(n):\n    return _loop(n - 1) if n else _LIMIT\n"
             "def _used():\n    pass\n"
             "class _Kept:\n    pass\n"
         ),
-        "b.py": ast.parse("from a import _used\nimport a\nx = a._Kept\n"),
+        "b": ast.parse("from a import _used\nimport a\nx = a._Kept\n"),
     }
     # _loop only calls itself
-    assert unreferenced_names(trees, private_definitions) == [("a.py", "_loop")]
+    assert unreferenced_names(trees, private_definitions) == [("a", "_loop")]
 
 
 TRACED = "wrapped by name in perfbench/spans.py LAYERS, until ROADMAP item 7b"
-PINNED = "a statement of the paper, pinned by tests/test_blowup.py"
 INPUT = "builds an input for library callers and the tests"
 
-# Public names that no other module of mwb reads (__init__'s re-exports are
-# not reads), each with its reason; the scan must find exactly these.
+# Public names that mwb never reads (__init__'s re-exports are not reads),
+# each with its reason; the scan must find exactly these.
 UNREFERENCED_PUBLIC = {
     "polyhedra.facet_level": TRACED,
     "blowup.exceptional_multiplicities": TRACED,
@@ -217,9 +228,6 @@ UNREFERENCED_PUBLIC = {
     "groebner.ideal_equal": TRACED,
     "engine.principalize": TRACED,
     "kernel.COMPILED": "read by perfbench/worker.py as the report's kernel lane",
-    "blowup.equivalent": PINNED,
-    "blowup.canonical_stack_rays": PINNED,
-    "blowup.factored_morphism": PINNED,
     "poly.constant": INPUT,
     "cli.parse_polynomial": INPUT,
 }
@@ -242,12 +250,24 @@ def test_the_scan_sees_an_unreferenced_public_name():
             "def loop(n):\n    return loop(n - 1) if n else LIMIT\n"
             "def used():\n    pass\n"
             "class Kept:\n    pass\n"
+            "def monomial():\n    pass\n"
             "def _private():\n    pass\n"
         ),
-        "b": ast.parse("from a import used\nimport a\nx = a.Kept\n"),
+        "b": ast.parse(
+            "from a import used\n"
+            "import a\n"
+            "x = a.Kept\n"
+            "def _update(c):\n    monomial = c.monomial\n    return monomial\n"
+        ),
     }
-    # loop only calls itself, and b's x is read nowhere
-    assert unreferenced_names(trees, public_definitions) == [("a", "loop"), ("b", "x")]
+    # loop only calls itself, b's x is read nowhere, and b's local monomial
+    # and attribute c.monomial share a.monomial's spelling but read no name
+    # of a
+    assert unreferenced_names(trees, public_definitions) == [
+        ("a", "loop"),
+        ("a", "monomial"),
+        ("b", "x"),
+    ]
 
 
 def hand_written_value_methods(tree):

@@ -362,7 +362,7 @@ class TestPieces:
         refused = 0
         for i in frontier(104, 4):
             try:
-                engine.resolve(i, limit=16)
+                engine.resolve(i)
             except MwbError:
                 refused += 1
         assert refused == 20 and len(calls) > 300
@@ -447,7 +447,7 @@ class TestPieces:
         monkeypatch.setattr(invariant, "maximal_contact", contacting)
         for i in frontier(104, 4):
             try:
-                engine.resolve(i, limit=16)
+                engine.resolve(i)
             except MwbError:
                 pass
         assert len(seen) == 43  # 23 contacts rescued, 20 refused

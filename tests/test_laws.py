@@ -17,7 +17,7 @@ from conftest import ambient, random_polynomial
 from mwb import LogAmbient, MwbError, PolyIdeal, Polynomial
 from mwb.engine import resolve
 from mwb.invariant import invariant_at
-from mwb.poly import constant, monomial, substitute, variable
+from mwb.poly import constant, substitute, variable
 
 AMBIENTS = [
     ambient(ordinary="x,y"),
@@ -77,7 +77,7 @@ def shifted_monomial(rng, amb, skip):
     while True:
         e = tuple(0 if i == skip else rng.randint(0, 2) for i in range(amb.n))
         if any(e):
-            return monomial(amb, e, rng.choice([-2, -1, 1, 2]))
+            return Polynomial(amb, {e: rng.choice([-2, -1, 1, 2])})
 
 
 def with_unit_twist(rng, f):
