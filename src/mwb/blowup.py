@@ -412,10 +412,13 @@ def restrict_blowup(c: CenterIdeal, ambient: LogAmbient) -> MultiWeightedBlowup:
 
 def _cox_terms(b: MultiWeightedBlowup, ideal: PolyIdeal) -> list[list]:
     """Each generator's terms c x^e as (B e, c) pairs, in term order, B the
-    matrix of beta_rows."""
-    rows = b.beta_rows
+    matrix of beta_rows.  Its first n rows are w_i e_i, so (B e)_i is
+    w_i e_i, and only the exceptional rows take a dot product."""
+    n = b.source.n
+    w, rows = b.weights[:n], b.beta_rows[n:]
     return [
-        [(tuple([sum(map(mul, r, e)) for r in rows]), c) for e, c in g.terms.items()]
+        [(tuple([*map(mul, w, e), *[sum(map(mul, r, e)) for r in rows]]), c)
+         for e, c in g.terms.items()]
         for g in ideal.generators
     ]
 

@@ -197,8 +197,9 @@ def resolve(
             raise MwbError(
                 f"marked point has {len(p)} coordinates, the ambient has {amb.n}"
             )
+        p = tuple(rational(x) for x in p)
         if p not in marked:
-            marked.append(tuple(rational(x) for x in p))
+            marked.append(p)
     root = ResolutionNode("root", "root", amb, ideal, 0, tuple(marked))
     _expand(root, mode, limit, None, _certified(ideal, mode, [sorted(amb.inverted)])[0])
     return ResolutionTree(mode, root)

@@ -4,20 +4,22 @@ Everything runs through the kernel's normal-form loop; orders are grevlex
 (block == 0) or a block elimination order putting the first k variables in
 front (block == k).
 
-grow grows a Groebner basis held as (lead, terms) pairs, the terms monic
-and listing the lead first, as a kernel.normal_form remainder does: the
-derivative closure hands its remainders over as they are, and extend,
-the entry for Polynomials, finds each lead by one scan.  The given basis
-goes in live with no pairs among its elements, so callers adding
-generators grow one basis, never rebuild it; groebner_basis is extend
-from [] with its minimal part interreduced.  Pairs wait in a heap keyed
-(order_key(lcm), i, j), i < j the elements' entry indices, so the pair
-with the smallest lcm goes first and ties go to the oldest pair: the
-selection of a sorted scan over every pending pair.  It fixes the order
-of the work, so every count repeats from run to run.  An S-polynomial
-that vanishes before reduction is not reduced.  Entering an element h
-updates the pending pairs the way of Gebauer and Moller (On an
-installation of Buchberger's algorithm, J. Symb. Comp. 1988):
+An OpenBasis holds a Groebner basis as (lead, terms) pairs, the terms
+monic and listing the lead first, as a kernel.normal_form remainder does,
+and stays open: its grow enters new elements and reduces pairs until none
+is pending, so the derivative closure enters its remainders one at a time
+with no copy or rebuild.  As no pair is pending between calls and entry
+indices keep their order, a call does the work of grow(reducers, new), its
+one-shot use, where the given basis goes in live with no pairs among its
+elements.  extend, the entry for Polynomials, finds each lead by one scan;
+groebner_basis is extend from [] with its minimal part interreduced.
+Pairs wait in a heap keyed (order_key(lcm), i, j), i < j the elements'
+entry indices, so the pair with the smallest lcm goes first and ties go
+to the oldest pair: the selection of a sorted scan over every pending
+pair.  It fixes the order of the work, so every count repeats from run to
+run.  An S-polynomial that vanishes before reduction is not reduced.
+Entering an element h updates the pending pairs the way of Gebauer and
+Moller (On an installation of Buchberger's algorithm, J. Symb. Comp. 1988):
 
 - new pairs (g, h) are grouped by lcm; a class whose lcm another class's
   lcm properly divides goes (chain criterion), a class holding a pair with
@@ -205,38 +207,50 @@ def _element(g: Polynomial, block: int) -> tuple:
 
 
 def grow(basis: list[tuple], new, block: int = 0) -> list[tuple]:
-    """A Groebner basis of basis + new, basis being one already, held as
-    new is, monic (lead, terms) pairs listing the lead first; neither
-    reduced nor sorted, and [(1, {1: 1})] once a constant turns up."""
-    elements = list(basis)  # (lead, monic terms, lead first), by entry
-    live = list(range(len(elements)))  # indices of the basis that reduces
-    pairs: dict = {}  # pending (i, j) -> lcm of the two leads
-    heap: list = []  # (order_key(lcm), i, j); entries not in pairs are stale
+    """A Groebner basis of basis + new, basis being one already."""
+    return OpenBasis(basis, block).grow(new)
 
-    def enter(lead, terms) -> bool:  # False for a constant, which is not added
-        if not any(lead):
-            return False
-        elements.append((lead, terms))
-        _update(len(elements) - 1, elements, live, pairs, heap, block)
-        return True
 
-    for lead, terms in new:
-        if not enter(lead, terms):
-            return [(lead, {lead: 1})]
-    reducers = [elements[g] for g in live]
-    while heap:
-        _, i, j = heapq.heappop(heap)
-        L = pairs.pop((i, j), None)
-        if L is None:
-            continue
-        s = _s_polynomial(elements[i], elements[j], L)
-        r = kernel.normal_form(s, reducers, block) if s else s
-        if r:
-            lead = next(iter(r))
-            if not enter(lead, _monic_terms(r, lead)):
-                return [(lead, {lead: 1})]
-            reducers = [elements[g] for g in live]
-    return reducers
+class OpenBasis:
+    """A Groebner basis held open: elements lists each element entered, as
+    given, in entry order, and reducers the basis that reduces; grow enters
+    new elements and reduces pairs until none is pending."""
+
+    def __init__(self, basis=(), block: int = 0):
+        self.elements = list(basis)  # (lead, monic terms, lead first), by entry
+        self.live = list(range(len(self.elements)))  # indices of the reducers
+        self.reducers, self.block = list(self.elements), block
+
+    def grow(self, new) -> list[tuple]:
+        """The reducers once new, pairs held as the basis's are, has entered;
+        [(1, {1: 1})] once a constant turns up."""
+        elements, live, block = self.elements, self.live, self.block
+        pairs: dict = {}  # pending (i, j) -> lcm of the two leads
+        heap: list = []  # (order_key(lcm), i, j); entries not in pairs are stale
+
+        def entering():  # new, then each pair's nonzero remainder, made monic
+            yield from new
+            while heap:
+                _, i, j = heapq.heappop(heap)
+                L = pairs.pop((i, j), None)
+                if L is None:
+                    continue
+                s = _s_polynomial(elements[i], elements[j], L)
+                r = kernel.normal_form(s, self.reducers, block) if s else s
+                if r:
+                    lead = next(iter(r))
+                    yield lead, _monic_terms(r, lead)
+
+        for element in entering():
+            lead = element[0]
+            if not any(lead):  # a constant, which leaves the unit ideal's basis
+                elements[:], live[:] = [(lead, {lead: 1})], [0]
+                self.reducers = list(elements)
+                break
+            elements.append(element)
+            _update(len(elements) - 1, elements, live, pairs, heap, block)
+            self.reducers = [elements[g] for g in live]
+        return self.reducers
 
 
 def _reduce(elements, block: int) -> list[dict]:

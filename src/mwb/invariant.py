@@ -18,11 +18,14 @@ each generator, and each step
     its weight stays positive.  Pairs are taken in descending weight, and a
     pair is kept only if it is nonzero modulo the kept pairs, all of weight
     at least its own; otherwise it and its derivatives are already in the
-    Rees algebra;
+    Rees algebra.  A kept pair enters the kept pairs' open Groebner basis
+    only when a later pair does not reduce to zero against the basis and
+    it; a last kept pair that no later pair needs is entered only by the
+    contact fallback;
   * takes a maximal contact among the kept pairs of weight 1/a, which have
     order at least one, or else among the reduced basis of the ideal of the
     kept pairs of weight at least 1/a: the closure's basis once the last of
-    them is taken, interreduced (pairs go by descending weight, derivatives
+    them is entered, interreduced (pairs go by descending weight, derivatives
     are lighter, and the reduced basis is unique); then restricts every
     kept pair to it.
 
@@ -295,21 +298,21 @@ def minimal_tuples(b: int) -> list[tuple[int, ...]]:
     return [tuple(f // (b - j) if k == j else 0 for k in range(b)) for j in range(b)]
 
 
-def coefficient_ideal(pairs, step: int, point) -> tuple[list[tuple[Polynomial, int]], list]:
+def coefficient_ideal(pairs, step: int, point) -> tuple[list[tuple[Polynomial, int]], tuple]:
     """The family closed under log derivations, pruned, with weights and
     step = 1/a integers over one denominator: a kept pair (g, n) adds
     (D g, n - step) while that is positive.  Pairs go by descending weight,
     then degree, and are kept as their monic remainder against a Groebner
-    basis of the kept ones, which groebner.grow grows by each, lead first.
-    Returns the kept pairs and that basis after the last one of weight at
-    least step.  Raises MwbError after CLOSURE_BUDGET pairs, naming the point."""
+    basis of the kept ones, a groebner.OpenBasis that a kept pair enters
+    only once a later pair needs it.  Returns the kept pairs and heavy, with
+    groebner.grow(*heavy) the basis of those of weight at least step.
+    Raises MwbError after CLOSURE_BUDGET pairs, naming the point."""
     amb = pairs[0][0].ambient
     seq = itertools.count()
     heap = [(-n, max(map(sum, g.terms)), next(seq), g) for g, n in pairs]
     heapq.heapify(heap)
     kept: list[tuple[Polynomial, int]] = []
-    basis: list[tuple] = []  # groebner.grow's pairs
-    heavy = basis  # basis after the last kept pair of weight at least step
+    basis, pending = groebner.OpenBasis(), []  # pending: [the last kept pair] or []
     taken = 0
     while heap:
         taken += 1
@@ -320,13 +323,21 @@ def coefficient_ideal(pairs, step: int, point) -> tuple[list[tuple[Polynomial, i
                 f" exceeds {CLOSURE_BUDGET} pairs"
             )
         neg, _, _, g = heapq.heappop(heap)
-        r = groebner.monic_remainder(g, basis)
+        # the pending pair enters only when a pair does not reduce to zero
+        # against the basis and it; the remainder then stands unless the
+        # entry added more, as the reducers and it form a Groebner basis
+        r = groebner.monic_remainder(g, basis.reducers + pending)
+        if r.terms and pending:
+            basis.grow(pending)
+            if basis.elements[-1] is not pending[0]:
+                r = groebner.monic_remainder(r, basis.reducers)
+            pending = []
         if not r.terms:
             continue
         kept.append((r, -neg))
-        basis = groebner.grow(basis, [(next(iter(r.terms)), r.terms)])
+        pending = [(next(iter(r.terms)), r.terms)]
         if -neg >= step:
-            heavy = basis
+            heavy = basis.reducers, pending
         if -neg > step:
             for name in amb.names():
                 dr = log_derivation(r, name)
@@ -399,8 +410,8 @@ def invariant_at(ideal: PolyIdeal, point) -> tuple[Invariant, Center | None]:
             contact = maximal_contact(amb, [g for g, n in kept if n == least], point)
         except NoRectifiableContact:
             # the order-one element may show only in the weight-1/a ideal's reduced basis
-            reduced = [Polynomial._trusted(amb, r) for r in groebner._reduce(heavy, 0)]
-            contact = maximal_contact(amb, reduced, point)
+            reduced = groebner._reduce(groebner.grow(*heavy), 0)
+            contact = maximal_contact(amb, [Polynomial._trusted(amb, r) for r in reduced], point)
         contacts.append(contact)
         i = amb.index(contact.name)
         family = [

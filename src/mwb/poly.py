@@ -21,9 +21,10 @@ aligned with the variable order.
 LogAmbient, Polynomial and PolyIdeal are frozen records (see record), so
 equality, hashing and immutability are declared, not written.  Each keeps
 a validating __init__ of its own; Polynomial keeps its __hash__, since its
-terms are a dict.  LogAmbient keeps its names tuple and its name ->
-position index as plain attributes that its constructors set, outside
-the fields that equality and hashing read.
+terms are a dict.  LogAmbient keeps its names tuple, its name -> position
+index and a memo of the ambients drop derives from it as plain attributes
+that its constructors set, outside the fields that equality and hashing
+read; drop and with_inverted check only what they add to an ambient.
 
 The public constructor Polynomial(ambient, terms) validates and copies its
 input: every exponent passes polyhedra.exponent (an int tuple of the
@@ -92,8 +93,7 @@ class LogAmbient:
         inverted = frozenset(map(str, inverted))
         if not inverted <= index.keys():
             raise MwbError(f"inverted variables {sorted(inverted)} not in ambient")
-        d = self.__dict__
-        d["variables"], d["inverted"], d["_index"], d["_names"] = variables, inverted, index, names
+        self._set(variables, inverted, index, names)
 
     @property
     def n(self) -> int:
@@ -119,19 +119,33 @@ class LogAmbient:
         return self.flag(name) != ORDINARY
 
     def drop(self, name: str) -> "LogAmbient":
-        # removing a variable keeps the names distinct, the flags known and
-        # the inverted names in the ambient: nothing to validate again
-        i = self.index(name)
-        variables = self.variables[:i] + self.variables[i + 1 :]
-        names = self._names[:i] + self._names[i + 1 :]
-        out = object.__new__(LogAmbient)
-        d = out.__dict__
-        d["variables"], d["inverted"] = variables, self.inverted - {name}
-        d["_index"], d["_names"] = {n: j for j, n in enumerate(names)}, names
+        # built once per name; removing a variable keeps the names distinct,
+        # the flags known and the inverted names in the ambient
+        out = self._drops.get(name)
+        if out is None:
+            i = self.index(name)
+            names = self._names[:i] + self._names[i + 1 :]
+            out = self._drops[name] = object.__new__(LogAmbient)._set(
+                self.variables[:i] + self.variables[i + 1 :],
+                self.inverted - {name},
+                {n: j for j, n in enumerate(names)},
+                names,
+            )
         return out
 
     def with_inverted(self, names) -> "LogAmbient":
-        return LogAmbient(self.variables, self.inverted | set(names))
+        new = frozenset(map(str, names))  # only the new names need a check
+        if not new <= self._index.keys():
+            raise MwbError(f"inverted variables {sorted(self.inverted | new)} not in ambient")
+        out = object.__new__(LogAmbient)
+        return out._set(self.variables, self.inverted | new, self._index, self._names)
+
+    def _set(self, variables, inverted, index, names) -> "LogAmbient":
+        # the fields, the name index and names, and an empty memo for drop
+        d = self.__dict__
+        d["variables"], d["inverted"], d["_index"], d["_names"] = variables, inverted, index, names
+        d["_drops"] = {}
+        return self
 
     def describe(self) -> str:
         tags = ", ".join(

@@ -1,7 +1,9 @@
 """End-to-end acceptance: the worked examples, the order laws, and the
 oracle cross-checks, one test per claim.  Run with -v for the checklist."""
 
+import json
 import math
+import os
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -9,6 +11,7 @@ from functools import lru_cache
 from conftest import (
     ambient,
     drop_corpus,
+    frontier,
     ideal,
     nondegenerate_samples,
     poly,
@@ -521,6 +524,29 @@ def test_brieskorn_pham_sums_have_the_closed_form():
 
 
 FRONTIER = ["x^3 + y^4 + z^5", "x^3 + y^3 + z^3", "x y z", "x^2 + y^2 z^3"]
+
+
+def test_the_roadmap_frontier_keeps_its_counts_and_refusals():
+    """Seeds 104, 106 and 108 of conftest.frontier, 120 hypersurfaces
+    each: how many resolve, and each refusal's input and message, as
+    golden/frontier.json records them.  A change that resolves more of
+    them updates the file on purpose, with MWB_REGEN=1."""
+    got = {}
+    for seed, max_entry in ((104, 4), (106, 6), (108, 8)):
+        resolved, refused = 0, []
+        for k, i in enumerate(frontier(seed, max_entry)):
+            try:
+                resolve(i)
+                resolved += 1
+            except MwbError as e:
+                refused.append(f"#{k} {i}: {type(e).__name__}: {e}")
+        got[str(seed)] = {"resolved": resolved, "refused": refused}
+    path = GOLDEN / "frontier.json"
+    if os.environ.get("MWB_REGEN"):
+        path.write_text(json.dumps(got, indent=1) + "\n")
+    assert json.loads(path.read_text()) == got
+    counts = [(v["resolved"], len(v["refused"])) for v in got.values()]
+    assert counts == [(100, 20), (86, 34), (87, 33)]
 
 
 def test_frontier_inputs_resolve_with_strict_drop():

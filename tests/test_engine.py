@@ -787,6 +787,26 @@ class TestSmallHelpers:
             assert str(root.invariant) == "(2, 3)"
             assert root.worst_point == marks[0]
 
+    def test_equal_marks_count_once(self, monkeypatch):
+        # a mark is read as rationals before it is compared, so "1" and 1
+        # name one point: the root keeps it once, and every node computes
+        # its invariant once
+        i = ideal(ambient(ordinary="x,y"), "x^2 + (y - 1)^3")
+        calls = []
+        original = engine.invariant_at
+
+        def counting(ideal, point):
+            calls.append(point)
+            return original(ideal, point)
+
+        monkeypatch.setattr(engine, "invariant_at", counting)
+        counts = []
+        for marks in ([("0", "1"), ("0", "1")], [(0, 1), ("0", "1")], [(0, 1)]):
+            calls.clear()
+            assert resolve(i, marks=marks).root.marked == ((0, -1), (0, 0))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] == counts[2]
+
     def test_marked_points_follow_the_blowup(self, a30):
         tree = resolve(ideal(a30, F_TEXT))
         for c in tree.root.children:

@@ -328,12 +328,13 @@ class TestPieces:
         # a pair the kept ones of at least its weight generate is left out
         kept, _ = coefficient_ideal([(f, 2), (poly(a20, "x^3"), 1)], 1, (0, 0))
         assert len(kept) == 3
-        # the basis returned stands after the last pair of weight at least
-        # the step: at step 2, (x^2, 4) adds (x, 2), and (y, 1) stays out
+        # the basis returned, completed by its one pending pair, is that of
+        # the pairs of weight at least the step: at step 2, (x^2, 4) adds
+        # (x, 2), and (y, 1) stays out
         pairs = [(poly(a20, "x^2"), 4), (poly(a20, "y"), 1)]
         kept, heavy = coefficient_ideal(pairs, 2, (0, 0))
         assert [(format_polynomial(g), n) for g, n in kept] == [("x^2", 4), ("x", 2), ("y", 1)]
-        assert heavy == [((1, 0), {(1, 0): 1})]
+        assert groebner.grow(*heavy) == [((1, 0), {(1, 0): 1})]
         # a power of x takes one pair per derivative, so the budget stops it;
         # at a = big the weight 1 is big over big, and the step 1
         a1 = ambient(ordinary="x")
@@ -419,6 +420,53 @@ class TestPieces:
         assert str(inv) == "(2, 2)"
         assert [c.name for c in ctr.contacts] == ["x", "y"]
         assert inv == oracles.tower_invariant(i, (0, 0))[0]
+
+    def test_a_closure_leaves_its_last_kept_pair_out(self, monkeypatch):
+        # the closure enters a kept pair only when a later pair does not
+        # reduce to zero against the basis and it; every later pair of a
+        # monomial closure does, so x^3 y^3 z^3 enters 62 + 14 + 2 pairs
+        # where entering each kept pair took 63 + 15 + 3
+        entries, closures = [], []
+        grow, closure = groebner.OpenBasis.grow, invariant.coefficient_ideal
+
+        def counting(basis, new):
+            entries.append(len(new))
+            return grow(basis, new)
+
+        def closing(pairs, step, point):
+            kept, heavy = closure(pairs, step, point)
+            closures.append((len(kept), len(entries)))
+            return kept, heavy
+
+        monkeypatch.setattr(groebner.OpenBasis, "grow", counting)
+        monkeypatch.setattr(invariant, "coefficient_ideal", closing)
+        invariant_at(ideal(ambient(ordinary="x,y,z"), "x^3 y^3 z^3"), (0, 0, 0))
+        assert closures == [(63, 62), (15, 62 + 14), (3, 62 + 14 + 2)]
+        assert sum(entries) == 78
+
+    def test_the_completed_basis_is_the_one_grown_pair_by_pair(self, monkeypatch):
+        # groebner.grow(*heavy) is, term for term, the basis that grows
+        # from [] by one kept pair of weight at least the step at a time,
+        # over every closure of the drop corpus and the seed-104 frontier
+        closure, checked = invariant.coefficient_ideal, []
+
+        def closing(pairs, step, point):
+            kept, heavy = closure(pairs, step, point)
+            basis = []
+            for g, n in kept:
+                if n >= step:
+                    basis = groebner.grow(basis, [(next(iter(g.terms)), g.terms)])
+            assert groebner.grow(*heavy) == basis
+            checked.append(step)
+            return kept, heavy
+
+        monkeypatch.setattr(invariant, "coefficient_ideal", closing)
+        for i in [i for _, i in drop_corpus()] + frontier(104, 4):
+            try:
+                engine.resolve(i)
+            except MwbError:
+                pass
+        assert len(checked) > 300
 
     def test_the_fallback_basis_is_the_reduced_basis(self, monkeypatch):
         # at every fallback on the seed-104 frontier, the interreduced

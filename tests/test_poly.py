@@ -55,26 +55,54 @@ def test_describe_strings():
     assert amb.describe() == "A^{2;1}(x ordinary, z monomial*)"
 
 
+def random_ambients(seed, count):
+    """count ambients on 1 to 5 names drawn from seven, random flags and
+    random inverted names."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        names = rng.sample(["x", "y", "z", "w", "u", "x'", "t1"], rng.randrange(1, 6))
+        variables = [(n, rng.choice(("ordinary", "monomial", "exceptional"))) for n in names]
+        yield LogAmbient(variables, rng.sample(names, rng.randrange(0, len(names) + 1))), rng
+
+
+def same_ambient(got, want):
+    assert got == want and hash(got) == hash(want)
+    assert got.variables == want.variables and got.inverted == want.inverted
+    assert got.describe() == want.describe()
+    assert [got.index(n) for n in want.names()] == list(range(want.n))
+
+
 def test_drop_matches_the_validating_constructor():
-    # drop builds its ambient without the constructor's checks; it must be
-    # the ambient the constructor builds, inverted names included
-    amb = ambient(ordinary="x,y", monomial="z,w", inverted=("y", "w"))
-    for name in amb.names():
-        i = amb.index(name)
-        built = LogAmbient(amb.variables[:i] + amb.variables[i + 1 :], amb.inverted - {name})
-        dropped = amb.drop(name)
-        assert dropped == built and hash(dropped) == hash(built)
-        assert dropped.variables == built.variables
-        assert dropped.inverted == built.inverted
-        assert [dropped.index(n) for n in built.names()] == list(range(built.n))
-        with pytest.raises(MwbError):
-            dropped.index(name)
+    # drop builds its ambient without the constructor's checks, once per
+    # name; it must be the ambient the constructor builds, inverted names
+    # included
+    fixed = ambient(ordinary="x,y", monomial="z,w", inverted=("y", "w"))
+    for amb, _ in [(fixed, None), *random_ambients(3607, 200)]:
+        for name in amb.names():
+            i = amb.index(name)
+            built = LogAmbient(amb.variables[:i] + amb.variables[i + 1 :], amb.inverted - {name})
+            dropped = amb.drop(name)
+            assert amb.drop(name) is dropped
+            same_ambient(dropped, built)
+            with pytest.raises(MwbError):
+                dropped.index(name)
 
 
 def test_with_inverted_unions():
     amb = ambient(ordinary="x,y", inverted=("x",))
     more = amb.with_inverted(("y",))
     assert more.inverted == frozenset({"x", "y"})
+    # it checks only the names it adds, and must still build the ambient
+    # the constructor builds, and refuse an unknown name with its message
+    for amb, rng in random_ambients(3613, 200):
+        names = list(amb.names())
+        more = rng.sample(names, rng.randrange(0, len(names) + 1))
+        same_ambient(amb.with_inverted(more), LogAmbient(amb.variables, amb.inverted | set(more)))
+        with pytest.raises(MwbError) as built:
+            LogAmbient(amb.variables, amb.inverted | set(more) | {"q"})
+        with pytest.raises(MwbError) as derived:
+            amb.with_inverted(more + ["q"])
+        assert str(derived.value) == str(built.value)
 
 
 def test_arithmetic_expansion():
