@@ -24,6 +24,22 @@ a domain error too, so every coefficient that parses can be printed.
 When stdout closes before the report is written (a pipe into `head`), the
 exit code is CLOSED_OUTPUT, 141, with no traceback and no `error:` line.
 
+The parser builds no Polynomial until an expression is read.  A term is a
+running product taken from left to right: a coefficient and an exponent
+list while only literals and names have been read, and a term dict from
+the first parenthesized group on.  An expression is one term dict that
+poly._add_into fills term by term, and end wraps each finished one.  The
+bounds are checked where Polynomial arithmetic would check them.
+tokenize refuses a literal of more than LITERAL_DIGITS digits.  Each
+factor after the first is checked against the product so far, running
+product first, by the term and coefficient budgets of
+poly._mul_within_budget: from the bit lengths of the coefficient while
+the product is one, by _mul_within_budget itself once it is a dict.  A
+group's power is taken with _pow_terms over _mul_within_budget, and a
+term that is a single group takes the group's terms unmultiplied.  A sum
+is not checked as it forms, since it can only pile up denominators; end
+holds each finished expression to COEFF_BITS.
+
 Each cmd_* handler returns one Report: it adds each fact once, as JSON fields
 and the text lines that show them, and main prints the lines or dumps the
 fields.  A blow-up and a resolution tree are each walked once.
@@ -39,7 +55,7 @@ import re
 import sys
 from fractions import Fraction
 
-from . import engine, invariant as inv_mod
+from . import engine, invariant as inv_mod, kernel
 from .blowup import (
     FractionalIdeal,
     MultiWeightedBlowup,
@@ -59,6 +75,10 @@ from .poly import (
     LogAmbient,
     PolyIdeal,
     Polynomial,
+    _add_into,
+    _check_product,
+    _mul_within_budget,
+    _pow_terms,
     coefficient_bits,
     format_monomial,
     format_polynomial,
@@ -73,7 +93,7 @@ _NAME = r"[A-Za-z][A-Za-z0-9_]*'*"
 _TOKEN = re.compile(
     r"\s*(?:(?P<frac>\d+/\d+)|(?P<int>\d+)"
     rf"|(?P<name>{_NAME})"
-    r"|(?P<op>[-+*^(),]))"
+    r"|(?P<op>[-+*^(),])|(?P<bad>\S))"
 )
 # A literal of d digits is below 10**d < 2**(10 d / 3), so this many digits
 # keep every literal within the coefficient budget, and int() within
@@ -85,22 +105,20 @@ CLOSED_OUTPUT = 141
 
 
 def tokenize(text: str) -> list[tuple[str, str]]:
+    # every character but whitespace starts a match, if only a bad one, so
+    # the matches run back to back and only trailing whitespace is skipped
     out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == m.start():
-            rest = text[pos:].strip()
-            if not rest:
-                break
-            raise MwbError(f"cannot read {rest[:20]!r}")
-        pos = m.end()
-        kind, val = m.lastgroup, m.group(m.lastgroup)
-        digits = max(map(len, val.split("/"))) if kind in ("frac", "int") else 0
-        if digits > LITERAL_DIGITS:
-            raise MwbError(
-                f"a number has {digits} digits, over the limit of {LITERAL_DIGITS}"
-            )
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        val = m[kind]
+        if kind == "bad":
+            raise MwbError(f"cannot read {text[m.start():].strip()[:20]!r}")
+        if kind == "int" or kind == "frac":
+            digits = max(map(len, val.split("/")))
+            if digits > LITERAL_DIGITS:
+                raise MwbError(
+                    f"a number has {digits} digits, over the limit of {LITERAL_DIGITS}"
+                )
         out.append((kind, val))
     return out
 
@@ -108,65 +126,98 @@ def tokenize(text: str) -> list[tuple[str, str]]:
 class _Parser:
     """expr := ['-'] term (('+'|'-') term)*
     term := factor factor*        (juxtaposition multiplies)
-    factor := coefficient | name ['^' nat] | '(' expr ')' ['^' nat]"""
+    factor := coefficient | name ['^' nat] | '(' expr ')' ['^' nat]
+
+    expr and term return term dicts (see the module docstring), and end
+    wraps each finished expression."""
 
     def __init__(self, tokens, ambient: LogAmbient):
-        self.tokens = tokens
+        self.tokens = tokens + [(None, None)]  # taking this one always ends in an error
         self.pos = 0
         self.ambient = ambient
+        self.one = (0,) * ambient.n
 
     def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
+        return self.tokens[self.pos]
 
     def take(self):
-        tok = self.peek()
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1]
 
-    def expr(self) -> Polynomial:
-        sign = 1
-        if self.peek() == ("op", "-"):
+    def expr(self) -> dict:
+        negate = self.peek() == ("op", "-")
+        if negate:
             self.take()
-            sign = -1
-        p = self.term() * sign
-        while self.peek()[0] == "op" and self.peek()[1] in "+-":
-            _, op = self.take()
-            q = self.term()
-            p = p + q if op == "+" else p - q
-        return p
-
-    def term(self) -> Polynomial:
-        p = self.factor()
+        acc = {}
         while True:
+            _add_into(acc, self.term(negate))
             kind, val = self.peek()
-            if kind == "op" and val == "*":
-                self.take()
-                p = p * self.factor()
-            elif kind in ("frac", "int", "name") or (kind, val) == ("op", "("):
-                p = p * self.factor()
-            else:
-                return p
+            if kind != "op" or val not in "+-":
+                return acc
+            self.take()
+            negate = val == "-"
 
-    def factor(self) -> Polynomial:
-        kind, val = self.take()
-        if kind == "frac":
-            num, den = (int(x) for x in val.split("/"))
-            if not den:
-                raise MwbError(f"coefficient {val} has a zero denominator")
-            return self._const(Fraction(num, den))
+    def term(self, negate: bool) -> dict:
+        """The product of the factors, left to right, negated when asked: a
+        coefficient c and exponents e until a group is read, the term dict
+        t from then on.  Each factor but the first is checked against the
+        product so far, as _mul_within_budget checks their term dicts."""
+        c, e, t = 1, list(self.one), None
+        first = True
+        while True:
+            kind, val = self.take()
+            if kind == "name":
+                i = self.ambient.index(val)
+                k = self._power()
+                if t is not None:
+                    f = list(self.one)
+                    f[i] = k
+                    t = _mul_within_budget(t, {tuple(f): 1})
+                else:
+                    if not first:
+                        _check_product(*_constant_bits(c), 1, (1, 1))
+                    e[i] += k
+            elif kind == "int" or kind == "frac":
+                d = self._literal(kind, val)
+                if t is not None:
+                    t = _mul_within_budget(t, {self.one: d} if d else {})
+                elif first:
+                    c = d
+                else:
+                    _check_product(*_constant_bits(c), *_constant_bits(d))
+                    c = c * d
+                    if type(c) is Fraction:
+                        c = kernel.exact(c)
+            elif val == "(":
+                g = self.expr()
+                if self.take() != ("op", ")"):
+                    raise MwbError("missing closing parenthesis")
+                g = _pow_terms(g, self._power(), self.one, _mul_within_budget)
+                if first:
+                    t = g  # unmultiplied: a product with 1 would add a check
+                else:
+                    if t is None:
+                        t = {tuple(e): c} if c else {}
+                    t = _mul_within_budget(t, g)
+            else:
+                raise MwbError(f"unexpected {val!r}" if val else "unexpected end of input")
+            first = False
+            kind, val = self.peek()
+            if val == "*":
+                self.take()
+            elif kind not in ("frac", "int", "name") and val != "(":
+                break
+        if t is None:
+            return {tuple(e): -c if negate else c} if c else {}
+        return {m: -v for m, v in t.items()} if negate else t
+
+    def _literal(self, kind: str, val: str):
         if kind == "int":
-            return self._const(int(val))
-        if kind == "name":
-            i = self.ambient.index(val)
-            e = [0] * self.ambient.n
-            e[i] = self._power()
-            return Polynomial(self.ambient, {tuple(e): 1})
-        if (kind, val) == ("op", "("):
-            p = self.expr()
-            if self.take() != ("op", ")"):
-                raise MwbError("missing closing parenthesis")
-            return p ** self._power()
-        raise MwbError(f"unexpected {val!r}" if val else "unexpected end of input")
+            return int(val)
+        num, den = (int(x) for x in val.split("/"))
+        if not den:
+            raise MwbError(f"coefficient {val} has a zero denominator")
+        return kernel.exact(Fraction(num, den))
 
     def _power(self) -> int:
         if self.peek() == ("op", "^"):
@@ -177,22 +228,26 @@ class _Parser:
             return int(val)
         return 1
 
-    def _const(self, c) -> Polynomial:
-        return Polynomial(self.ambient, {(0,) * self.ambient.n: c})
-
-    def end(self, polys: list[Polynomial]) -> list[Polynomial]:
+    def end(self, gens: list[dict]) -> list[Polynomial]:
         """The parsed polynomials, once the input is used up.  Products are
         bounded as they form; a sum may still pile up denominators, so each
         result is held to the coefficient budget too."""
         if self.peek() != (None, None):
             raise MwbError(f"trailing input near {self.peek()[1]!r}")
-        for p in polys:
-            bits = max(coefficient_bits(p.terms))
+        for t in gens:
+            bits = max(coefficient_bits(t))
             if bits > COEFF_BITS:
                 raise MwbError(
                     f"coefficients need {bits} bits, over the budget of {COEFF_BITS}"
                 )
-        return polys
+        return [Polynomial._trusted(self.ambient, t) for t in gens]
+
+
+def _constant_bits(c) -> tuple[int, tuple[int, int]]:
+    """The length and coefficient_bits of the term dict of the constant c."""
+    if not c:
+        return 0, (0, 0)
+    return 1, (c.numerator.bit_length(), c.denominator.bit_length())
 
 
 def parse_polynomial(text: str, ambient: LogAmbient) -> Polynomial:

@@ -103,7 +103,7 @@ from .poly import (
     monomial_saturation,
     rational,
     rename,
-    substitute,
+    substitute_one,
     variable,
 )
 from .polyhedra import _bits, affinely_independent, faces, newton_polyhedron, normal_fan
@@ -313,10 +313,9 @@ def _apply_change(ideal: PolyIdeal, marked: list, contact: Contact):
     amb = ideal.ambient
     i = amb.index(contact.name)
     lift = rename(contact.shift, {}, amb)
-    images = {n: variable(amb, n) for n in amb.names()}
-    images[contact.name] = variable(amb, contact.name) + lift
+    image = variable(amb, contact.name) + lift
     new_ideal = PolyIdeal(
-        amb, [substitute(g, images, amb) for g in ideal.generators]
+        amb, [substitute_one(g, contact.name, image) for g in ideal.generators]
     )
     shifted = [q[:i] + (rational(q[i] - lift.evaluate(q)),) + q[i + 1 :] for q in marked]
     return new_ideal, shifted

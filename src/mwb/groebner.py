@@ -49,9 +49,10 @@ basis of the unit ideal under every order.
 
 Saturation of a principal ideal at a monomial is division, since k[x] is
 a UFD and each variable is prime: (g) : m^inf = (g / x^e), x^e the largest
-monomial in m's variables dividing g.  Products are saturated factor by
-factor (saturate_at_variables): one elimination at the whole product
-measured slower on the drop corpus.
+monomial in m's variables dividing g.  So saturate_at_variables divides a
+principal ideal once, by the largest monomial in all the named variables;
+an ideal of two or more generators it saturates factor by factor, as one
+elimination at the whole product measured slower on the drop corpus.
 
 Chart questions need no saturated ideal.  Write R_f for k[x] with the
 named variables inverted (f their product).  Two theorems come first, in
@@ -392,10 +393,20 @@ def saturates_to_unit_on_charts(ideal: PolyIdeal, name_sets) -> list[bool]:
 
 
 def saturate_at_variables(ideal: PolyIdeal, names) -> PolyIdeal:
-    """Saturation at a product of variables, taken one variable at a time."""
+    """Saturation at a product of variables: for a principal ideal one
+    division by the largest monomial in all of them, otherwise one variable
+    at a time."""
+    amb = ideal.ambient
+    m = [0] * amb.n
+    for n in names:
+        m[amb.index(n)] = 1
+    if not any(m):
+        return ideal
+    if len(ideal.generators) < 2:
+        return PolyIdeal(amb, [_divide_out(g, m) for g in ideal.generators])
     out = ideal
     for n in names:
-        out = saturate(out, variable(ideal.ambient, n))
+        out = saturate(out, variable(amb, n))
     return out
 
 

@@ -433,7 +433,9 @@ def invariant_at(ideal: PolyIdeal, point) -> tuple[Invariant, Center | None]:
             for p in monomial_part(family, den)
         ]
         lcd = math.lcm(*(x.denominator for p in points for x in p))
-        verts = newton(monomial_ideal([[x * lcd for x in p] for p in points], amb0.n)).vertices
+        mono = monomial_ideal([[x * lcd for x in p] for p in points], amb0.n)
+        # one minimal generator is the only vertex of its Newton polyhedron
+        verts = mono.gens if len(mono.gens) == 1 else newton(mono).vertices
         scale = math.lcm(scale, *(Fraction(x, lcd).denominator for v in verts for x in v))
         q = MonomialIdeal(amb0.n, tuple(tuple(x * scale // lcd for x in v) for v in verts))
     return Invariant(tuple(entries)), Center(tuple(contacts), orders, q, scale)

@@ -37,12 +37,16 @@ serves only results that the package built from validated operands
 stripping, derivations, monic rescalings, Rabinowitsch lifts,
 S-polynomials, normal forms, orbit restrictions, restrictions to a
 coordinate hyperplane, blow-up pullbacks and the generators of a chart
-child, a transform's terms over the chart's ambient), where those
+child, a transform's terms over the chart's ambient, the expressions
+that cli's parser reads from int and p/q literals and names), where those
 properties hold by construction.
 
 substitute works on raw term dicts: each image's powers are built once by
 repeated squaring and every term of the source is expanded with one
 dict-level product per variable, so no intermediate Polynomial is made.
+substitute_one, the map that moves one variable and fixes the others (a
+restriction to a value, a coordinate change x -> x + s), expands only that
+variable's powers and carries every other exponent over as it is.
 """
 
 from __future__ import annotations
@@ -380,23 +384,29 @@ def coefficient_bits(terms: dict) -> tuple[int, int]:
 
 
 def _mul_within_budget(a: dict, b: dict) -> dict:
-    """_mul_terms, refused before it expands when it would form more than
-    TERM_BUDGET term products, or a coefficient past COEFF_BITS.  Over the
-    denominator D_a * D_b each product coefficient has a numerator that sums
-    at most min(len(a), len(b)) products of numerators."""
-    if len(a) * len(b) > TERM_BUDGET:
+    """_mul_terms, refused by _check_product before it expands."""
+    _check_product(len(a), coefficient_bits(a), len(b), coefficient_bits(b))
+    return _mul_terms(a, b)
+
+
+def _check_product(len_a: int, bits_a, len_b: int, bits_b) -> None:
+    """Refuse the product of term dicts of these lengths and coefficient_bits
+    when it would form more than TERM_BUDGET term products, or a coefficient
+    past COEFF_BITS.  Over the denominator D_a * D_b each product coefficient
+    has a numerator that sums at most min(len_a, len_b) products of
+    numerators."""
+    if len_a * len_b > TERM_BUDGET:
         raise MwbError(
-            f"multiplying {len(a)} terms by {len(b)} terms forms "
-            f"{len(a) * len(b)} term products, over the budget of {TERM_BUDGET}"
+            f"multiplying {len_a} terms by {len_b} terms forms "
+            f"{len_a * len_b} term products, over the budget of {TERM_BUDGET}"
         )
-    (na, da), (nb, db) = coefficient_bits(a), coefficient_bits(b)
-    bits = max(na + nb + min(len(a), len(b)).bit_length(), da + db)
+    (na, da), (nb, db) = bits_a, bits_b
+    bits = max(na + nb + min(len_a, len_b).bit_length(), da + db)
     if bits > COEFF_BITS:
         raise MwbError(
             f"multiplying coefficients of up to {max(na, da)} and {max(nb, db)} "
             f"bits may form {bits}-bit coefficients, over the budget of {COEFF_BITS}"
         )
-    return _mul_terms(a, b)
 
 
 def _pow_terms(terms: dict, k: int, one: Vec, mul=_mul_terms) -> dict:
@@ -442,6 +452,35 @@ def substitute(p: Polynomial, images: dict, target: LogAmbient) -> Polynomial:
     return Polynomial._trusted(target, out)
 
 
+def substitute_one(p: Polynomial, name: str, image: Polynomial, drop: bool = False) -> Polynomial:
+    """substitute with image for the named variable and every other variable
+    sent to itself, into p's ambient, or into p.ambient.drop(name) when
+    drop; the image must live on that target.  Each power of the image is
+    built once, and every other exponent is carried over unchanged, so the
+    terms come in substitute's order."""
+    amb = p.ambient
+    i = amb.index(name)
+    target = amb.drop(name) if drop else amb
+    if image.ambient != target:
+        raise AmbientMismatch(
+            f"image of {name} lives on {image.ambient.describe()}, "
+            f"not on {target.describe()}"
+        )
+    one = (0,) * target.n
+    kept = () if drop else (0,)
+    powers: dict[int, dict] = {}
+    out: dict[Vec, int | Fraction] = {}
+    for e, c in p.terms.items():
+        rest, k = {e[:i] + kept + e[i + 1 :]: c}, e[i]
+        if k:
+            pk = powers.get(k)
+            if pk is None:
+                pk = powers[k] = _pow_terms(image.terms, k, one)
+            rest = _mul_terms(rest, pk)
+        _add_into(out, rest)
+    return Polynomial._trusted(target, out)
+
+
 def rename(p: Polynomial, mapping: dict, target: LogAmbient) -> Polynomial:
     """Variable-for-variable relabeling into the target ambient; two
     variables sent to one are refused, as they would merge terms, and so is
@@ -477,10 +516,7 @@ def restrict(p: Polynomial, name: str, value: Polynomial | None = None) -> Polyn
         return Polynomial._trusted(
             sub, {e[:i] + e[i + 1 :]: c for e, c in p.terms.items() if not e[i]}
         )
-    images = {}
-    for n in p.ambient.names():
-        images[n] = value if n == name else variable(sub, n)
-    return substitute(p, images, sub)
+    return substitute_one(p, name, value, drop=True)
 
 
 def strip_inverted_units(p: Polynomial) -> tuple[Polynomial, Vec]:

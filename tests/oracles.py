@@ -17,7 +17,8 @@ reading the least degree, substitution by Polynomial powers and products,
 normal forms by scanning every pending term for the largest, blow-up
 transforms by substituting the pullback images and dividing out the
 exceptional monomial, multiplicities from the term ideal's Newton
-polyhedron.  The implementations are deliberately naive; their job is to
+polyhedron, tokens by matching at each position, expressions by one
+Polynomial per factor, sum and product.  The implementations are deliberately naive; their job is to
 disagree loudly, not to be fast.
 """
 
@@ -27,9 +28,11 @@ import functools
 import heapq
 import itertools
 import math
+import re
 from fractions import Fraction
 
 from mwb import kernel
+from mwb.cli import LITERAL_DIGITS
 from mwb.errors import IncompleteSubstitution, MwbError, NoRectifiableContact
 from mwb.groebner import (
     extend,
@@ -51,10 +54,12 @@ from mwb.invariant import (
 from mwb.monomials import MonomialIdeal, minimalize, monomial_ideal, newton
 from mwb.polyhedra import Facet, NewtonPolyhedron
 from mwb.poly import (
+    COEFF_BITS,
     ORDINARY,
     LogAmbient,
     PolyIdeal,
     Polynomial,
+    coefficient_bits,
     constant,
     log_derivation,
     rational,
@@ -796,3 +801,129 @@ def rabinowitsch_by_rename(ideal, f):
         variable(lifted_amb, w) * rename(f, {}, lifted_amb) - constant(lifted_amb, 1)
     )
     return PolyIdeal(lifted_amb, lifted)
+
+
+_TOKEN = re.compile(
+    r"\s*(?:(?P<frac>\d+/\d+)|(?P<int>\d+)"
+    r"|(?P<name>[A-Za-z][A-Za-z0-9_]*'*)"
+    r"|(?P<op>[-+*^(),]))"
+)
+
+
+def match_tokenize(text):
+    """Tokens by matching at each position in turn, until only whitespace
+    is left or nothing matches."""
+    out = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if not m or m.end() == m.start():
+            rest = text[pos:].strip()
+            if not rest:
+                break
+            raise MwbError(f"cannot read {rest[:20]!r}")
+        pos = m.end()
+        kind, val = m.lastgroup, m.group(m.lastgroup)
+        digits = max(map(len, val.split("/"))) if kind in ("frac", "int") else 0
+        if digits > LITERAL_DIGITS:
+            raise MwbError(
+                f"a number has {digits} digits, over the limit of {LITERAL_DIGITS}"
+            )
+        out.append((kind, val))
+    return out
+
+
+class PolynomialParser:
+    """The expression language by Polynomial arithmetic: every factor is a
+    validated Polynomial, and every product, sum and power a new one.
+
+    expr := ['-'] term (('+'|'-') term)*
+    term := factor factor*        (juxtaposition multiplies)
+    factor := coefficient | name ['^' nat] | '(' expr ')' ['^' nat]"""
+
+    def __init__(self, tokens, ambient):
+        self.tokens = tokens
+        self.pos = 0
+        self.ambient = ambient
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
+
+    def take(self):
+        tok = self.peek()
+        self.pos += 1
+        return tok
+
+    def expr(self):
+        sign = 1
+        if self.peek() == ("op", "-"):
+            self.take()
+            sign = -1
+        p = self.term() * sign
+        while self.peek()[0] == "op" and self.peek()[1] in "+-":
+            _, op = self.take()
+            q = self.term()
+            p = p + q if op == "+" else p - q
+        return p
+
+    def term(self):
+        p = self.factor()
+        while True:
+            kind, val = self.peek()
+            if kind == "op" and val == "*":
+                self.take()
+                p = p * self.factor()
+            elif kind in ("frac", "int", "name") or (kind, val) == ("op", "("):
+                p = p * self.factor()
+            else:
+                return p
+
+    def factor(self):
+        kind, val = self.take()
+        if kind == "frac":
+            num, den = (int(x) for x in val.split("/"))
+            if not den:
+                raise MwbError(f"coefficient {val} has a zero denominator")
+            return self.const(Fraction(num, den))
+        if kind == "int":
+            return self.const(int(val))
+        if kind == "name":
+            i = self.ambient.index(val)
+            e = [0] * self.ambient.n
+            e[i] = self.power()
+            return Polynomial(self.ambient, {tuple(e): 1})
+        if (kind, val) == ("op", "("):
+            p = self.expr()
+            if self.take() != ("op", ")"):
+                raise MwbError("missing closing parenthesis")
+            return p ** self.power()
+        raise MwbError(f"unexpected {val!r}" if val else "unexpected end of input")
+
+    def power(self):
+        if self.peek() == ("op", "^"):
+            self.take()
+            kind, val = self.take()
+            if kind != "int":
+                raise MwbError("exponent must be a natural number")
+            return int(val)
+        return 1
+
+    def const(self, c):
+        return Polynomial(self.ambient, {(0,) * self.ambient.n: c})
+
+
+def polynomial_parse_ideal(text, ambient):
+    """The comma-separated expressions of text as an ideal, each generator
+    held to the coefficient budget once the input is used up."""
+    parser = PolynomialParser(match_tokenize(text), ambient)
+    gens = [parser.expr()]
+    while parser.peek() == ("op", ","):
+        parser.take()
+        gens.append(parser.expr())
+    if parser.peek() != (None, None):
+        raise MwbError(f"trailing input near {parser.peek()[1]!r}")
+    for p in gens:
+        bits = max(coefficient_bits(p.terms))
+        if bits > COEFF_BITS:
+            raise MwbError(f"coefficients need {bits} bits, over the budget of {COEFF_BITS}")
+    return PolyIdeal(ambient, gens)

@@ -23,7 +23,8 @@ import jsonschema
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import ambient, random_polynomial
+import oracles
+from conftest import ambient, drop_corpus, random_polynomial
 from mwb import cli
 from mwb.errors import MwbError
 from mwb.poly import Polynomial, format_polynomial
@@ -265,6 +266,30 @@ class TestJsonSchema:
             jsonschema.Draft202012Validator(schema).validate(json.loads(out))
 
 
+def random_expression(rng, names, depth=0):
+    """A seeded expression: signed sums of juxtaposed or starred factors,
+    each an integer, a fraction, a name with or without a power, or a
+    parenthesized expression with or without one."""
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        factors = []
+        for _ in range(rng.randint(1, 4)):
+            r = rng.random()
+            if r < 0.25:
+                f = str(rng.randint(0, 12))
+            elif r < 0.4:
+                f = f"{rng.randint(0, 9)}/{rng.randint(1, 9)}"
+            elif r < 0.8 or depth > 1:
+                f = rng.choice(names) + (f"^{rng.randint(0, 4)}" if rng.random() < 0.5 else "")
+            else:
+                f = "(" + random_expression(rng, names, depth + 1) + ")"
+                f += f"^{rng.randint(0, 3)}" if rng.random() < 0.5 else ""
+            factors.append(f)
+        terms.append(factors[0] + "".join(rng.choice([" ", "*", " * "]) + f for f in factors[1:]))
+    text = ("-" if rng.random() < 0.3 else "") + terms[0]
+    return text + "".join(rng.choice([" + ", " - ", "+", "-"]) + t for t in terms[1:])
+
+
 class TestParser:
     def test_print_parse_round_trip(self):
         # p/q coefficients, and primed names as blow-up charts print them
@@ -321,6 +346,63 @@ class TestParser:
     def test_unreadable_character(self):
         with pytest.raises(MwbError, match="cannot read"):
             cli.tokenize("x ? y")
+
+    def test_the_parser_matches_the_polynomial_oracle(self):
+        # equal generators with equal terms in equal order and form, or the
+        # same refusal, on every golden and drop-corpus ideal, on seeded
+        # expressions, and at the literal and coefficient bounds
+        cases = []
+        for path in sorted(GOLDEN.rglob("*.txt")):
+            for line in path.read_text().splitlines():
+                if line.startswith("$ mwb "):
+                    args = cli.build_parser().parse_args(shlex.split(line)[2:])
+                    for text in (getattr(args, "ideal", None), getattr(args, "ideal_monomial", None)):
+                        if text is not None:
+                            cases.append((text, cli.build_ambient(args, text)))
+        assert len(cases) > 40
+        for _, i in drop_corpus():
+            cases.append((", ".join(map(format_polynomial, i.generators)), i.ambient))
+        amb = ambient(ordinary="x,y", monomial="z")
+        rng = random.Random(4242)
+        for _ in range(400):
+            text = ", ".join(random_expression(rng, "xyz") for _ in range(rng.randint(1, 3)))
+            if rng.random() < 0.1:  # a character lost or one gone astray
+                k = rng.randrange(len(text))
+                text = text[:k] + rng.choice(["", ")", "(", "w", "^", "?", "/0"]) + text[k + 1 :]
+            cases.append((text, amb))
+        lit = "7" * cli.LITERAL_DIGITS
+        edge = [
+            f"{lit} x", f"{lit} {lit} x", f"x {lit} y {lit}", f"1/{lit} x 1/{lit}",
+            f"{lit}0 x", f"(x + {lit}) {lit}", f"{lit} (x + {lit})", f"0 {lit} {lit}",
+            f"x + 1/1{'0' * 2399}0 + 1/1{'0' * 2399}1",
+        ]
+        budget = cli.COEFF_BITS
+        for total in range(budget - 5, budget - 1):  # a b has total + 1 bits
+            a, b = 2 ** (budget // 2), 2 ** (total - budget // 2)
+            edge += [
+                f"{a} {b} x", f"{a} {b} x y 3", f"{a} x {b} 2 z", f"-{a} {b} x^2 (x + 1)",
+                f"1/{a} {b} y", f"{a}/{b} x 1/{b}", f"{a} {b} (x + y)^2", f"({a} x) {b} 4",
+            ]
+        # a product of budget - 1 bits, which one more name takes over
+        m, n = 2 ** (budget // 2) - 1, 2 ** (budget // 2 - 1) - 1
+        edge += [f"{m} {n}", f"{m} {n} x", f"{m} x {n} y", f"{m} x ({n} y)"]
+        for k in (budget - 3, budget - 2, budget - 1, budget):
+            edge += [f"(2)^{k} x", f"(2)^{k} 2 x", f"2 (2)^{k}", f"x (1/2)^{k} y + 1"]
+        cases += [(text, amb) for text in edge]
+
+        def parsed(parse, text, amb):
+            try:
+                gens = parse(text, amb).generators
+            except MwbError as e:
+                return str(e)
+            return [[(e, c, type(c)) for e, c in g.terms.items()] for g in gens]
+
+        outcomes = set()
+        for text, amb in cases:
+            got = parsed(cli.parse_ideal, text, amb)
+            assert got == parsed(oracles.polynomial_parse_ideal, text, amb), text[:80]
+            outcomes.add(type(got))
+        assert outcomes == {str, list}
 
     def test_monomial_ideal_rejects_sums_and_coefficients(self):
         amb = ambient(ordinary="x,y")
@@ -562,14 +644,20 @@ class TestBounded:
             ("(3/7)^9000 x + y", "over the budget of 8192"),
             # coprime denominators of 2401 digits: their sum needs about 16,000 bits
             ("x + 1/1{zeros}0 + 1/1{zeros}1", "coefficients need"),
+            # two literals at the digit limit: the product of the two is refused
+            (
+                "{lit} {lit} x",
+                "multiplying coefficients of up to 8162 and 8162 bits may form"
+                " 16325-bit coefficients, over the budget of 8192",
+            ),
         ],
-        ids="coefficient exponent denominator power fraction-power sum".split(),
+        ids="coefficient exponent denominator power fraction-power sum juxtaposed".split(),
     )
     def test_long_literals_and_huge_coefficients_are_refused(self, ideal, message):
         # int() refuses a 5000-digit literal, and str() a coefficient that
         # long: the parser and the coefficient budget refuse them first
         start = time.perf_counter()
-        ideal = ideal.format(long="7" * 5000, zeros="0" * 2399)
+        ideal = ideal.format(long="7" * 5000, zeros="0" * 2399, lit="7" * cli.LITERAL_DIGITS)
         code, out, err = run_cli(["invariant", "--ordinary", "x,y", "--ideal", ideal])
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and message in err

@@ -8,6 +8,8 @@ import oracles
 from conftest import (
     F_TEXT,
     ambient,
+    drop_corpus,
+    frontier,
     ideal,
     nondegenerate_samples,
     poly,
@@ -184,6 +186,31 @@ def test_saturation():
     assert ideal_equal(saturate(j, variable(amb, "x")), j)
     k = saturate_at_variables(ideal(A3, "x^2 y z, x y^2 z"), ("x", "y"))
     assert ideal_equal(k, ideal(A3, "z"))
+
+
+def test_a_principal_ideal_saturates_in_one_division():
+    # term for term what saturating one named variable at a time gives, on
+    # the drop corpus and the seed-104 frontier, each generator also times
+    # a monomial in the named variables so that the division removes it
+    cases = [i for _, i in drop_corpus()] + frontier(104, 4)
+    rng = random.Random(104)
+    checked = 0
+    for i in cases:
+        amb = i.ambient
+        for g in i.generators:
+            for names in _every_subset(amb.names()):
+                e = tuple(rng.randint(0, 2) if n in names else 0 for n in amb.names())
+                for h in (g, g * Polynomial(amb, {e: 1})):
+                    principal = PolyIdeal(amb, (h,))
+                    want = principal
+                    for n in names:
+                        want = saturate(want, variable(amb, n))
+                    got = saturate_at_variables(principal, names)
+                    assert [list(p.terms.items()) for p in got.generators] == [
+                        list(p.terms.items()) for p in want.generators
+                    ]
+                    checked += 1
+    assert checked > 1000
 
 
 def test_saturation_unit_cases():

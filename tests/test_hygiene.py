@@ -228,6 +228,7 @@ UNREFERENCED_PUBLIC = {
     "groebner.ideal_equal": TRACED,
     "engine.principalize": TRACED,
     "kernel.COMPILED": "read by perfbench/worker.py as the report's kernel lane",
+    "poly.substitute": TRACED,
     "poly.constant": INPUT,
     "cli.parse_polynomial": INPUT,
 }

@@ -15,6 +15,7 @@ from mwb.invariant import (
     INF,
     CLOSURE_BUDGET,
     Center,
+    Contact,
     Invariant,
     center_display,
     coefficient_ideal,
@@ -29,6 +30,7 @@ from mwb.invariant import (
     monomial_part,
     reduced_center,
 )
+from mwb.monomials import MonomialIdeal
 from mwb.poly import LogAmbient, Polynomial, constant, format_polynomial, variable
 from test_poly import golden_results
 
@@ -522,6 +524,20 @@ class TestPieces:
         inv, ctr = invariant_at(i, (0, 1, 0, 0))
         assert str(inv) == "(2)"
         assert [c.name for c in ctr.contacts] == ["x'"]
+
+    def test_a_one_generator_monomial_part_is_its_own_vertex(self, monkeypatch):
+        # the monomial part of x^3 + y z on ordinary x, monomial y, z is (y z),
+        # the only vertex of its Newton polyhedron: no polyhedron is built
+        def refused(*args):
+            raise AssertionError("newton called")
+
+        monkeypatch.setattr(invariant, "newton", refused)
+        i = ideal(ambient(ordinary="x", monomial="y,z"), "x^3 + y z")
+        inv, ctr = invariant_at(i, (0, 0, 0))
+        assert inv == Invariant((Fraction(3), INF))
+        assert ctr == Center(
+            (Contact("x", None),), (Fraction(3),), MonomialIdeal(3, ((0, 1, 1),)), 1
+        )
 
     def test_no_rectifiable_contact(self):
         a11 = ambient(ordinary="x", monomial="z")

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import ambient, drop_corpus, ideal, poly
+from conftest import ambient, drop_corpus, ideal, poly, random_polynomial
 from mwb import LogAmbient, Polynomial, PolyIdeal, cli, engine, groebner, monomial_ideal
 from mwb.blowup import build_blowup, total_transform, weak_transform
 from mwb.errors import AmbientMismatch, IncompleteSubstitution, MwbError
@@ -22,6 +22,7 @@ from mwb.poly import (
     restrict,
     strip_inverted_units,
     substitute,
+    substitute_one,
     variable,
 )
 from oracles import naive_substitute
@@ -226,6 +227,29 @@ def test_substitute_requires_all_names():
     target = ambient(ordinary="u")
     with pytest.raises(IncompleteSubstitution):
         substitute(poly(A3, "x + y"), {"x": poly(target, "u")}, target)
+
+
+def test_substitute_one_is_substitute_with_identity_images():
+    # term for term and in the same order, with the variable dropped (a
+    # restriction to a value) and kept (a coordinate change x -> x + s)
+    rng = random.Random(3707)
+    amb = ambient(ordinary="x,y", monomial="z")
+    for _ in range(60):
+        p = random_polynomial(rng, amb, max_terms=5, max_entry=4)
+        name = rng.choice(amb.names())
+        for drop in (True, False):
+            target = amb.drop(name) if drop else amb
+            image = random_polynomial(rng, target, max_terms=3, max_entry=2)
+            if rng.random() < 0.3:
+                image = image * Fraction(rng.randint(1, 5), rng.randint(2, 7))
+            images = {n: variable(target, n) for n in target.names()}
+            images[name] = image
+            got = substitute_one(p, name, image, drop=drop)
+            want = substitute(p, images, target)
+            assert got.ambient == target
+            assert list(got.terms.items()) == list(want.terms.items())
+    with pytest.raises(AmbientMismatch):
+        substitute_one(poly(A3, "x + y"), "x", poly(A3, "y"), drop=True)
 
 
 def test_ambient_mismatch_is_rejected():
